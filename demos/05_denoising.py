@@ -47,8 +47,8 @@ for transform in ("gat", "ksigma"):
 # pipelines trained on that mapping.  GAT is the right choice for this
 # classical thresholding denoiser.
 
-# Overlapping tiles with an 8-pixel halo reproduce the single pass exactly
-# when the tile step is a multiple of the DCT stride.
+# Tile cores start on multiples of the block period and carry a one-period
+# halo, so tiling reproduces the single pass exactly.
 full = denoise_raw(noisy, pg, DenoiseConfig(tile=512, overlap=32))
 tiled = denoise_raw(noisy, pg, DenoiseConfig(tile=64, overlap=16))
 print("tiled vs single-pass max difference:",

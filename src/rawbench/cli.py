@@ -272,8 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-dn", type=float, default=None, help="DN sigma for transform=none")
     p.add_argument("--threshold", type=float, default=3.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--tile", type=int, default=256)
-    p.add_argument("--overlap", type=int, default=32)
+    p.add_argument("--tile", type=int, default=256,
+                   help="planes larger than this on both sides are shrunk in cores, "
+                        "bounding the working set; the result is the same")
+    p.add_argument("--overlap", type=int, default=32,
+                   help="shortens the core step tile - overlap; the result is the same")
     p.add_argument("--clip-hi", type=float, default=1.0)
     p.set_defaults(func=_cmd_denoise)
 

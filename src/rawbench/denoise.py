@@ -6,11 +6,18 @@ averages the overlapping reconstructions.  After a variance-stabilizing
 transform the noise std is ~1, making the threshold parameter-free; with
 ``transform="none"`` the caller supplies the DN-domain sigma instead.
 
-Large planes are processed in overlapping tiles.  Each tile is computed
-with an 8-pixel halo so that every DCT block contributing to a tile's core
-is seen in full; tiles are then blended with linear feathering across the
-overlap band.  When the tile step is a multiple of the DCT stride this
-makes the tiled result identical to a single pass.
+The blocks that start on one phase of the stride grid do not overlap, so
+each phase is transformed as one batch of matrix products and added back in
+place; the flush blocks at the far edges form one more phase.
+
+Planes larger than ``tile`` on both sides are processed one core at a time.
+Cores start on multiples of the block period (8 for strides 1, 2, 4 and 8)
+and each is shrunk inside a patch with a one-period halo, which holds every
+block that touches the core.  Tiling is therefore exact: the tiled result
+equals the single pass.  ``tile`` bounds the working set: one shrink call
+sees at most about (tile + 16)^2 pixels.  ``overlap`` only shortens the
+core step ``tile - overlap``, which is rounded down to a multiple of the
+period (and is at least one period).
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import fft as sfft
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import NoiseParams
 from .core import PackedImage, SPACE_NORMALIZED
@@ -27,6 +34,18 @@ from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksig
 
 _BLOCK = 8
 _TRANSFORMS = ("gat", "ksigma", "none")
+
+
+def _dct_matrix(n: int) -> np.ndarray:
+    """Orthonormal DCT-II matrix: ``C @ x`` is ``scipy.fft.dct(x, norm="ortho")``."""
+    k = np.arange(n)
+    c = np.sqrt(2.0 / n) * np.cos(np.pi * (2 * k[None, :] + 1) * k[:, None] / (2 * n))
+    c[0] /= np.sqrt(2.0)
+    c.flags.writeable = False
+    return c
+
+
+_DCT = _dct_matrix(_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -48,15 +67,38 @@ class DenoiseConfig:
             raise DomainError("threshold_mult must be >= 0")
         if not self.tile > self.overlap >= 0:
             raise DomainError("need tile > overlap >= 0")
-        if self.stride < 1:
-            raise DomainError("stride must be >= 1")
+        _check_stride(self.stride)
 
 
-def _block_starts(extent: int, stride: int) -> np.ndarray:
-    starts = list(range(0, extent - _BLOCK + 1, stride))
-    if starts[-1] != extent - _BLOCK:
-        starts.append(extent - _BLOCK)
-    return np.asarray(starts)
+def _check_stride(stride: int) -> None:
+    # a stride above the block size would leave pixels no block covers
+    if not 1 <= stride <= _BLOCK:
+        raise DomainError(f"stride must be in 1..{_BLOCK}, got {stride}")
+
+
+def _period(stride: int) -> int:
+    """Smallest multiple of ``stride`` that is >= 8: blocks that far apart never overlap."""
+    return -(-_BLOCK // stride) * stride
+
+
+def _block_groups(extent: int, stride: int) -> tuple[list[slice], np.ndarray]:
+    """Block starts along one axis, split into groups of non-overlapping blocks.
+
+    The starts are 0, stride, 2*stride, ... up to ``extent - 8``, plus the
+    flush start ``extent - 8`` when the grid misses it.  Each group is a slice
+    over start positions: one per phase of the grid, stepping by
+    :func:`_period`, then the flush start on its own.  Also returns how many
+    blocks cover each pixel.
+    """
+    last = (extent - _BLOCK) // stride * stride
+    period = _period(stride)
+    groups = [slice(o, last + 1, period) for o in range(0, min(period, last + 1), stride)]
+    if last != extent - _BLOCK:
+        groups.append(slice(extent - _BLOCK, extent - _BLOCK + 1))
+    is_start = np.zeros(extent - _BLOCK + 1)
+    for g in groups:
+        is_start[g] = 1.0
+    return groups, np.convolve(is_start, np.ones(_BLOCK))
 
 
 def dct8_shrink(
@@ -66,72 +108,57 @@ def dct8_shrink(
 
     AC coefficients with magnitude below ``threshold_mult * sigma`` are
     zeroed; the DC coefficient is always kept, so constant planes pass
-    through unchanged and sigma = 0 reproduces the input exactly.
+    through unchanged and sigma = 0 reproduces the input exactly.  Blocks
+    start every ``stride`` (1..8) pixels, plus a flush block at the far edge.
     """
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < _BLOCK or p.shape[1] < _BLOCK:
         raise DimensionError(f"plane must be at least 8x8, got {p.shape}")
-    if sigma < 0:
+    if not sigma >= 0:
         raise DomainError("sigma must be >= 0")
-    h, w = p.shape
-    ys = _block_starts(h, stride)
-    xs = _block_starts(w, stride)
-    iy = ys[:, None] + np.arange(_BLOCK)[None, :]          # (ny, 8)
-    ix = xs[:, None] + np.arange(_BLOCK)[None, :]          # (nx, 8)
-    blocks = p[iy[:, None, :, None], ix[None, :, None, :]]  # (ny, nx, 8, 8)
-    coef = sfft.dctn(blocks, axes=(2, 3), norm="ortho")
-    kill = np.abs(coef) < threshold_mult * sigma
-    kill[..., 0, 0] = False
-    coef[kill] = 0.0
-    rec = sfft.idctn(coef, axes=(2, 3), norm="ortho")
+    _check_stride(stride)
+    rows, row_cover = _block_groups(p.shape[0], stride)
+    cols, col_cover = _block_groups(p.shape[1], stride)
+    thr = threshold_mult * sigma
+    src = sliding_window_view(p, (_BLOCK, _BLOCK))
     out = np.zeros_like(p)
-    cnt = np.zeros_like(p)
-    for a in range(_BLOCK):
-        for b in range(_BLOCK):
-            out[np.ix_(ys + a, xs + b)] += rec[:, :, a, b]
-            cnt[np.ix_(ys + a, xs + b)] += 1.0
-    return out / cnt
-
-
-def _feather(tile: int, overlap: int, first: bool, last: bool) -> np.ndarray:
-    w = np.ones(tile)
-    if overlap > 0:
-        ramp = (np.arange(overlap) + 1.0) / (overlap + 1.0)
-        if not first:
-            w[:overlap] = np.minimum(w[:overlap], ramp)
-        if not last:
-            w[tile - overlap :] = np.minimum(w[tile - overlap :], ramp[::-1])
-    return w
-
-
-_HALO = 8  # one DCT block: every block touching a tile core fits in the padded patch
+    dst = sliding_window_view(out, (_BLOCK, _BLOCK), writeable=True)
+    for ry in rows:
+        for rx in cols:
+            # the blocks of one row group x column group are disjoint, so the
+            # in-place overlap-add below writes each pixel at most once
+            coef = _DCT @ src[ry, rx] @ _DCT.T
+            keep = np.abs(coef) >= thr
+            keep[..., 0, 0] = True
+            dst[ry, rx] += _DCT.T @ (coef * keep) @ _DCT
+    out /= row_cover[:, None] * col_cover[None, :]
+    return out
 
 
 def _tiled_shrink(
     plane: np.ndarray, sigma: float, threshold_mult: float, tile: int, overlap: int, stride: int
 ) -> np.ndarray:
+    """:func:`dct8_shrink` of a plane, computed one core at a time.
+
+    Core origins are multiples of the block period, so each patch (core plus
+    a one-period halo) sees exactly the blocks the single pass places over
+    its core, in the same order: the result equals the single pass.
+    """
     h, w = plane.shape
     if tile >= h and tile >= w:
         return dct8_shrink(plane, sigma, threshold_mult, stride)
-    step = tile - overlap
-    ys = sorted({min(a, max(h - tile, 0)) for a in range(0, max(h - tile, 0) + step, step)})
-    xs = sorted({min(a, max(w - tile, 0)) for a in range(0, max(w - tile, 0) + step, step)})
-    acc = np.zeros_like(plane, dtype=np.float64)
-    wsum = np.zeros_like(acc)
-    for ay in ys:
-        cy = min(tile, h - ay)
-        wy = _feather(cy, min(overlap, cy - 1), ay == ys[0], ay == ys[-1])
-        y0, y1 = max(0, ay - _HALO), min(h, ay + cy + _HALO)
-        for ax in xs:
-            cx = min(tile, w - ax)
-            wx = _feather(cx, min(overlap, cx - 1), ax == xs[0], ax == xs[-1])
-            x0, x1 = max(0, ax - _HALO), min(w, ax + cx + _HALO)
+    halo = _period(stride)
+    step = max((tile - overlap) // halo * halo, halo)
+    out = np.empty((h, w))
+    for ay in range(0, h, step):
+        y0, y1 = max(0, ay - halo), min(h, ay + step + halo)
+        for ax in range(0, w, step):
+            x0, x1 = max(0, ax - halo), min(w, ax + step + halo)
             patch = dct8_shrink(plane[y0:y1, x0:x1], sigma, threshold_mult, stride)
-            core = patch[ay - y0 : ay - y0 + cy, ax - x0 : ax - x0 + cx]
-            weight = wy[:, None] * wx[None, :]
-            acc[ay : ay + cy, ax : ax + cx] += core * weight
-            wsum[ay : ay + cy, ax : ax + cx] += weight
-    return acc / wsum
+            out[ay : ay + step, ax : ax + step] = patch[
+                ay - y0 : ay - y0 + step, ax - x0 : ax - x0 + step
+            ]
+    return out
 
 
 def effective_pg_params(params: NoiseParams, dgain: float) -> PgParams:

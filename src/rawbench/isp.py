@@ -86,6 +86,30 @@ def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
     return gain_r, 1.0, gain_b
 
 
+def _demosaic_normalizer(h: int, w: int, color: str) -> np.ndarray:
+    """Kernel weight that lands on each pixel from the ``color`` sites of an h x w RGGB mosaic.
+
+    Equal to convolving the color's 0/1 site mask with its kernel in
+    constant mode, but built from site parity and the border: the chroma
+    kernel is separable, and off its own sites the green kernel weighs each
+    in-bounds 4-neighbour by 1/4.  Every value is a sum of quarters, so both
+    forms agree exactly.
+    """
+    def same(v, kernel):  # 1-D convolution of v, zero outside, cropped to len(v)
+        return np.convolve(v, kernel)[1:-1]
+
+    if color == "g":
+        cross = [0.25, 0.0, 0.25]
+        den = same(np.ones(h), cross)[:, None] + same(np.ones(w), cross)[None, :]
+        den[0::2, 1::2] = 1.0
+        den[1::2, 0::2] = 1.0
+        return den
+    chroma = [0.5, 1.0, 0.5]  # _K_CHROMA == np.outer(chroma, chroma)
+    parity = 0 if color == "r" else 1
+    return np.outer(same(np.arange(h) % 2 == parity, chroma),
+                    same(np.arange(w) % 2 == parity, chroma))
+
+
 def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     """Bilinear demosaic of an RGGB mosaic; borders average available neighbors."""
     h, w = mosaic.shape
@@ -102,10 +126,8 @@ def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     for i, (name, kernel) in enumerate(
         (("r", _K_CHROMA), ("g", _K_GREEN), ("b", _K_CHROMA))
     ):
-        mask = masks[name]
-        num = ndimage.convolve(mosaic * mask, kernel, mode="constant", cval=0.0)
-        den = ndimage.convolve(mask, kernel, mode="constant", cval=0.0)
-        rgb[:, :, i] = num / den
+        num = ndimage.convolve(mosaic * masks[name], kernel, mode="constant", cval=0.0)
+        rgb[:, :, i] = num / _demosaic_normalizer(h, w, name)
     return rgb
 
 

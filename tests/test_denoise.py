@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import fft as sfft
 
 from rawbench.calibration import NoiseParams
@@ -40,15 +41,21 @@ def dct8_reference(plane, sigma, threshold_mult, stride=4):
     return out / cnt
 
 
+STRIDES = range(1, 9)
+
+
 class TestDct8Shrink:
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 10, (32, 40))
-        np.testing.assert_allclose(dct8_shrink(x, 0.0), x, atol=1e-12)
+        for stride in STRIDES:
+            np.testing.assert_allclose(dct8_shrink(x, 0.0, stride=stride), x, atol=1e-12)
 
     def test_constant_plane_unchanged(self):
-        x = np.full((24, 24), 5.5)
-        np.testing.assert_allclose(dct8_shrink(x, 3.0), x, atol=1e-12)
+        for shape in ((24, 24), (24, 29)):
+            x = np.full(shape, 5.5)
+            for stride in STRIDES:
+                np.testing.assert_allclose(dct8_shrink(x, 3.0, stride=stride), x, atol=1e-12)
 
     def test_pure_noise_energy_removed(self):
         rng = np.random.default_rng(1)
@@ -58,11 +65,23 @@ class TestDct8Shrink:
 
     def test_matches_reference_implementation(self):
         rng = np.random.default_rng(2)
-        for shape in ((32, 32), (33, 47), (8, 8)):
+        for shape in ((32, 32), (33, 47), (8, 8), (9, 17)):
             x = rng.normal(0, 1, shape) + 3.0
-            np.testing.assert_allclose(
-                dct8_shrink(x, 0.7, 2.5), dct8_reference(x, 0.7, 2.5), atol=1e-12
-            )
+            for stride in STRIDES:
+                np.testing.assert_allclose(
+                    dct8_shrink(x, 0.7, 2.5, stride),
+                    dct8_reference(x, 0.7, 2.5, stride),
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("stride", STRIDES)
+    def test_matches_reference_on_large_ragged_plane(self, stride):
+        # 250 is off the block grid of strides 3..8, so there the flush
+        # block row overlaps the regular ones
+        x = np.random.default_rng(10 + stride).normal(0, 1, (250, 246)) + 3.0
+        np.testing.assert_allclose(
+            dct8_shrink(x, 1.0, 3.0, stride), dct8_reference(x, 1.0, 3.0, stride), atol=1e-12
+        )
 
     def test_small_plane_rejected(self):
         with pytest.raises(DimensionError):
@@ -71,6 +90,16 @@ class TestDct8Shrink:
     def test_negative_sigma_rejected(self):
         with pytest.raises(DomainError):
             dct8_shrink(np.zeros((8, 8)), -1.0)
+        with pytest.raises(DomainError):
+            dct8_shrink(np.zeros((8, 8)), float("nan"))
+
+    def test_stride_out_of_range_rejected(self):
+        # a stride above the block size would leave pixels no block covers
+        for stride in (0, 9, 12):
+            with pytest.raises(DomainError):
+                dct8_shrink(np.ones((40, 40)), 1.0, stride=stride)
+            with pytest.raises(DomainError):
+                DenoiseConfig(stride=stride)
 
 
 class TestTiling:
@@ -90,6 +119,25 @@ class TestTiling:
         out = _tiled_shrink(plane, 1.0, 3.0, tile=48, overlap=8, stride=4)
         assert out.shape == plane.shape
         assert np.all(np.isfinite(out))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        h=st.integers(8, 160),
+        w=st.integers(8, 160),
+        tile=st.integers(1, 170),
+        overlap_frac=st.floats(0.0, 1.0, exclude_max=True),
+        stride=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+    )
+    @example(h=602, w=602, tile=256, overlap_frac=32 / 256, stride=4, seed=0)
+    @example(h=610, w=610, tile=256, overlap_frac=32 / 256, stride=4, seed=0)
+    @example(h=610, w=518, tile=100, overlap_frac=10 / 100, stride=4, seed=0)
+    def test_tiled_equals_single_pass_property(self, h, w, tile, overlap_frac, stride, seed):
+        overlap = int(overlap_frac * tile)  # any 0 <= overlap < tile
+        plane = np.random.default_rng(seed).normal(0, 1, (h, w)) + np.linspace(0, 3, w)
+        single = dct8_shrink(plane, 1.0, 3.0, stride)
+        tiled = _tiled_shrink(plane, 1.0, 3.0, tile, overlap, stride)
+        np.testing.assert_allclose(tiled, single, rtol=0, atol=1e-12)
 
 
 class TestDenoiseRaw:

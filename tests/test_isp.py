@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from rawbench.core import PackedImage, SPACE_NORMALIZED, read_rgb, write_rgb
 from rawbench.errors import DomainError
 from rawbench.isp import (
+    _K_CHROMA,
+    _K_GREEN,
     IspConfig,
+    _demosaic_normalizer,
     gray_world_gains,
     read_ppm16,
     run_isp,
@@ -90,6 +94,19 @@ class TestRunIsp:
         from rawbench.core import interleave_rggb
         oracle = demosaic_oracle(interleave_rggb(img.channels))
         np.testing.assert_allclose(rgb, np.clip(oracle, 0, 1), atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (5, 7), (64, 96)])
+    def test_normalizers_equal_mask_convolution(self, shape):
+        h, w = shape
+        masks = np.zeros((3, h, w))
+        masks[0, 0::2, 0::2] = 1.0
+        masks[1, 0::2, 1::2] = 1.0
+        masks[1, 1::2, 0::2] = 1.0
+        masks[2, 1::2, 1::2] = 1.0
+        for mask, kernel, color in zip(masks, (_K_CHROMA, _K_GREEN, _K_CHROMA), "rgb"):
+            np.testing.assert_array_equal(
+                _demosaic_normalizer(h, w, color),
+                ndimage.convolve(mask, kernel, mode="constant", cval=0.0))
 
     def test_ccm_applied_per_pixel(self):
         swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
