@@ -4,6 +4,9 @@ Conventions match the usual GMac counters: one MAC per multiply-accumulate
 (not two FLOPs), same-padding spatial dims, bias terms add parameters but
 no MACs.  Both conventions are switchable (``flops``/``bias_adds``).
 
+Shapes are walked and checked once, in ``build_report``; ``count_macs`` is
+derived from its per-layer breakdown.  Every input dimension must be >= 1.
+
 The Bayer group convolution (bgc) layer runs an independent convolution on
 each of the N^2 CFA-phase sub-tensors and reassembles the original layout,
 so it carries N^2 times the parameters of a plain convolution while its
@@ -14,6 +17,7 @@ MAC count is exactly equal at stride 1: each of the N^2 sub-tensors has
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -118,24 +122,19 @@ def count_macs(
     flops: bool = False,
     bias_adds: bool = False,
 ) -> int:
-    """Multiply-accumulates for one forward pass; shapes thread layer to layer.
+    """Multiply-accumulates for one forward pass, from :func:`build_report`.
 
     ``flops=True`` doubles the count (multiply + add counted separately);
     ``bias_adds=True`` additionally counts one op per biased output element.
     """
-    _, c, h, w = input_shape
-    total = 0
-    for layer in model:
-        if layer.kind != "elementwise" and layer.in_ch != c:
-            raise SpecError(f"layer {layer} expects {layer.in_ch} channels, input has {c}")
-        macs, h, w = _layer_macs(layer, h, w)
-        if h < 1 or w < 1:
-            raise SpecError(f"spatial shape underflow after {layer}")
-        total += macs
-        if bias_adds and layer.bias and layer.kind != "elementwise":
-            total += layer.out_ch * h * w
-        if layer.kind != "elementwise":
-            c = layer.out_ch
+    report = build_report(model, input_shape)
+    total = report.total_macs
+    if bias_adds:
+        total += sum(
+            math.prod(entry["out_shape"])
+            for layer, entry in zip(model, report.per_layer)
+            if layer.bias and layer.kind != "elementwise"
+        )
     return 2 * total if flops else total
 
 
@@ -145,6 +144,10 @@ def build_report(
     ensemble: bool = False,
 ) -> BudgetReport:
     """Per-layer breakdown plus totals for a model at the given input shape."""
+    # Strides and bgc periods must divide the spatial dims, so with every
+    # input dimension >= 1 no layer's output shape can fall below 1.
+    if min(input_shape) < 1:
+        raise SpecError(f"input shape {tuple(input_shape)} has a dimension < 1")
     per_layer = []
     _, c, h, w = input_shape
     for layer in model:

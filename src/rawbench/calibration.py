@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ from .core import (
     crop_frame,
     interleave_rggb,
     read_packed,
+    split_rggb,
     write_packed,
 )
 from .errors import (
@@ -112,12 +113,8 @@ def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
         raise DimensionError(
             f"dark {dark.data.shape} does not match shading {shading.shape}"
         )
-    residual = dark.data.astype(np.float64) - shading
-    channels = np.stack(
-        [residual[0::2, 0::2], residual[0::2, 1::2], residual[1::2, 0::2], residual[1::2, 1::2]]
-    )
     return PackedImage(
-        channels=channels,
+        channels=split_rggb(dark.data.astype(np.float64) - shading),
         space=SPACE_DN_ABOVE_BLACK,
         black_level=dark.black_level,
         white_level=dark.white_level,
@@ -279,14 +276,7 @@ def save_profile(profile: SensorProfile, json_path) -> None:
         shading = profile.dark_shading.get(iso)
         if shading is not None:
             shading_img = PackedImage(
-                channels=np.stack(
-                    [
-                        shading[0::2, 0::2],
-                        shading[0::2, 1::2],
-                        shading[1::2, 0::2],
-                        shading[1::2, 1::2],
-                    ]
-                ).astype(np.float32),
+                channels=split_rggb(shading).astype(np.float32),
                 space=SPACE_DN,
                 black_level=profile.black_level,
                 white_level=profile.white_level,
@@ -297,18 +287,7 @@ def save_profile(profile: SensorProfile, json_path) -> None:
         lib_names = []
         for k, res in enumerate(profile.dark_library.get(iso, [])):
             name = f"{stem}_iso{iso}_dark{k:03d}.rawb"
-            write_packed(
-                PackedImage(
-                    channels=res.channels.astype(np.float32),
-                    space=res.space,
-                    black_level=res.black_level,
-                    white_level=res.white_level,
-                    camera_id=res.camera_id,
-                    iso=res.iso,
-                    exposure_s=res.exposure_s,
-                ),
-                out_dir / name,
-            )
+            write_packed(replace(res, channels=res.channels.astype(np.float32)), out_dir / name)
             lib_names.append(name)
         isos_doc[str(iso)] = {
             "K": params.K,

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import budget as budget_mod
-from . import calibration, core, harness, isp, metrics, ranking, synth
+from . import calibration, core, harness, isp, ranking, synth
 from .denoise import DenoiseConfig, denoise_raw, effective_pg_params
 from .errors import MissingDataError, RawBenchError
 
@@ -159,18 +159,10 @@ def _cmd_eval(args) -> int:
     missing = [p.name for p in pred_paths if not (gt_dir / p.name).exists()]
     if missing:
         raise MissingDataError(f"missing ground truth for: {', '.join(missing)}")
-    rows = []
-    for p in pred_paths:
-        pred = core.read_frame(p)
-        gt = core.read_frame(gt_dir / p.name)
-        res = metrics.evaluate_pair(pred, gt, args.phase)
-        # dgain is a manifest-level attribute; directory mode leaves it blank
-        rows.append([p.stem, pred.camera_id, pred.iso, "", res.psnr, res.ssim])
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["image_id", "camera", "iso", "dgain", "psnr_db", "ssim"])
-        for row in rows:
-            writer.writerow([*row[:4], repr(row[4]), repr(row[5])])
+    results = harness.score_pairs([(p.name, p, gt_dir / p.name) for p in pred_paths], args.phase)
+    # dgain is a manifest-level attribute; directory mode leaves it blank
+    rows = [(p.stem, camera, iso, "", res) for p, (camera, iso, res) in zip(pred_paths, results)]
+    harness.write_per_image(args.out, ("image_id",), rows)
     print(f"evaluated {len(rows)} pairs -> {args.out}")
     return 0
 
@@ -185,11 +177,7 @@ def _cmd_rank(args) -> int:
             for m in ranking.ALL_METRICS
         }
         records.append(ranking.MetricRecord(team=row["team"], **kwargs))
-    categories = tuple(
-        cat
-        for cat, metric_set in ranking.CATEGORY_METRICS.items()
-        if all(r.get(m) is not None for r in records for m in metric_set)
-    )
+    categories = ranking.complete_categories(records)
     table = ranking.final_table(records, categories)
     harness.write_ranktable(table, args.out)
     print(f"ranked {len(records)} teams over {list(categories)} -> {args.out}")
@@ -230,16 +218,9 @@ def _cmd_bench(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rawbench")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for batch work")
-    common.add_argument("--strict", action="store_true", help="eagerly validate referenced files")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
-
-    p = add_parser("calibrate", help="build a sensor profile from dark frames")
+    p = sub.add_parser("calibrate", help="build a sensor profile from dark frames")
     p.add_argument("--darks", required=True, help="directory with one <iso>/ subdir of .rawb darks")
     p.add_argument("--camera-id", default="")
     p.add_argument("--out", required=True)
@@ -249,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--band-axis", choices=("row", "col"), default="row")
     p.set_defaults(func=_cmd_calibrate)
 
-    p = add_parser("synth", help="synthesize noisy/clean training pairs")
+    p = sub.add_parser("synth", help="synthesize noisy/clean training pairs")
     p.add_argument("--profile", required=True)
     p.add_argument("--clean", required=True, help="directory of clean mosaic .rawb frames")
     p.add_argument("--out", required=True)
@@ -261,9 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, default=512)
     p.add_argument("--per-image", type=int, default=8)
     p.add_argument("--clip-hi", type=float, default=1.0)
+    p.add_argument("--seed", type=int, default=0, help="master RNG seed")
     p.set_defaults(func=_cmd_synth)
 
-    p = add_parser("denoise", help="classical VST + sliding-DCT denoiser")
+    p = sub.add_parser("denoise", help="classical VST + sliding-DCT denoiser")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--profile", required=True)
     p.add_argument("--iso", type=int, required=True)
@@ -280,35 +262,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clip-hi", type=float, default=1.0)
     p.set_defaults(func=_cmd_denoise)
 
-    p = add_parser("isp", help="render RAW to sRGB (PPM or RAWB rgb)")
+    p = sub.add_parser("isp", help="render RAW to sRGB (PPM or RAWB rgb)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wb", default="gray-world", help="'gray-world' or r,g,b gains")
     p.add_argument("--gamma", choices=("srgb", "none"), default="srgb")
     p.set_defaults(func=_cmd_isp)
 
-    p = add_parser("eval", help="PSNR/SSIM over prediction/ground-truth directories")
+    p = sub.add_parser("eval", help="PSNR/SSIM over prediction/ground-truth directories")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--phase", choices=("dev", "final"), default="dev")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 
-    p = add_parser("rank", help="challenge ranking from a wide scores CSV")
+    p = sub.add_parser("rank", help="challenge ranking from a wide scores CSV")
     p.add_argument("--scores", required=True, help="CSV: team,psnr,ssim,lpips,arniqa,topiq")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rank)
 
-    p = add_parser("budget", help="parameter/MAC accounting for a model JSON")
+    p = sub.add_parser("budget", help="parameter/MAC accounting for a model JSON")
     p.add_argument("--model", required=True)
     p.add_argument("--input", default=None, help="override input shape, e.g. 1,4,512,512")
     p.set_defaults(func=_cmd_budget)
 
-    p = add_parser("bench", help="full benchmark: evaluate, merge externals, rank")
+    p = sub.add_parser("bench", help="full benchmark: evaluate, merge externals, rank")
     p.add_argument("--manifest", required=True)
     p.add_argument("--pred-root", required=True)
     p.add_argument("--external", default=None, help="team,metric,value CSV")
     p.add_argument("--out-dir", default=".")
+    p.add_argument("--threads", type=int, default=1, help="worker threads for scoring")
+    p.add_argument("--strict", action="store_true", help="eagerly validate referenced files")
     p.set_defaults(func=_cmd_bench)
     return parser
 

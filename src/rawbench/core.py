@@ -45,7 +45,7 @@ class RawFrame:
     """Single-channel Bayer mosaic with capture metadata.
 
     The mosaic must have even dimensions so a whole number of 2x2 CFA
-    periods fits.  Data are DN-valued (>= 0), stored as uint16 or float32.
+    periods fits.  Data are DN-valued (finite, >= 0), stored as uint16 or float32.
     """
 
     data: np.ndarray
@@ -69,8 +69,8 @@ class RawFrame:
             raise ProfileError(
                 f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
             )
-        if data.dtype.kind == "f" and np.min(data) < 0:
-            raise DomainError("mosaic data must be >= 0")
+        if data.dtype.kind == "f" and not (np.min(data) >= 0 and np.isfinite(np.max(data))):
+            raise DomainError("mosaic data must be finite and >= 0")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "black_level", black)
         object.__setattr__(self, "white_level", white)
@@ -163,9 +163,16 @@ def pack_rggb(frame: RawFrame, space: str = SPACE_DN) -> PackedImage:
         raise UnsupportedCfa(f"only RGGB is supported, got {frame.cfa!r}")
     if space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK):
         raise DomainError(f"pack space must be a DN space, got {space!r}")
-    d = frame.data
-    channels = np.stack([d[0::2, 0::2], d[0::2, 1::2], d[1::2, 0::2], d[1::2, 1::2]])
-    return PackedImage(channels=channels, space=space, **_meta_kwargs(frame))
+    return PackedImage(channels=split_rggb(frame.data), space=space, **_meta_kwargs(frame))
+
+
+def split_rggb(mosaic: np.ndarray) -> np.ndarray:
+    """Split a (2H, 2W) Bayer mosaic into 4 RGGB planes (4, H, W); inverse of
+    :func:`interleave_rggb`."""
+    m = np.asarray(mosaic)
+    if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
+        raise DimensionError(f"expected an even-sized 2-D mosaic, got {m.shape}")
+    return np.stack([m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2]])
 
 
 def interleave_rggb(channels: np.ndarray) -> np.ndarray:
@@ -326,18 +333,22 @@ def write_frame(frame: RawFrame, path) -> None:
 
 
 def read_frame(path) -> RawFrame:
-    """Read a mosaic RAWB file back into a RawFrame (bit-exact payload)."""
+    """Read a mosaic RAWB file back into a RawFrame (bit-exact payload); an
+    error raised by RawFrame's checks gets the path in front of its message."""
     header, data = _read_rawb(path)
     if header.get("layout") != "mosaic" or int(header["channels"]) != 1:
         raise FormatError(f"{path}: not a single-channel mosaic RAWB file")
-    return RawFrame(
-        data=data,
-        black_level=np.asarray(header["black_level"], dtype=np.float64),
-        white_level=float(header["white_level"]),
-        camera_id=header.get("camera_id", ""),
-        iso=int(header.get("iso", 0)),
-        exposure_s=header.get("exposure_s"),
-    )
+    try:
+        return RawFrame(
+            data=data,
+            black_level=np.asarray(header["black_level"], dtype=np.float64),
+            white_level=float(header["white_level"]),
+            camera_id=header.get("camera_id", ""),
+            iso=int(header.get("iso", 0)),
+            exposure_s=header.get("exposure_s"),
+        )
+    except (DimensionError, DomainError, ProfileError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_packed(img: PackedImage, path) -> None:

@@ -21,13 +21,13 @@ from pathlib import Path
 
 from .calibration import SensorProfile
 from .core import read_frame
-from .errors import DataError, ManifestError, MissingDataError
+from .errors import DataError, DimensionError, ManifestError, MissingDataError
 from .metrics import evaluate_pair
 from .ranking import (
     ALL_METRICS,
-    CATEGORY_METRICS,
     MetricRecord,
     RankTable,
+    complete_categories,
     final_table,
 )
 
@@ -159,6 +159,35 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
+    """Read and score (label, pred_path, gt_path) triples, in order, into
+    (pred camera_id, pred iso, EvalResult); a shape mismatch names the label."""
+
+    def score_one(pair):
+        label, pred_path, gt_path = pair
+        pred = read_frame(pred_path)
+        gt = read_frame(gt_path)
+        try:
+            res = evaluate_pair(pred, gt, phase)
+        except DimensionError as exc:
+            raise DimensionError(f"{label}: {exc}") from exc
+        return pred.camera_id, pred.iso, res
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(score_one, pairs))
+    return [score_one(p) for p in pairs]
+
+
+def write_per_image(path, key_columns: tuple[str, ...], rows) -> None:
+    """Per-image CSV; each row is its key values, camera, iso, dgain, then an EvalResult."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*key_columns, "camera", "iso", "dgain", "psnr_db", "ssim"])
+        for *values, res in rows:
+            writer.writerow([*values, _fmt(res.psnr), _fmt(res.ssim)])
+
+
 def run_benchmark(
     manifest: Manifest,
     pred_root,
@@ -192,27 +221,18 @@ def run_benchmark(
             f"missing predictions for {len(missing)} entries: {', '.join(missing)}"
         )
 
-    def score_one(job):
-        team, entry = job
-        pred = read_frame(pred_root / team / f"{entry.image_id}.rawb")
-        gt = read_frame(manifest.resolve(entry.gt_path))
-        return evaluate_pair(pred, gt, manifest.phase)
-
     jobs = [(team, entry) for team in teams for entry in paired]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(score_one, jobs))
-    else:
-        results = [score_one(j) for j in jobs]
-
-    per_image_rows = []
+    pairs = [
+        (f"{t}/{e.image_id}", pred_root / t / f"{e.image_id}.rawb", manifest.resolve(e.gt_path))
+        for t, e in jobs
+    ]
+    per_image_rows = [
+        (team, entry.image_id, entry.camera, entry.iso, entry.dgain, res)
+        for (team, entry), (_, _, res) in zip(jobs, score_pairs(pairs, manifest.phase, threads))
+    ]
     computed: dict[str, dict[str, float]] = {t: {} for t in teams}
-    for (team, entry), res in zip(jobs, results):
-        per_image_rows.append(
-            [team, entry.image_id, entry.camera, entry.iso, entry.dgain, res.psnr, res.ssim]
-        )
     for team in teams:
-        team_res = [r for (t, _), r in zip(jobs, results) if t == team]
+        team_res = [row[-1] for row in per_image_rows if row[0] == team]
         if team_res:
             computed[team]["psnr"] = _mean([r.psnr for r in team_res])
             computed[team]["ssim"] = _mean([r.ssim for r in team_res])
@@ -234,14 +254,12 @@ def run_benchmark(
         for t in all_teams
         if merged[t]
     ]
-    categories = tuple(
-        cat
-        for cat, metric_set in CATEGORY_METRICS.items()
-        if all(all(merged[t].get(m) is not None for m in metric_set) for t in all_teams)
-    )
-    table = final_table(records, categories) if categories else RankTable(
-        teams=tuple(all_teams)
-    )
+    if len(records) == len(all_teams):
+        table = final_table(records, complete_categories(records))
+    else:
+        # A team with no metric at all (only possible when the manifest has
+        # no paired entry) completes no category: list every team, rank none.
+        table = RankTable(teams=tuple(all_teams))
 
     scores_path = out_dir / "scores.csv"
     with open(scores_path, "w", newline="", encoding="utf-8") as fh:
@@ -251,12 +269,7 @@ def run_benchmark(
         for t in all_teams:
             writer.writerow([t, *[_fmt(merged[t].get(m)) for m in ALL_METRICS]])
 
-    per_image_path = out_dir / "per_image.csv"
-    with open(per_image_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["team", "image_id", "camera", "iso", "dgain", "psnr_db", "ssim"])
-        for row in per_image_rows:
-            writer.writerow([*row[:4], _fmt(row[4]), _fmt(row[5]), _fmt(row[6])])
+    write_per_image(out_dir / "per_image.csv", ("team", "image_id"), per_image_rows)
 
     ranktable_path = out_dir / "ranktable.csv"
     write_ranktable(table, ranktable_path)

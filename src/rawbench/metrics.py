@@ -99,11 +99,17 @@ def evaluate_pair(pred_frame: RawFrame, gt_frame: RawFrame, phase: str = "dev") 
     """Benchmark protocol for one prediction: normalize, center-crop, score.
 
     Crop side is 512 packed pixels in the dev phase and 1024 in the final
-    phase.  Mismatched camera/ISO metadata triggers a warning, not an
-    error, so near-miss manifests still evaluate.
+    phase.  Mosaics of different shapes raise DimensionError: their crops
+    would cover different pixels.  Mismatched camera/ISO metadata triggers
+    a warning, not an error, so near-miss manifests still evaluate.
     """
     if phase not in _CROP_SIDES:
         raise ValueError(f"phase must be one of {sorted(_CROP_SIDES)}, got {phase!r}")
+    if pred_frame.data.shape != gt_frame.data.shape:
+        raise DimensionError(
+            f"prediction mosaic {pred_frame.data.shape} does not match "
+            f"ground truth {gt_frame.data.shape}"
+        )
     if pred_frame.camera_id != gt_frame.camera_id or pred_frame.iso != gt_frame.iso:
         warnings.warn(
             f"metadata mismatch: pred {pred_frame.camera_id}/ISO{pred_frame.iso} "

@@ -97,6 +97,15 @@ def _metric_rank_map(records: list[MetricRecord], metric: str) -> dict[str, floa
     return dict(rank_metric(entries, METRIC_DIRECTIONS[metric]))
 
 
+def complete_categories(records: list[MetricRecord]) -> tuple[str, ...]:
+    """Categories in which every record has every metric; only these are ranked."""
+    return tuple(
+        cat
+        for cat, metric_set in CATEGORY_METRICS.items()
+        if all(r.get(m) is not None for r in records for m in metric_set)
+    )
+
+
 def category_scores(
     records: list[MetricRecord],
     categories: tuple[str, ...] = ("overall", "fidelity", "perceptual"),

@@ -22,7 +22,7 @@ bit-identical regardless of execution order or worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -40,12 +40,10 @@ from .errors import DimensionError, DomainError, ProfileError
 _MODES = ("parametric", "dark_sample", "hybrid")
 
 
-@dataclass(frozen=True)
-class SynthConfig:
-    """One synthesis draw: ISO/dgain point, noise source, component toggles."""
+@dataclass(frozen=True, kw_only=True)
+class _NoiseKnobs:
+    """Noise source and component toggles shared by SynthConfig and BatchConfig."""
 
-    iso: int
-    dgain: float
     mode: str = "parametric"
     hybrid_rho: float = 0.5
     clip_hi: float = 1.0
@@ -54,16 +52,27 @@ class SynthConfig:
     row: bool = True
     quant: bool = True
     frame_sigma: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not 0.0 <= self.hybrid_rho <= 1.0:
+            raise DomainError(f"hybrid_rho must be in [0, 1], got {self.hybrid_rho}")
+
+
+@dataclass(frozen=True, kw_only=True)
+class SynthConfig(_NoiseKnobs):
+    """One synthesis draw: ISO/dgain point, noise source, component toggles."""
+
+    iso: int
+    dgain: float
     seed: int = 0
     gauss_threshold: float = 30.0
 
     def __post_init__(self):
         if not self.dgain > 0:
             raise DomainError(f"dgain must be > 0, got {self.dgain}")
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.hybrid_rho <= 1.0:
-            raise DomainError(f"hybrid_rho must be in [0, 1], got {self.hybrid_rho}")
+        super().__post_init__()
 
 
 def sample_shot(
@@ -120,10 +129,8 @@ def sample_parametric_read(
         res += rng.normal(0.0, params.sigma_read, shape)
     if row and params.sigma_row > 0:
         offsets = rng.normal(0.0, params.sigma_row, 2 * h)
-        res[0] += offsets[0::2, None]
-        res[1] += offsets[0::2, None]
-        res[2] += offsets[1::2, None]
-        res[3] += offsets[1::2, None]
+        res[:2] += offsets[0::2, None]
+        res[2:] += offsets[1::2, None]
     if quant and params.quant_step > 0:
         half = params.quant_step / 2.0
         res += rng.uniform(-half, half, shape)
@@ -238,8 +245,8 @@ def synthesize_noisy(
     )
 
 
-@dataclass(frozen=True)
-class BatchConfig:
+@dataclass(frozen=True, kw_only=True)
+class BatchConfig(_NoiseKnobs):
     """Preset ranges a training batch samples ISO/dgain points from.
 
     Exactly one of ``dgain_choices`` (discrete presets, e.g. the paired
@@ -250,16 +257,9 @@ class BatchConfig:
     iso_choices: tuple[int, ...]
     dgain_choices: tuple[float, ...] | None = None
     dgain_range: tuple[float, float] | None = None
-    mode: str = "parametric"
-    hybrid_rho: float = 0.5
-    clip_hi: float = 1.0
-    shot: bool = True
-    read: bool = True
-    row: bool = True
-    quant: bool = True
-    frame_sigma: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.iso_choices:
             raise DomainError("iso_choices must be non-empty")
         if (self.dgain_choices is None) == (self.dgain_range is None):
@@ -283,6 +283,7 @@ def make_pair_batch(
     """
     if patch <= 0 or patch % 2:
         raise DimensionError(f"patch side must be even and > 0, got {patch}")
+    knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}
     pairs: list[tuple[PackedImage, PackedImage]] = []
     for i, frame in enumerate(clean_frames):
         packed = normalize(pack_rggb(frame), clip_hi=sampler.clip_hi)
@@ -307,18 +308,7 @@ def make_pair_batch(
                 packed,
                 channels=packed.channels[:, y0 : y0 + patch, x0 : x0 + patch],
             )
-            cfg = SynthConfig(
-                iso=iso,
-                dgain=dgain,
-                mode=sampler.mode,
-                hybrid_rho=sampler.hybrid_rho,
-                clip_hi=sampler.clip_hi,
-                shot=sampler.shot,
-                read=sampler.read,
-                row=sampler.row,
-                quant=sampler.quant,
-                frame_sigma=sampler.frame_sigma,
-                seed=int(rng.integers(np.iinfo(np.int64).max)),
-            )
+            seed = int(rng.integers(np.iinfo(np.int64).max))
+            cfg = SynthConfig(iso=iso, dgain=dgain, seed=seed, **knobs)
             pairs.append((synthesize_noisy(clean_patch, profile, cfg), clean_patch))
     return pairs

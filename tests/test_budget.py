@@ -1,6 +1,8 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rawbench.budget import (
     BudgetReport,
@@ -212,3 +214,51 @@ class TestModelSpecIO:
             LayerSpec("depthwise", in_ch=4, out_ch=8)
         with pytest.raises(SpecError):
             LayerSpec("pointwise", in_ch=4, out_ch=8, kernel=3)
+
+
+@st.composite
+def layer_stacks(draw):
+    """A random layer list that build_report accepts, with its input shape."""
+    c = draw(st.integers(1, 8))
+    h = draw(st.sampled_from([1, 3])) * 2 ** draw(st.integers(0, 6))
+    w = draw(st.sampled_from([1, 3])) * 2 ** draw(st.integers(0, 6))
+    shape = (draw(st.integers(1, 2)), c, h, w)
+    layers = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["conv2d", "bgc", "depthwise", "pointwise", "elementwise"]))
+        out = c if kind in ("depthwise", "elementwise") else draw(st.integers(1, 8))
+        stride = draw(st.sampled_from([s for s in (1, 2, 3) if h % s == 0 and w % s == 0]))
+        periods = [n for n in (1, 2, 3)
+                   if h % n == 0 and w % n == 0 and (h // n) % stride == 0 and (w // n) % stride == 0]
+        layers.append(LayerSpec(
+            kind, in_ch=c, out_ch=out,
+            kernel=1 if kind == "pointwise" else draw(st.sampled_from([1, 3, 5])),
+            stride=stride, bias=draw(st.booleans()), period_n=draw(st.sampled_from(periods)),
+        ))
+        h, w, c = h // stride, w // stride, out
+    return layers, shape
+
+
+class TestCountMacsFromReport:
+    @settings(max_examples=150, deadline=None)
+    @given(stack=layer_stacks(), flops=st.booleans(), bias_adds=st.booleans())
+    def test_equals_value_from_build_report(self, stack, flops, bias_adds):
+        layers, shape = stack
+        report = build_report(layers, shape)
+        expect = report.total_macs
+        if bias_adds:
+            expect += sum(math.prod(entry["out_shape"])
+                          for layer, entry in zip(layers, report.per_layer)
+                          if layer.bias and layer.kind != "elementwise")
+        if flops:
+            expect *= 2
+        assert count_macs(layers, shape, flops=flops, bias_adds=bias_adds) == expect
+
+    @pytest.mark.parametrize("shape", [(1, 4, -512, 512), (1, 4, 512, 0), (0, 4, 64, 64),
+                                       (1, 0, 64, 64)])
+    def test_input_dimension_below_one_rejected(self, shape):
+        layers = [LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3)]
+        with pytest.raises(SpecError, match="dimension < 1"):
+            build_report(layers, shape)
+        with pytest.raises(SpecError, match="dimension < 1"):
+            count_macs(layers, shape)

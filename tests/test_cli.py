@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from rawbench.cli import main
+from rawbench.cli import build_parser, main
 from rawbench.core import read_frame, read_packed, write_frame
 from rawbench.isp import read_ppm16
 
@@ -168,3 +169,71 @@ def test_missing_data_exit_code(tmp_path):
     (tmp_path / "empty").mkdir()
     rc = main(["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path / "empty")])
     assert rc == 3
+
+
+def test_eval_csv_golden_digest(tmp_path):
+    # Digest of the eval CSV on a fixed input; any change to a value or to
+    # the formatting shows here.
+    rng = np.random.default_rng(5)
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    gt = rng.integers(2000, 14000, (1040, 1040)).astype(np.uint16)
+    noisy = np.clip(gt + rng.normal(0, 80, gt.shape), 0, 16383)
+    write_frame(make_frame(gt), gt_dir / "a.rawb")
+    write_frame(make_frame(noisy.astype(np.uint16)), pred_dir / "a.rawb")
+    write_frame(make_frame(gt, iso=1600), gt_dir / "b.rawb")
+    write_frame(make_frame(noisy.astype(np.float32), iso=1600), pred_dir / "b.rawb")
+    out_csv = tmp_path / "metrics.csv"
+    assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out_csv)]) == 0
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == (
+        "fcee412642e4ea98e7ef89ffe447b5eb3eb50fbae5e97e0e8c7b6b35381ef8c8"
+    )
+
+
+def test_budget_negative_input_dimension_exits_2(tmp_path):
+    # -512 rows used to give -152 GMacs, which passed the < 150 G gate.
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps({
+        "layers": [{"kind": "conv2d", "in_ch": 4, "out_ch": 1200, "kernel": 11}],
+        "input": [1, 4, -512, 512],
+    }))
+    assert main(["budget", "--model", str(model)]) == 2
+
+
+def test_eval_misaligned_crop_names_the_file(tmp_path, capsys):
+    rng = np.random.default_rng(6)
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    gt = rng.integers(2000, 14000, (1040, 1040)).astype(np.uint16)
+    write_frame(make_frame(gt), gt_dir / "a.rawb")
+    write_frame(make_frame(gt[8:-8, 8:-8]), pred_dir / "a.rawb")
+    assert main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir),
+                 "--out", str(tmp_path / "m.csv")]) == 2
+    assert "a.rawb: prediction mosaic" in capsys.readouterr().err
+
+
+REQUIRED_ARGS = {
+    "calibrate": ["--darks", "d", "--out", "o"],
+    "synth": ["--profile", "p", "--clean", "c", "--out", "o"],
+    "denoise": ["--in", "i", "--profile", "p", "--iso", "800", "--out", "o"],
+    "isp": ["--in", "i", "--out", "o"],
+    "eval": ["--pred", "p", "--gt", "g", "--out", "o"],
+    "rank": ["--scores", "s", "--out", "o"],
+    "budget": ["--model", "m"],
+    "bench": ["--manifest", "m", "--pred-root", "r"],
+}
+OWNED_FLAGS = {("synth", "--seed"), ("bench", "--threads"), ("bench", "--strict")}
+
+
+@pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"], ["--strict"]])
+def test_run_flags_only_where_used(command, flag):
+    argv = [command, *REQUIRED_ARGS[command], *flag]
+    if (command, flag[0]) in OWNED_FLAGS:
+        build_parser().parse_args(argv)
+    else:
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rawbench.core import (
     PackedImage,
@@ -10,10 +11,12 @@ from rawbench.core import (
     center_crop,
     crop_frame,
     denormalize,
+    interleave_rggb,
     normalize,
     pack_rggb,
     read_frame,
     read_packed,
+    split_rggb,
     unpack_rggb,
     write_frame,
     write_packed,
@@ -243,3 +246,45 @@ class TestRawbIO:
         np.testing.assert_array_equal(back.channels, img.channels)
         assert back.space == img.space and back.clip_hi == 2.0
         assert back.iso == 3200 and back.camera_id == "camZ"
+
+
+class TestSplitInterleave:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.uint16, np.float32, np.float64]),
+        h=st.integers(1, 24),
+        w=st.integers(1, 24),
+        seed=st.integers(0, 2**16),
+    )
+    def test_split_and_interleave_are_inverses(self, dtype, h, w, seed):
+        rng = np.random.default_rng(seed)
+        planes = (rng.random((4, h, w)) * 16383).astype(dtype)
+        mosaic = interleave_rggb(planes)
+        assert mosaic.dtype == planes.dtype
+        np.testing.assert_array_equal(split_rggb(mosaic), planes)
+        np.testing.assert_array_equal(interleave_rggb(split_rggb(mosaic)), mosaic)
+        np.testing.assert_array_equal(split_rggb(mosaic), pack_oracle(mosaic))
+
+    def test_odd_or_non_2d_rejected(self):
+        for bad in (np.zeros((3, 4)), np.zeros((4, 5)), np.zeros((2, 4, 4))):
+            with pytest.raises(DimensionError):
+                split_rggb(bad)
+
+
+class TestNonFiniteFrames:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rawframe_rejects_non_finite(self, bad):
+        data = np.full((4, 4), 1000.0, dtype=np.float32)
+        data[1, 2] = bad
+        with pytest.raises(DomainError, match="finite"):
+            make_frame(data)
+
+    def test_read_frame_names_the_file(self, tmp_path):
+        path = tmp_path / "pred.rawb"
+        write_frame(make_frame(np.full((4, 4), 1000.0, dtype=np.float32)), path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(np.nan).tobytes()  # last pixel
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DomainError) as err:
+            read_frame(path)
+        assert str(err.value).startswith(f"{path}: ")

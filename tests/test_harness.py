@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rawbench.core import write_frame
-from rawbench.errors import DataError, ManifestError, MissingDataError
+from rawbench.errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from rawbench.harness import (
     ingest_external_scores,
     load_manifest,
@@ -209,3 +209,59 @@ class TestRunBenchmark:
         with pytest.raises(MissingDataError) as err:
             run_benchmark(manifest, pred_root, out_dir=tmp_path / "out")
         assert "alpha/img1" in str(err.value) and "beta/img1" in str(err.value)
+
+
+@pytest.mark.parametrize("ext_rows", [[], ["alpha,psnr,41.0", "alpha,ssim,0.96"]])
+def test_team_without_metrics_listed_unranked(tmp_path, ext_rows):
+    # Without a paired entry a team that has no external score has no metric
+    # at all: no category is complete and the rank table lists every team.
+    manifest = load_manifest(write_manifest(tmp_path / "m.json", [
+        {"image_id": "w1", "camera": "camA", "scene_type": "wild", "iso": 800,
+         "dgain": 10, "noisy_path": "w1.rawb"}]))
+    pred_root = tmp_path / "preds"
+    for team in ("alpha", "beta"):
+        (pred_root / team).mkdir(parents=True)
+        write_frame(make_frame(np.zeros((4, 4), np.uint16)), pred_root / team / "w1.rawb")
+    ext = tmp_path / "ext.csv"
+    ext.write_text("\n".join(["team,metric,value", *ext_rows]))
+    scores_path, rank_path = run_benchmark(manifest, pred_root, external_scores_path=ext,
+                                           out_dir=tmp_path / "out")
+    alpha = b"alpha,41.0,0.96,,,\r\n" if ext_rows else b"alpha,,,,,\r\n"
+    assert scores_path.read_bytes() == (
+        b"# aggregation=mean_per_image phase=dev\n"
+        b"team,psnr,ssim,lpips,arniqa,topiq\r\n" + alpha + b"beta,,,,,\r\n"
+    )
+    assert rank_path.read_bytes() == b"team\r\nalpha\r\nbeta\r\n"
+    assert (tmp_path / "out" / "per_image.csv").read_bytes() == (
+        b"team,image_id,camera,iso,dgain,psnr_db,ssim\r\n"
+    )
+
+
+def test_nan_prediction_names_the_file(tmp_path):
+    manifest_path, pred_root = _setup_benchmark(tmp_path, teams=("alpha", "beta"))
+    bad = pred_root / "beta" / "img1.rawb"
+    data = np.full((1024, 1024), 3000.0, dtype=np.float32)
+    data[500, 500] = np.nan
+    write_frame(make_frame(np.zeros_like(data)), bad)
+    blob = bytearray(bad.read_bytes())
+    blob[len(blob) - data.nbytes:] = data.tobytes()  # RawFrame itself refuses NaN
+    bad.write_bytes(bytes(blob))
+    with pytest.raises(DomainError) as err:
+        run_benchmark(load_manifest(manifest_path), pred_root, out_dir=tmp_path / "out")
+    assert str(bad) in str(err.value)
+
+
+def test_misaligned_crop_names_team_and_image(tmp_path):
+    # A prediction cropped differently from its ground truth used to score a
+    # plausible PSNR on unrelated pixels.
+    rng = np.random.default_rng(4)
+    (tmp_path / "gt").mkdir()
+    gt = rng.integers(2000, 14000, (2200, 2200)).astype(np.uint16)
+    write_frame(make_frame(gt), tmp_path / "gt" / "img1.rawb")
+    (tmp_path / "preds" / "alpha").mkdir(parents=True)
+    write_frame(make_frame(gt[60:-60, 60:-60]), tmp_path / "preds" / "alpha" / "img1.rawb")
+    manifest = load_manifest(write_manifest(tmp_path / "m.json", [
+        {"image_id": "img1", "camera": "camA", "scene_type": "paired", "iso": 800,
+         "dgain": 100, "noisy_path": "gt/img1.rawb", "gt_path": "gt/img1.rawb"}], phase="final"))
+    with pytest.raises(DimensionError, match="^alpha/img1: prediction mosaic"):
+        run_benchmark(manifest, tmp_path / "preds", out_dir=tmp_path / "out")

@@ -152,6 +152,12 @@ class TestEvaluatePair:
         with pytest.raises(DimensionError):
             evaluate_pair(f, f, phase="dev")
 
+    def test_shape_mismatch_rejected(self):
+        rng = np.random.default_rng(12)
+        gt = rng.integers(512, 16000, (1040, 1040)).astype(np.uint16)
+        with pytest.raises(DimensionError, match="does not match"):
+            evaluate_pair(make_frame(gt[8:-8, 8:-8]), make_frame(gt), phase="dev")
+
     def test_metadata_mismatch_warns(self):
         rng = np.random.default_rng(10)
         data = rng.integers(512, 16000, (1200, 1200)).astype(np.uint16)

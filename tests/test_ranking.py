@@ -7,6 +7,7 @@ from rawbench.errors import DataError
 from rawbench.ranking import (
     MetricRecord,
     category_scores,
+    complete_categories,
     final_table,
     majority_tiebreak,
     rank_metric,
@@ -154,3 +155,14 @@ class TestFinalTable:
             teams = sorted(table.positions[cat], key=lambda t: table.positions[cat][t])
             scores = [table.scores[cat][t] for t in teams]
             assert scores == sorted(scores)
+
+
+class TestCompleteCategories:
+    def test_all_metrics_complete_every_category(self, table1_records):
+        assert complete_categories(table1_records) == ("overall", "fidelity", "perceptual")
+
+    def test_one_missing_metric_blocks_its_categories(self, table1_records):
+        partial = [MetricRecord(team="X", psnr=40.0, ssim=0.9, lpips=0.2, arniqa=0.4)]
+        assert complete_categories(table1_records + partial) == ("fidelity",)
+        perceptual_only = [MetricRecord(team="Y", lpips=0.2, arniqa=0.4, topiq=0.3)]
+        assert complete_categories(perceptual_only) == ("perceptual",)

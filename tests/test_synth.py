@@ -293,3 +293,14 @@ class TestPairBatch:
             BatchConfig(iso_choices=(800,))
         with pytest.raises(DomainError):
             BatchConfig(iso_choices=(800,), dgain_choices=(1.0,), dgain_range=(1.0, 2.0))
+
+    @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"hybrid_rho": 7.0}])
+    def test_bad_knobs_rejected(self, bad):
+        with pytest.raises(DomainError):
+            self._sampler(**bad)
+
+    def test_configs_refuse_positional_arguments(self):
+        with pytest.raises(TypeError):
+            SynthConfig(800, 2.0, "hybrid", 0.5)
+        with pytest.raises(TypeError):
+            BatchConfig((800,), (1.0,))
