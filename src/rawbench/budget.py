@@ -200,12 +200,16 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
         raise SpecError(f"{path}: unreadable model JSON ({exc})") from exc
     if isinstance(doc, list):
         layers_doc, ensemble, input_shape = doc, False, REFERENCE_INPUT
-    elif isinstance(doc, dict) and "layers" in doc:
+    elif isinstance(doc, dict) and isinstance(doc.get("layers"), list):
         layers_doc = doc["layers"]
         ensemble = bool(doc.get("ensemble", False))
-        input_shape = tuple(doc.get("input", REFERENCE_INPUT))
+        input_shape = doc.get("input", REFERENCE_INPUT)
     else:
-        raise SpecError(f"{path}: expected a layer list or an object with 'layers'")
+        raise SpecError(f"{path}: expected a layer list or an object with a 'layers' list")
+    if not isinstance(input_shape, (list, tuple)) or len(input_shape) != 4 or any(
+        type(v) is not int for v in input_shape
+    ):
+        raise SpecError(f"{path}: input shape must be 4 integers (N, C, H, W), got {input_shape!r}")
     allowed = {"kind", "in_ch", "out_ch", "kernel", "stride", "bias", "period_n"}
     layers = []
     for i, entry in enumerate(layers_doc):
@@ -214,7 +218,9 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
         unknown = set(entry) - allowed
         if unknown:
             raise SpecError(f"{path}: layer {i} has unknown fields {sorted(unknown)}")
+        for name, value in entry.items():
+            # JSON gives exact ints and bools; 8.0, "8" or true is not a channel count
+            if name != "kind" and type(value) is not (bool if name == "bias" else int):
+                raise SpecError(f"{path}: layer {i} field {name!r} has the wrong type: {value!r}")
         layers.append(LayerSpec(**entry))
-    if len(input_shape) != 4:
-        raise SpecError(f"{path}: input shape must be (N, C, H, W)")
-    return layers, ensemble, input_shape
+    return layers, ensemble, tuple(input_shape)

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -114,8 +113,6 @@ def _cmd_denoise(args) -> int:
     cfg = DenoiseConfig(
         transform=args.transform,
         threshold_mult=args.threshold,
-        tile=args.tile,
-        overlap=args.overlap,
         sigma_dn=args.sigma_dn,
     )
     den = denoise_raw(noisy, params, cfg)
@@ -127,15 +124,9 @@ def _cmd_denoise(args) -> int:
 
 
 def _cmd_isp(args) -> int:
-    path = Path(args.infile)
-    with path.open("rb") as fh:
-        layout = json.loads(fh.readline()).get("layout", "mosaic")
-    if layout == "rggb":
-        img = core.read_packed(path)
-        if img.space != core.SPACE_NORMALIZED:
-            img = core.normalize(img)
-    else:
-        img = core.normalize(core.pack_rggb(core.read_frame(path)))
+    img = core.read_planes(args.infile)
+    if img.space != core.SPACE_NORMALIZED:
+        img = core.normalize(img)
     cfg = isp.IspConfig(
         wb="gray_world" if args.wb == "gray-world" else tuple(float(v) for v in args.wb.split(",")),
         gamma=args.gamma,
@@ -254,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-dn", type=float, default=None, help="DN sigma for transform=none")
     p.add_argument("--threshold", type=float, default=3.0)
     p.add_argument("--out", required=True)
-    p.add_argument("--tile", type=int, default=256,
-                   help="planes larger than this on both sides are shrunk in cores, "
-                        "bounding the working set; the result is the same")
-    p.add_argument("--overlap", type=int, default=32,
-                   help="shortens the core step tile - overlap; the result is the same")
     p.add_argument("--clip-hi", type=float, default=1.0)
     p.set_defaults(func=_cmd_denoise)
 

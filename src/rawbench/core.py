@@ -335,7 +335,10 @@ def write_frame(frame: RawFrame, path) -> None:
 def read_frame(path) -> RawFrame:
     """Read a mosaic RAWB file back into a RawFrame (bit-exact payload); an
     error raised by RawFrame's checks gets the path in front of its message."""
-    header, data = _read_rawb(path)
+    return _frame_from(path, *_read_rawb(path))
+
+
+def _frame_from(path, header: dict, data: np.ndarray) -> RawFrame:
     if header.get("layout") != "mosaic" or int(header["channels"]) != 1:
         raise FormatError(f"{path}: not a single-channel mosaic RAWB file")
     try:
@@ -368,19 +371,38 @@ def write_packed(img: PackedImage, path) -> None:
 
 
 def read_packed(path) -> PackedImage:
-    header, data = _read_rawb(path)
+    """Read a 4-plane RGGB RAWB file (bit-exact payload); float payloads must
+    be finite, and an error from the image's checks gets the path in front."""
+    return _packed_from(path, *_read_rawb(path))
+
+
+def _packed_from(path, header: dict, data: np.ndarray) -> PackedImage:
     if header.get("layout") != "rggb" or int(header["channels"]) != 4:
         raise FormatError(f"{path}: not a 4-channel RGGB RAWB file")
-    return PackedImage(
-        channels=data,
-        space=header.get("space", SPACE_DN),
-        black_level=np.asarray(header["black_level"], dtype=np.float64),
-        white_level=float(header["white_level"]),
-        camera_id=header.get("camera_id", ""),
-        iso=int(header.get("iso", 0)),
-        exposure_s=header.get("exposure_s"),
-        clip_hi=float(header.get("clip_hi", 1.0)),
-    )
+    try:
+        if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
+            raise DomainError("plane data must be finite")
+        return PackedImage(
+            channels=data,
+            space=header.get("space", SPACE_DN),
+            black_level=np.asarray(header["black_level"], dtype=np.float64),
+            white_level=float(header["white_level"]),
+            camera_id=header.get("camera_id", ""),
+            iso=int(header.get("iso", 0)),
+            exposure_s=header.get("exposure_s"),
+            clip_hi=float(header.get("clip_hi", 1.0)),
+        )
+    except (DimensionError, DomainError, ProfileError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def read_planes(path) -> PackedImage:
+    """Read a mosaic or RGGB RAWB file as four RGGB planes; the file's header
+    decides which, and a mosaic is packed in its DN space."""
+    header, data = _read_rawb(path)
+    if header.get("layout") == "rggb":
+        return _packed_from(path, header, data)
+    return pack_rggb(_frame_from(path, header, data))
 
 
 def write_rgb(rgb: np.ndarray, path, extra: dict | None = None) -> None:

@@ -10,14 +10,13 @@ The blocks that start on one phase of the stride grid do not overlap, so
 each phase is transformed as one batch of matrix products and added back in
 place; the flush blocks at the far edges form one more phase.
 
-Planes larger than ``tile`` on both sides are processed one core at a time.
-Cores start on multiples of the block period (8 for strides 1, 2, 4 and 8)
-and each is shrunk inside a patch with a one-period halo, which holds every
-block that touches the core.  Tiling is therefore exact: the tiled result
-equals the single pass.  ``tile`` bounds the working set: one shrink call
-sees at most about (tile + 16)^2 pixels.  ``overlap`` only shortens the
-core step ``tile - overlap``, which is rounded down to a multiple of the
-period (and is at least one period).
+Each plane is processed one core of at most 224 x 224 pixels at a time,
+which bounds the working set: one shrink call sees at most about 240^2
+pixels, and is faster than a single pass over a larger plane.  Cores start
+on multiples of the block period (8 for strides 1, 2, 4 and 8; the core
+side is rounded down to a multiple of it) and each is shrunk inside a
+patch with a one-period halo, which holds every block that touches the
+core.  Tiling is therefore exact: the tiled result equals the single pass.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .errors import DimensionError, DomainError, ProfileError
 from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
 _BLOCK = 8
+_CORE = 224  # core side of the tiled shrink, before rounding down to the period
 _TRANSFORMS = ("gat", "ksigma", "none")
 
 
@@ -51,22 +51,15 @@ _DCT = _dct_matrix(_BLOCK)
 @dataclass(frozen=True)
 class DenoiseConfig:
     transform: str = "gat"
-    shrink: str = "dct8_hard"
     threshold_mult: float = 3.0
-    tile: int = 256
-    overlap: int = 32
     stride: int = 4
     sigma_dn: float | None = None  # required for transform == "none"
 
     def __post_init__(self):
         if self.transform not in _TRANSFORMS:
             raise DomainError(f"transform must be one of {_TRANSFORMS}")
-        if self.shrink != "dct8_hard":
-            raise DomainError(f"unknown shrinkage {self.shrink!r}")
         if self.threshold_mult < 0:
             raise DomainError("threshold_mult must be >= 0")
-        if not self.tile > self.overlap >= 0:
-            raise DomainError("need tile > overlap >= 0")
         _check_stride(self.stride)
 
 
@@ -136,19 +129,18 @@ def dct8_shrink(
 
 
 def _tiled_shrink(
-    plane: np.ndarray, sigma: float, threshold_mult: float, tile: int, overlap: int, stride: int
+    plane: np.ndarray, sigma: float, threshold_mult: float, stride: int, core: int = _CORE
 ) -> np.ndarray:
     """:func:`dct8_shrink` of a plane, computed one core at a time.
 
     Core origins are multiples of the block period, so each patch (core plus
     a one-period halo) sees exactly the blocks the single pass places over
-    its core, in the same order: the result equals the single pass.
+    its core, in the same order: the result equals the single pass.  A plane
+    no larger than one core is shrunk in one call.
     """
     h, w = plane.shape
-    if tile >= h and tile >= w:
-        return dct8_shrink(plane, sigma, threshold_mult, stride)
     halo = _period(stride)
-    step = max((tile - overlap) // halo * halo, halo)
+    step = max(core // halo * halo, halo)
     out = np.empty((h, w))
     for ay in range(0, h, step):
         y0, y1 = max(0, ay - halo), min(h, ay + step + halo)
@@ -209,7 +201,7 @@ def denoise_raw(
             t, sigma = ksigma_forward(y, p), 1.0
         else:
             t, sigma = y, float(cfg.sigma_dn)
-        t = _tiled_shrink(t, sigma, cfg.threshold_mult, cfg.tile, cfg.overlap, cfg.stride)
+        t = _tiled_shrink(t, sigma, cfg.threshold_mult, cfg.stride)
         if cfg.transform == "gat":
             # shrinkage can overshoot slightly below the stabilized range
             y_hat = gat_inverse(np.maximum(t, 0.0), p)

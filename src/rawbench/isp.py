@@ -3,28 +3,27 @@
 Converts a normalized RGGB image to an sRGB array of exactly twice the
 plane resolution, the representation perceptual metrics are computed on.
 The chain is deliberately simple and fully parameterized so every run is
-reproducible: gray-world or fixed white-balance gains, a 3x3 color matrix
+reproducible: gray-world or fixed white-balance gains, a bilinear demosaic
+that averages the nearest sites of each colour, a 3x3 color matrix
 (identity by default), and the standard sRGB opto-electronic transfer
 function or no gamma at all.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import ndimage
 
 from .core import PackedImage, SPACE_NORMALIZED, interleave_rggb
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
-
-# Bilinear interpolation kernels over the sparse same-color mosaics; in the
-# interior they reduce to the classic half/quarter neighbor weights.
-_K_GREEN = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]]) / 4.0
-_K_CHROMA = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 4.0
+# P6, then width, height and maxval, each after whitespace or comments
+_PPM_SEPARATOR = rb"(?:\s|#[^\r\n]*[\r\n])+"
+_PPM_HEADER = re.compile(rb"P6" + (_PPM_SEPARATOR + rb"(\d+)") * 3 + rb"\s")
 
 
 @dataclass(frozen=True)
@@ -86,48 +85,35 @@ def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
     return gain_r, 1.0, gain_b
 
 
-def _demosaic_normalizer(h: int, w: int, color: str) -> np.ndarray:
-    """Kernel weight that lands on each pixel from the ``color`` sites of an h x w RGGB mosaic.
-
-    Equal to convolving the color's 0/1 site mask with its kernel in
-    constant mode, but built from site parity and the border: the chroma
-    kernel is separable, and off its own sites the green kernel weighs each
-    in-bounds 4-neighbour by 1/4.  Every value is a sum of quarters, so both
-    forms agree exactly.
-    """
-    def same(v, kernel):  # 1-D convolution of v, zero outside, cropped to len(v)
-        return np.convolve(v, kernel)[1:-1]
-
-    if color == "g":
-        cross = [0.25, 0.0, 0.25]
-        den = same(np.ones(h), cross)[:, None] + same(np.ones(w), cross)[None, :]
-        den[0::2, 1::2] = 1.0
-        den[1::2, 0::2] = 1.0
-        return den
-    chroma = [0.5, 1.0, 0.5]  # _K_CHROMA == np.outer(chroma, chroma)
-    parity = 0 if color == "r" else 1
-    return np.outer(same(np.arange(h) % 2 == parity, chroma),
-                    same(np.arange(w) % 2 == parity, chroma))
+_CFA = ((0, 1), (1, 2))  # colour (0 R, 1 G, 2 B) of a site by (row parity, column parity)
 
 
 def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
-    """Bilinear demosaic of an RGGB mosaic; borders average available neighbors."""
+    """Bilinear demosaic of an RGGB mosaic; borders average available neighbors.
+
+    Each output value is the sum of the in-bounds nearest sites of its
+    colour, divided by their count.  Those sites lie in the 3x3
+    neighbourhood, and green uses only the 4-neighbour cross.  This equals
+    the normalised convolution with the classic half/quarter bilinear
+    kernels bit for bit: the sites reaching one pixel carry the same
+    power-of-two weight and are summed in the same row-major offset order.
+    """
     h, w = mosaic.shape
+    values = np.pad(np.asarray(mosaic, dtype=np.float64), 1)
+    inside = np.pad(np.ones((h, w)), 1)
     rgb = np.empty((h, w, 3), dtype=np.float64)
-    masks = {
-        "r": np.zeros((h, w)),
-        "g": np.zeros((h, w)),
-        "b": np.zeros((h, w)),
-    }
-    masks["r"][0::2, 0::2] = 1.0
-    masks["g"][0::2, 1::2] = 1.0
-    masks["g"][1::2, 0::2] = 1.0
-    masks["b"][1::2, 1::2] = 1.0
-    for i, (name, kernel) in enumerate(
-        (("r", _K_CHROMA), ("g", _K_GREEN), ("b", _K_CHROMA))
-    ):
-        num = ndimage.convolve(mosaic * masks[name], kernel, mode="constant", cval=0.0)
-        rgb[:, :, i] = num / _demosaic_normalizer(h, w, name)
+    for py, px in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        total = np.zeros((3, *rgb[py::2, px::2, 0].shape))
+        count = np.zeros_like(total)
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                c = _CFA[(py + dy) % 2][(px + dx) % 2]
+                if c == 1 and dy and dx:
+                    continue  # a green diagonal is never a nearest green site
+                at = (slice(1 + py + dy, 1 + h + dy, 2), slice(1 + px + dx, 1 + w + dx, 2))
+                total[c] += values[at]
+                count[c] += inside[at]
+        rgb[py::2, px::2] = np.moveaxis(total / count, 0, -1)
     return rgb
 
 
@@ -163,14 +149,17 @@ def write_ppm16(rgb: np.ndarray, path) -> None:
 
 
 def read_ppm16(path) -> np.ndarray:
-    """Read a 16-bit binary PPM written by :func:`write_ppm16` back to [0, 1]."""
+    """Read a 16-bit binary PPM back to [0, 1]; the header may hold any
+    whitespace and ``#`` comments between its tokens, as Netpbm allows."""
     blob = Path(path).read_bytes()
-    parts = blob.split(b"\n", 3)
-    if len(parts) < 4 or parts[0] != b"P6":
+    header = _PPM_HEADER.match(blob)
+    if header is None:
         raise DomainError(f"{path}: not a P6 PPM file")
-    w, h = (int(x) for x in parts[1].split())
-    maxval = int(parts[2])
+    w, h, maxval = (int(v) for v in header.groups())
     if maxval != 65535:
         raise DomainError(f"{path}: expected 16-bit PPM, maxval={maxval}")
-    data = np.frombuffer(parts[3], dtype=">u2", count=h * w * 3)
+    payload = blob[header.end() :]
+    if len(payload) < h * w * 6:
+        raise DomainError(f"{path}: payload is {len(payload)} bytes, header implies {h * w * 6}")
+    data = np.frombuffer(payload, dtype=">u2", count=h * w * 3)
     return data.reshape(h, w, 3).astype(np.float64) / 65535.0

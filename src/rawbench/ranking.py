@@ -111,6 +111,11 @@ def category_scores(
     categories: tuple[str, ...] = ("overall", "fidelity", "perceptual"),
 ) -> dict[str, dict[str, float]]:
     """Average ranking score per team for each requested category (lower is better)."""
+    return _ranks_and_scores(records, categories)[1]
+
+
+def _ranks_and_scores(records: list[MetricRecord], categories: tuple[str, ...]):
+    """Rank maps of the metrics the categories use, and the category scores."""
     needed = sorted({m for cat in categories for m in CATEGORY_METRICS[cat]})
     rank_maps = {m: _metric_rank_map(records, m) for m in needed}
     out: dict[str, dict[str, float]] = {}
@@ -120,7 +125,7 @@ def category_scores(
             / len(CATEGORY_METRICS[cat])
             for cat in categories
         }
-    return out
+    return rank_maps, out
 
 
 def majority_tiebreak(
@@ -177,9 +182,7 @@ def final_table(
     teams = tuple(r.team for r in records)
     if len(set(teams)) != len(teams):
         raise DataError("duplicate team names in records")
-    needed = sorted({m for cat in categories for m in CATEGORY_METRICS[cat]})
-    metric_ranks = {m: _metric_rank_map(records, m) for m in needed}
-    scores = category_scores(records, categories)
+    metric_ranks, scores = _ranks_and_scores(records, categories)
     positions: dict[str, dict[str, int]] = {cat: {} for cat in categories}
     for cat in categories:
         metric_set = CATEGORY_METRICS[cat]

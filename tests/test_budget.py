@@ -199,6 +199,24 @@ class TestModelSpecIO:
         layers, ensemble, shape = load_model_spec(p)
         assert ensemble and shape == (1, 4, 64, 64)
 
+    @pytest.mark.parametrize("layer, shape", [
+        ({}, [1, 4, "512", 512]),
+        ({}, [1, 4, 512.0, 512]),
+        ({}, [1, True, 512, 512]),
+        ({}, "1,4,512,512"),
+        ({"out_ch": "8"}, [1, 4, 64, 64]),
+        ({"out_ch": 8.0}, [1, 4, 64, 64]),
+        ({"kernel": True}, [1, 4, 64, 64]),
+        ({"bias": 1}, [1, 4, 64, 64]),
+        ({"bias": "false"}, [1, 4, 64, 64]),
+    ])
+    def test_spec_types_checked(self, tmp_path, layer, shape):
+        entry = {"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3, "bias": False, **layer}
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps({"layers": [entry], "input": shape}))
+        with pytest.raises(SpecError, match="typed.json"):
+            load_model_spec(p)
+
     def test_bad_layer_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"kind": "conv2d", "wings": 2}]))

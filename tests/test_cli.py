@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from rawbench.cli import build_parser, main
-from rawbench.core import read_frame, read_packed, write_frame
+from rawbench.core import (
+    PackedImage,
+    SPACE_NORMALIZED,
+    read_frame,
+    read_packed,
+    write_frame,
+    write_packed,
+)
 from rawbench.isp import read_ppm16
 
 from conftest import make_frame
@@ -54,7 +61,7 @@ def test_full_pipeline(workspace, capsys):
     den = workspace / "den.rawb"
     rc = main(["denoise", "--in", str(workspace / "clean" / "scene.rawb"),
                "--profile", str(profile), "--iso", "800", "--dgain", "100",
-               "--transform", "gat", "--out", str(den), "--tile", "64", "--overlap", "16"])
+               "--transform", "gat", "--out", str(den)])
     assert rc == 0
     assert read_frame(den).data.shape == (64, 64)
 
@@ -201,6 +208,41 @@ def test_budget_negative_input_dimension_exits_2(tmp_path):
     assert main(["budget", "--model", str(model)]) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    {"layers": [{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3}],
+     "input": [1, 4, "512", 512]},
+    {"layers": [{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3}],
+     "input": [1, 4, 512.0, 512]},
+    [{"kind": "conv2d", "in_ch": 4, "out_ch": "8", "kernel": 3}],
+], ids=["string-dim", "float-dim", "string-out-ch"])
+def test_budget_spec_types_exit_2(tmp_path, capsys, spec):
+    model = tmp_path / "typed.json"
+    model.write_text(json.dumps(spec))
+    assert main(["budget", "--model", str(model)]) == 2
+    assert "typed.json" in capsys.readouterr().err
+
+
+def test_isp_rejects_non_rawb_naming_the_file(tmp_path, capsys):
+    bad = tmp_path / "scene.ppm"
+    bad.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
+    assert main(["isp", "--in", str(bad), "--out", str(tmp_path / "o.ppm")]) == 2
+    assert "scene.ppm" in capsys.readouterr().err
+
+
+def test_isp_rejects_nan_packed_input(tmp_path, capsys):
+    path = tmp_path / "den.rawb"
+    img = PackedImage(channels=np.full((4, 4, 4), 0.25, dtype=np.float32), space=SPACE_NORMALIZED,
+                      black_level=512.0, white_level=16383.0)
+    write_packed(img, path)
+    blob = bytearray(path.read_bytes())
+    blob[-4:] = np.float32(np.nan).tobytes()
+    path.write_bytes(bytes(blob))
+    out = tmp_path / "o.ppm"
+    assert main(["isp", "--in", str(path), "--out", str(out)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_misaligned_crop_names_the_file(tmp_path, capsys):
     rng = np.random.default_rng(6)
     gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
@@ -236,4 +278,11 @@ def test_run_flags_only_where_used(command, flag):
     else:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+
+def test_denoise_tiling_flags_removed():
+    for flag in ("--tile", "--overlap"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["denoise", *REQUIRED_ARGS["denoise"], flag, "64"])
         assert exc.value.code == 2

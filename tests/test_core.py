@@ -16,6 +16,7 @@ from rawbench.core import (
     pack_rggb,
     read_frame,
     read_packed,
+    read_planes,
     split_rggb,
     unpack_rggb,
     write_frame,
@@ -288,3 +289,32 @@ class TestNonFiniteFrames:
         with pytest.raises(DomainError) as err:
             read_frame(path)
         assert str(err.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_read_packed_rejects_non_finite_naming_the_file(self, tmp_path, bad):
+        path = tmp_path / "den.rawb"
+        img = PackedImage(channels=np.full((4, 2, 2), 0.5, dtype=np.float32),
+                          space=SPACE_NORMALIZED, black_level=512.0, white_level=16383.0)
+        write_packed(img, path)
+        blob = bytearray(path.read_bytes())
+        blob[-4:] = np.float32(bad).tobytes()  # last B pixel
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DomainError, match="finite") as err:
+            read_packed(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+
+class TestReadPlanes:
+    def test_mosaic_and_rggb_files(self, tmp_path):
+        frame = make_frame(np.arange(16, dtype=np.uint16).reshape(4, 4) + 600)
+        write_frame(frame, tmp_path / "m.rawb")
+        write_packed(pack_rggb(frame), tmp_path / "p.rawb")
+        for name in ("m.rawb", "p.rawb"):
+            img = read_planes(tmp_path / name)
+            assert img.space == SPACE_DN
+            np.testing.assert_array_equal(img.channels, pack_oracle(frame.data))
+
+    def test_other_files_name_the_path(self, tmp_path):
+        (tmp_path / "x.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
+        with pytest.raises(FormatError, match="x.ppm"):
+            read_planes(tmp_path / "x.ppm")

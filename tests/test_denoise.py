@@ -1,8 +1,11 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy import fft as sfft
 
+from rawbench import denoise
 from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_NORMALIZED
 from rawbench.denoise import (
@@ -107,37 +110,29 @@ class TestTiling:
         rng = np.random.default_rng(3)
         plane = rng.normal(0, 1, (128, 128)) + np.linspace(0, 3, 128)[None, :]
         single = dct8_shrink(plane, 1.0, 3.0)
-        tiled = _tiled_shrink(plane, 1.0, 3.0, tile=64, overlap=16, stride=4)
-        interior = (slice(8, -8), slice(8, -8))
-        rms = np.sqrt(np.mean((tiled[interior] - single[interior]) ** 2))
-        assert rms < 1e-6
-        np.testing.assert_allclose(tiled, single, atol=1e-9)
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, 4, core=48), single)
 
     def test_non_square_and_misfit_sizes(self):
         rng = np.random.default_rng(4)
         plane = rng.normal(0, 1, (100, 70))
-        out = _tiled_shrink(plane, 1.0, 3.0, tile=48, overlap=8, stride=4)
-        assert out.shape == plane.shape
-        assert np.all(np.isfinite(out))
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, 4, core=40),
+                                      dct8_shrink(plane, 1.0, 3.0))
 
     @settings(max_examples=60, deadline=None)
     @given(
         h=st.integers(8, 160),
         w=st.integers(8, 160),
-        tile=st.integers(1, 170),
-        overlap_frac=st.floats(0.0, 1.0, exclude_max=True),
+        core=st.integers(1, 170),
         stride=st.integers(1, 8),
         seed=st.integers(0, 2**16),
     )
-    @example(h=602, w=602, tile=256, overlap_frac=32 / 256, stride=4, seed=0)
-    @example(h=610, w=610, tile=256, overlap_frac=32 / 256, stride=4, seed=0)
-    @example(h=610, w=518, tile=100, overlap_frac=10 / 100, stride=4, seed=0)
-    def test_tiled_equals_single_pass_property(self, h, w, tile, overlap_frac, stride, seed):
-        overlap = int(overlap_frac * tile)  # any 0 <= overlap < tile
+    @example(h=602, w=602, core=224, stride=4, seed=0)
+    @example(h=610, w=610, core=224, stride=4, seed=0)
+    @example(h=610, w=518, core=90, stride=4, seed=0)
+    def test_tiled_equals_single_pass_property(self, h, w, core, stride, seed):
         plane = np.random.default_rng(seed).normal(0, 1, (h, w)) + np.linspace(0, 3, w)
         single = dct8_shrink(plane, 1.0, 3.0, stride)
-        tiled = _tiled_shrink(plane, 1.0, 3.0, tile, overlap, stride)
-        np.testing.assert_allclose(tiled, single, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, stride, core), single)
 
 
 class TestDenoiseRaw:
@@ -178,12 +173,13 @@ class TestDenoiseRaw:
         b = denoise_raw(noisy, self._pg(), DenoiseConfig())
         np.testing.assert_array_equal(a.channels, b.channels)
 
-    def test_tile_config_equivalence(self):
-        noisy, _ = self._noisy_pair(side=128)
-        full = denoise_raw(noisy, self._pg(), DenoiseConfig(tile=256, overlap=32))
-        tiled = denoise_raw(noisy, self._pg(), DenoiseConfig(tile=64, overlap=16))
-        rms = np.sqrt(np.mean((full.channels[:, 8:-8, 8:-8] - tiled.channels[:, 8:-8, 8:-8]) ** 2))
-        assert rms < 1e-6
+    def test_core_size_does_not_change_output(self, monkeypatch):
+        noisy, _ = self._noisy_pair(side=256)  # larger than one default core
+        default = denoise_raw(noisy, self._pg(), DenoiseConfig())
+        for core in (10**6, 48):  # single pass, then many small cores
+            monkeypatch.setattr(denoise, "_tiled_shrink", partial(_tiled_shrink, core=core))
+            out = denoise_raw(noisy, self._pg(), DenoiseConfig())
+            np.testing.assert_array_equal(out.channels, default.channels)
 
     def test_transform_none_needs_sigma(self):
         noisy, _ = self._noisy_pair()
@@ -213,8 +209,9 @@ class TestDenoiseRaw:
         assert pg.sigma == pytest.approx(50.0)
 
     def test_config_validation(self):
-        with pytest.raises(DomainError):
-            DenoiseConfig(tile=32, overlap=32)
+        for removed in ("shrink", "tile", "overlap"):  # settings that could not change the output
+            with pytest.raises(TypeError):
+                DenoiseConfig(**{removed: 256})
         with pytest.raises(DomainError):
             DenoiseConfig(transform="wavelet")
         with pytest.raises(DomainError):

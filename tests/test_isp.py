@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
 from rawbench.core import PackedImage, SPACE_NORMALIZED, read_rgb, write_rgb
 from rawbench.errors import DomainError
 from rawbench.isp import (
-    _K_CHROMA,
-    _K_GREEN,
     IspConfig,
-    _demosaic_normalizer,
+    _demosaic_bilinear,
     gray_world_gains,
     read_ppm16,
     run_isp,
@@ -55,6 +54,28 @@ def demosaic_oracle(mosaic):
     return out
 
 
+# Bilinear kernels over the sparse same-color mosaics; in the interior they
+# reduce to the classic half/quarter neighbor weights.
+K_GREEN = np.array([[0.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 0.0]]) / 4.0
+K_CHROMA = np.array([[1.0, 2.0, 1.0], [2.0, 4.0, 2.0], [1.0, 2.0, 1.0]]) / 4.0
+
+
+def demosaic_convolution(mosaic):
+    """Normalised-convolution reference: convolve each color's masked mosaic
+    and its 0/1 site mask with the color's kernel, and divide."""
+    h, w = mosaic.shape
+    masks = np.zeros((3, h, w))
+    masks[0, 0::2, 0::2] = 1.0
+    masks[1, 0::2, 1::2] = 1.0
+    masks[1, 1::2, 0::2] = 1.0
+    masks[2, 1::2, 1::2] = 1.0
+    return np.stack([
+        ndimage.convolve(mosaic * mask, kernel, mode="constant", cval=0.0)
+        / ndimage.convolve(mask, kernel, mode="constant", cval=0.0)
+        for mask, kernel in zip(masks, (K_CHROMA, K_GREEN, K_CHROMA))
+    ], axis=-1)
+
+
 class TestRunIsp:
     def test_constant_gray_passthrough(self):
         v = 0.3
@@ -95,18 +116,21 @@ class TestRunIsp:
         oracle = demosaic_oracle(interleave_rggb(img.channels))
         np.testing.assert_allclose(rgb, np.clip(oracle, 0, 1), atol=1e-12)
 
-    @pytest.mark.parametrize("shape", [(2, 2), (5, 7), (64, 96)])
-    def test_normalizers_equal_mask_convolution(self, shape):
-        h, w = shape
-        masks = np.zeros((3, h, w))
-        masks[0, 0::2, 0::2] = 1.0
-        masks[1, 0::2, 1::2] = 1.0
-        masks[1, 1::2, 0::2] = 1.0
-        masks[2, 1::2, 1::2] = 1.0
-        for mask, kernel, color in zip(masks, (_K_CHROMA, _K_GREEN, _K_CHROMA), "rgb"):
-            np.testing.assert_array_equal(
-                _demosaic_normalizer(h, w, color),
-                ndimage.convolve(mask, kernel, mode="constant", cval=0.0))
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (2, 4), (4, 6), (10, 14), (64, 96), (1220, 1036), (1204, 1540)]
+    )
+    def test_demosaic_equals_normalized_convolution(self, shape):
+        mosaic = np.random.default_rng(shape[0]).uniform(0, 1.5, shape)
+        np.testing.assert_array_equal(_demosaic_bilinear(mosaic), demosaic_convolution(mosaic))
+
+    @settings(max_examples=60, deadline=None)
+    @given(half_h=st.integers(1, 40), half_w=st.integers(1, 40), seed=st.integers(0, 2**16))
+    def test_demosaic_equals_normalized_convolution_property(self, half_h, half_w, seed):
+        rng = np.random.default_rng(seed)
+        # a few repeated values and zeros alongside arbitrary ones
+        mosaic = rng.choice([0.0, 0.5, rng.uniform(0, 4)], (2 * half_h, 2 * half_w))
+        mosaic += rng.uniform(0, 1, mosaic.shape) * (rng.uniform(size=mosaic.shape) < 0.7)
+        np.testing.assert_array_equal(_demosaic_bilinear(mosaic), demosaic_convolution(mosaic))
 
     def test_ccm_applied_per_pixel(self):
         swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -188,3 +212,29 @@ class TestImageFiles:
         write_rgb(rgb, tmp_path / "img.rawb", extra={"isp": {"wb": "gray-world"}})
         back = read_rgb(tmp_path / "img.rawb")
         np.testing.assert_array_equal(back, rgb)
+
+    @pytest.mark.parametrize("header", [
+        b"P6\n# made by gimp\n7 5\n65535\n",
+        b"P6 7 5 65535\n",
+        b"P6#c1\n7\t5 # c2\r\n# c3\n65535 ",
+    ])
+    def test_ppm_netpbm_headers(self, tmp_path, header):
+        rgb = np.random.default_rng(6).uniform(0, 1, (5, 7, 3))
+        write_ppm16(rgb, tmp_path / "img.ppm")
+        payload = (tmp_path / "img.ppm").read_bytes()[len(b"P6\n7 5\n65535\n"):]
+        (tmp_path / "other.ppm").write_bytes(header + payload)
+        np.testing.assert_array_equal(read_ppm16(tmp_path / "other.ppm"),
+                                      read_ppm16(tmp_path / "img.ppm"))
+
+    def test_ppm_truncated_payload_names_file(self, tmp_path):
+        write_ppm16(np.zeros((5, 7, 3)), tmp_path / "img.ppm")
+        blob = (tmp_path / "img.ppm").read_bytes()
+        (tmp_path / "cut.ppm").write_bytes(blob[:-1])
+        with pytest.raises(DomainError, match="cut.ppm: payload is 209 bytes"):
+            read_ppm16(tmp_path / "cut.ppm")
+
+    @pytest.mark.parametrize("header", [b"P5\n7 5\n65535\n", b"P6\n7 5\n255\n", b"P6\n7\n"])
+    def test_ppm_bad_header_rejected(self, tmp_path, header):
+        (tmp_path / "bad.ppm").write_bytes(header + bytes(210))
+        with pytest.raises(DomainError, match="bad.ppm"):
+            read_ppm16(tmp_path / "bad.ppm")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rawbench.errors import DataError
 from rawbench.ranking import (
@@ -155,6 +156,40 @@ class TestFinalTable:
             teams = sorted(table.positions[cat], key=lambda t: table.positions[cat][t])
             scores = [table.scores[cat][t] for t in teams]
             assert scores == sorted(scores)
+
+
+CATEGORY_SETS = [("overall", "fidelity", "perceptual"), ("overall",), ("fidelity", "perceptual")]
+
+
+class TestFinalTableProperties:
+    @pytest.mark.filterwarnings("ignore:exact pairwise tie")
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 7), categories=st.sampled_from(CATEGORY_SETS))
+    def test_permutation_invariant_and_scores_match(self, data, n, categories):
+        # values from a small set, so exact ties and tie-breaks are common
+        rows = data.draw(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 3.0])] * 5),
+                                  min_size=n, max_size=n))
+        records = [MetricRecord(f"t{i}", *row) for i, row in enumerate(rows)]
+        order = data.draw(st.permutations(range(n)))
+        table = final_table(records, categories)
+        shuffled = final_table([records[i] for i in order], categories)
+        assert shuffled.metric_ranks == table.metric_ranks
+        assert shuffled.scores == table.scores
+        scores = category_scores(records, categories)
+        for cat in categories:
+            assert table.scores[cat] == {r.team: scores[r.team][cat] for r in records}
+            by_score = {}
+            for team, score in table.scores[cat].items():
+                by_score.setdefault(score, []).append(team)
+            for tied in by_score.values():
+                # a tie of two is settled by one symmetric comparison; three or
+                # more may form a majority cycle, so only their places are fixed
+                place = [table.positions[cat][t] for t in tied]
+                shuffled_place = [shuffled.positions[cat][t] for t in tied]
+                if len(tied) <= 2:
+                    assert shuffled_place == place
+                else:
+                    assert sorted(shuffled_place) == sorted(place)
 
 
 class TestCompleteCategories:
