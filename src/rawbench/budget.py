@@ -202,7 +202,9 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
         layers_doc, ensemble, input_shape = doc, False, REFERENCE_INPUT
     elif isinstance(doc, dict) and isinstance(doc.get("layers"), list):
         layers_doc = doc["layers"]
-        ensemble = bool(doc.get("ensemble", False))
+        ensemble = doc.get("ensemble", False)
+        if type(ensemble) is not bool:
+            raise SpecError(f"{path}: 'ensemble' must be true or false, got {ensemble!r}")
         input_shape = doc.get("input", REFERENCE_INPUT)
     else:
         raise SpecError(f"{path}: expected a layer list or an object with a 'layers' list")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .core import (
     Roi,
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
+    _meta_kwargs,
     crop_frame,
     interleave_rggb,
     read_packed,
@@ -116,12 +117,7 @@ def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
     return PackedImage(
         channels=split_rggb(dark.data.astype(np.float64) - shading),
         space=SPACE_DN_ABOVE_BLACK,
-        black_level=dark.black_level,
-        white_level=dark.white_level,
-        camera_id=dark.camera_id,
-        iso=dark.iso,
-        exposure_s=dark.exposure_s,
-        cfa=dark.cfa,
+        **_meta_kwargs(dark),
     )
 
 
@@ -290,10 +286,7 @@ def save_profile(profile: SensorProfile, json_path) -> None:
             write_packed(replace(res, channels=res.channels.astype(np.float32)), out_dir / name)
             lib_names.append(name)
         isos_doc[str(iso)] = {
-            "K": params.K,
-            "sigma_read": params.sigma_read,
-            "sigma_row": params.sigma_row,
-            "quant_step": params.quant_step,
+            **asdict(params),
             "dark_shading_path": shading_name if shading is not None else None,
             "dark_library": lib_names,
         }
@@ -301,47 +294,45 @@ def save_profile(profile: SensorProfile, json_path) -> None:
         "camera_id": profile.camera_id,
         "black_level": [float(b) for b in profile.black_level],
         "white_level": float(profile.white_level),
-        "effective_roi": {
-            "x0": profile.effective_roi.x0,
-            "y0": profile.effective_roi.y0,
-            "w": profile.effective_roi.w,
-            "h": profile.effective_roi.h,
-        },
+        "effective_roi": asdict(profile.effective_roi),
         "isos": isos_doc,
     }
     json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_profile(json_path) -> SensorProfile:
-    """Load a profile saved by :func:`save_profile`."""
+    """Load a profile saved by :func:`save_profile`; a missing or malformed
+    field raises ProfileError naming the file."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
-    base = json_path.parent
-    roi_doc = doc["effective_roi"]
-    iso_params = {}
-    shading_maps = {}
-    libraries = {}
-    for iso_str, entry in doc["isos"].items():
-        iso = int(iso_str)
-        iso_params[iso] = NoiseParams(
-            K=float(entry["K"]),
-            sigma_read=float(entry["sigma_read"]),
-            sigma_row=float(entry["sigma_row"]),
-            quant_step=float(entry.get("quant_step", 1.0)),
+    try:
+        isos = {int(iso): entry for iso, entry in doc["isos"].items()}
+        profile = SensorProfile(
+            camera_id=doc["camera_id"],
+            black_level=np.asarray(doc["black_level"], dtype=np.float64),
+            white_level=float(doc["white_level"]),
+            effective_roi=Roi(**doc["effective_roi"]),
+            iso_params={
+                iso: NoiseParams(**{f.name: float(entry[f.name]) for f in fields(NoiseParams)
+                                    if f.name in entry})
+                for iso, entry in isos.items()
+            },
         )
+    except KeyError as exc:
+        raise ProfileError(f"{json_path}: missing field {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ProfileError(f"{json_path}: malformed profile ({exc})") from exc
+    except (DimensionError, ProfileError) as exc:
+        raise type(exc)(f"{json_path}: {exc}") from exc
+    base = json_path.parent
+    for iso, entry in isos.items():
         if entry.get("dark_shading_path"):
             img = read_packed(base / entry["dark_shading_path"])
-            shading_maps[iso] = interleave_rggb(img.channels).astype(np.float64)
-        libraries[iso] = [read_packed(base / name) for name in entry.get("dark_library", [])]
-    return SensorProfile(
-        camera_id=doc["camera_id"],
-        black_level=np.asarray(doc["black_level"], dtype=np.float64),
-        white_level=float(doc["white_level"]),
-        effective_roi=Roi(roi_doc["x0"], roi_doc["y0"], roi_doc["w"], roi_doc["h"]),
-        iso_params=iso_params,
-        dark_shading=shading_maps,
-        dark_library=libraries,
-    )
+            profile.dark_shading[iso] = interleave_rggb(img.channels).astype(np.float64)
+        profile.dark_library[iso] = [
+            read_packed(base / name) for name in entry.get("dark_library", [])
+        ]
+    return profile

@@ -5,7 +5,13 @@ array in digital numbers (DN) plus the metadata needed to interpret it
 (black/white levels, camera, ISO).  A ``PackedImage`` is the working
 representation: four half-resolution planes in R, Gr, Gb, B order with a
 value-space tag telling whether the data are raw DN, DN above black, or
-normalized to [0, clip_hi].
+normalized to [0, clip_hi].  The CFA is RGGB by definition; there is no
+pattern field to get wrong.
+
+Both types enforce one image-level rule when built (including by
+``dataclasses.replace``): 0 <= black < white, and float data finite
+(mosaics also >= 0).  Functions taking them therefore do not repeat the
+checks, and the RAWB readers only put the file's path in front of an error.
 
 All arithmetic is done in float64; storage is u16 (DN) or f32.  Every
 operation is pure and returns new arrays, so values are safe to share
@@ -20,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, FormatError, ProfileError, UnsupportedCfa
+from .errors import DimensionError, DomainError, FormatError, ProfileError
 
 SPACE_DN = "dn"
 SPACE_DN_ABOVE_BLACK = "dn_above_black"
@@ -28,6 +34,7 @@ SPACE_NORMALIZED = "normalized"
 
 _RAWB_MAGIC = "RAWB1"
 _RAWB_DTYPES = {"u16": np.dtype("<u2"), "f32": np.dtype("<f4")}
+_RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 
 
 def _as_black_level(black_level) -> np.ndarray:
@@ -40,9 +47,33 @@ def _as_black_level(black_level) -> np.ndarray:
     return arr
 
 
+# Capture metadata shared by RawFrame and PackedImage, in RAWB header order.
+_META = ("black_level", "white_level", "camera_id", "iso", "exposure_s")
+
+
+def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
+    """The one image-level rule of RawFrame and PackedImage: 0 <= black <
+    white, and float data finite (and >= 0 when ``nonnegative``).  Stores the
+    levels as a float64 4-vector and a float, and the ISO as an int."""
+    black = _as_black_level(img.black_level)
+    white = float(img.white_level)
+    if not np.all((black >= 0) & (black < white)):
+        raise ProfileError(
+            f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
+        )
+    if data.dtype.kind == "f":
+        if not np.isfinite(data).all():
+            raise DomainError("data must be finite")
+        if nonnegative and np.min(data) < 0:
+            raise DomainError("mosaic data must be >= 0")
+    object.__setattr__(img, "black_level", black)
+    object.__setattr__(img, "white_level", white)
+    object.__setattr__(img, "iso", int(img.iso))
+
+
 @dataclass(frozen=True, eq=False)
 class RawFrame:
-    """Single-channel Bayer mosaic with capture metadata.
+    """Single-channel RGGB Bayer mosaic with capture metadata.
 
     The mosaic must have even dimensions so a whole number of 2x2 CFA
     periods fits.  Data are DN-valued (finite, >= 0), stored as uint16 or float32.
@@ -54,7 +85,6 @@ class RawFrame:
     camera_id: str = ""
     iso: int = 0
     exposure_s: float | None = None
-    cfa: str = "RGGB"
 
     def __post_init__(self):
         data = np.asarray(self.data)
@@ -63,17 +93,8 @@ class RawFrame:
         h, w = data.shape
         if h % 2 or w % 2 or h == 0 or w == 0:
             raise DimensionError(f"mosaic dims must be even and non-zero, got {h}x{w}")
-        black = _as_black_level(self.black_level)
-        white = float(self.white_level)
-        if np.any(black < 0) or np.any(black >= white):
-            raise ProfileError(
-                f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
-            )
-        if data.dtype.kind == "f" and not (np.min(data) >= 0 and np.isfinite(np.max(data))):
-            raise DomainError("mosaic data must be finite and >= 0")
+        _check_image(self, data, nonnegative=True)
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "black_level", black)
-        object.__setattr__(self, "white_level", white)
 
     @property
     def height(self) -> int:
@@ -91,7 +112,8 @@ class PackedImage:
     ``channels`` has shape (4, H, W) in R, Gr, Gb, B order.  ``space`` is
     one of ``dn`` (raw DN), ``dn_above_black`` (black pedestal removed,
     may be negative for noise residuals), or ``normalized`` (values in
-    [0, clip_hi]).  Metadata mirrors the source RawFrame.
+    [0, clip_hi]).  Float planes must be finite.  Metadata mirrors the
+    source RawFrame.
     """
 
     channels: np.ndarray
@@ -101,7 +123,6 @@ class PackedImage:
     camera_id: str = ""
     iso: int = 0
     exposure_s: float | None = None
-    cfa: str = "RGGB"
     clip_hi: float = 1.0
 
     def __post_init__(self):
@@ -110,9 +131,8 @@ class PackedImage:
             raise DimensionError(f"channels must have shape (4, H, W), got {ch.shape}")
         if self.space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED):
             raise DomainError(f"unknown value space {self.space!r}")
+        _check_image(self, ch, nonnegative=False)
         object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "black_level", _as_black_level(self.black_level))
-        object.__setattr__(self, "white_level", float(self.white_level))
 
     @property
     def plane_height(self) -> int:
@@ -141,15 +161,8 @@ class Roi:
             raise DimensionError("Roi extents must be non-zero")
 
 
-def _meta_kwargs(obj) -> dict:
-    return {
-        "black_level": obj.black_level,
-        "white_level": obj.white_level,
-        "camera_id": obj.camera_id,
-        "iso": obj.iso,
-        "exposure_s": obj.exposure_s,
-        "cfa": obj.cfa,
-    }
+def _meta_kwargs(img) -> dict:
+    return {name: getattr(img, name) for name in _META}
 
 
 def pack_rggb(frame: RawFrame, space: str = SPACE_DN) -> PackedImage:
@@ -159,8 +172,6 @@ def pack_rggb(frame: RawFrame, space: str = SPACE_DN) -> PackedImage:
     Gb = data[2i+1][2j], B = data[2i+1][2j+1].  ``space`` declares how the
     caller wants the values tagged; packing itself never subtracts black.
     """
-    if frame.cfa != "RGGB":
-        raise UnsupportedCfa(f"only RGGB is supported, got {frame.cfa!r}")
     if space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK):
         raise DomainError(f"pack space must be a DN space, got {space!r}")
     return PackedImage(channels=split_rggb(frame.data), space=space, **_meta_kwargs(frame))
@@ -207,8 +218,6 @@ def normalize(img: PackedImage, clip_hi: float = 1.0) -> PackedImage:
         raise DomainError("input is already normalized")
     black = img.black_level
     span = img.white_level - black
-    if np.any(span <= 0):
-        raise ProfileError(f"white_level {img.white_level} must exceed black levels {black}")
     ch = img.channels.astype(np.float64)
     if img.space == SPACE_DN:
         ch = ch - black[:, None, None]
@@ -225,8 +234,6 @@ def denormalize(img: PackedImage) -> PackedImage:
         raise DomainError("denormalize expects normalized input")
     black = img.black_level
     span = img.white_level - black
-    if np.any(span <= 0):
-        raise ProfileError(f"white_level {img.white_level} must exceed black levels {black}")
     out = img.channels.astype(np.float64) * span[:, None, None] + black[:, None, None]
     return replace(img, channels=out, space=SPACE_DN)
 
@@ -272,13 +279,28 @@ def _dtype_tag(arr: np.ndarray) -> str:
     )
 
 
-def _write_rawb(path, header: dict, payload: np.ndarray) -> None:
+def _write_rawb(path, layout: str, space: str, payload: np.ndarray, fields: dict) -> None:
+    """Write a (H, W) or (C, H, W) payload under the one RAWB header: the
+    fixed keys, then ``fields`` in their order (a field may override a key)."""
+    tag = _dtype_tag(payload)
+    header = {
+        "magic": _RAWB_MAGIC,
+        "width": payload.shape[-1],
+        "height": payload.shape[-2],
+        "channels": _RAWB_CHANNELS[layout],
+        "dtype": tag,
+        "layout": layout,
+        "space": space,
+        **fields,
+    }
     blob = json.dumps(header).encode("utf-8") + b"\n"
-    blob += np.ascontiguousarray(payload, dtype=_RAWB_DTYPES[header["dtype"]]).tobytes()
+    blob += np.ascontiguousarray(payload, dtype=_RAWB_DTYPES[tag]).tobytes()
     Path(path).write_bytes(blob)
 
 
-def _read_rawb(path) -> tuple[dict, np.ndarray]:
+def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:
+    """Read a RAWB file whose layout is one of ``layouts``; the payload comes
+    back as (H, W) for a mosaic and (C, H, W) otherwise."""
     blob = Path(path).read_bytes()
     nl = blob.find(b"\n")
     if nl < 0:
@@ -289,120 +311,78 @@ def _read_rawb(path) -> tuple[dict, np.ndarray]:
         raise FormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("magic") != _RAWB_MAGIC:
         raise FormatError(f"{path}: bad magic, not a RAWB file")
-    dtype = _RAWB_DTYPES.get(header.get("dtype"))
-    if dtype is None:
-        raise FormatError(f"{path}: unknown dtype {header.get('dtype')!r}")
+    tag = header.get("dtype")
+    if not isinstance(tag, str) or tag not in _RAWB_DTYPES:
+        raise FormatError(f"{path}: unknown dtype {tag!r}")
     try:
         w, h, c = int(header["width"]), int(header["height"]), int(header["channels"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: incomplete header ({exc})") from exc
-    expected = w * h * c * dtype.itemsize
+    layout = header.get("layout")
+    if layout not in layouts or c != _RAWB_CHANNELS[layout]:
+        wanted = " or ".join(f"{name} ({_RAWB_CHANNELS[name]} ch)" for name in layouts)
+        raise FormatError(f"{path}: layout {layout!r} with {c} channels, expected {wanted}")
+    if w < 0 or h < 0:
+        raise FormatError(f"{path}: negative size {w}x{h}")
+    expected = w * h * c * _RAWB_DTYPES[tag].itemsize
     payload = blob[nl + 1 :]
     if len(payload) != expected:
         raise FormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype=dtype)
-    return header, data.reshape(c, h, w) if c > 1 else data.reshape(h, w)
+    data = np.frombuffer(payload, dtype=_RAWB_DTYPES[tag])
+    return header, data.reshape(h, w) if layout == "mosaic" else data.reshape(c, h, w)
 
 
-def _level_header(obj) -> dict:
-    return {
-        "black_level": [float(b) for b in obj.black_level],
-        "white_level": float(obj.white_level),
-        "camera_id": obj.camera_id,
-        "iso": int(obj.iso),
-        "exposure_s": obj.exposure_s,
-    }
+def _image_fields(img) -> dict:
+    return {**_meta_kwargs(img), "black_level": img.black_level.tolist()}
+
+
+def _read_image(path, *layouts: str) -> RawFrame | PackedImage:
+    """The one parse of the image metadata: a mosaic file gives a RawFrame, an
+    RGGB file a PackedImage.  An error from the image's checks gets the path
+    in front of its message."""
+    header, data = _read_rawb(path, *layouts)
+    meta = {name: header[name] for name in _META if name in header}
+    try:
+        if header["layout"] == "mosaic":
+            return RawFrame(data=data, **meta)
+        return PackedImage(channels=data, space=header.get("space", SPACE_DN),
+                           clip_hi=float(header.get("clip_hi", 1.0)), **meta)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: bad image metadata ({exc})") from exc
+    except (DimensionError, DomainError, ProfileError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def write_frame(frame: RawFrame, path) -> None:
     """Write a mosaic frame to a RAWB container (lossless for u16/f32 data)."""
-    header = {
-        "magic": _RAWB_MAGIC,
-        "width": frame.width,
-        "height": frame.height,
-        "channels": 1,
-        "dtype": _dtype_tag(np.asarray(frame.data)),
-        "layout": "mosaic",
-        "space": SPACE_DN,
-        **_level_header(frame),
-        "clip_hi": 1.0,
-    }
-    _write_rawb(path, header, frame.data)
+    _write_rawb(path, "mosaic", SPACE_DN, frame.data, {**_image_fields(frame), "clip_hi": 1.0})
 
 
 def read_frame(path) -> RawFrame:
     """Read a mosaic RAWB file back into a RawFrame (bit-exact payload); an
     error raised by RawFrame's checks gets the path in front of its message."""
-    return _frame_from(path, *_read_rawb(path))
-
-
-def _frame_from(path, header: dict, data: np.ndarray) -> RawFrame:
-    if header.get("layout") != "mosaic" or int(header["channels"]) != 1:
-        raise FormatError(f"{path}: not a single-channel mosaic RAWB file")
-    try:
-        return RawFrame(
-            data=data,
-            black_level=np.asarray(header["black_level"], dtype=np.float64),
-            white_level=float(header["white_level"]),
-            camera_id=header.get("camera_id", ""),
-            iso=int(header.get("iso", 0)),
-            exposure_s=header.get("exposure_s"),
-        )
-    except (DimensionError, DomainError, ProfileError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    return _read_image(path, "mosaic")
 
 
 def write_packed(img: PackedImage, path) -> None:
     """Write a 4-plane RGGB image to a RAWB container (planes concatenated)."""
-    header = {
-        "magic": _RAWB_MAGIC,
-        "width": img.plane_width,
-        "height": img.plane_height,
-        "channels": 4,
-        "dtype": _dtype_tag(np.asarray(img.channels)),
-        "layout": "rggb",
-        "space": img.space,
-        **_level_header(img),
-        "clip_hi": float(img.clip_hi),
-    }
-    _write_rawb(path, header, img.channels)
+    fields = {**_image_fields(img), "clip_hi": float(img.clip_hi)}
+    _write_rawb(path, "rggb", img.space, img.channels, fields)
 
 
 def read_packed(path) -> PackedImage:
-    """Read a 4-plane RGGB RAWB file (bit-exact payload); float payloads must
-    be finite, and an error from the image's checks gets the path in front."""
-    return _packed_from(path, *_read_rawb(path))
-
-
-def _packed_from(path, header: dict, data: np.ndarray) -> PackedImage:
-    if header.get("layout") != "rggb" or int(header["channels"]) != 4:
-        raise FormatError(f"{path}: not a 4-channel RGGB RAWB file")
-    try:
-        if data.dtype.kind == "f" and not np.all(np.isfinite(data)):
-            raise DomainError("plane data must be finite")
-        return PackedImage(
-            channels=data,
-            space=header.get("space", SPACE_DN),
-            black_level=np.asarray(header["black_level"], dtype=np.float64),
-            white_level=float(header["white_level"]),
-            camera_id=header.get("camera_id", ""),
-            iso=int(header.get("iso", 0)),
-            exposure_s=header.get("exposure_s"),
-            clip_hi=float(header.get("clip_hi", 1.0)),
-        )
-    except (DimensionError, DomainError, ProfileError) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+    """Read a 4-plane RGGB RAWB file (bit-exact payload); an error from the
+    image's checks (e.g. a non-finite value) gets the path in front."""
+    return _read_image(path, "rggb")
 
 
 def read_planes(path) -> PackedImage:
     """Read a mosaic or RGGB RAWB file as four RGGB planes; the file's header
     decides which, and a mosaic is packed in its DN space."""
-    header, data = _read_rawb(path)
-    if header.get("layout") == "rggb":
-        return _packed_from(path, header, data)
-    return pack_rggb(_frame_from(path, header, data))
+    img = _read_image(path, "mosaic", "rggb")
+    return pack_rggb(img) if isinstance(img, RawFrame) else img
 
 
 def write_rgb(rgb: np.ndarray, path, extra: dict | None = None) -> None:
@@ -414,23 +394,9 @@ def write_rgb(rgb: np.ndarray, path, extra: dict | None = None) -> None:
     rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3), got {rgb.shape}")
-    header = {
-        "magic": _RAWB_MAGIC,
-        "width": rgb.shape[1],
-        "height": rgb.shape[0],
-        "channels": 3,
-        "dtype": "f32",
-        "layout": "rgb",
-        "space": "srgb",
-    }
-    if extra:
-        header.update(extra)
     planes = np.moveaxis(rgb.astype(np.float32), -1, 0)
-    _write_rawb(path, header, planes)
+    _write_rawb(path, "rgb", "srgb", planes, extra or {})
 
 
 def read_rgb(path) -> np.ndarray:
-    header, data = _read_rawb(path)
-    if header.get("layout") != "rgb" or int(header["channels"]) != 3:
-        raise FormatError(f"{path}: not a 3-channel RGB RAWB file")
-    return np.moveaxis(data, 0, -1)
+    return np.moveaxis(_read_rawb(path, "rgb")[1], 0, -1)

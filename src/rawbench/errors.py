@@ -9,10 +9,6 @@ class DimensionError(RawBenchError):
     """Array shapes are incompatible with the requested operation."""
 
 
-class UnsupportedCfa(RawBenchError):
-    """CFA pattern other than RGGB."""
-
-
 class FormatError(RawBenchError):
     """Malformed RAWB container (bad magic, truncated payload, dtype mismatch)."""
 

@@ -16,7 +16,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .calibration import SensorProfile
@@ -74,6 +74,7 @@ def load_manifest(path, profile: SensorProfile | None = None, strict: bool = Fal
     phase = doc.get("phase", "dev")
     if phase not in _PHASES:
         raise ManifestError(f"{path}: phase must be one of {_PHASES}, got {phase!r}")
+    manifest = Manifest(phase=phase, entries=(), base_dir=str(path.parent))
     entries = []
     seen_ids = set()
     for i, raw in enumerate(doc.get("entries", [])):
@@ -106,12 +107,10 @@ def load_manifest(path, profile: SensorProfile | None = None, strict: bool = Fal
             )
         if strict:
             for p in (entry.noisy_path, entry.gt_path):
-                if p:
-                    full = Path(p) if Path(p).is_absolute() else path.parent / p
-                    if not full.exists():
-                        raise ManifestError(f"{where}: referenced file {p} does not exist")
+                if p and not manifest.resolve(p).exists():
+                    raise ManifestError(f"{where}: referenced file {p} does not exist")
         entries.append(entry)
-    return Manifest(phase=phase, entries=tuple(entries), base_dir=str(path.parent))
+    return replace(manifest, entries=tuple(entries))
 
 
 def ingest_external_scores(path) -> dict[tuple[str, str], float]:

@@ -3,7 +3,7 @@
 The signal path follows the ratio paradigm: a normalized clean value c at
 digital gain g corresponds to c*(white-black)/(g*K) photo-electrons, so the
 brightness-aligned ground truth of the synthesized noisy image is the clean
-image itself.  Shot noise is sampled exactly (Poisson) below a configurable
+image itself.  Shot noise is sampled exactly (Poisson) below a fixed
 electron mean and via a rounded Gaussian above it.
 
 Signal-independent noise comes from one of three sources:
@@ -38,6 +38,8 @@ from .core import (
 from .errors import DimensionError, DomainError, ProfileError
 
 _MODES = ("parametric", "dark_sample", "hybrid")
+# Electron mean from which shot noise is a rounded Gaussian, not a Poisson draw.
+_GAUSS_THRESHOLD = 30.0
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -67,7 +69,6 @@ class SynthConfig(_NoiseKnobs):
     iso: int
     dgain: float
     seed: int = 0
-    gauss_threshold: float = 30.0
 
     def __post_init__(self):
         if not self.dgain > 0:
@@ -80,11 +81,10 @@ def sample_shot(
     params: NoiseParams,
     dgain: float,
     rng: np.random.Generator,
-    gauss_threshold: float = 30.0,
 ) -> PackedImage:
     """Sample shot noise: DN_above_black = Poisson(e) * K with e = c*(w-b)/(dgain*K).
 
-    Poisson counts are drawn exactly below ``gauss_threshold`` electrons and
+    Poisson counts are drawn exactly below ``_GAUSS_THRESHOLD`` electrons and
     approximated by round(N(e, e)) clamped at zero above it.
     """
     if clean_norm.space != SPACE_NORMALIZED:
@@ -95,7 +95,7 @@ def sample_shot(
     span = (clean_norm.white_level - clean_norm.black_level)[:, None, None]
     electrons = c * span / (dgain * params.K)
     counts = np.empty_like(electrons)
-    small = electrons < gauss_threshold
+    small = electrons < _GAUSS_THRESHOLD
     counts[small] = rng.poisson(electrons[small])
     big = ~small
     if np.any(big):
@@ -206,7 +206,6 @@ def synthesize_noisy(
             params,
             cfg.dgain,
             shot_rng,
-            cfg.gauss_threshold,
         )
         signal_norm = cfg.dgain * shot.channels / span
     else:
@@ -232,15 +231,13 @@ def synthesize_noisy(
     noisy = signal_norm + cfg.dgain * residual / span
     if clip:
         noisy = np.clip(noisy, 0.0, cfg.clip_hi)
-    return PackedImage(
+    return replace(
+        clean_norm,
         channels=noisy,
-        space=SPACE_NORMALIZED,
         black_level=profile.black_level,
         white_level=profile.white_level,
         camera_id=profile.camera_id,
         iso=cfg.iso,
-        exposure_s=clean_norm.exposure_s,
-        cfa=clean_norm.cfa,
         clip_hi=cfg.clip_hi,
     )
 

@@ -217,6 +217,13 @@ class TestModelSpecIO:
         with pytest.raises(SpecError, match="typed.json"):
             load_model_spec(p)
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, [False]])
+    def test_ensemble_must_be_a_json_bool(self, tmp_path, flag):
+        p = tmp_path / "flagged.json"
+        p.write_text(json.dumps({"layers": [{"kind": "elementwise"}], "ensemble": flag}))
+        with pytest.raises(SpecError, match="flagged.json.*ensemble"):
+            load_model_spec(p)
+
     def test_bad_layer_rejected(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps([{"kind": "conv2d", "wings": 2}]))

@@ -1,7 +1,13 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from rawbench.calibration import (
+    NoiseParams,
+    SensorProfile,
     build_profile,
     correct_dark_frame,
     estimate_dark_shading,
@@ -12,15 +18,16 @@ from rawbench.calibration import (
     load_profile,
     save_profile,
 )
-from rawbench.core import Roi
+from rawbench.core import PackedImage, Roi, SPACE_DN_ABOVE_BLACK
 from rawbench.errors import (
     CalibrationWarning,
     DimensionError,
     InsufficientData,
     ProfileError,
+    RawBenchError,
 )
 
-from conftest import make_frame
+from conftest import BLACK, WHITE, make_frame
 
 
 def laplacian_oracle(plane):
@@ -268,3 +275,65 @@ class TestBuildProfile:
                 back.dark_library[iso][0].channels,
                 prof.dark_library[iso][0].channels.astype(np.float32),
             )
+
+
+def _fixed_profile():
+    ramp = (np.arange(64).reshape(8, 8) * 37 % 101).astype(np.float64)
+    residual = PackedImage(channels=(ramp.reshape(4, 4, 4) - 50.0) / 8.0, space=SPACE_DN_ABOVE_BLACK,
+                           black_level=BLACK, white_level=WHITE, camera_id="camA", iso=800)
+    return SensorProfile(
+        camera_id="camA",
+        black_level=BLACK,
+        white_level=WHITE,
+        effective_roi=Roi(2, 4, 8, 8),
+        iso_params={800: NoiseParams(K=0.8123456789, sigma_read=3.25, sigma_row=0.5),
+                    3200: NoiseParams(K=3.3, sigma_read=9.0, sigma_row=1.75, quant_step=0.5)},
+        dark_shading={800: ramp + 512.0},
+        dark_library={800: [residual, replace(residual, channels=-residual.channels)], 3200: []},
+    )
+
+
+class TestLoadProfileErrors:
+    @pytest.mark.parametrize("damage, match", [
+        (lambda doc: doc.pop("isos"), "missing field 'isos'"),
+        (lambda doc: doc["isos"]["800"].pop("K"), "'K'"),
+        (lambda doc: doc["isos"]["800"].update(K="fast"), "malformed"),
+        (lambda doc: doc["isos"]["800"].update(K=-1.0), "system gain"),
+        (lambda doc: doc.update(isos=[800]), "malformed"),
+        (lambda doc: doc["effective_roi"].pop("h"), "'h'"),
+        (lambda doc: doc.update(effective_roi={"x0": 1, "y0": 0, "w": 8, "h": 8}), "x0"),
+    ], ids=["no-isos", "no-K", "string-K", "negative-K", "isos-list", "roi-no-h", "roi-odd-x0"])
+    def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
+        path = tmp_path / "prof.json"
+        save_profile(_fixed_profile(), path)
+        doc = json.loads(path.read_text())
+        damage(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(RawBenchError, match=match) as err:
+            load_profile(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert isinstance(err.value, (ProfileError, DimensionError))
+
+
+class TestStoredProfile:
+    """Exact bytes of a saved profile and its sidecars (the profile format is frozen)."""
+
+    PINNED = {
+        "prof.json": "a12ebe0a8e3f88f897f78e574976a5af0fdb4a9f323414799fadcceaa78bd197",
+        "prof_iso800_shading.rawb": "e680cf8df000868a99351d409af34b6a70276c70942ad47e4efe1182b0cc6cc3",
+        "prof_iso800_dark000.rawb": "4d689a9e26f4c26e0c3e3e14e77e5832e1186bbe79252b7be89384331e6f8006",
+        "prof_iso800_dark001.rawb": "acf69f485dea846c5669ca7626aeaf11d5172480f15b834f3032771e54cd1e78",
+    }
+
+    def _digests(self, directory):
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(directory.iterdir())}
+
+    def test_save_profile_bytes(self, tmp_path):
+        save_profile(_fixed_profile(), tmp_path / "prof.json")
+        assert self._digests(tmp_path) == self.PINNED
+
+    def test_resaved_profile_is_byte_identical(self, tmp_path):
+        save_profile(_fixed_profile(), tmp_path / "a" / "prof.json")
+        save_profile(load_profile(tmp_path / "a" / "prof.json"), tmp_path / "b" / "prof.json")
+        assert self._digests(tmp_path / "b") == self._digests(tmp_path / "a")

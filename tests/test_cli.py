@@ -222,6 +222,35 @@ def test_budget_spec_types_exit_2(tmp_path, capsys, spec):
     assert "typed.json" in capsys.readouterr().err
 
 
+def test_budget_string_ensemble_exits_2(tmp_path, capsys):
+    # "false" used to count as an ensemble: FAIL and exit 1 for a tiny model.
+    model = tmp_path / "tiny.json"
+    model.write_text(json.dumps({
+        "layers": [{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3}],
+        "ensemble": "false",
+    }))
+    assert main(["budget", "--model", str(model)]) == 2
+    assert "tiny.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["drop-isos", "drop-K"])
+def test_denoise_with_broken_profile_exits_2(workspace, tmp_path, capsys, damage):
+    profile = tmp_path / "profile.json"
+    assert main(["calibrate", "--darks", str(workspace / "darks"), "--camera-id", "camA",
+                 "--gains", "800=0.8,1600=1.6", "--out", str(profile)]) == 0
+    doc = json.loads(profile.read_text())
+    if damage == "drop-isos":
+        del doc["isos"]
+    else:
+        del doc["isos"]["800"]["K"]
+    profile.write_text(json.dumps(doc))
+    capsys.readouterr()
+    rc = main(["denoise", "--in", str(workspace / "clean" / "scene.rawb"), "--profile", str(profile),
+               "--iso", "800", "--dgain", "10", "--out", str(tmp_path / "den.rawb")])
+    assert rc == 2
+    assert f"{profile}: " in capsys.readouterr().err
+
+
 def test_isp_rejects_non_rawb_naming_the_file(tmp_path, capsys):
     bad = tmp_path / "scene.ppm"
     bad.write_bytes(b"P6\n2 2\n65535\n" + bytes(24))

@@ -1,3 +1,8 @@
+import hashlib
+import json
+from dataclasses import fields, replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +12,7 @@ from rawbench.core import (
     RawFrame,
     Roi,
     SPACE_DN,
+    SPACE_DN_ABOVE_BLACK,
     SPACE_NORMALIZED,
     center_crop,
     crop_frame,
@@ -17,12 +23,14 @@ from rawbench.core import (
     read_frame,
     read_packed,
     read_planes,
+    read_rgb,
     split_rggb,
     unpack_rggb,
     write_frame,
     write_packed,
+    write_rgb,
 )
-from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError, UnsupportedCfa
+from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError
 
 from conftest import make_frame
 
@@ -81,11 +89,17 @@ class TestPackUnpack:
         with pytest.raises(DimensionError):
             RawFrame(data=np.zeros((3, 4)), black_level=0.0, white_level=1.0)
 
-    def test_non_rggb_rejected(self):
-        f = RawFrame(data=np.zeros((4, 4), dtype=np.uint16), black_level=0.0,
+    def test_cfa_is_not_a_field(self):
+        # RGGB is the only pattern: a frame cannot claim another one and then
+        # be split, stored or read back as RGGB.
+        with pytest.raises(TypeError, match="cfa"):
+            RawFrame(data=np.zeros((4, 4), dtype=np.uint16), black_level=0.0,
                      white_level=10.0, cfa="BGGR")
-        with pytest.raises(UnsupportedCfa):
-            pack_rggb(f)
+        with pytest.raises(TypeError, match="cfa"):
+            PackedImage(channels=np.zeros((4, 2, 2)), space=SPACE_DN, black_level=0.0,
+                        white_level=10.0, cfa="RGGB")
+        names = {f.name for f in fields(RawFrame)} | {f.name for f in fields(PackedImage)}
+        assert "cfa" not in names
 
 
 class TestNormalize:
@@ -102,10 +116,9 @@ class TestNormalize:
         np.testing.assert_allclose(normalize(pack_rggb(f)).channels, 7936 / 15871, rtol=1e-15)
 
     def test_white_not_above_black(self):
-        bad = PackedImage(channels=np.zeros((4, 1, 1)), space=SPACE_DN,
-                          black_level=200.0, white_level=100.0)
         with pytest.raises(ProfileError):
-            normalize(bad)
+            PackedImage(channels=np.zeros((4, 1, 1)), space=SPACE_DN,
+                        black_level=200.0, white_level=100.0)
 
     def test_bounds_respected(self):
         rng = np.random.default_rng(1)
@@ -304,6 +317,39 @@ class TestNonFiniteFrames:
         assert str(err.value).startswith(f"{path}: ")
 
 
+class TestImageRule:
+    """RawFrame and PackedImage share one check of levels and float data."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("space", [SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED])
+    def test_packed_rejects_non_finite(self, bad, space):
+        ch = np.full((4, 3, 3), 0.5)
+        ch[2, 1, 0] = bad
+        with pytest.raises(DomainError, match="finite"):
+            PackedImage(channels=ch, space=space, black_level=512.0, white_level=16383.0)
+
+    def test_replace_cannot_bring_in_non_finite(self):
+        img = pack_rggb(make_frame(np.full((4, 4), 1000.0, dtype=np.float32)))
+        with pytest.raises(DomainError, match="finite"):
+            replace(img, channels=np.full((4, 2, 2), np.nan))
+
+    def test_packed_may_be_negative_above_black(self):
+        img = PackedImage(channels=np.full((4, 1, 1), -3.5), space=SPACE_DN_ABOVE_BLACK,
+                          black_level=512.0, white_level=16383.0)
+        assert img.channels.min() == -3.5
+
+    @pytest.mark.parametrize("black,white", [
+        (200.0, 100.0), (100.0, 100.0), ([0.0, 0.0, 0.0, 50.0], 50.0), (-1.0, 100.0),
+        (0.0, np.nan), (np.nan, 100.0),
+    ])
+    def test_both_types_reject_bad_levels(self, black, white):
+        with pytest.raises(ProfileError):
+            PackedImage(channels=np.zeros((4, 1, 1)), space=SPACE_DN,
+                        black_level=black, white_level=white)
+        with pytest.raises(ProfileError):
+            RawFrame(data=np.zeros((2, 2), dtype=np.uint16), black_level=black, white_level=white)
+
+
 class TestReadPlanes:
     def test_mosaic_and_rggb_files(self, tmp_path):
         frame = make_frame(np.arange(16, dtype=np.uint16).reshape(4, 4) + 600)
@@ -318,3 +364,151 @@ class TestReadPlanes:
         (tmp_path / "x.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
         with pytest.raises(FormatError, match="x.ppm"):
             read_planes(tmp_path / "x.ppm")
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestStoredBytes:
+    """Exact bytes of each RAWB layout for fixed inputs (the container format is frozen)."""
+
+    def _ramp(self, h, w):
+        return (np.arange(h * w).reshape(h, w) * 37 % 16384)
+
+    def test_write_frame_u16(self, tmp_path):
+        write_frame(make_frame(self._ramp(6, 8).astype(np.uint16), iso=1600), tmp_path / "u.rawb")
+        assert _sha(tmp_path / "u.rawb") == PINNED["frame_u16"]
+
+    def test_write_frame_f32(self, tmp_path):
+        frame = RawFrame(data=(self._ramp(4, 6) / 3.0).astype(np.float32),
+                         black_level=[512.0, 511.5, 512.25, 513.0], white_level=16383.0,
+                         camera_id="camB", iso=3200, exposure_s=0.125)
+        write_frame(frame, tmp_path / "f.rawb")
+        assert _sha(tmp_path / "f.rawb") == PINNED["frame_f32"]
+
+    def test_write_packed(self, tmp_path):
+        img = PackedImage(channels=(self._ramp(8, 5).reshape(4, 2, 5) / 7.0 - 600).astype(np.float32),
+                          space=SPACE_DN_ABOVE_BLACK, black_level=512.0, white_level=16383.0,
+                          camera_id="camZ", iso=800, exposure_s=0.01, clip_hi=2.0)
+        write_packed(img, tmp_path / "p.rawb")
+        assert _sha(tmp_path / "p.rawb") == PINNED["packed_f32"]
+
+    def test_write_rgb_with_extra(self, tmp_path):
+        rgb = (self._ramp(12, 5).reshape(4, 5, 3) / 16383.0).astype(np.float64)
+        write_rgb(rgb, tmp_path / "rgb.rawb", extra={"isp": {"wb": "gray-world", "gamma": "srgb"}})
+        assert _sha(tmp_path / "rgb.rawb") == PINNED["rgb_extra"]
+
+
+PINNED = {
+    "frame_u16": "418d00194cb420fdb5b864bb712c56ca7c044e48ae429ccd305be70c04d22b59",
+    "frame_f32": "ef1d81c2449f6827ade26d9cbe0eaea1cf28898515cf3ccfaf6fe7f0a561ca8e",
+    "packed_f32": "bf2f9c60e58efabd15ce5183d164fa53c0cffaf324d2451d11cad15f372ea974",
+    "rgb_extra": "ffbcc5421e8e9d94a65087d7e4f6629270b8417b51b5de99e84a78e6d89005a3",
+}
+
+
+_LAYOUT_META = st.fixed_dictionaries({
+    "black": st.lists(st.floats(0, 4000, allow_nan=False), min_size=4, max_size=4),
+    "headroom": st.floats(1.0, 60000, allow_nan=False),
+    "camera_id": st.text(max_size=12),
+    "iso": st.integers(0, 409600),
+    "exposure_s": st.none() | st.floats(1e-6, 30, allow_nan=False),
+})
+
+
+class TestRawbRoundTrip:
+    @settings(max_examples=60, deadline=None)
+    @given(layout=st.sampled_from(["mosaic", "rggb", "rgb"]), dtype=st.sampled_from(["u16", "f32"]),
+           h=st.integers(1, 6), w=st.integers(1, 6), meta=_LAYOUT_META,
+           space=st.sampled_from([SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED]),
+           clip_hi=st.floats(0.5, 4.0, allow_nan=False), seed=st.integers(0, 2**16))
+    def test_every_layout_round_trips(self, tmp_path_factory, layout, dtype, h, w, meta,
+                                      space, clip_hi, seed):
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("rt") / "x.rawb"
+        np_dtype = np.uint16 if dtype == "u16" else np.float32
+        levels = dict(black_level=meta["black"], white_level=max(meta["black"]) + meta["headroom"],
+                      camera_id=meta["camera_id"], iso=meta["iso"], exposure_s=meta["exposure_s"])
+        if layout == "rgb":
+            rgb = rng.uniform(0, 1, (h, w, 3)).astype(np.float32)
+            write_rgb(rgb, path, extra={"note": meta["camera_id"]})
+            assert read_rgb(path).tobytes() == rgb.tobytes()
+            return
+        if layout == "mosaic":
+            orig = RawFrame(data=(rng.random((2 * h, 2 * w)) * 16383).astype(np_dtype), **levels)
+            write_frame(orig, path)
+            back, data = read_frame(path), orig.data
+            got = back.data
+        else:
+            sign = -1 if space == SPACE_DN_ABOVE_BLACK and dtype == "f32" else 0
+            chans = ((rng.random((4, h, w)) + 0.5 * sign) * 1000).astype(np_dtype)
+            orig = PackedImage(channels=chans, space=space, clip_hi=clip_hi, **levels)
+            write_packed(orig, path)
+            back, data = read_packed(path), orig.channels
+            got = back.channels
+            assert back.space == space and back.clip_hi == clip_hi
+            np.testing.assert_array_equal(read_planes(path).channels, chans)
+        assert got.dtype == np.dtype(np_dtype).newbyteorder("<") and got.tobytes() == data.tobytes()
+        np.testing.assert_array_equal(back.black_level, orig.black_level)
+        assert (back.white_level, back.camera_id, back.iso, back.exposure_s) == (
+            orig.white_level, orig.camera_id, orig.iso, orig.exposure_s)
+
+
+class TestMalformedBlobs:
+    def _valid_blobs(self, tmp_path):
+        write_frame(make_frame(np.arange(16, dtype=np.uint16).reshape(4, 4)), tmp_path / "m.rawb")
+        write_packed(PackedImage(channels=np.zeros((4, 2, 3), np.float32), space=SPACE_NORMALIZED,
+                                 black_level=0.0, white_level=1.0), tmp_path / "p.rawb")
+        write_rgb(np.zeros((2, 3, 3)), tmp_path / "r.rawb")
+        return {name: (tmp_path / name).read_bytes() for name in ("m.rawb", "p.rawb", "r.rawb")}
+
+    def test_every_truncation_raises_format_error(self, tmp_path):
+        readers = {"m.rawb": read_frame, "p.rawb": read_packed, "r.rawb": read_rgb}
+        for name, blob in self._valid_blobs(tmp_path).items():
+            path = tmp_path / f"cut_{name}"
+            for cut in range(len(blob)):
+                path.write_bytes(blob[:cut])
+                with pytest.raises(FormatError):
+                    readers[name](path)
+                with pytest.raises(FormatError):
+                    read_planes(path)
+
+    @pytest.mark.parametrize("change", [
+        {"width": -2, "height": -2},
+        {"dtype": ["u16"]},
+        {"channels": "one"},
+        {"channels": 4},
+        {"layout": None},
+        {"layout": "rgb"},
+        {"black_level": [0.0, 1.0]},
+        {"black_level": "dark"},
+        {"white_level": "bright"},
+        {"iso": None},
+    ])
+    def test_bad_header_field_raises_format_error(self, tmp_path, change):
+        header = {"magic": "RAWB1", "width": 2, "height": 2, "channels": 1, "dtype": "u16",
+                  "layout": "mosaic", "space": "dn", "black_level": [0.0] * 4,
+                  "white_level": 100.0, **change}
+        path = tmp_path / "h.rawb"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+        # a level that parses but breaks the image rule names the file too
+        with pytest.raises((FormatError, ProfileError), match="h.rawb"):
+            read_frame(path)
+
+    def test_missing_level_field_raises_format_error(self, tmp_path):
+        path = tmp_path / "h.rawb"
+        header = {"magic": "RAWB1", "width": 2, "height": 2, "channels": 1, "dtype": "u16",
+                  "layout": "mosaic"}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8))
+        with pytest.raises(FormatError, match="h.rawb"):
+            read_frame(path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(blob=st.binary(max_size=96), prefix=st.sampled_from([b"", b"{", b'{"magic": "RAWB1"']))
+    def test_garbage_raises_format_error(self, tmp_path_factory, blob, prefix):
+        path = tmp_path_factory.mktemp("junk") / "junk.rawb"
+        path.write_bytes(prefix + blob)
+        for reader in (read_frame, read_packed, read_planes, read_rgb):
+            with pytest.raises(FormatError):
+                reader(path)

@@ -58,6 +58,18 @@ class TestLoadManifest:
         with pytest.raises(ManifestError, match="does not exist"):
             load_manifest(p, strict=True)
 
+    def test_strict_resolves_relative_and_absolute_paths(self, tmp_path):
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "n.rawb").write_bytes(b"")
+        (tmp_path / "g.rawb").write_bytes(b"")
+        entry = self._entry(noisy_path="data/n.rawb", gt_path=str(tmp_path / "g.rawb"))
+        m = load_manifest(write_manifest(tmp_path / "m.json", [entry]), strict=True)
+        assert m.resolve(m.entries[0].noisy_path) == tmp_path / "data" / "n.rawb"
+        assert m.resolve(m.entries[0].gt_path) == tmp_path / "g.rawb"
+        (tmp_path / "g.rawb").unlink()
+        with pytest.raises(ManifestError, match="g.rawb does not exist"):
+            load_manifest(tmp_path / "m.json", strict=True)
+
     def test_bad_phase(self, tmp_path):
         p = tmp_path / "m.json"
         p.write_text(json.dumps({"phase": "warmup", "entries": []}))
