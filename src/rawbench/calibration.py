@@ -27,6 +27,7 @@ from .core import (
     Roi,
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
+    _check_levels,
     _meta_kwargs,
     crop_frame,
     interleave_rggb,
@@ -64,7 +65,9 @@ class SensorProfile:
 
     ``dark_library`` holds corrected dark residuals (packed, DN above
     black, zero mean); an ISO may carry an explicitly empty library when
-    only parametric synthesis is wanted.
+    only parametric synthesis is wanted.  The levels obey the image rule
+    0 <= black < white and are stored as in RawFrame: a float64 4-vector
+    and a float.
     """
 
     camera_id: str
@@ -74,6 +77,9 @@ class SensorProfile:
     iso_params: dict[int, NoiseParams] = field(default_factory=dict)
     dark_shading: dict[int, np.ndarray] = field(default_factory=dict)
     dark_library: dict[int, list[PackedImage]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.black_level, self.white_level = _check_levels(self.black_level, self.white_level)
 
     def params_for(self, iso: int) -> NoiseParams:
         try:
@@ -332,7 +338,11 @@ def load_profile(json_path) -> SensorProfile:
         if entry.get("dark_shading_path"):
             img = read_packed(base / entry["dark_shading_path"])
             profile.dark_shading[iso] = interleave_rggb(img.channels).astype(np.float64)
-        profile.dark_library[iso] = [
-            read_packed(base / name) for name in entry.get("dark_library", [])
-        ]
+        names = entry.get("dark_library", [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ProfileError(
+                f"{json_path}: ISO {iso}: dark_library must be a list of file names, "
+                f"got {names!r}"
+            )
+        profile.dark_library[iso] = [read_packed(base / name) for name in names]
     return profile

@@ -51,16 +51,23 @@ def _as_black_level(black_level) -> np.ndarray:
 _META = ("black_level", "white_level", "camera_id", "iso", "exposure_s")
 
 
-def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
-    """The one image-level rule of RawFrame and PackedImage: 0 <= black <
-    white, and float data finite (and >= 0 when ``nonnegative``).  Stores the
-    levels as a float64 4-vector and a float, and the ISO as an int."""
-    black = _as_black_level(img.black_level)
-    white = float(img.white_level)
+def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
+    """The level rule of images and sensor profiles: 0 <= black < white.
+    Returns the levels as a float64 4-vector and a float."""
+    black = _as_black_level(black_level)
+    white = float(white_level)
     if not np.all((black >= 0) & (black < white)):
         raise ProfileError(
             f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
         )
+    return black, white
+
+
+def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
+    """The one image-level rule of RawFrame and PackedImage: the levels pass
+    ``_check_levels``, and float data are finite (and >= 0 when
+    ``nonnegative``).  Stores the checked levels, and the ISO as an int."""
+    black, white = _check_levels(img.black_level, img.white_level)
     if data.dtype.kind == "f":
         if not np.isfinite(data).all():
             raise DomainError("data must be finite")
@@ -218,10 +225,11 @@ def normalize(img: PackedImage, clip_hi: float = 1.0) -> PackedImage:
         raise DomainError("input is already normalized")
     black = img.black_level
     span = img.white_level - black
-    ch = img.channels.astype(np.float64)
+    out = img.channels.astype(np.float64)  # a new array, so the steps below work in place
     if img.space == SPACE_DN:
-        ch = ch - black[:, None, None]
-    out = np.clip(ch / span[:, None, None], 0.0, clip_hi)
+        out -= black[:, None, None]
+    out /= span[:, None, None]
+    np.clip(out, 0.0, clip_hi, out=out)
     return replace(img, channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi))
 
 

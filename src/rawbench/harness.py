@@ -22,7 +22,7 @@ from pathlib import Path
 from .calibration import SensorProfile
 from .core import read_frame
 from .errors import DataError, DimensionError, ManifestError, MissingDataError
-from .metrics import evaluate_pair
+from .metrics import evaluate_pair, prepare_reference
 from .ranking import (
     ALL_METRICS,
     MetricRecord,
@@ -159,23 +159,49 @@ def _mean(values: list[float]) -> float:
 
 
 def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
-    """Read and score (label, pred_path, gt_path) triples, in order, into
-    (pred camera_id, pred iso, EvalResult); a shape mismatch names the label."""
+    """Read and score (label, pred_path, gt_path) triples into (pred camera_id,
+    pred iso, EvalResult), returned in input order.
 
-    def score_one(pair):
-        label, pred_path, gt_path = pair
+    The triples are scored in groups sharing a ground truth: a group reads
+    and prepares its GT once (``metrics.prepare_reference``), scores its
+    predictions against it and releases it when it ends.  With
+    ``threads > 1`` whole groups run in parallel, so at most ``threads``
+    references are held at once.  A shape mismatch names the label, a GT too
+    small for the crop names the GT file.
+    """
+    pairs = list(pairs)
+    groups: dict[object, list[int]] = {}
+    for i, (_, _, gt_path) in enumerate(pairs):
+        groups.setdefault(gt_path, []).append(i)
+
+    def score_one(ref, i):
+        label, pred_path, _ = pairs[i]
         pred = read_frame(pred_path)
-        gt = read_frame(gt_path)
         try:
-            res = evaluate_pair(pred, gt, phase)
+            res = evaluate_pair(pred, ref, phase)
         except DimensionError as exc:
             raise DimensionError(f"{label}: {exc}") from exc
         return pred.camera_id, pred.iso, res
 
+    def score_group(gt_path, members):
+        gt = read_frame(gt_path)
+        try:
+            ref = prepare_reference(gt, phase)
+        except DimensionError as exc:
+            raise DimensionError(f"{gt_path}: {exc}") from exc
+        del gt  # only the reference is needed from here
+        return [score_one(ref, i) for i in members]
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(score_one, pairs))
-    return [score_one(p) for p in pairs]
+            done = list(pool.map(score_group, groups.keys(), groups.values()))
+    else:
+        done = [score_group(*group) for group in groups.items()]
+    results: list[tuple] = [()] * len(pairs)
+    for members, rows in zip(groups.values(), done):
+        for i, row in zip(members, rows):
+            results[i] = row
+    return results
 
 
 def write_per_image(path, key_columns: tuple[str, ...], rows) -> None:

@@ -108,34 +108,33 @@ def sample_parametric_read(
     shape: tuple[int, int, int],
     params: NoiseParams,
     rng: np.random.Generator,
-    read: bool = True,
-    row: bool = True,
-    quant: bool = True,
-    frame_sigma: float = 0.0,
+    knobs: _NoiseKnobs = _NoiseKnobs(),
 ) -> np.ndarray:
     """Signal-independent DN residual for a packed (4, H, W) shape.
 
     Pixel noise is N(0, sigma_read^2); banding is N(0, sigma_row^2) shared
     along each mosaic row (even rows feed the R/Gr planes, odd rows Gb/B);
-    quantization is uniform dither over one quant step.  ``frame_sigma``
-    optionally adds a single Gaussian offset for the whole frame (off by
-    default).  Disabled components contribute exactly zero.
+    quantization is uniform dither over one quant step.  ``knobs`` (a
+    SynthConfig or BatchConfig) switches these with ``read``, ``row`` and
+    ``quant``, and its ``frame_sigma`` optionally adds a single Gaussian
+    offset for the whole frame.  By default every component is on and the
+    frame offset off.  Disabled components contribute exactly zero.
     """
     if len(shape) != 3 or shape[0] != 4:
         raise DimensionError(f"expected a packed (4, H, W) shape, got {shape}")
     _, h, w = shape
     res = np.zeros(shape, dtype=np.float64)
-    if read and params.sigma_read > 0:
+    if knobs.read and params.sigma_read > 0:
         res += rng.normal(0.0, params.sigma_read, shape)
-    if row and params.sigma_row > 0:
+    if knobs.row and params.sigma_row > 0:
         offsets = rng.normal(0.0, params.sigma_row, 2 * h)
         res[:2] += offsets[0::2, None]
         res[2:] += offsets[1::2, None]
-    if quant and params.quant_step > 0:
+    if knobs.quant and params.quant_step > 0:
         half = params.quant_step / 2.0
         res += rng.uniform(-half, half, shape)
-    if frame_sigma > 0:
-        res += rng.normal(0.0, frame_sigma)
+    if knobs.frame_sigma > 0:
+        res += rng.normal(0.0, knobs.frame_sigma)
     return res
 
 
@@ -218,15 +217,7 @@ def synthesize_noisy(
     if use_dark:
         residual = sample_dark_patch(profile, cfg.iso, shape, noise_rng)
     else:
-        residual = sample_parametric_read(
-            shape,
-            params,
-            noise_rng,
-            read=cfg.read,
-            row=cfg.row,
-            quant=cfg.quant,
-            frame_sigma=cfg.frame_sigma,
-        )
+        residual = sample_parametric_read(shape, params, noise_rng, cfg)
 
     noisy = signal_norm + cfg.dgain * residual / span
     if clip:

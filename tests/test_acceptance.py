@@ -37,7 +37,13 @@ from rawbench import denoise
 from rawbench.denoise import DenoiseConfig, _tiled_shrink, denoise_raw, effective_pg_params
 from rawbench.metrics import psnr, ssim
 from rawbench.ranking import category_scores, final_table, majority_tiebreak
-from rawbench.synth import SynthConfig, sample_parametric_read, sample_shot, synthesize_noisy
+from rawbench.synth import (
+    SynthConfig,
+    _NoiseKnobs,
+    sample_parametric_read,
+    sample_shot,
+    synthesize_noisy,
+)
 from rawbench.transforms import (
     PgParams,
     gat_forward,
@@ -204,7 +210,8 @@ def test_criterion_6_closed_loop_calibration(clock):
         clean = PackedImage(channels=np.full((4, 256, 256), clean_v),
                             space=SPACE_NORMALIZED, black_level=BLACK, white_level=WHITE)
         flat = sample_shot(clean, params, 1.0, rng).channels
-        flat = flat + sample_parametric_read(flat.shape, params, rng, row=False, quant=False)
+        flat = flat + sample_parametric_read(flat.shape, params, rng,
+                                             _NoiseKnobs(row=False, quant=False))
         points.append((float(flat.mean()), float(flat.var())))
     K_est, _ = estimate_system_gain(points)
     assert abs(K_est - 0.8) / 0.8 <= 0.02

@@ -302,7 +302,12 @@ class TestLoadProfileErrors:
         (lambda doc: doc.update(isos=[800]), "malformed"),
         (lambda doc: doc["effective_roi"].pop("h"), "'h'"),
         (lambda doc: doc.update(effective_roi={"x0": 1, "y0": 0, "w": 8, "h": 8}), "x0"),
-    ], ids=["no-isos", "no-K", "string-K", "negative-K", "isos-list", "roi-no-h", "roi-odd-x0"])
+        (lambda doc: doc.update(white_level=100.0), "0 <= black < white"),
+        (lambda doc: doc.update(black_level=[1.0, 2.0, 3.0]), "4 values"),
+        (lambda doc: doc["isos"]["800"].update(dark_library="abc.rawb"), "ISO 800: dark_library"),
+        (lambda doc: doc["isos"]["3200"].update(dark_library=[1, 2]), "ISO 3200: dark_library"),
+    ], ids=["no-isos", "no-K", "string-K", "negative-K", "isos-list", "roi-no-h", "roi-odd-x0",
+            "white-below-black", "black-3-values", "string-dark-library", "number-dark-library"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)
@@ -313,6 +318,18 @@ class TestLoadProfileErrors:
             load_profile(path)
         assert str(err.value).startswith(f"{path}: ")
         assert isinstance(err.value, (ProfileError, DimensionError))
+
+
+@pytest.mark.parametrize("black, white", [(512.0, 100.0), (512.0, 512.0), (-1.0, 100.0)])
+def test_profile_levels_follow_the_image_rule(black, white):
+    with pytest.raises(ProfileError, match="0 <= black < white"):
+        replace(_fixed_profile(), black_level=black, white_level=white)
+
+
+def test_profile_levels_stored_as_in_rawframe():
+    prof = replace(_fixed_profile(), black_level=64, white_level=1023)
+    np.testing.assert_array_equal(prof.black_level, np.full(4, 64.0))
+    assert prof.black_level.dtype == np.float64 and type(prof.white_level) is float
 
 
 class TestStoredProfile:

@@ -85,6 +85,24 @@ class TestPackUnpack:
             assert back.white_level == f.white_level
             np.testing.assert_array_equal(back.black_level, f.black_level)
 
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.uint16, np.float32]), h=st.integers(1, 12),
+           w=st.integers(1, 12), iso=st.integers(0, 25600), seed=st.integers(0, 2**16))
+    def test_pack_and_unpack_are_inverses(self, dtype, h, w, iso, seed):
+        rng = np.random.default_rng(seed)
+        black = rng.integers(0, 1000, 4).astype(np.float64)
+        data = (rng.random((2 * h, 2 * w)) * 16383).astype(dtype)
+        f = RawFrame(data=data, black_level=black, white_level=16383.0, camera_id="camZ",
+                     iso=iso, exposure_s=0.01)
+        back = unpack_rggb(pack_rggb(f))
+        assert back.data.dtype == data.dtype
+        np.testing.assert_array_equal(back.data, data)
+        packed = pack_rggb(back, space=SPACE_DN_ABOVE_BLACK)
+        np.testing.assert_array_equal(pack_rggb(unpack_rggb(packed)).channels, packed.channels)
+        for name in ("white_level", "camera_id", "iso", "exposure_s"):
+            assert getattr(back, name) == getattr(f, name)
+        np.testing.assert_array_equal(back.black_level, black)
+
     def test_odd_dims_rejected(self):
         with pytest.raises(DimensionError):
             RawFrame(data=np.zeros((3, 4)), black_level=0.0, white_level=1.0)
@@ -151,6 +169,53 @@ class TestNormalize:
             normalize(img)  # already normalized
         with pytest.raises(DomainError):
             denormalize(packed)  # still in DN space
+
+
+class TestNormalizeProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from([np.uint16, np.float32, np.float64]),
+           space=st.sampled_from([SPACE_DN, SPACE_DN_ABOVE_BLACK]),
+           clip_hi=st.sampled_from([0.5, 1.0, 2.0]), h=st.integers(1, 9), w=st.integers(1, 9),
+           seed=st.integers(0, 2**16))
+    def test_in_place_steps_equal_the_expression(self, dtype, space, clip_hi, h, w, seed):
+        rng = np.random.default_rng(seed)
+        black = rng.uniform(0, 1000, 4).round()
+        white = float(rng.uniform(2000, 16383))
+        lo = 0 if dtype == np.uint16 else -500
+        planes = rng.uniform(lo, 20000, (4, h, w)).astype(dtype)
+        img = PackedImage(channels=planes, space=space, black_level=black, white_level=white)
+        before = planes.copy()
+        ch = planes.astype(np.float64)
+        if space == SPACE_DN:
+            ch = ch - black[:, None, None]
+        expect = np.clip(ch / (white - black)[:, None, None], 0.0, clip_hi)
+        out = normalize(img, clip_hi=clip_hi).channels
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, expect)
+        np.testing.assert_array_equal(planes, before)  # the input is not touched
+
+    @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from([np.uint16, np.float32]), h=st.integers(1, 9),
+           w=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_denormalize_inverts_normalize(self, dtype, h, w, seed):
+        # u16 DN in [black, white] come back exactly after rint; float DN
+        # within 4 ulp of white (one rounding in each of -, /, *, +)
+        rng = np.random.default_rng(seed)
+        black = rng.integers(0, 1000, 4).astype(np.float64)
+        white = float(rng.integers(2000, 65535))
+        lo = black[:, None, None]
+        planes = lo + rng.random((4, h, w)) * (white - lo)
+        if dtype == np.uint16:
+            planes = np.rint(planes)
+            planes[:, 0, 0], planes[:, -1, -1] = black, white
+        planes = planes.astype(dtype)
+        img = PackedImage(channels=planes, space=SPACE_DN, black_level=black, white_level=white)
+        back = denormalize(normalize(img)).channels
+        if dtype == np.uint16:
+            np.testing.assert_array_equal(np.rint(back).astype(np.uint16), planes)
+        else:
+            tol = 4 * np.finfo(np.float64).eps * white
+            np.testing.assert_allclose(back, planes.astype(np.float64), rtol=0, atol=tol)
 
 
 class TestCrop:

@@ -1,17 +1,24 @@
+import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from rawbench.core import write_frame
+from rawbench import harness
+from rawbench.core import read_frame, write_frame
 from rawbench.errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from rawbench.harness import (
     ingest_external_scores,
     load_manifest,
     run_benchmark,
+    score_pairs,
 )
+from rawbench.metrics import evaluate_pair
 
-from conftest import TABLE1, FIDELITY_POSITIONS, PERCEPTUAL_POSITIONS, make_frame, make_profile
+from conftest import (
+    FIDELITY_POSITIONS, PERCEPTUAL_POSITIONS, TABLE1, WHITE, make_frame, make_profile,
+)
 
 
 def write_manifest(path, entries, phase="dev"):
@@ -277,3 +284,116 @@ def test_misaligned_crop_names_team_and_image(tmp_path):
          "dgain": 100, "noisy_path": "gt/img1.rawb", "gt_path": "gt/img1.rawb"}], phase="final"))
     with pytest.raises(DimensionError, match="^alpha/img1: prediction mosaic"):
         run_benchmark(manifest, tmp_path / "preds", out_dir=tmp_path / "out")
+
+
+def _final_phase_fixture(root):
+    """2 teams x 2 paired final-phase images + 1 wild image, seeded: ``alpha``
+    predicts u16 with noise, ``beta`` f32 with noise and one ISO mismatch."""
+    rng = np.random.default_rng(2026)
+    (root / "gt").mkdir()
+    entries = []
+    for image_id, (h, w) in (("p0", (2052, 2068)), ("p1", (2060, 2050))):
+        yy, xx = np.mgrid[0:h, 0:w]
+        clean = (4000 + 3000 * np.sin(xx / 37.0) * np.cos(yy / 23.0)
+                 + rng.normal(0, 300, (h, w)))
+        gt = np.clip(np.rint(clean), 0, WHITE).astype(np.uint16)
+        write_frame(make_frame(gt), root / "gt" / f"{image_id}.rawb")
+        for team, sigma, dtype in (("alpha", 40.0, np.uint16), ("beta", 90.0, np.float32)):
+            (root / "preds" / team).mkdir(parents=True, exist_ok=True)
+            pred = np.clip(gt + rng.normal(0, sigma, gt.shape), 0, WHITE)
+            pred = np.rint(pred).astype(dtype) if dtype == np.uint16 else pred.astype(dtype)
+            iso = 1600 if (team, image_id) == ("beta", "p1") else 800
+            write_frame(make_frame(pred, iso=iso), root / "preds" / team / f"{image_id}.rawb")
+        entries.append({"image_id": image_id, "camera": "camA", "scene_type": "paired",
+                        "iso": 800, "dgain": 100, "noisy_path": f"gt/{image_id}.rawb",
+                        "gt_path": f"gt/{image_id}.rawb"})
+    entries.append({"image_id": "w0", "camera": "camA", "scene_type": "wild", "iso": 800,
+                    "dgain": 50, "noisy_path": "w0.rawb"})
+    for team in ("alpha", "beta"):
+        write_frame(make_frame(np.full((64, 64), 900, np.uint16)),
+                    root / "preds" / team / "w0.rawb")
+    ext = root / "ext.csv"
+    ext.write_text("team,metric,value\nalpha,lpips,0.25\nbeta,lpips,0.21\n"
+                   "alpha,arniqa,0.44\nbeta,arniqa,0.47\nalpha,topiq,0.26\nbeta,topiq,0.25\n")
+    return write_manifest(root / "m.json", entries, phase="final"), root / "preds", ext
+
+
+# SHA-256 of the three CSVs of the final-phase fixture: a scoring change
+# that moves any bit of a score, a rank or the row order changes them.
+FINAL_PHASE_DIGESTS = {
+    "scores.csv": "653dda1299de805b6527e0453c911a4e8efd1e75f53c4bb447f49dd61c802913",
+    "per_image.csv": "c1d885a1b5c0355e6c22204abfd18eaa6ebe89004ce67c88be549c08114d3f42",
+    "ranktable.csv": "864c6a03f30b56b4b57d8409f466681c999c37d44d2e3473e19bfe805885caf6",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_final_phase_csvs_byte_identical(tmp_path, threads):
+    manifest_path, pred_root, ext = _final_phase_fixture(tmp_path)
+    with pytest.warns(UserWarning, match="metadata mismatch"):
+        run_benchmark(load_manifest(manifest_path), pred_root, external_scores_path=ext,
+                      out_dir=tmp_path / "out", threads=threads)
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in FINAL_PHASE_DIGESTS}
+    assert digests == FINAL_PHASE_DIGESTS
+
+
+class TestScorePairs:
+    def _pairs(self, tmp_path):
+        """3 predictions x 2 ground truths, interleaved: a/g0, a/g1, b/g0, ..."""
+        rng = np.random.default_rng(5)
+        pairs = []
+        for g in range(2):
+            gt = rng.integers(2000, 14000, (1040, 1036)).astype(np.uint16)
+            write_frame(make_frame(gt), tmp_path / f"g{g}.rawb")
+            for t in "abc":
+                noisy = np.clip(gt + rng.normal(0, 30 + 40 * (t > "a"), gt.shape), 0, WHITE)
+                iso = 1600 if (t, g) == ("c", 1) else 800
+                write_frame(make_frame(noisy.astype(np.float32), iso=iso),
+                            tmp_path / f"{t}{g}.rawb")
+        return [(f"{t}/g{g}", tmp_path / f"{t}{g}.rawb", tmp_path / f"g{g}.rawb")
+                for t in "abc" for g in range(2)]
+
+    def test_each_gt_read_once_rows_in_input_order(self, tmp_path, monkeypatch):
+        pairs = self._pairs(tmp_path)
+        with pytest.warns(UserWarning, match="metadata mismatch"):
+            expect = [evaluate_pair(read_frame(p), read_frame(g), "dev") for _, p, g in pairs]
+        reads = []
+
+        def counting_read(path):
+            reads.append(path)
+            return read_frame(path)
+
+        monkeypatch.setattr(harness, "read_frame", counting_read)
+        with pytest.warns(UserWarning, match="metadata mismatch"):
+            rows = score_pairs(pairs, "dev")
+        assert sorted(map(str, reads)) == sorted({str(p) for _, *paths in pairs for p in paths})
+        assert [res for _, _, res in rows] == expect
+        assert [iso for _, iso, _ in rows] == [800, 800, 800, 800, 800, 1600]
+        with pytest.warns(UserWarning, match="metadata mismatch"):
+            assert score_pairs(pairs, "dev", threads=2) == rows
+
+    def test_gt_groups_overlap_at_two_threads(self, tmp_path, monkeypatch):
+        # One prediction per GT: the two groups must be in flight together,
+        # or the barrier on the GT reads times out.
+        pairs = [p for p in self._pairs(tmp_path) if p[0].startswith("a/")]
+        barrier = threading.Barrier(2, timeout=10)
+
+        def gt_read_waits(path):
+            if path.name.startswith("g"):
+                barrier.wait()
+            return read_frame(path)
+
+        rows = score_pairs(pairs, "dev")
+        monkeypatch.setattr(harness, "read_frame", gt_read_waits)
+        assert score_pairs(pairs, "dev", threads=2) == rows
+
+    def test_gt_too_small_names_the_gt_file(self, tmp_path):
+        small = make_frame(np.full((512, 512), 3000, dtype=np.uint16))
+        write_frame(small, tmp_path / "g.rawb")
+        write_frame(small, tmp_path / "p.rawb")
+        with pytest.raises(DimensionError, match=r"g\.rawb: crop 512x512 does not fit"):
+            score_pairs([("alpha/img", tmp_path / "p.rawb", tmp_path / "g.rawb")], "dev")
+
+    def test_empty(self):
+        assert score_pairs([], "final") == []

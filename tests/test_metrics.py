@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
+from rawbench import metrics
 from rawbench.core import PackedImage, SPACE_NORMALIZED
 from rawbench.errors import DimensionError
-from rawbench.metrics import evaluate_pair, psnr, ssim
+from rawbench.metrics import evaluate_pair, prepare_reference, psnr, ssim
 
 from conftest import BLACK, WHITE, make_frame
 
@@ -183,3 +186,107 @@ class TestEvaluatePair:
         a, b = norm_crop(noisy), norm_crop(gt)
         expect = 10 * math.log10(1.0 / np.mean((a - b) ** 2))
         assert res.psnr == pytest.approx(expect, abs=1e-9)
+
+
+def ssim_unbanded(pred, gt, window=11, sigma_g=1.5, k1=0.01, k2=0.03, L=1.0):
+    """The whole-plane formula SSIM had before row bands: every term filtered
+    over the full plane, one num/den array and one mean per channel."""
+    g = metrics._gaussian_window(window, sigma_g)
+    r = window // 2
+
+    def filter_valid(x):
+        y = ndimage.correlate1d(x, g, axis=0, mode="constant")
+        y = ndimage.correlate1d(y, g, axis=1, mode="constant")
+        return y[r : x.shape[0] - r, r : x.shape[1] - r]
+
+    c1, c2 = (k1 * L) ** 2, (k2 * L) ** 2
+    scores = []
+    for c in range(4):
+        x = pred.channels[c].astype(np.float64)
+        y = gt.channels[c].astype(np.float64)
+        mu_x, mu_y = filter_valid(x), filter_valid(y)
+        var_x = filter_valid(x * x) - mu_x * mu_x
+        var_y = filter_valid(y * y) - mu_y * mu_y
+        cov = filter_valid(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
+        den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+        scores.append(float(np.mean(num / den)))
+    return float(np.mean(scores))
+
+
+def reference_of(gt):
+    """A Reference holding the packed image ``gt`` as its (already cropped) planes."""
+    return metrics.Reference(gt, metrics._ssim_stats(gt, 11, 1.5),
+                             (2 * gt.plane_height, 2 * gt.plane_width), "dev")
+
+
+class TestBandedSsim:
+    # Output rows are side - 10: below, at and just past one band of
+    # _BAND_ROWS = 64 rows, exactly two bands, and many non-multiples.
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(11, 300), w=st.integers(11, 300), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @example(h=11, w=11, seed=0, dtype=np.float64)
+    @example(h=73, w=40, seed=1, dtype=np.float64)
+    @example(h=74, w=300, seed=2, dtype=np.float64)
+    @example(h=75, w=12, seed=3, dtype=np.float32)
+    @example(h=138, w=97, seed=4, dtype=np.float64)
+    @example(h=300, w=300, seed=5, dtype=np.float64)
+    def test_banded_equals_unbanded_bit_for_bit(self, h, w, seed, dtype):
+        rng = np.random.default_rng(seed)
+        gt = rng.uniform(0, 1, (4, h, w))
+        pred = np.clip(gt + rng.normal(0, rng.uniform(0.001, 0.3), gt.shape), 0, 1)
+        gt, pred = packed(gt.astype(dtype)), packed(pred.astype(dtype))
+        expect = ssim_unbanded(pred, gt)
+        assert ssim(pred, gt) == expect
+        assert ssim(pred, reference_of(gt)) == expect
+
+    def test_other_window_filters_the_gt_again(self):
+        # A Reference's stats hold only under the default window; any other
+        # window filters its image again.
+        rng = np.random.default_rng(13)
+        gt = packed(rng.uniform(0, 1, (4, 40, 50)))
+        pred = packed(np.clip(gt.channels + rng.normal(0, 0.05, gt.channels.shape), 0, 1))
+        ref = reference_of(gt)
+        assert ssim(pred, ref, window=7, sigma_g=1.0) == ssim_unbanded(pred, gt, 7, 1.0)
+        assert ssim(pred, ref, sigma_g=2.0) == ssim_unbanded(pred, gt, 11, 2.0)
+
+    def test_reference_stats_are_one_block(self):
+        stats = metrics._ssim_stats(packed(np.full((4, 30, 20), 0.5)), 11, 1.5)
+        assert stats.shape == (2, 4, 20, 10) and stats.dtype == np.float64
+        np.testing.assert_allclose(stats[0], 0.5, rtol=1e-15)
+        np.testing.assert_allclose(stats[1], 0.0, atol=1e-15)
+
+
+class TestPreparedReference:
+    @pytest.mark.parametrize("phase", ["dev", "final"])
+    def test_frame_and_reference_score_the_same(self, phase):
+        rng = np.random.default_rng(14)
+        gt = rng.integers(2000, 12000, (2056, 2064)).astype(np.uint16)
+        noisy = np.clip(gt + rng.normal(0, 50, gt.shape), 0, 16383).astype(np.float32)
+        pred, gt = make_frame(noisy), make_frame(gt)
+        ref = prepare_reference(gt, phase)
+        assert ref.mosaic_shape == (2056, 2064) and ref.phase == phase
+        assert evaluate_pair(pred, ref, phase) == evaluate_pair(pred, gt, phase)
+
+    def test_reference_of_another_phase_rejected(self):
+        f = make_frame(np.full((1200, 1200), 3000, dtype=np.uint16))
+        with pytest.raises(ValueError, match="prepared for phase 'dev', scored at 'final'"):
+            evaluate_pair(f, prepare_reference(f, "dev"), "final")
+
+    def test_shape_mismatch_against_a_reference(self):
+        rng = np.random.default_rng(15)
+        gt = rng.integers(512, 16000, (1100, 1100)).astype(np.uint16)
+        ref = prepare_reference(make_frame(gt), "dev")
+        with pytest.raises(DimensionError, match=r"does not match ground truth \(1100, 1100\)"):
+            evaluate_pair(make_frame(gt[:1096]), ref, "dev")
+
+    def test_metadata_mismatch_warns_against_a_reference(self):
+        data = np.full((1100, 1100), 3000, dtype=np.uint16)
+        ref = prepare_reference(make_frame(data, iso=800), "dev")
+        with pytest.warns(UserWarning, match="metadata mismatch"):
+            evaluate_pair(make_frame(data, iso=3200), ref, "dev")
+
+    def test_gt_too_small_for_the_crop(self):
+        with pytest.raises(DimensionError, match="does not fit"):
+            prepare_reference(make_frame(np.zeros((64, 64), dtype=np.uint16)), "final")

@@ -192,6 +192,21 @@ class TestFinalTableProperties:
                     assert sorted(shuffled_place) == sorted(place)
 
 
+    @pytest.mark.filterwarnings("ignore:exact pairwise tie")
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.sampled_from([0.5, 1.0, 2.0, math.inf])] * 5),
+                         min_size=1, max_size=9))
+    def test_rank_sums_per_metric(self, rows):
+        # fractional ranks of a tie are multiples of 1/2, so the sum is exact
+        records = [MetricRecord(f"t{i}", *row) for i, row in enumerate(rows)]
+        table = final_table(records)
+        n = len(records)
+        assert sorted(table.metric_ranks) == sorted(("psnr", "ssim", "lpips", "arniqa", "topiq"))
+        for ranks in table.metric_ranks.values():
+            assert sorted(ranks) == sorted(table.teams)
+            assert math.fsum(ranks.values()) == n * (n + 1) / 2
+
+
 class TestCompleteCategories:
     def test_all_metrics_complete_every_category(self, table1_records):
         assert complete_categories(table1_records) == ("overall", "fidelity", "perceptual")

@@ -7,6 +7,7 @@ from rawbench.errors import DimensionError, DomainError, ProfileError
 from rawbench.synth import (
     BatchConfig,
     SynthConfig,
+    _NoiseKnobs,
     make_pair_batch,
     sample_dark_patch,
     sample_parametric_read,
@@ -71,17 +72,17 @@ class TestParametricRead:
     def test_all_off_is_zero(self):
         res = sample_parametric_read((4, 8, 8), NoiseParams(1.0, 5.0, 2.0, 1.0),
                                      np.random.default_rng(0),
-                                     read=False, row=False, quant=False)
+                                     _NoiseKnobs(read=False, row=False, quant=False))
         np.testing.assert_array_equal(res, 0.0)
 
     def test_read_only_std(self):
         res = sample_parametric_read((4, 500, 500), NoiseParams(1.0, 5.0, 0.0, 0.0),
-                                     np.random.default_rng(1), row=False, quant=False)
+                                     np.random.default_rng(1), _NoiseKnobs(row=False, quant=False))
         assert abs(res.std() - 5.0) / 5.0 <= 0.01
 
     def test_row_only_structure(self):
         res = sample_parametric_read((4, 64, 64), NoiseParams(1.0, 0.0, 2.0, 0.0),
-                                     np.random.default_rng(2), read=False, quant=False)
+                                     np.random.default_rng(2), _NoiseKnobs(read=False, quant=False))
         # every pixel within a mosaic row identical: R row == Gr row, constant
         assert np.all(res[0] == res[0][:, :1])
         np.testing.assert_array_equal(res[0], res[1])
@@ -91,14 +92,15 @@ class TestParametricRead:
 
     def test_quant_only_uniform(self):
         res = sample_parametric_read((4, 250, 250), NoiseParams(1.0, 0.0, 0.0, 2.0),
-                                     np.random.default_rng(3), read=False, row=False)
+                                     np.random.default_rng(3), _NoiseKnobs(read=False, row=False))
         assert res.min() >= -1.0 and res.max() <= 1.0
         assert abs(res.std() - 2.0 / np.sqrt(12)) / (2.0 / np.sqrt(12)) <= 0.01
 
     def test_frame_offset_optional(self):
         res = sample_parametric_read((4, 16, 16), NoiseParams(1.0, 0.0, 0.0, 0.0),
-                                     np.random.default_rng(4), read=False, row=False,
-                                     quant=False, frame_sigma=3.0)
+                                     np.random.default_rng(4),
+                                     _NoiseKnobs(read=False, row=False, quant=False,
+                                                 frame_sigma=3.0))
         assert res.std() == pytest.approx(0.0, abs=1e-12)
         assert res[0, 0, 0] != 0.0
 
