@@ -7,6 +7,20 @@ reproducible: gray-world or fixed white-balance gains, a bilinear demosaic
 that averages the nearest sites of each colour, a 3x3 color matrix
 (identity by default), and the standard sRGB opto-electronic transfer
 function or no gamma at all.
+
+``run_isp`` computes the gray-world gains over the whole image, then renders
+in the row bands of ``core._row_bands``, so its float64 temporaries stay
+cache-sized: each band of output rows is a whole number of plane rows, read
+with one plane row of halo on each side where the image has one.  A plane
+row is two mosaic rows, so every band's mosaic starts on the CFA's first
+row.  The demosaic reaches one mosaic row up and down, so the halo gives
+each of the band's own pixels exactly the in-bounds sites it has in the
+whole image, summed in the same order and divided by the same count; the
+halo's own rows are dropped.  Every later step (CCM, gamma, clip) works
+pixel by pixel, so the result equals the whole-image chain bit for bit; a
+property test keeps that chain as its reference.
+``write_ppm16`` encodes and writes one band of rows at a time, with the
+same bytes as encoding the whole array.
 """
 
 from __future__ import annotations
@@ -17,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PackedImage, SPACE_NORMALIZED, interleave_rggb
+from .core import PackedImage, SPACE_NORMALIZED, _row_bands, interleave_rggb
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
@@ -88,6 +102,12 @@ def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
 _CFA = ((0, 1), (1, 2))  # colour (0 R, 1 G, 2 B) of a site by (row parity, column parity)
 
 
+def _pair_counts(n: int, p: int) -> np.ndarray:
+    """In-bounds sites among i - 1 and i + 1 (1 or 2) for i = p, p + 2, ... < n."""
+    i = np.arange(p, n, 2)
+    return (i > 0).astype(np.float64) + (i < n - 1)
+
+
 def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     """Bilinear demosaic of an RGGB mosaic; borders average available neighbors.
 
@@ -97,14 +117,22 @@ def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     the normalised convolution with the classic half/quarter bilinear
     kernels bit for bit: the sites reaching one pixel carry the same
     power-of-two weight and are summed in the same row-major offset order.
+
+    A count depends only on which neighbour rows and columns exist.  Around
+    a pixel the sites fall into four classes, each of one colour: the pixel
+    itself (1 site), its row pair (``nx`` in bounds), its column pair
+    (``ny``) and its diagonals (``ny * nx``).  A colour's count is the sum
+    of its classes: a product for the diagonal set, ``ny + nx`` for the
+    green cross.
     """
     h, w = mosaic.shape
     values = np.pad(np.asarray(mosaic, dtype=np.float64), 1)
-    inside = np.pad(np.ones((h, w)), 1)
     rgb = np.empty((h, w, 3), dtype=np.float64)
     for py, px in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        total = np.zeros((3, *rgb[py::2, px::2, 0].shape))
-        count = np.zeros_like(total)
+        ny = _pair_counts(h, py)[:, None]
+        nx = _pair_counts(w, px)
+        total = np.zeros((3, len(ny), len(nx)))
+        count = [0.0, 0.0, 0.0]
         for dy in (-1, 0, 1):
             for dx in (-1, 0, 1):
                 c = _CFA[(py + dy) % 2][(px + dx) % 2]
@@ -112,8 +140,12 @@ def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
                     continue  # a green diagonal is never a nearest green site
                 at = (slice(1 + py + dy, 1 + h + dy, 2), slice(1 + px + dx, 1 + w + dx, 2))
                 total[c] += values[at]
-                count[c] += inside[at]
-        rgb[py::2, px::2] = np.moveaxis(total / count, 0, -1)
+        for sy, sx, n in ((0, 0, 1.0), (0, 1, nx), (1, 0, ny), (1, 1, ny * nx)):
+            c = _CFA[(py + sy) % 2][(px + sx) % 2]
+            if not (c == 1 and sy and sx):
+                count[c] = count[c] + n
+        for c in range(3):
+            np.divide(total[c], count[c], out=rgb[py::2, px::2, c])
     return rgb
 
 
@@ -125,27 +157,47 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
         gain_r, gain_g, gain_b = gray_world_gains(img)
     else:
         gain_r, gain_g, gain_b = cfg.wb
-    balanced = img.channels.astype(np.float64) * np.asarray(
-        [gain_r, gain_g, gain_g, gain_b]
-    )[:, None, None]
-    mosaic = interleave_rggb(balanced)
-    rgb = _demosaic_bilinear(mosaic)
-    rgb = rgb @ cfg.ccm.T
-    if cfg.gamma == "srgb":
-        rgb = srgb_gamma(rgb)
-    return np.clip(rgb, 0.0, 1.0)
+    gains = np.asarray([gain_r, gain_g, gain_g, gain_b])[:, None, None]
+    _, h, w = img.channels.shape
+    out = np.empty((2 * h, 2 * w, 3))
+    for o0, o1 in _row_bands(2 * h):
+        p0, p1 = o0 // 2, o1 // 2
+        # one plane row (two mosaic rows, so the CFA phase is kept) of halo
+        # on each side, where the image has one
+        a, b = max(p0 - 1, 0), min(p1 + 1, h)
+        balanced = img.channels[:, a:b].astype(np.float64) * gains
+        rgb = _demosaic_bilinear(interleave_rggb(balanced))[2 * (p0 - a) : 2 * (p1 - a)]
+        rgb = rgb @ cfg.ccm.T
+        if cfg.gamma == "srgb":
+            rgb = srgb_gamma(rgb)
+        np.clip(rgb, 0.0, 1.0, out=out[o0:o1])
+    return out
 
 
 def write_ppm16(rgb: np.ndarray, path) -> None:
-    """Write an (H, W, 3) float image in [0, 1] as 16-bit binary PPM (P6)."""
-    rgb = np.asarray(rgb, dtype=np.float64)
+    """Write an (H, W, 3) float image in [0, 1] as 16-bit binary PPM (P6).
+
+    Values are clipped to [0, 1]; a NaN or infinite value raises
+    DomainError naming the file, and no file is left behind.
+    """
+    rgb = np.asarray(rgb)
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3), got {rgb.shape}")
     h, w = rgb.shape[:2]
-    scaled = np.rint(np.clip(rgb, 0.0, 1.0) * 65535.0).astype(">u2")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(scaled.tobytes())
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
+            for r0, r1 in _row_bands(h):
+                band = np.asarray(rgb[r0:r1], dtype=np.float64)
+                if not np.all(np.isfinite(band)):
+                    raise DomainError(f"{path}: non-finite value in rows {r0}-{r1 - 1}")
+                scaled = np.clip(band, 0.0, 1.0)
+                scaled *= 65535.0
+                fh.write(np.rint(scaled, out=scaled).astype(">u2"))
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
 
 
 def read_ppm16(path) -> np.ndarray:

@@ -17,12 +17,12 @@ wherever they accept a ground truth: evaluate_pair prepares a plain RawFrame
 on the fly, and ssim filters a plain PackedImage's terms with the same
 helper, so there is one scoring path.
 
-SSIM filters in bands of ``_BAND_ROWS`` output rows: the band of output rows
-[r0, r1) reads the input rows [r0, r1 + 2r) of a window of radius r, so its
-temporaries stay cache-sized.  Each band writes its num/den into one
-full-size ratio array, and the channel's mean is taken once over that array.
-The pooled sum therefore keeps the order of the unbanded formula, and every
-score is bit-identical to it.
+SSIM filters in the row bands of ``core._row_bands``: the band of valid
+output rows [r0, r1) reads the input rows [r0, r1 + 2r) of a window of
+radius r, so its temporaries stay cache-sized.  Each band writes its num/den
+into one full-size ratio array, and the channel's mean is taken once over
+that array.  The pooled sum therefore keeps the order of the unbanded
+formula, and every score is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,11 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import PackedImage, RawFrame, center_crop, normalize, pack_rggb
+from .core import PackedImage, RawFrame, _row_bands, center_crop, normalize, pack_rggb
 from .errors import DimensionError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
-_BAND_ROWS = 64  # SSIM output rows per band; 64 and 128 measured equal at 1024²
 _WINDOW, _SIGMA = 11, 1.5  # SSIM's Gaussian window, the one a Reference is filtered with
 
 
@@ -101,9 +100,7 @@ def _filter_valid(x: np.ndarray, window: np.ndarray) -> np.ndarray:
 def _bands(plane: np.ndarray, r: int):
     """Yield (r0, r1, rows) per band of valid output rows [r0, r1) of a
     radius-``r`` window: ``rows`` are the float64 input rows [r0, r1 + 2r)."""
-    n_out = plane.shape[0] - 2 * r
-    for r0 in range(0, n_out, _BAND_ROWS):
-        r1 = min(r0 + _BAND_ROWS, n_out)
+    for r0, r1 in _row_bands(plane.shape[0] - 2 * r):
         yield r0, r1, np.asarray(plane[r0 : r1 + 2 * r], dtype=np.float64)
 
 

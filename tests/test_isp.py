@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
-from rawbench.core import PackedImage, SPACE_NORMALIZED, read_rgb, write_rgb
+from rawbench import core
+from rawbench.core import PackedImage, SPACE_NORMALIZED, interleave_rggb, read_rgb, write_rgb
 from rawbench.errors import DomainError
 from rawbench.isp import (
     IspConfig,
@@ -76,6 +79,27 @@ def demosaic_convolution(mosaic):
     ], axis=-1)
 
 
+def isp_whole_image(img, cfg):
+    """run_isp's chain on the whole image at once: gains, remosaic, demosaic
+    of the full mosaic, CCM, gamma, clip."""
+    gains = gray_world_gains(img) if cfg.wb == "gray_world" else cfg.wb
+    balanced = img.channels * np.asarray([gains[0], gains[1], gains[1], gains[2]])[:, None, None]
+    rgb = _demosaic_bilinear(interleave_rggb(balanced)) @ cfg.ccm.T
+    if cfg.gamma == "srgb":
+        rgb = srgb_gamma(rgb)
+    return np.clip(rgb, 0.0, 1.0)
+
+
+def ppm_whole_image(rgb):
+    """write_ppm16's bytes with the payload encoded from the whole array at once."""
+    h, w = rgb.shape[:2]
+    scaled = np.rint(np.clip(np.asarray(rgb, dtype=np.float64), 0.0, 1.0) * 65535.0)
+    return f"P6\n{w} {h}\n65535\n".encode("ascii") + scaled.astype(">u2").tobytes()
+
+
+PLANE_BAND = core._BAND_ROWS // 2  # plane rows in one band of ISP output rows
+
+
 class TestRunIsp:
     def test_constant_gray_passthrough(self):
         v = 0.3
@@ -103,7 +127,6 @@ class TestRunIsp:
         ch[0, 2, 2] = 1.0  # R-plane impulse at an interior site
         img = packed(ch)
         rgb = run_isp(img, IspConfig(wb=(1.0, 1.0, 1.0), gamma="none"))
-        from rawbench.core import interleave_rggb
         oracle = demosaic_oracle(interleave_rggb(img.channels))
         np.testing.assert_allclose(rgb, np.clip(oracle, 0, 1), atol=1e-12)
 
@@ -112,7 +135,6 @@ class TestRunIsp:
         ch = rng.uniform(0, 1, (4, 4, 4))
         img = packed(ch)
         rgb = run_isp(img, IspConfig(wb=(1.0, 1.0, 1.0), gamma="none"))
-        from rawbench.core import interleave_rggb
         oracle = demosaic_oracle(interleave_rggb(img.channels))
         np.testing.assert_allclose(rgb, np.clip(oracle, 0, 1), atol=1e-12)
 
@@ -131,6 +153,25 @@ class TestRunIsp:
         mosaic = rng.choice([0.0, 0.5, rng.uniform(0, 4)], (2 * half_h, 2 * half_w))
         mosaic += rng.uniform(0, 1, mosaic.shape) * (rng.uniform(size=mosaic.shape) < 0.7)
         np.testing.assert_array_equal(_demosaic_bilinear(mosaic), demosaic_convolution(mosaic))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        h=st.sampled_from([1, PLANE_BAND - 1, PLANE_BAND, PLANE_BAND + 1, 2 * PLANE_BAND + 1]),
+        w=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        wb=st.one_of(st.just("gray_world"),
+                     st.tuples(*[st.floats(0.05, 8.0)] * 3)),
+        ccm=st.one_of(st.none(), st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9)),
+        gamma=st.sampled_from(["srgb", "none"]),
+    )
+    @example(h=1, w=1, seed=0, wb="gray_world", ccm=None, gamma="srgb")
+    @example(h=2 * PLANE_BAND + 1, w=40, seed=1, wb=(2.0, 1.0, 1.5), ccm=None, gamma="none")
+    def test_banded_equals_whole_image_chain(self, h, w, seed, wb, ccm, gamma):
+        rng = np.random.default_rng(seed)
+        img = packed(rng.uniform(0, 1, (4, h, w)) * (rng.uniform(size=(4, h, w)) < 0.9))
+        cfg = IspConfig(wb=wb, ccm=np.eye(3) if ccm is None else np.reshape(ccm, (3, 3)),
+                        gamma=gamma)
+        assert np.array_equal(run_isp(img, cfg), isp_whole_image(img, cfg))
 
     def test_ccm_applied_per_pixel(self):
         swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -205,6 +246,41 @@ class TestImageFiles:
         np.testing.assert_allclose(back, rgb, atol=0.5 / 65535)
         header = (tmp_path / "img.ppm").read_bytes()[:20]
         assert header.startswith(b"P6\n7 5\n65535\n")
+
+    @settings(max_examples=40, deadline=None)
+    @given(h=st.integers(1, 3 * core._BAND_ROWS + 1).filter(lambda h: h % core._BAND_ROWS),
+           w=st.integers(1, 30), seed=st.integers(0, 2**32 - 1),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    @example(h=1, w=1, seed=0, dtype=np.float64)
+    @example(h=core._BAND_ROWS + 1, w=7, seed=1, dtype=np.float32)
+    def test_ppm_bytes_equal_whole_array_encoding(self, tmp_path_factory, h, w, seed, dtype):
+        rng = np.random.default_rng(seed)
+        rgb = rng.uniform(-0.2, 1.2, (h, w, 3)).astype(dtype)  # clipped at both ends
+        path = tmp_path_factory.mktemp("ppm") / "img.ppm"
+        write_ppm16(rgb, path)
+        assert path.read_bytes() == ppm_whole_image(rgb)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_ppm_non_finite_rejected_without_a_file(self, tmp_path, bad):
+        rgb = np.full((core._BAND_ROWS + 3, 5, 3), 0.5)
+        rgb[core._BAND_ROWS + 1, 2, 1] = bad  # in the second band, after the first is written
+        with pytest.raises(DomainError, match="img.ppm: non-finite"):
+            write_ppm16(rgb, tmp_path / "img.ppm")
+        assert not (tmp_path / "img.ppm").exists()
+
+    # SHA-256 of the PPM of a seeded render, computed with the whole-image
+    # ISP and encoder; 61 plane rows are 122 output rows, one full band and
+    # one ragged one.
+    @pytest.mark.parametrize("cfg, digest", [
+        (IspConfig(), "3dde791cb8d7612d5c3bf3c79d422507f2b0a69059b5f21dcc0ef7c8d6cf0d98"),
+        (IspConfig(wb=(2.0, 1.0, 1.5), gamma="none",
+                   ccm=[[1.6, -0.4, -0.2], [-0.3, 1.5, -0.2], [0.0, -0.5, 1.5]]),
+         "13657fbcaae2fe1b46b66eaea50f24a72afbcb5315242297370f43fbd45c224d"),
+    ])
+    def test_seeded_render_digest(self, tmp_path, cfg, digest):
+        img = packed(np.random.default_rng(61).uniform(0, 1, (4, 61, 37)))
+        write_ppm16(run_isp(img, cfg), tmp_path / "img.ppm")
+        assert hashlib.sha256((tmp_path / "img.ppm").read_bytes()).hexdigest() == digest
 
     def test_rgb_rawb_roundtrip(self, tmp_path):
         rng = np.random.default_rng(5)

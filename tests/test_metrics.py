@@ -222,7 +222,7 @@ def reference_of(gt):
 
 class TestBandedSsim:
     # Output rows are side - 10: below, at and just past one band of
-    # _BAND_ROWS = 64 rows, exactly two bands, and many non-multiples.
+    # core._BAND_ROWS = 64 rows, exactly two bands, and many non-multiples.
     @settings(max_examples=60, deadline=None)
     @given(h=st.integers(11, 300), w=st.integers(11, 300), seed=st.integers(0, 2**32 - 1),
            dtype=st.sampled_from([np.float64, np.float32]))
