@@ -1,8 +1,8 @@
 """Parameter and MAC accounting for network specs against efficiency limits.
 
-Conventions match the usual GMac counters: one MAC per multiply-accumulate
-(not two FLOPs), same-padding spatial dims, bias terms add parameters but
-no MACs.  Both conventions are switchable (``flops``/``bias_adds``).
+Conventions match the usual GMac counters and the challenge's budget, which
+is stated in MACs: one MAC per multiply-accumulate (not two FLOPs),
+same-padding spatial dims, bias terms add parameters but no MACs.
 
 Shapes are walked and checked once, in ``build_report``; ``count_macs`` is
 derived from its per-layer breakdown.  Every input dimension must be >= 1.
@@ -17,7 +17,6 @@ MAC count is exactly equal at stride 1: each of the N^2 sub-tensors has
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,25 +116,10 @@ def _layer_macs(layer: LayerSpec, h: int, w: int) -> tuple[int, int, int]:
 
 
 def count_macs(
-    model: list[LayerSpec],
-    input_shape: tuple[int, int, int, int] = REFERENCE_INPUT,
-    flops: bool = False,
-    bias_adds: bool = False,
+    model: list[LayerSpec], input_shape: tuple[int, int, int, int] = REFERENCE_INPUT
 ) -> int:
-    """Multiply-accumulates for one forward pass, from :func:`build_report`.
-
-    ``flops=True`` doubles the count (multiply + add counted separately);
-    ``bias_adds=True`` additionally counts one op per biased output element.
-    """
-    report = build_report(model, input_shape)
-    total = report.total_macs
-    if bias_adds:
-        total += sum(
-            math.prod(entry["out_shape"])
-            for layer, entry in zip(model, report.per_layer)
-            if layer.bias and layer.kind != "elementwise"
-        )
-    return 2 * total if flops else total
+    """Multiply-accumulates for one forward pass, from :func:`build_report`."""
+    return build_report(model, input_shape).total_macs
 
 
 def build_report(

@@ -214,14 +214,16 @@ def build_profile(
     provided_gains: dict[int, float] | None = None,
     roi: Roi | None = None,
     band_axis: str = "row",
-    quant_step: float = 1.0,
 ) -> SensorProfile:
     """Assemble a SensorProfile from dark frames plus gains.
 
     Gains come from ``provided_gains`` verbatim when present (the normal
     case: the dataset ships calibrated values), otherwise from a
-    photon-transfer fit of ``ptc_points_by_iso``.
+    photon-transfer fit of ``ptc_points_by_iso``.  Every ISO keeps the
+    default quantization step of NoiseParams (1 DN).
     """
+    if not isos:
+        raise InsufficientData("need at least one ISO setting to calibrate")
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
     iso_params: dict[int, NoiseParams] = {}
@@ -245,9 +247,7 @@ def build_profile(
             gain, _ = estimate_system_gain(ptc_points_by_iso[iso])
         else:
             raise ProfileError(f"ISO {iso}: no gain provided and no PTC points to fit")
-        iso_params[iso] = NoiseParams(
-            K=gain, sigma_read=sigma_read, sigma_row=sigma_row, quant_step=quant_step
-        )
+        iso_params[iso] = NoiseParams(K=gain, sigma_read=sigma_read, sigma_row=sigma_row)
         shading_maps[iso] = shading
         libraries[iso] = residuals
     assert ref is not None and roi is not None

@@ -17,7 +17,7 @@ import numpy as np
 from . import budget as budget_mod
 from . import calibration, core, harness, isp, ranking, synth
 from .denoise import DenoiseConfig, denoise_raw, effective_pg_params
-from .errors import MissingDataError, RawBenchError
+from .errors import DataError, MissingDataError, RawBenchError
 
 
 def _parse_roi(text: str) -> core.Roi:
@@ -33,6 +33,34 @@ def _parse_gains(text: str) -> dict[int, float]:
     return out
 
 
+def _read_csv(path, required: tuple[str, ...]):
+    """Yield (where, row) per data row of a CSV file with a header row.
+
+    Lines starting with ``#`` are skipped, and ``where`` is the row's
+    ``file:line`` in the file as written.  A header without one of the
+    ``required`` columns raises DataError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    missing = [c for c in required if c not in (reader.fieldnames or ())]
+    if missing:
+        header_line = numbered[0][0] if numbered else 1
+        raise DataError(f"{path}:{header_line}: missing column(s) {', '.join(missing)}")
+    for row in reader:
+        yield f"{path}:{numbered[reader.line_num - 1][0]}", row
+
+
+def _csv_value(where: str, row: dict, name: str, convert):
+    """``convert(row[name])``, or DataError naming ``where`` and the column."""
+    try:
+        return convert(row[name])
+    except (TypeError, ValueError):
+        raise DataError(
+            f"{where}: column {name!r}: cannot read {row[name]!r} as {convert.__name__}"
+        ) from None
+
+
 def _cmd_calibrate(args) -> int:
     darks_root = Path(args.darks)
     iso_dirs = sorted(p for p in darks_root.iterdir() if p.is_dir())
@@ -44,15 +72,16 @@ def _cmd_calibrate(args) -> int:
         frames = [core.read_frame(p) for p in sorted(iso_dir.glob("*.rawb"))]
         if frames:
             darks_by_iso[iso] = frames
+    if not darks_by_iso:
+        raise MissingDataError(f"{darks_root}: no .rawb dark frames in any ISO subdirectory")
     gains = _parse_gains(args.gains) if args.gains else None
     ptc = None
     if args.ptc_csv:
         ptc = {}
-        with open(args.ptc_csv, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                ptc.setdefault(int(row["iso"]), []).append(
-                    (float(row["mean"]), float(row["variance"]))
-                )
+        for where, row in _read_csv(args.ptc_csv, ("iso", "mean", "variance")):
+            ptc.setdefault(_csv_value(where, row, "iso", int), []).append(
+                (_csv_value(where, row, "mean", float), _csv_value(where, row, "variance", float))
+            )
     profile = calibration.build_profile(
         camera_id=args.camera_id or next(iter(darks_by_iso.values()))[0].camera_id,
         isos=sorted(darks_by_iso),
@@ -133,6 +162,7 @@ def _cmd_isp(args) -> int:
     )
     rgb = isp.run_isp(img, cfg)
     out = Path(args.out)
+    # the ISP applies no color matrix; the header records it as "identity"
     meta = {"isp": {"wb": args.wb, "gamma": args.gamma, "ccm": "identity"}}
     if out.suffix.lower() == ".ppm":
         isp.write_ppm16(rgb, out)
@@ -160,11 +190,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rank(args) -> int:
     records = []
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    for row in csv.DictReader(lines):
+    for where, row in _read_csv(args.scores, ("team",)):
         kwargs = {
-            m: float(row[m]) if row.get(m) not in (None, "") else None
+            m: _csv_value(where, row, m, float) if row.get(m) not in (None, "") else None
             for m in ranking.ALL_METRICS
         }
         records.append(ranking.MetricRecord(team=row["team"], **kwargs))

@@ -13,10 +13,10 @@ place; the flush blocks at the far edges form one more phase.
 Each plane is processed one core of at most 224 x 224 pixels at a time,
 which bounds the working set: one shrink call sees at most about 240^2
 pixels, and is faster than a single pass over a larger plane.  Cores start
-on multiples of the block period (8 for strides 1, 2, 4 and 8; the core
-side is rounded down to a multiple of it) and each is shrunk inside a
-patch with a one-period halo, which holds every block that touches the
-core.  Tiling is therefore exact: the tiled result equals the single pass.
+on multiples of the block period (8, the block side; the core side is
+rounded down to a multiple of it) and each is shrunk inside a patch with a
+one-period halo, which holds every block that touches the core.  Tiling is
+therefore exact: the tiled result equals the single pass.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .errors import DimensionError, DomainError, ProfileError
 from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
 _BLOCK = 8
+_STRIDE = 4  # the baseline's block step: blocks _BLOCK (two steps) apart never overlap
 _CORE = 224  # core side of the tiled shrink, before rounding down to the period
 _TRANSFORMS = ("gat", "ksigma", "none")
 
@@ -52,7 +53,6 @@ _DCT = _dct_matrix(_BLOCK)
 class DenoiseConfig:
     transform: str = "gat"
     threshold_mult: float = 3.0
-    stride: int = 4
     sigma_dn: float | None = None  # required for transform == "none"
 
     def __post_init__(self):
@@ -60,32 +60,19 @@ class DenoiseConfig:
             raise DomainError(f"transform must be one of {_TRANSFORMS}")
         if self.threshold_mult < 0:
             raise DomainError("threshold_mult must be >= 0")
-        _check_stride(self.stride)
 
 
-def _check_stride(stride: int) -> None:
-    # a stride above the block size would leave pixels no block covers
-    if not 1 <= stride <= _BLOCK:
-        raise DomainError(f"stride must be in 1..{_BLOCK}, got {stride}")
-
-
-def _period(stride: int) -> int:
-    """Smallest multiple of ``stride`` that is >= 8: blocks that far apart never overlap."""
-    return -(-_BLOCK // stride) * stride
-
-
-def _block_groups(extent: int, stride: int) -> tuple[list[slice], np.ndarray]:
+def _block_groups(extent: int) -> tuple[list[slice], np.ndarray]:
     """Block starts along one axis, split into groups of non-overlapping blocks.
 
-    The starts are 0, stride, 2*stride, ... up to ``extent - 8``, plus the
-    flush start ``extent - 8`` when the grid misses it.  Each group is a slice
-    over start positions: one per phase of the grid, stepping by
-    :func:`_period`, then the flush start on its own.  Also returns how many
-    blocks cover each pixel.
+    The starts are 0, 4, 8, ... up to ``extent - 8``, plus the flush start
+    ``extent - 8`` when the grid misses it.  Each group is a slice over start
+    positions: one per phase of the grid, stepping by the block side, then
+    the flush start on its own.  Also returns how many blocks cover each
+    pixel.
     """
-    last = (extent - _BLOCK) // stride * stride
-    period = _period(stride)
-    groups = [slice(o, last + 1, period) for o in range(0, min(period, last + 1), stride)]
+    last = (extent - _BLOCK) // _STRIDE * _STRIDE
+    groups = [slice(o, last + 1, _BLOCK) for o in range(0, min(_BLOCK, last + 1), _STRIDE)]
     if last != extent - _BLOCK:
         groups.append(slice(extent - _BLOCK, extent - _BLOCK + 1))
     is_start = np.zeros(extent - _BLOCK + 1)
@@ -94,24 +81,21 @@ def _block_groups(extent: int, stride: int) -> tuple[list[slice], np.ndarray]:
     return groups, np.convolve(is_start, np.ones(_BLOCK))
 
 
-def dct8_shrink(
-    plane: np.ndarray, sigma: float, threshold_mult: float = 3.0, stride: int = 4
-) -> np.ndarray:
+def dct8_shrink(plane: np.ndarray, sigma: float, threshold_mult: float = 3.0) -> np.ndarray:
     """Sliding 8x8 DCT hard-threshold denoiser for additive Gaussian noise.
 
     AC coefficients with magnitude below ``threshold_mult * sigma`` are
     zeroed; the DC coefficient is always kept, so constant planes pass
     through unchanged and sigma = 0 reproduces the input exactly.  Blocks
-    start every ``stride`` (1..8) pixels, plus a flush block at the far edge.
+    start every 4 pixels, plus a flush block at the far edge.
     """
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < _BLOCK or p.shape[1] < _BLOCK:
         raise DimensionError(f"plane must be at least 8x8, got {p.shape}")
     if not sigma >= 0:
         raise DomainError("sigma must be >= 0")
-    _check_stride(stride)
-    rows, row_cover = _block_groups(p.shape[0], stride)
-    cols, col_cover = _block_groups(p.shape[1], stride)
+    rows, row_cover = _block_groups(p.shape[0])
+    cols, col_cover = _block_groups(p.shape[1])
     thr = threshold_mult * sigma
     src = sliding_window_view(p, (_BLOCK, _BLOCK))
     out = np.zeros_like(p)
@@ -129,7 +113,7 @@ def dct8_shrink(
 
 
 def _tiled_shrink(
-    plane: np.ndarray, sigma: float, threshold_mult: float, stride: int, core: int = _CORE
+    plane: np.ndarray, sigma: float, threshold_mult: float, core: int = _CORE
 ) -> np.ndarray:
     """:func:`dct8_shrink` of a plane, computed one core at a time.
 
@@ -139,14 +123,14 @@ def _tiled_shrink(
     no larger than one core is shrunk in one call.
     """
     h, w = plane.shape
-    halo = _period(stride)
+    halo = _BLOCK  # the block period
     step = max(core // halo * halo, halo)
     out = np.empty((h, w))
     for ay in range(0, h, step):
         y0, y1 = max(0, ay - halo), min(h, ay + step + halo)
         for ax in range(0, w, step):
             x0, x1 = max(0, ax - halo), min(w, ax + step + halo)
-            patch = dct8_shrink(plane[y0:y1, x0:x1], sigma, threshold_mult, stride)
+            patch = dct8_shrink(plane[y0:y1, x0:x1], sigma, threshold_mult)
             out[ay : ay + step, ax : ax + step] = patch[
                 ay - y0 : ay - y0 + step, ax - x0 : ax - x0 + step
             ]
@@ -167,46 +151,39 @@ def effective_pg_params(params: NoiseParams, dgain: float) -> PgParams:
 
 def denoise_raw(
     noisy_norm: PackedImage,
-    params: PgParams | list[PgParams] | tuple[PgParams, ...],
+    params: PgParams,
     cfg: DenoiseConfig = DenoiseConfig(),
 ) -> PackedImage:
     """Denoise a normalized RGGB image channel by channel.
 
-    ``params`` may be a single PgParams shared by all channels or one per
-    channel, already scaled for the applied digital gain (see
-    :func:`effective_pg_params`).  The pipeline per channel is
-    scale to DN above black -> VST forward -> dct8 shrinkage (sigma = 1
-    post-VST, or cfg.sigma_dn for transform="none") -> VST inverse ->
-    rescale -> clamp to [0, clip_hi].  The output is deterministic.
+    ``params`` is one PgParams shared by all four channels, already scaled
+    for the applied digital gain (see :func:`effective_pg_params`).  The
+    pipeline per channel is scale to DN above black -> VST forward -> dct8
+    shrinkage (sigma = 1 post-VST, or cfg.sigma_dn for transform="none") ->
+    VST inverse -> rescale -> clamp to [0, clip_hi].  The output is
+    deterministic.
     """
     if noisy_norm.space != SPACE_NORMALIZED:
         raise DomainError("denoise_raw expects a normalized image")
-    if isinstance(params, PgParams):
-        per_channel = [params] * 4
-    else:
-        per_channel = list(params)
-        if len(per_channel) != 4 or not all(isinstance(p, PgParams) for p in per_channel):
-            raise ProfileError("params must be one PgParams or a sequence of 4")
     if cfg.transform == "none" and cfg.sigma_dn is None:
         raise ProfileError('transform="none" requires cfg.sigma_dn')
 
     span = noisy_norm.white_level - noisy_norm.black_level
     out = np.empty_like(noisy_norm.channels, dtype=np.float64)
     for c in range(4):
-        p = per_channel[c]
         y = noisy_norm.channels[c].astype(np.float64) * span[c]
         if cfg.transform == "gat":
-            t, sigma = gat_forward(y, p), 1.0
+            t, sigma = gat_forward(y, params), 1.0
         elif cfg.transform == "ksigma":
-            t, sigma = ksigma_forward(y, p), 1.0
+            t, sigma = ksigma_forward(y, params), 1.0
         else:
             t, sigma = y, float(cfg.sigma_dn)
-        t = _tiled_shrink(t, sigma, cfg.threshold_mult, cfg.stride)
+        t = _tiled_shrink(t, sigma, cfg.threshold_mult)
         if cfg.transform == "gat":
             # shrinkage can overshoot slightly below the stabilized range
-            y_hat = gat_inverse(np.maximum(t, 0.0), p)
+            y_hat = gat_inverse(np.maximum(t, 0.0), params)
         elif cfg.transform == "ksigma":
-            y_hat = ksigma_inverse(t, p)
+            y_hat = ksigma_inverse(t, params)
         else:
             y_hat = t
         out[c] = np.clip(y_hat / span[c], 0.0, noisy_norm.clip_hi)

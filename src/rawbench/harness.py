@@ -71,13 +71,18 @@ def load_manifest(path, profile: SensorProfile | None = None, strict: bool = Fal
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ManifestError(f"{path}: unreadable JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    raw_entries = doc.get("entries", [])
+    if not isinstance(raw_entries, list):
+        raise ManifestError(f"{path}: 'entries' must be a list, got {type(raw_entries).__name__}")
     phase = doc.get("phase", "dev")
     if phase not in _PHASES:
         raise ManifestError(f"{path}: phase must be one of {_PHASES}, got {phase!r}")
     manifest = Manifest(phase=phase, entries=(), base_dir=str(path.parent))
     entries = []
     seen_ids = set()
-    for i, raw in enumerate(doc.get("entries", [])):
+    for i, raw in enumerate(raw_entries):
         where = f"{path}: entry {i}"
         try:
             entry = ManifestEntry(

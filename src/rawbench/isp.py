@@ -1,12 +1,12 @@
-"""Minimal ISP: white balance, remosaic, bilinear demosaic, color matrix, gamma.
+"""Minimal ISP: white balance, remosaic, bilinear demosaic, gamma.
 
 Converts a normalized RGGB image to an sRGB array of exactly twice the
 plane resolution, the representation perceptual metrics are computed on.
-The chain is deliberately simple and fully parameterized so every run is
-reproducible: gray-world or fixed white-balance gains, a bilinear demosaic
-that averages the nearest sites of each colour, a 3x3 color matrix
-(identity by default), and the standard sRGB opto-electronic transfer
-function or no gamma at all.
+The chain is deliberately simple so every run is reproducible: gray-world
+or fixed white-balance gains, a bilinear demosaic that averages the nearest
+sites of each colour, and the standard sRGB opto-electronic transfer
+function or no gamma at all.  There is no color matrix: the camera RGB is
+taken as the output RGB (an identity CCM).
 
 ``run_isp`` computes the gray-world gains over the whole image, then renders
 in the row bands of ``core._row_bands``, so its float64 temporaries stay
@@ -16,8 +16,8 @@ row is two mosaic rows, so every band's mosaic starts on the CFA's first
 row.  The demosaic reaches one mosaic row up and down, so the halo gives
 each of the band's own pixels exactly the in-bounds sites it has in the
 whole image, summed in the same order and divided by the same count; the
-halo's own rows are dropped.  Every later step (CCM, gamma, clip) works
-pixel by pixel, so the result equals the whole-image chain bit for bit; a
+halo's own rows are dropped.  Every later step (gamma, clip) works pixel
+by pixel, so the result equals the whole-image chain bit for bit; a
 property test keeps that chain as its reference.
 ``write_ppm16`` encodes and writes one band of rows at a time, with the
 same bytes as encoding the whole array.
@@ -26,7 +26,7 @@ same bytes as encoding the whole array.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,17 +42,12 @@ _PPM_HEADER = re.compile(rb"P6" + (_PPM_SEPARATOR + rb"(\d+)") * 3 + rb"\s")
 
 @dataclass(frozen=True)
 class IspConfig:
-    """wb: "gray_world" or fixed (r, g, b) gains; ccm: 3x3; gamma: "srgb" | "none"."""
+    """wb: "gray_world" or fixed (r, g, b) gains; gamma: "srgb" | "none"."""
 
     wb: str | tuple[float, float, float] = "gray_world"
-    ccm: np.ndarray = field(default_factory=lambda: np.eye(3))
     gamma: str = "srgb"
 
     def __post_init__(self):
-        ccm = np.asarray(self.ccm, dtype=np.float64)
-        if ccm.shape != (3, 3) or not np.all(np.isfinite(ccm)):
-            raise DomainError("ccm must be a finite 3x3 matrix")
-        object.__setattr__(self, "ccm", ccm)
         if isinstance(self.wb, str):
             if self.wb != "gray_world":
                 raise DomainError(f"unknown wb mode {self.wb!r}")
@@ -65,15 +60,12 @@ class IspConfig:
             raise DomainError(f"gamma must be 'srgb' or 'none', got {self.gamma!r}")
 
 
-def srgb_gamma(v, strict: bool = False):
+def srgb_gamma(v):
     """sRGB OETF: 12.92*v below the knee, 1.055*v^(1/2.4) - 0.055 above.
 
-    Inputs are clamped to [0, 1]; with ``strict=True`` out-of-range values
-    raise instead.
+    Inputs are clamped to [0, 1].
     """
     v = np.asarray(v, dtype=np.float64)
-    if strict and (np.any(v < 0) or np.any(v > 1)):
-        raise DomainError("srgb_gamma input outside [0, 1] in strict mode")
     v = np.clip(v, 0.0, 1.0)
     return np.where(v <= _SRGB_KNEE, 12.92 * v, 1.055 * np.power(v, 1.0 / 2.4) - 0.055)
 
@@ -167,7 +159,6 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
         a, b = max(p0 - 1, 0), min(p1 + 1, h)
         balanced = img.channels[:, a:b].astype(np.float64) * gains
         rgb = _demosaic_bilinear(interleave_rggb(balanced))[2 * (p0 - a) : 2 * (p1 - a)]
-        rgb = rgb @ cfg.ccm.T
         if cfg.gamma == "srgb":
             rgb = srgb_gamma(rgb)
         np.clip(rgb, 0.0, 1.0, out=out[o0:o1])

@@ -1,9 +1,10 @@
 """Full-reference fidelity metrics computed directly on Bayer RAW tensors.
 
 PSNR pools the squared error over all four RGGB channels jointly (one
-tensor, one MSE).  SSIM is the standard single-scale formulation with an
-11x11 Gaussian window (sigma 1.5), k1 = 0.01, k2 = 0.03, L = 1.0,
-valid-region pooling, averaged over the four channels.  evaluate_pair
+tensor, one MSE) against a peak of 1.  SSIM is the standard single-scale
+formulation with an 11x11 Gaussian window (sigma 1.5), k1 = 0.01,
+k2 = 0.03, L = 1.0, valid-region pooling, averaged over the four channels.
+These are the protocol's constants: no argument changes them.  evaluate_pair
 implements the benchmark crop protocol: center-crop the packed planes to
 512 (development phase) or 1024 (final phase) before scoring.
 
@@ -18,10 +19,10 @@ on the fly, and ssim filters a plain PackedImage's terms with the same
 helper, so there is one scoring path.
 
 SSIM filters in the row bands of ``core._row_bands``: the band of valid
-output rows [r0, r1) reads the input rows [r0, r1 + 2r) of a window of
-radius r, so its temporaries stay cache-sized.  Each band writes its num/den
-into one full-size ratio array, and the channel's mean is taken once over
-that array.  The pooled sum therefore keeps the order of the unbanded
+output rows [r0, r1) reads the input rows [r0, r1 + 10) (the window's
+radius is 5), so its temporaries stay cache-sized.  Each band writes its
+num/den into one full-size ratio array, and the channel's mean is taken
+once over that array.  The pooled sum therefore keeps the order of the unbanded
 formula, and every score is bit-identical to it.
 """
 
@@ -37,7 +38,10 @@ from .core import PackedImage, RawFrame, _row_bands, center_crop, normalize, pac
 from .errors import DimensionError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
-_WINDOW, _SIGMA = 11, 1.5  # SSIM's Gaussian window, the one a Reference is filtered with
+# SSIM's constants (Wang et al., 2004): Gaussian window side and sigma, and
+# the stabilisers (k1 * L)^2 and (k2 * L)^2 for L = 1
+_WINDOW, _SIGMA = 11, 1.5
+_C1, _C2 = 0.01**2, 0.03**2
 
 
 @dataclass(frozen=True)
@@ -55,7 +59,7 @@ class Reference:
     ``image`` holds the planes of a RawFrame of shape ``mosaic_shape`` after
     the crop protocol of ``phase`` (packed, center-cropped, normalized), and
     ``stats`` the (2, 4, h - 10, w - 10) float64 block of SSIM's ``mu_y`` and
-    ``var_y`` per channel under the default 11x11, sigma 1.5 window.
+    ``var_y`` per channel under the 11x11, sigma 1.5 window.
     """
 
     image: PackedImage
@@ -64,8 +68,8 @@ class Reference:
     phase: str
 
 
-def psnr(pred: PackedImage, gt: PackedImage, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE) with MSE pooled over all channels and pixels.
+def psnr(pred: PackedImage, gt: PackedImage) -> float:
+    """10*log10(1 / MSE) with MSE pooled over all channels and pixels (peak 1).
 
     Identical images return +inf.
     """
@@ -78,7 +82,7 @@ def psnr(pred: PackedImage, gt: PackedImage, peak: float = 1.0) -> float:
     mse = float(np.mean(diff))
     if mse == 0.0:
         return float("inf")
-    return float(10.0 * np.log10(peak * peak / mse))
+    return float(10.0 * np.log10(1.0 / mse))
 
 
 def _gaussian_window(size: int, sigma: float) -> np.ndarray:
@@ -87,21 +91,25 @@ def _gaussian_window(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
-def _filter_valid(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    """Separable correlation of ``x`` with ``window``, valid region only.  The
-    rows outside it are dropped between the two passes: each row's pass along
-    axis 1 is independent of the others, so the result does not change."""
-    r = len(window) // 2
-    y = ndimage.correlate1d(x, window, axis=0, mode="constant")[r : x.shape[0] - r]
-    y = ndimage.correlate1d(y, window, axis=1, mode="constant")
-    return y[:, r : x.shape[1] - r]
+_GAUSS = _gaussian_window(_WINDOW, _SIGMA)
+_GAUSS.flags.writeable = False
+_R = _WINDOW // 2  # the window's radius: a valid output row reads 2 * _R more input rows
 
 
-def _bands(plane: np.ndarray, r: int):
-    """Yield (r0, r1, rows) per band of valid output rows [r0, r1) of a
-    radius-``r`` window: ``rows`` are the float64 input rows [r0, r1 + 2r)."""
-    for r0, r1 in _row_bands(plane.shape[0] - 2 * r):
-        yield r0, r1, np.asarray(plane[r0 : r1 + 2 * r], dtype=np.float64)
+def _filter_valid(x: np.ndarray) -> np.ndarray:
+    """Separable correlation of ``x`` with SSIM's window, valid region only.
+    The rows outside it are dropped between the two passes: each row's pass
+    along axis 1 is independent of the others, so the result does not change."""
+    y = ndimage.correlate1d(x, _GAUSS, axis=0, mode="constant")[_R : x.shape[0] - _R]
+    y = ndimage.correlate1d(y, _GAUSS, axis=1, mode="constant")
+    return y[:, _R : x.shape[1] - _R]
+
+
+def _bands(plane: np.ndarray):
+    """Yield (r0, r1, rows) per band of valid output rows [r0, r1) of SSIM's
+    window: ``rows`` are the float64 input rows [r0, r1 + 2 * _R)."""
+    for r0, r1 in _row_bands(plane.shape[0] - 2 * _R):
+        yield r0, r1, np.asarray(plane[r0 : r1 + 2 * _R], dtype=np.float64)
 
 
 def _crop_protocol(frame: RawFrame, phase: str) -> PackedImage:
@@ -116,23 +124,21 @@ def _check_phase(phase: str) -> None:
         raise ValueError(f"phase must be one of {sorted(_CROP_SIDES)}, got {phase!r}")
 
 
-def _ssim_stats(gt: PackedImage, window: int, sigma_g: float) -> np.ndarray:
-    """SSIM's ground-truth-only terms: the (2, 4, h - 2r, w - 2r) float64
+def _ssim_stats(gt: PackedImage) -> np.ndarray:
+    """SSIM's ground-truth-only terms: the (2, 4, h - 10, w - 10) float64
     block of ``mu_y`` and ``var_y`` per channel, filtered band by band.
     Planes smaller than the window raise DimensionError."""
-    if gt.plane_height < window or gt.plane_width < window:
+    if gt.plane_height < _WINDOW or gt.plane_width < _WINDOW:
         raise DimensionError(
-            f"planes {gt.plane_height}x{gt.plane_width} smaller than window {window}"
+            f"planes {gt.plane_height}x{gt.plane_width} smaller than window {_WINDOW}"
         )
-    g = _gaussian_window(window, sigma_g)
-    r = window // 2
     _, h, w = gt.channels.shape
-    stats = np.empty((2, 4, h - 2 * r, w - 2 * r))
+    stats = np.empty((2, 4, h - 2 * _R, w - 2 * _R))
     for c in range(4):
-        for r0, r1, y in _bands(gt.channels[c], r):
-            mu_y = _filter_valid(y, g)
+        for r0, r1, y in _bands(gt.channels[c]):
+            mu_y = _filter_valid(y)
             stats[0, c, r0:r1] = mu_y
-            stats[1, c, r0:r1] = _filter_valid(y * y, g) - mu_y * mu_y
+            stats[1, c, r0:r1] = _filter_valid(y * y) - mu_y * mu_y
     return stats
 
 
@@ -141,48 +147,33 @@ def prepare_reference(gt: RawFrame, phase: str = "dev") -> Reference:
     ``phase``, as evaluate_pair would on every call."""
     _check_phase(phase)
     image = _crop_protocol(gt, phase)
-    return Reference(image, _ssim_stats(image, _WINDOW, _SIGMA), gt.data.shape, phase)
+    return Reference(image, _ssim_stats(image), gt.data.shape, phase)
 
 
-def ssim(
-    pred: PackedImage,
-    gt: PackedImage | Reference,
-    window: int = _WINDOW,
-    sigma_g: float = _SIGMA,
-    k1: float = 0.01,
-    k2: float = 0.03,
-    L: float = 1.0,
-) -> float:
+def ssim(pred: PackedImage, gt: PackedImage | Reference) -> float:
     """Mean single-scale SSIM over the four RGGB channels (valid pooling).
 
-    ``gt`` may be a Reference; its ``mu_y``/``var_y`` are used under the
-    default window and filtered again from its image under any other.
+    ``gt`` may be a Reference, whose ``mu_y``/``var_y`` are then used as
+    they are; a PackedImage's are filtered here.
     """
     gt_image = gt.image if isinstance(gt, Reference) else gt
     if pred.channels.shape != gt_image.channels.shape:
         raise DimensionError(
             f"shape mismatch {pred.channels.shape} vs {gt_image.channels.shape}"
         )
-    if isinstance(gt, Reference) and (window, sigma_g) == (_WINDOW, _SIGMA):
-        stats = gt.stats
-    else:
-        stats = _ssim_stats(gt_image, window, sigma_g)
-    g = _gaussian_window(window, sigma_g)
-    r = window // 2
-    c1 = (k1 * L) ** 2
-    c2 = (k2 * L) ** 2
+    stats = gt.stats if isinstance(gt, Reference) else _ssim_stats(gt_image)
     ratio = np.empty(stats.shape[2:])
     scores = []
     for c in range(4):
-        bands = zip(_bands(pred.channels[c], r), _bands(gt_image.channels[c], r))
+        bands = zip(_bands(pred.channels[c]), _bands(gt_image.channels[c]))
         for (r0, r1, x), (_, _, y) in bands:
             mu_y = stats[0, c, r0:r1]
             var_y = stats[1, c, r0:r1]
-            mu_x = _filter_valid(x, g)
-            var_x = _filter_valid(x * x, g) - mu_x * mu_x
-            cov = _filter_valid(x * y, g) - mu_x * mu_y
-            num = (2.0 * mu_x * mu_y + c1) * (2.0 * cov + c2)
-            den = (mu_x * mu_x + mu_y * mu_y + c1) * (var_x + var_y + c2)
+            mu_x = _filter_valid(x)
+            var_x = _filter_valid(x * x) - mu_x * mu_x
+            cov = _filter_valid(x * y) - mu_x * mu_y
+            num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
+            den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
             np.divide(num, den, out=ratio[r0:r1])
         scores.append(float(np.mean(ratio)))
     return float(np.mean(scores))

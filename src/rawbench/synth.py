@@ -53,7 +53,6 @@ class _NoiseKnobs:
     read: bool = True
     row: bool = True
     quant: bool = True
-    frame_sigma: float = 0.0
 
     def __post_init__(self):
         if self.mode not in _MODES:
@@ -116,9 +115,8 @@ def sample_parametric_read(
     along each mosaic row (even rows feed the R/Gr planes, odd rows Gb/B);
     quantization is uniform dither over one quant step.  ``knobs`` (a
     SynthConfig or BatchConfig) switches these with ``read``, ``row`` and
-    ``quant``, and its ``frame_sigma`` optionally adds a single Gaussian
-    offset for the whole frame.  By default every component is on and the
-    frame offset off.  Disabled components contribute exactly zero.
+    ``quant``; by default every component is on.  Disabled components
+    contribute exactly zero.
     """
     if len(shape) != 3 or shape[0] != 4:
         raise DimensionError(f"expected a packed (4, H, W) shape, got {shape}")
@@ -133,8 +131,6 @@ def sample_parametric_read(
     if knobs.quant and params.quant_step > 0:
         half = params.quant_step / 2.0
         res += rng.uniform(-half, half, shape)
-    if knobs.frame_sigma > 0:
-        res += rng.normal(0.0, knobs.frame_sigma)
     return res
 
 

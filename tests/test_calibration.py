@@ -249,6 +249,10 @@ class TestBuildProfile:
         with pytest.raises(ProfileError):
             build_profile("camA", [800], {}, provided_gains={800: 1.0})
 
+    def test_no_iso_settings(self):
+        with pytest.raises(InsufficientData, match="at least one ISO"):
+            build_profile("camA", [], {})
+
     def test_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         darks = {800: self._darks(800, rng), 3200: self._darks(3200, rng)}

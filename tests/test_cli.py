@@ -168,6 +168,62 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("doc", [[], {"phase": "dev", "entries": 5}], ids=["list", "entries-int"])
+def test_bench_malformed_manifest_exits_2(tmp_path, capsys, doc):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(doc))
+    assert main(["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path)]) == 2
+    assert f"{manifest}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where, what", [
+    ("name,psnr,ssim\none,41.0,0.96\n", 1, "missing column(s) team"),
+    ("# scores\nteam,psnr,ssim\none,41.0,0.96\ntwo,abc,0.95\n", 4,
+     "column 'psnr': cannot read 'abc' as float"),
+], ids=["no-team-column", "non-numeric"])
+def test_rank_bad_scores_csv_names_file_and_line(tmp_path, capsys, text, where, what):
+    scores = tmp_path / "scores.csv"
+    scores.write_text(text)
+    assert main(["rank", "--scores", str(scores), "--out", str(tmp_path / "rank.csv")]) == 2
+    assert f"{scores}:{where}: {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, where, what", [
+    ("iso,mean\n800,100.0\n", 1, "missing column(s) variance"),
+    ("iso,mean,variance\n800,100.0,80.0\n800,200.0,\n", 3,
+     "column 'variance': cannot read '' as float"),
+], ids=["no-variance-column", "empty-value"])
+def test_calibrate_bad_ptc_csv_names_file_and_line(workspace, capsys, text, where, what):
+    ptc = workspace / "ptc.csv"
+    ptc.write_text(text)
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--ptc-csv", str(ptc),
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert f"{ptc}:{where}: {what}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("camera_id", [[], ["--camera-id", "camA"]], ids=["no-id", "id"])
+def test_calibrate_without_dark_frames_exits_3(tmp_path, capsys, camera_id):
+    (tmp_path / "darks" / "800").mkdir(parents=True)
+    rc = main(["calibrate", "--darks", str(tmp_path / "darks"), *camera_id,
+               "--gains", "800=0.8", "--out", str(tmp_path / "profile.json")])
+    assert rc == 3
+    assert "no .rawb dark frames" in capsys.readouterr().err
+
+
+def test_calibrate_from_ptc_csv(workspace):
+    ptc = workspace / "ptc.csv"
+    ptc.write_text("iso,mean,variance\n"
+                   + "".join(f"{iso},{m},{k * m + 4.0}\n" for iso, k in ((800, 0.8), (1600, 1.6))
+                             for m in (100.0, 400.0, 900.0)))
+    profile = workspace / "profile.json"
+    assert main(["calibrate", "--darks", str(workspace / "darks"), "--ptc-csv", str(ptc),
+                 "--out", str(profile)]) == 0
+    doc = json.loads(profile.read_text())
+    assert doc["isos"]["800"]["K"] == pytest.approx(0.8)
+    assert doc["isos"]["1600"]["K"] == pytest.approx(1.6)
+
+
 def test_missing_data_exit_code(tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({"phase": "dev", "entries": []}))

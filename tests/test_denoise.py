@@ -24,12 +24,12 @@ from conftest import BLACK, WHITE, make_profile
 SPAN = WHITE - BLACK[0]
 
 
-def dct8_reference(plane, sigma, threshold_mult, stride=4):
-    """Slow per-block loop mirroring the documented algorithm."""
+def dct8_reference(plane, sigma, threshold_mult):
+    """Slow per-block loop mirroring the documented algorithm (blocks every 4 pixels)."""
     p = np.asarray(plane, dtype=np.float64)
     h, w = p.shape
-    ys = sorted({*range(0, h - 7, stride), h - 8})
-    xs = sorted({*range(0, w - 7, stride), w - 8})
+    ys = sorted({*range(0, h - 7, 4), h - 8})
+    xs = sorted({*range(0, w - 7, 4), w - 8})
     out = np.zeros_like(p)
     cnt = np.zeros_like(p)
     for y in ys:
@@ -44,21 +44,16 @@ def dct8_reference(plane, sigma, threshold_mult, stride=4):
     return out / cnt
 
 
-STRIDES = range(1, 9)
-
-
 class TestDct8Shrink:
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(0)
         x = rng.uniform(0, 10, (32, 40))
-        for stride in STRIDES:
-            np.testing.assert_allclose(dct8_shrink(x, 0.0, stride=stride), x, atol=1e-12)
+        np.testing.assert_allclose(dct8_shrink(x, 0.0), x, atol=1e-12)
 
     def test_constant_plane_unchanged(self):
         for shape in ((24, 24), (24, 29)):
             x = np.full(shape, 5.5)
-            for stride in STRIDES:
-                np.testing.assert_allclose(dct8_shrink(x, 3.0, stride=stride), x, atol=1e-12)
+            np.testing.assert_allclose(dct8_shrink(x, 3.0), x, atol=1e-12)
 
     def test_pure_noise_energy_removed(self):
         rng = np.random.default_rng(1)
@@ -70,20 +65,18 @@ class TestDct8Shrink:
         rng = np.random.default_rng(2)
         for shape in ((32, 32), (33, 47), (8, 8), (9, 17)):
             x = rng.normal(0, 1, shape) + 3.0
-            for stride in STRIDES:
-                np.testing.assert_allclose(
-                    dct8_shrink(x, 0.7, 2.5, stride),
-                    dct8_reference(x, 0.7, 2.5, stride),
-                    atol=1e-12,
-                )
+            np.testing.assert_allclose(
+                dct8_shrink(x, 0.7, 2.5), dct8_reference(x, 0.7, 2.5), atol=1e-12
+            )
 
-    @pytest.mark.parametrize("stride", STRIDES)
-    def test_matches_reference_on_large_ragged_plane(self, stride):
-        # 250 is off the block grid of strides 3..8, so there the flush
-        # block row overlaps the regular ones
-        x = np.random.default_rng(10 + stride).normal(0, 1, (250, 246)) + 3.0
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_matches_reference_on_large_ragged_plane(self, k):
+        # Sides 240 + k and 250 - k put (side - 8) mod 4 through all four
+        # residues on both axes: off the grid, the flush block row or column
+        # overlaps the regular ones.
+        x = np.random.default_rng(10 + k).normal(0, 1, (240 + k, 250 - k)) + 3.0
         np.testing.assert_allclose(
-            dct8_shrink(x, 1.0, 3.0, stride), dct8_reference(x, 1.0, 3.0, stride), atol=1e-12
+            dct8_shrink(x, 1.0, 3.0), dct8_reference(x, 1.0, 3.0), atol=1e-12
         )
 
     def test_small_plane_rejected(self):
@@ -96,26 +89,18 @@ class TestDct8Shrink:
         with pytest.raises(DomainError):
             dct8_shrink(np.zeros((8, 8)), float("nan"))
 
-    def test_stride_out_of_range_rejected(self):
-        # a stride above the block size would leave pixels no block covers
-        for stride in (0, 9, 12):
-            with pytest.raises(DomainError):
-                dct8_shrink(np.ones((40, 40)), 1.0, stride=stride)
-            with pytest.raises(DomainError):
-                DenoiseConfig(stride=stride)
-
 
 class TestTiling:
     def test_tiled_equals_single_pass(self):
         rng = np.random.default_rng(3)
         plane = rng.normal(0, 1, (128, 128)) + np.linspace(0, 3, 128)[None, :]
         single = dct8_shrink(plane, 1.0, 3.0)
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, 4, core=48), single)
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core=48), single)
 
     def test_non_square_and_misfit_sizes(self):
         rng = np.random.default_rng(4)
         plane = rng.normal(0, 1, (100, 70))
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, 4, core=40),
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core=40),
                                       dct8_shrink(plane, 1.0, 3.0))
 
     @settings(max_examples=60, deadline=None)
@@ -123,16 +108,15 @@ class TestTiling:
         h=st.integers(8, 160),
         w=st.integers(8, 160),
         core=st.integers(1, 170),
-        stride=st.integers(1, 8),
         seed=st.integers(0, 2**16),
     )
-    @example(h=602, w=602, core=224, stride=4, seed=0)
-    @example(h=610, w=610, core=224, stride=4, seed=0)
-    @example(h=610, w=518, core=90, stride=4, seed=0)
-    def test_tiled_equals_single_pass_property(self, h, w, core, stride, seed):
+    @example(h=602, w=602, core=224, seed=0)
+    @example(h=610, w=610, core=224, seed=0)
+    @example(h=610, w=518, core=90, seed=0)
+    def test_tiled_equals_single_pass_property(self, h, w, core, seed):
         plane = np.random.default_rng(seed).normal(0, 1, (h, w)) + np.linspace(0, 3, w)
-        single = dct8_shrink(plane, 1.0, 3.0, stride)
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, stride, core), single)
+        single = dct8_shrink(plane, 1.0, 3.0)
+        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core), single)
 
 
 class TestDenoiseRaw:
@@ -187,15 +171,6 @@ class TestDenoiseRaw:
             denoise_raw(noisy, self._pg(), DenoiseConfig(transform="none"))
         out = denoise_raw(noisy, self._pg(), DenoiseConfig(transform="none", sigma_dn=400.0))
         assert np.all(np.isfinite(out.channels))
-
-    def test_per_channel_params(self):
-        noisy, _ = self._noisy_pair()
-        out = denoise_raw(noisy, [self._pg()] * 4, DenoiseConfig())
-        np.testing.assert_array_equal(
-            out.channels, denoise_raw(noisy, self._pg(), DenoiseConfig()).channels
-        )
-        with pytest.raises(ProfileError):
-            denoise_raw(noisy, [self._pg()] * 3, DenoiseConfig())
 
     def test_output_clamped(self):
         noisy, _ = self._noisy_pair()

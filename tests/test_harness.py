@@ -83,6 +83,17 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(p)
 
+    @pytest.mark.parametrize("doc, match", [
+        ([], "expected a JSON object, got list"),
+        ({"phase": "dev", "entries": 5}, "'entries' must be a list, got int"),
+        ({"phase": "dev", "entries": {"image_id": "img1"}}, "'entries' must be a list, got dict"),
+    ], ids=["list", "entries-int", "entries-dict"])
+    def test_malformed_top_level_names_the_file(self, tmp_path, doc, match):
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError, match=f"m.json: {match}"):
+            load_manifest(p)
+
 
 class TestExternalScores:
     def test_table1_loads_35_entries(self, tmp_path):

@@ -81,10 +81,10 @@ def demosaic_convolution(mosaic):
 
 def isp_whole_image(img, cfg):
     """run_isp's chain on the whole image at once: gains, remosaic, demosaic
-    of the full mosaic, CCM, gamma, clip."""
+    of the full mosaic, gamma, clip."""
     gains = gray_world_gains(img) if cfg.wb == "gray_world" else cfg.wb
     balanced = img.channels * np.asarray([gains[0], gains[1], gains[1], gains[2]])[:, None, None]
-    rgb = _demosaic_bilinear(interleave_rggb(balanced)) @ cfg.ccm.T
+    rgb = _demosaic_bilinear(interleave_rggb(balanced))
     if cfg.gamma == "srgb":
         rgb = srgb_gamma(rgb)
     return np.clip(rgb, 0.0, 1.0)
@@ -161,25 +161,15 @@ class TestRunIsp:
         seed=st.integers(0, 2**32 - 1),
         wb=st.one_of(st.just("gray_world"),
                      st.tuples(*[st.floats(0.05, 8.0)] * 3)),
-        ccm=st.one_of(st.none(), st.lists(st.floats(-4.0, 4.0), min_size=9, max_size=9)),
         gamma=st.sampled_from(["srgb", "none"]),
     )
-    @example(h=1, w=1, seed=0, wb="gray_world", ccm=None, gamma="srgb")
-    @example(h=2 * PLANE_BAND + 1, w=40, seed=1, wb=(2.0, 1.0, 1.5), ccm=None, gamma="none")
-    def test_banded_equals_whole_image_chain(self, h, w, seed, wb, ccm, gamma):
+    @example(h=1, w=1, seed=0, wb="gray_world", gamma="srgb")
+    @example(h=2 * PLANE_BAND + 1, w=40, seed=1, wb=(2.0, 1.0, 1.5), gamma="none")
+    def test_banded_equals_whole_image_chain(self, h, w, seed, wb, gamma):
         rng = np.random.default_rng(seed)
         img = packed(rng.uniform(0, 1, (4, h, w)) * (rng.uniform(size=(4, h, w)) < 0.9))
-        cfg = IspConfig(wb=wb, ccm=np.eye(3) if ccm is None else np.reshape(ccm, (3, 3)),
-                        gamma=gamma)
+        cfg = IspConfig(wb=wb, gamma=gamma)
         assert np.array_equal(run_isp(img, cfg), isp_whole_image(img, cfg))
-
-    def test_ccm_applied_per_pixel(self):
-        swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        ch = np.stack([np.full((4, 4), 0.6), np.full((4, 4), 0.2),
-                       np.full((4, 4), 0.2), np.full((4, 4), 0.4)])
-        rgb = run_isp(packed(ch), IspConfig(wb=(1.0, 1.0, 1.0), ccm=swap, gamma="none"))
-        np.testing.assert_allclose(rgb[..., 0], 0.2, atol=1e-12)
-        np.testing.assert_allclose(rgb[..., 1], 0.6, atol=1e-12)
 
     def test_output_range_and_dims(self):
         rng = np.random.default_rng(2)
@@ -199,8 +189,6 @@ class TestRunIsp:
             IspConfig(wb=(1.0, -1.0, 1.0))
         with pytest.raises(DomainError):
             IspConfig(gamma="rec709")
-        with pytest.raises(DomainError):
-            IspConfig(ccm=np.zeros((2, 3)))
 
 
 class TestSrgbGamma:
@@ -232,8 +220,7 @@ class TestSrgbGamma:
         np.testing.assert_allclose(srgb_gamma_inverse(srgb_gamma(v)), v, atol=1e-9)
 
     def test_strict_mode(self):
-        with pytest.raises(DomainError):
-            srgb_gamma(1.5, strict=True)
+        # there is no strict mode: input outside [0, 1] is clamped
         assert srgb_gamma(1.5) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -269,13 +256,12 @@ class TestImageFiles:
         assert not (tmp_path / "img.ppm").exists()
 
     # SHA-256 of the PPM of a seeded render, computed with the whole-image
-    # ISP and encoder; 61 plane rows are 122 output rows, one full band and
-    # one ragged one.
+    # ISP and encoder (the second with the former identity color matrix);
+    # 61 plane rows are 122 output rows, one full band and one ragged one.
     @pytest.mark.parametrize("cfg, digest", [
         (IspConfig(), "3dde791cb8d7612d5c3bf3c79d422507f2b0a69059b5f21dcc0ef7c8d6cf0d98"),
-        (IspConfig(wb=(2.0, 1.0, 1.5), gamma="none",
-                   ccm=[[1.6, -0.4, -0.2], [-0.3, 1.5, -0.2], [0.0, -0.5, 1.5]]),
-         "13657fbcaae2fe1b46b66eaea50f24a72afbcb5315242297370f43fbd45c224d"),
+        (IspConfig(wb=(2.0, 1.0, 1.5), gamma="none"),
+         "5137e63be63a0c91e572d67a721376be2e09e955354fdd94384779ac99eb4a9f"),
     ])
     def test_seeded_render_digest(self, tmp_path, cfg, digest):
         img = packed(np.random.default_rng(61).uniform(0, 1, (4, 61, 37)))

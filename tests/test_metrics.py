@@ -188,18 +188,18 @@ class TestEvaluatePair:
         assert res.psnr == pytest.approx(expect, abs=1e-9)
 
 
-def ssim_unbanded(pred, gt, window=11, sigma_g=1.5, k1=0.01, k2=0.03, L=1.0):
+def ssim_unbanded(pred, gt):
     """The whole-plane formula SSIM had before row bands: every term filtered
     over the full plane, one num/den array and one mean per channel."""
-    g = metrics._gaussian_window(window, sigma_g)
-    r = window // 2
+    g = metrics._gaussian_window(11, 1.5)
+    r = 5
 
     def filter_valid(x):
         y = ndimage.correlate1d(x, g, axis=0, mode="constant")
         y = ndimage.correlate1d(y, g, axis=1, mode="constant")
         return y[r : x.shape[0] - r, r : x.shape[1] - r]
 
-    c1, c2 = (k1 * L) ** 2, (k2 * L) ** 2
+    c1, c2 = 0.01**2, 0.03**2
     scores = []
     for c in range(4):
         x = pred.channels[c].astype(np.float64)
@@ -216,7 +216,7 @@ def ssim_unbanded(pred, gt, window=11, sigma_g=1.5, k1=0.01, k2=0.03, L=1.0):
 
 def reference_of(gt):
     """A Reference holding the packed image ``gt`` as its (already cropped) planes."""
-    return metrics.Reference(gt, metrics._ssim_stats(gt, 11, 1.5),
+    return metrics.Reference(gt, metrics._ssim_stats(gt),
                              (2 * gt.plane_height, 2 * gt.plane_width), "dev")
 
 
@@ -241,18 +241,8 @@ class TestBandedSsim:
         assert ssim(pred, gt) == expect
         assert ssim(pred, reference_of(gt)) == expect
 
-    def test_other_window_filters_the_gt_again(self):
-        # A Reference's stats hold only under the default window; any other
-        # window filters its image again.
-        rng = np.random.default_rng(13)
-        gt = packed(rng.uniform(0, 1, (4, 40, 50)))
-        pred = packed(np.clip(gt.channels + rng.normal(0, 0.05, gt.channels.shape), 0, 1))
-        ref = reference_of(gt)
-        assert ssim(pred, ref, window=7, sigma_g=1.0) == ssim_unbanded(pred, gt, 7, 1.0)
-        assert ssim(pred, ref, sigma_g=2.0) == ssim_unbanded(pred, gt, 11, 2.0)
-
     def test_reference_stats_are_one_block(self):
-        stats = metrics._ssim_stats(packed(np.full((4, 30, 20), 0.5)), 11, 1.5)
+        stats = metrics._ssim_stats(packed(np.full((4, 30, 20), 0.5)))
         assert stats.shape == (2, 4, 20, 10) and stats.dtype == np.float64
         np.testing.assert_allclose(stats[0], 0.5, rtol=1e-15)
         np.testing.assert_allclose(stats[1], 0.0, atol=1e-15)

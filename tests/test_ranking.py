@@ -130,21 +130,29 @@ class TestFinalTable:
         # them), so tied sub-tables are excluded here.
         full = final_table(table1_records)
         checked = 0
-        for drop in range(len(table1_records)):
-            remaining = [r for i, r in enumerate(table1_records) if i != drop]
-            sub = final_table(remaining)
-            for cat in ("fidelity", "perceptual"):
-                sub_scores = [sub.scores[cat][r.team] for r in remaining]
-                full_scores = [full.scores[cat][r.team] for r in remaining]
-                if len(set(sub_scores)) < len(sub_scores) or len(set(full_scores)) < len(full_scores):
-                    continue
-                full_order = sorted((r.team for r in remaining),
-                                    key=lambda t: full.positions[cat][t])
-                sub_order = sorted((r.team for r in remaining),
-                                   key=lambda t: sub.positions[cat][t])
-                assert full_order == sub_order
-                checked += 1
+        with pytest.warns(UserWarning, match="exact pairwise tie") as caught:
+            for drop in range(len(table1_records)):
+                remaining = [r for i, r in enumerate(table1_records) if i != drop]
+                sub = final_table(remaining)
+                for cat in ("fidelity", "perceptual"):
+                    sub_scores = [sub.scores[cat][r.team] for r in remaining]
+                    full_scores = [full.scores[cat][r.team] for r in remaining]
+                    if (len(set(sub_scores)) < len(sub_scores)
+                            or len(set(full_scores)) < len(full_scores)):
+                        continue
+                    full_order = sorted((r.team for r in remaining),
+                                        key=lambda t: full.positions[cat][t])
+                    sub_order = sorted((r.team for r in remaining),
+                                       key=lambda t: sub.positions[cat][t])
+                    assert full_order == sub_order
+                    checked += 1
         assert checked >= 6  # the property is actually exercised
+        # two sub-tables hit an exact pairwise tie, resolved by name
+        assert sorted(str(w.message) for w in caught) == [
+            f"exact pairwise tie between 'MSA-Net' and {other!r}; "
+            "falling back to lexicographic order"
+            for other in ("DIPLab", "VMCL-ISP")
+        ]
 
     def test_duplicate_teams_rejected(self, table1_records):
         with pytest.raises(DataError):

@@ -96,14 +96,6 @@ class TestParametricRead:
         assert res.min() >= -1.0 and res.max() <= 1.0
         assert abs(res.std() - 2.0 / np.sqrt(12)) / (2.0 / np.sqrt(12)) <= 0.01
 
-    def test_frame_offset_optional(self):
-        res = sample_parametric_read((4, 16, 16), NoiseParams(1.0, 0.0, 0.0, 0.0),
-                                     np.random.default_rng(4),
-                                     _NoiseKnobs(read=False, row=False, quant=False,
-                                                 frame_sigma=3.0))
-        assert res.std() == pytest.approx(0.0, abs=1e-12)
-        assert res[0, 0, 0] != 0.0
-
 
 class TestDarkPatch:
     def _profile_with_library(self, n_frames=1, side=16, seed=0):
