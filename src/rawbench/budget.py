@@ -67,52 +67,36 @@ class ConstraintResult:
     reasons: tuple[str, ...] = ()
 
 
-def _layer_params(layer: LayerSpec) -> int:
-    k2 = layer.kernel * layer.kernel
-    if layer.kind == "conv2d":
-        return layer.in_ch * layer.out_ch * k2 + (layer.out_ch if layer.bias else 0)
-    if layer.kind == "depthwise":
-        return layer.in_ch * k2 + (layer.in_ch if layer.bias else 0)
-    if layer.kind == "pointwise":
-        return layer.in_ch * layer.out_ch + (layer.out_ch if layer.bias else 0)
-    if layer.kind == "bgc":
-        per_group = layer.in_ch * layer.out_ch * k2 + (layer.out_ch if layer.bias else 0)
-        return layer.period_n**2 * per_group
-    return 0  # elementwise
+def _layer_cost(layer: LayerSpec) -> tuple[int, int]:
+    """(params, weights) of a layer; ``weights`` are one group's multiply
+    weights, and the layer spends that many MACs per output position."""
+    if layer.kind == "elementwise":
+        return 0, 0
+    weights = layer.in_ch * layer.kernel * layer.kernel
+    if layer.kind != "depthwise":
+        weights *= layer.out_ch
+    groups = layer.period_n**2 if layer.kind == "bgc" else 1
+    return groups * (weights + (layer.out_ch if layer.bias else 0)), weights
 
 
 def count_params(model: list[LayerSpec]) -> int:
     """Total learnable parameters of an ordered layer list."""
-    return sum(_layer_params(layer) for layer in model)
+    return sum(_layer_cost(layer)[0] for layer in model)
 
 
-def _layer_macs(layer: LayerSpec, h: int, w: int) -> tuple[int, int, int]:
-    """(macs, out_h, out_w) for one layer at same-padding."""
+def _out_hw(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
+    """Output spatial dims at same padding; strides and bgc periods must divide."""
     if h % layer.stride or w % layer.stride:
         raise SpecError(f"spatial {h}x{w} not divisible by stride {layer.stride}")
-    out_h, out_w = h // layer.stride, w // layer.stride
-    k2 = layer.kernel * layer.kernel
-    if layer.kind == "conv2d":
-        macs = layer.in_ch * layer.out_ch * k2 * out_h * out_w
-    elif layer.kind == "depthwise":
-        macs = layer.in_ch * k2 * out_h * out_w
-    elif layer.kind == "pointwise":
-        macs = layer.in_ch * layer.out_ch * out_h * out_w
-    elif layer.kind == "bgc":
+    if layer.kind == "bgc":
         n = layer.period_n
         if h % n or w % n:
             raise SpecError(f"spatial {h}x{w} not divisible by bgc period {n}")
-        sub_h, sub_w = h // n, w // n
-        if sub_h % layer.stride or sub_w % layer.stride:
+        if (h // n) % layer.stride or (w // n) % layer.stride:
             raise SpecError(
-                f"bgc sub-tensor {sub_h}x{sub_w} not divisible by stride {layer.stride}"
+                f"bgc sub-tensor {h // n}x{w // n} not divisible by stride {layer.stride}"
             )
-        macs = n * n * layer.in_ch * layer.out_ch * k2 * (sub_h // layer.stride) * (
-            sub_w // layer.stride
-        )
-    else:  # elementwise
-        macs = 0
-    return macs, out_h, out_w
+    return h // layer.stride, w // layer.stride
 
 
 def count_macs(
@@ -137,12 +121,13 @@ def build_report(
     for layer in model:
         if layer.kind != "elementwise" and layer.in_ch != c:
             raise SpecError(f"layer {layer} expects {layer.in_ch} channels, input has {c}")
-        macs, h, w = _layer_macs(layer, h, w)
+        h, w = _out_hw(layer, h, w)
+        params, weights = _layer_cost(layer)
         per_layer.append(
             {
                 "kind": layer.kind,
-                "params": _layer_params(layer),
-                "macs": macs,
+                "params": params,
+                "macs": weights * h * w,
                 "out_shape": (layer.out_ch if layer.kind != "elementwise" else c, h, w),
             }
         )

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 budget-constraint failure, 2 validation error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -18,47 +17,37 @@ from . import budget as budget_mod
 from . import calibration, core, harness, isp, ranking, synth
 from .denoise import DenoiseConfig, denoise_raw, effective_pg_params
 from .errors import DataError, MissingDataError, RawBenchError
+from .harness import _csv_value, _read_csv
 
 
-def _parse_roi(text: str) -> core.Roi:
-    x0, y0, w, h = (int(v) for v in text.split(","))
-    return core.Roi(x0, y0, w, h)
+def _values(form: str, sep: str, count: int | None, convert):
+    """An argparse ``type``: ``sep``-separated ``convert`` values as a tuple,
+    exactly ``count`` of them unless ``count`` is None.  A bad value makes
+    argparse exit 2 with an error naming the flag and ``form``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(v) for v in text.split(sep))
+            if count is None or len(values) == count:
+                return values
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
+
+    return parse
 
 
-def _parse_gains(text: str) -> dict[int, float]:
-    out = {}
-    for part in text.split(","):
-        iso, gain = part.split("=")
-        out[int(iso)] = float(gain)
-    return out
+def _iso_gain(text: str) -> tuple[int, float]:
+    iso, gain = text.split("=")
+    return int(iso), float(gain)
 
 
-def _read_csv(path, required: tuple[str, ...]):
-    """Yield (where, row) per data row of a CSV file with a header row.
-
-    Lines starting with ``#`` are skipped, and ``where`` is the row's
-    ``file:line`` in the file as written.  A header without one of the
-    ``required`` columns raises DataError.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
-    reader = csv.DictReader(line for _, line in numbered)
-    missing = [c for c in required if c not in (reader.fieldnames or ())]
-    if missing:
-        header_line = numbered[0][0] if numbered else 1
-        raise DataError(f"{path}:{header_line}: missing column(s) {', '.join(missing)}")
-    for row in reader:
-        yield f"{path}:{numbered[reader.line_num - 1][0]}", row
+_WB_GAINS = _values("'gray-world' or r,g,b gains", ",", 3, float)
 
 
-def _csv_value(where: str, row: dict, name: str, convert):
-    """``convert(row[name])``, or DataError naming ``where`` and the column."""
-    try:
-        return convert(row[name])
-    except (TypeError, ValueError):
-        raise DataError(
-            f"{where}: column {name!r}: cannot read {row[name]!r} as {convert.__name__}"
-        ) from None
+def _wb(text: str) -> tuple[str, str | tuple[float, ...]]:
+    """--wb as typed (the RAWB header records it) and as an IspConfig.wb."""
+    return text, "gray_world" if text == "gray-world" else _WB_GAINS(text)
 
 
 def _cmd_calibrate(args) -> int:
@@ -74,7 +63,6 @@ def _cmd_calibrate(args) -> int:
             darks_by_iso[iso] = frames
     if not darks_by_iso:
         raise MissingDataError(f"{darks_root}: no .rawb dark frames in any ISO subdirectory")
-    gains = _parse_gains(args.gains) if args.gains else None
     ptc = None
     if args.ptc_csv:
         ptc = {}
@@ -87,20 +75,13 @@ def _cmd_calibrate(args) -> int:
         isos=sorted(darks_by_iso),
         darks_by_iso=darks_by_iso,
         ptc_points_by_iso=ptc,
-        provided_gains=gains,
-        roi=_parse_roi(args.roi) if args.roi else None,
+        provided_gains=dict(args.gains) if args.gains else None,
+        roi=core.Roi(*args.roi) if args.roi else None,
         band_axis=args.band_axis,
     )
     calibration.save_profile(profile, args.out)
     print(f"wrote profile for {len(profile.iso_params)} ISO settings to {args.out}")
     return 0
-
-
-def _parse_dgain_spec(args) -> dict:
-    if args.dgain_set:
-        return {"dgain_choices": tuple(float(v) for v in args.dgain_set.split(","))}
-    lo, hi = (float(v) for v in args.dgain_range.split(":"))
-    return {"dgain_range": (lo, hi)}
 
 
 def _cmd_synth(args) -> int:
@@ -110,11 +91,12 @@ def _cmd_synth(args) -> int:
         raise MissingDataError(f"{args.clean}: no .rawb clean frames found")
     frames = [core.read_frame(p) for p in clean_paths]
     sampler = synth.BatchConfig(
-        iso_choices=tuple(int(v) for v in args.iso_set.split(",")),
+        iso_choices=args.iso_set,
+        dgain_choices=args.dgain_set,
+        dgain_range=None if args.dgain_set else args.dgain_range,
         mode=args.mode,
         hybrid_rho=args.rho,
         clip_hi=args.clip_hi,
-        **_parse_dgain_spec(args),
     )
     pairs = synth.make_pair_batch(
         frames, profile, sampler, args.patch, args.per_image, args.seed
@@ -156,14 +138,12 @@ def _cmd_isp(args) -> int:
     img = core.read_planes(args.infile)
     if img.space != core.SPACE_NORMALIZED:
         img = core.normalize(img)
-    cfg = isp.IspConfig(
-        wb="gray_world" if args.wb == "gray-world" else tuple(float(v) for v in args.wb.split(",")),
-        gamma=args.gamma,
-    )
+    wb_text, wb = args.wb
+    cfg = isp.IspConfig(wb=wb, gamma=args.gamma)
     rgb = isp.run_isp(img, cfg)
     out = Path(args.out)
     # the ISP applies no color matrix; the header records it as "identity"
-    meta = {"isp": {"wb": args.wb, "gamma": args.gamma, "ccm": "identity"}}
+    meta = {"isp": {"wb": wb_text, "gamma": args.gamma, "ccm": "identity"}}
     if out.suffix.lower() == ".ppm":
         isp.write_ppm16(rgb, out)
     else:
@@ -189,8 +169,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    records = []
+    records, teams = [], set()
     for where, row in _read_csv(args.scores, ("team",)):
+        if row["team"] in teams:
+            raise DataError(f"{where}: duplicate team {row['team']!r}")
+        teams.add(row["team"])
         kwargs = {
             m: _csv_value(where, row, m, float) if row.get(m) not in (None, "") else None
             for m in ranking.ALL_METRICS
@@ -205,9 +188,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_budget(args) -> int:
     layers, ensemble, input_shape = budget_mod.load_model_spec(args.model)
-    if args.input:
-        input_shape = tuple(int(v) for v in args.input.split(","))
-    report = budget_mod.build_report(layers, input_shape, ensemble=ensemble)
+    report = budget_mod.build_report(layers, args.input or input_shape, ensemble=ensemble)
     result = budget_mod.check_constraints(report)
     print(f"params: {report.total_params:,}  (limit {budget_mod.MAX_PARAMS:,})")
     print(
@@ -243,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--darks", required=True, help="directory with one <iso>/ subdir of .rawb darks")
     p.add_argument("--camera-id", default="")
     p.add_argument("--out", required=True)
-    p.add_argument("--roi", default=None, help="x0,y0,w,h (even values)")
-    p.add_argument("--gains", default=None, help="provided gains, e.g. 800=0.8,1600=1.6")
+    p.add_argument("--roi", type=_values("x0,y0,w,h", ",", 4, int), help="x0,y0,w,h (even values)")
+    p.add_argument("--gains", type=_values("iso=gain,...", ",", None, _iso_gain),
+                   help="provided gains, e.g. 800=0.8,1600=1.6")
     p.add_argument("--ptc-csv", default=None, help="CSV iso,mean,variance for gain fitting")
     p.add_argument("--band-axis", choices=("row", "col"), default="row")
     p.set_defaults(func=_cmd_calibrate)
@@ -253,9 +235,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--clean", required=True, help="directory of clean mosaic .rawb frames")
     p.add_argument("--out", required=True)
-    p.add_argument("--iso-set", default="800,1600,3200")
-    p.add_argument("--dgain-range", default="10:200", help="lo:hi continuous range")
-    p.add_argument("--dgain-set", default=None, help="discrete presets, e.g. 100,200")
+    p.add_argument("--iso-set", type=_values("iso,iso,...", ",", None, int),
+                   default="800,1600,3200")
+    p.add_argument("--dgain-range", type=_values("lo:hi", ":", 2, float), default="10:200",
+                   help="lo:hi continuous range")
+    p.add_argument("--dgain-set", type=_values("dgain,dgain,...", ",", None, float),
+                   help="discrete presets, e.g. 100,200")
     p.add_argument("--mode", choices=synth._MODES, default="hybrid")
     p.add_argument("--rho", type=float, default=0.5)
     p.add_argument("--patch", type=int, default=512)
@@ -279,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isp", help="render RAW to sRGB (PPM or RAWB rgb)")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--wb", default="gray-world", help="'gray-world' or r,g,b gains")
+    p.add_argument("--wb", type=_wb, default="gray-world", help="'gray-world' or r,g,b gains")
     p.add_argument("--gamma", choices=("srgb", "none"), default="srgb")
     p.set_defaults(func=_cmd_isp)
 
@@ -297,7 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("budget", help="parameter/MAC accounting for a model JSON")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", default=None, help="override input shape, e.g. 1,4,512,512")
+    p.add_argument("--input", type=_values("n,c,h,w", ",", 4, int),
+                   help="override input shape, e.g. 1,4,512,512")
     p.set_defaults(func=_cmd_budget)
 
     p = sub.add_parser("bench", help="full benchmark: evaluate, merge externals, rank")

@@ -1,4 +1,4 @@
-"""Dataset manifests, batch evaluation, external-score ingestion, CSV outputs.
+"""Dataset manifests, batch evaluation, score CSVs in and out.
 
 A manifest lists the benchmark images (paired indoor scenes with ground
 truth, in-the-wild scenes without).  ``run_benchmark`` evaluates every
@@ -7,6 +7,13 @@ perceptual scores (LPIPS/ARNIQA/TOPIQ come from deep IQA tools, supplied
 as a CSV), and emits deterministic per-image, per-team, and rank-table
 CSVs.  Per-team aggregation is the arithmetic mean over images, computed
 with exact summation so entry order never changes a reported value.
+
+Every CSV the package reads (external scores, ``rawbench rank``'s wide
+scores, ``calibrate --ptc-csv``) goes through ``_read_csv``/``_csv_value``:
+a header row, ``#`` lines skipped, and a malformed row or a NaN value is a
+DataError naming ``file:line``.  A team with no metric at all is listed in
+the rank table but ranked in no category, so ``rawbench rank`` on the
+``scores.csv`` written here reproduces ``ranktable.csv`` byte for byte.
 """
 
 from __future__ import annotations
@@ -118,38 +125,65 @@ def load_manifest(path, profile: SensorProfile | None = None, strict: bool = Fal
     return replace(manifest, entries=tuple(entries))
 
 
+def _read_csv(path, required: tuple[str, ...]):
+    """Yield (where, row) per data row of a CSV file with a header row.
+
+    Lines starting with ``#`` are skipped, and ``where`` is the row's
+    ``file:line`` in the file as written.  A header without one of the
+    ``required`` columns, a row with more cells than the header and a row
+    with no cell for a required column raise DataError.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        numbered = [(n, line) for n, line in enumerate(fh, 1) if not line.startswith("#")]
+    reader = csv.DictReader(line for _, line in numbered)
+    missing = [c for c in required if c not in (reader.fieldnames or ())]
+    if missing:
+        header_line = numbered[0][0] if numbered else 1
+        raise DataError(f"{path}:{header_line}: missing column(s) {', '.join(missing)}")
+    for row in reader:
+        where = f"{path}:{numbered[reader.line_num - 1][0]}"
+        if None in row:
+            raise DataError(f"{where}: more cells than the {len(reader.fieldnames)} header columns")
+        short = [c for c in required if row[c] is None]
+        if short:
+            raise DataError(f"{where}: no cell for column(s) {', '.join(short)}")
+        yield where, row
+
+
+def _csv_value(where: str, row: dict, name: str, convert):
+    """``convert(row[name])``, or DataError naming ``where`` and the column.
+
+    NaN is rejected; +-inf is a value (PSNR is inf for identical images).
+    """
+    try:
+        value = convert(row[name])
+    except (TypeError, ValueError):
+        raise DataError(
+            f"{where}: column {name!r}: cannot read {row[name]!r} as {convert.__name__}"
+        ) from None
+    if isinstance(value, float) and math.isnan(value):
+        raise DataError(f"{where}: column {name!r}: NaN value")
+    return value
+
+
 def ingest_external_scores(path) -> dict[tuple[str, str], float]:
     """Read a team,metric,value CSV into a {(team, metric): value} map.
 
-    Metric names must be one of the five challenge metrics; later rows
-    override earlier ones with a warning.  An empty file yields an empty map.
+    The file starts with that header row; metric names must be one of the
+    five challenge metrics, and later rows override earlier ones with a
+    warning.  An empty file yields an empty map.
     """
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
     scores: dict[tuple[str, str], float] = {}
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    if Path(path).stat().st_size == 0:
         return scores
-    start = 1 if [c.strip().lower() for c in rows[0]] == ["team", "metric", "value"] else 0
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != 3:
-            raise DataError(f"{path}:{lineno}: expected team,metric,value")
-        team, metric, value = (c.strip() for c in row)
-        metric = metric.lower()
+    for where, row in _read_csv(path, ("team", "metric", "value")):
+        team, metric = row["team"].strip(), row["metric"].strip().lower()
         if metric not in ALL_METRICS:
-            raise DataError(f"{path}:{lineno}: unknown metric {metric!r}")
-        try:
-            v = float(value)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: non-numeric value {value!r}") from None
-        if math.isnan(v):
-            raise DataError(f"{path}:{lineno}: NaN value")
-        key = (team, metric)
-        if key in scores:
-            warnings.warn(f"{path}:{lineno}: duplicate {team}/{metric}, overriding")
-        scores[key] = v
+            raise DataError(f"{where}: unknown metric {metric!r}")
+        value = _csv_value(where, row, "value", float)
+        if (team, metric) in scores:
+            warnings.warn(f"{where}: duplicate {team}/{metric}, overriding")
+        scores[team, metric] = value
     return scores
 
 
@@ -278,18 +312,10 @@ def run_benchmark(
             )
         merged[team][metric] = value
     all_teams = sorted(merged)
-
     records = [
-        MetricRecord(team=t, **{m: merged[t].get(m) for m in ALL_METRICS})
-        for t in all_teams
-        if merged[t]
+        MetricRecord(team=t, **{m: merged[t].get(m) for m in ALL_METRICS}) for t in all_teams
     ]
-    if len(records) == len(all_teams):
-        table = final_table(records, complete_categories(records))
-    else:
-        # A team with no metric at all (only possible when the manifest has
-        # no paired entry) completes no category: list every team, rank none.
-        table = RankTable(teams=tuple(all_teams))
+    table = final_table(records, complete_categories(records))
 
     scores_path = out_dir / "scores.csv"
     with open(scores_path, "w", newline="", encoding="utf-8") as fh:

@@ -44,10 +44,6 @@ class MetricRecord:
     arniqa: float | None = None
     topiq: float | None = None
 
-    def __post_init__(self):
-        if all(getattr(self, m) is None for m in ALL_METRICS):
-            raise DataError(f"team {self.team!r} has no metrics at all")
-
     def get(self, metric: str) -> float | None:
         if metric not in METRIC_DIRECTIONS:
             raise DataError(f"unknown metric {metric!r}")

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,7 +183,10 @@ def test_bench_malformed_manifest_exits_2(tmp_path, capsys, doc):
     ("name,psnr,ssim\none,41.0,0.96\n", 1, "missing column(s) team"),
     ("# scores\nteam,psnr,ssim\none,41.0,0.96\ntwo,abc,0.95\n", 4,
      "column 'psnr': cannot read 'abc' as float"),
-], ids=["no-team-column", "non-numeric"])
+    ("team,psnr,ssim\none,41.0,0.96\ntwo,nan,0.95\n", 3, "column 'psnr': NaN value"),
+    ("team,psnr\none,41.0\n# again\none,40.0\n", 4, "duplicate team 'one'"),
+    ("team,psnr\none,41.0\ntwo,40.0,0.95\n", 3, "more cells than the 2 header columns"),
+], ids=["no-team-column", "non-numeric", "nan", "duplicate-team", "long-row"])
 def test_rank_bad_scores_csv_names_file_and_line(tmp_path, capsys, text, where, what):
     scores = tmp_path / "scores.csv"
     scores.write_text(text)
@@ -371,3 +377,46 @@ def test_denoise_tiling_flags_removed():
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["denoise", *REQUIRED_ARGS["denoise"], flag, "64"])
         assert exc.value.code == 2
+
+
+FLAG_CASES = [
+    ("calibrate", "--gains", "800=0.8,1600=1.6", ((800, 0.8), (1600, 1.6)), "800", "iso=gain,..."),
+    ("calibrate", "--roi", "0,2,64,60", (0, 2, 64, 60), "1,2", "x0,y0,w,h"),
+    ("synth", "--iso-set", "800,1600", (800, 1600), "800,abc", "iso,iso,..."),
+    ("synth", "--dgain-set", "100,200", (100.0, 200.0), "100,", "dgain,dgain,..."),
+    ("synth", "--dgain-range", "10:100", (10.0, 100.0), "10", "lo:hi"),
+    ("isp", "--wb", "2,1,1.5", ("2,1,1.5", (2.0, 1.0, 1.5)), "2,1", "'gray-world' or r,g,b gains"),
+    ("budget", "--input", "1,4,256,256", (1, 4, 256, 256), "1,4,512", "n,c,h,w"),
+]
+
+
+@pytest.mark.parametrize("command, flag, good, parsed, bad, form", FLAG_CASES,
+                         ids=[case[1] for case in FLAG_CASES])
+def test_flag_value_parsed_or_named_in_error(capsys, command, flag, good, parsed, bad, form):
+    dest = flag[2:].replace("-", "_")
+    args = build_parser().parse_args([command, *REQUIRED_ARGS[command], flag, good])
+    assert getattr(args, dest) == parsed
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([command, *REQUIRED_ARGS[command], flag, bad])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected {form}, got {bad!r}" in capsys.readouterr().err
+
+
+def test_isp_header_records_wb_as_typed(tmp_path):
+    src = tmp_path / "scene.rawb"
+    write_frame(make_frame(np.full((8, 8), 4000, np.uint16)), src)
+    out = tmp_path / "img.rawb"
+    assert main(["isp", "--in", str(src), "--out", str(out), "--wb", "2,1,1.5"]) == 0
+    header = json.loads(out.read_bytes().split(b"\n", 1)[0])
+    assert header["isp"]["wb"] == "2,1,1.5"
+
+
+def test_readme_command_line_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", readme, re.S).group(1)
+    commands = block.replace("\\\n", " ").splitlines()
+    assert len(commands) == len(REQUIRED_ARGS)
+    for line in commands:
+        argv = shlex.split(line)
+        assert argv[0] == "rawbench"
+        build_parser().parse_args(argv[1:])

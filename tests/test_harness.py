@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rawbench import harness
+from rawbench.cli import main
 from rawbench.core import read_frame, write_frame
 from rawbench.errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from rawbench.harness import (
@@ -131,6 +132,26 @@ class TestExternalScores:
             scores = ingest_external_scores(p)
         assert scores[("X", "lpips")] == 0.4
 
+    def test_missing_header_names_line_1(self, tmp_path):
+        p = tmp_path / "ext.csv"
+        p.write_text("X,lpips,0.5\n")
+        with pytest.raises(DataError, match=r"ext.csv:1: missing column\(s\) team, metric, value"):
+            ingest_external_scores(p)
+
+    def test_comment_lines_skipped(self, tmp_path):
+        p = tmp_path / "ext.csv"
+        p.write_text("# from the IQA tool\nteam,metric,value\n# run 2\nX,lpips,0.5\nX,topiq,abc\n")
+        with pytest.raises(DataError, match="ext.csv:5: column 'value'"):
+            ingest_external_scores(p)
+        p.write_text("# from the IQA tool\nteam,metric,value\n# run 2\nX,lpips,0.5\n")
+        assert ingest_external_scores(p) == {("X", "lpips"): 0.5}
+
+    def test_nan_value_with_line(self, tmp_path):
+        p = tmp_path / "ext.csv"
+        p.write_text("team,metric,value\nX,lpips,0.5\nX,topiq,nan\n")
+        with pytest.raises(DataError, match="ext.csv:3: column 'value': NaN value"):
+            ingest_external_scores(p)
+
 
 def _setup_benchmark(tmp_path, teams=("alpha",), noisy_sigma=None):
     """One paired entry; each team predicts gt (or gt + noise for 'beta')."""
@@ -241,10 +262,22 @@ class TestRunBenchmark:
         assert "alpha/img1" in str(err.value) and "beta/img1" in str(err.value)
 
 
-@pytest.mark.parametrize("ext_rows", [[], ["alpha,psnr,41.0", "alpha,ssim,0.96"]])
+COMPLETE_EXT_ROWS = [
+    f"{team},{metric},{value}"
+    for team, values in (("alpha", ("inf", 0.96, 0.2, 0.5, 0.3)),
+                         ("beta", (40.0, 0.95, 0.25, 0.45, 0.25)))
+    for metric, value in zip(("psnr", "ssim", "lpips", "arniqa", "topiq"), values)
+]
+
+
+@pytest.mark.parametrize("ext_rows", [
+    [], ["alpha,psnr,41.0", "alpha,ssim,0.96"], COMPLETE_EXT_ROWS,
+])
 def test_team_without_metrics_listed_unranked(tmp_path, ext_rows):
     # Without a paired entry a team that has no external score has no metric
     # at all: no category is complete and the rank table lists every team.
+    # Complete or not, `rawbench rank` on the scores.csv that the run wrote
+    # reproduces its rank table byte for byte.
     manifest = load_manifest(write_manifest(tmp_path / "m.json", [
         {"image_id": "w1", "camera": "camA", "scene_type": "wild", "iso": 800,
          "dgain": 10, "noisy_path": "w1.rawb"}]))
@@ -256,15 +289,29 @@ def test_team_without_metrics_listed_unranked(tmp_path, ext_rows):
     ext.write_text("\n".join(["team,metric,value", *ext_rows]))
     scores_path, rank_path = run_benchmark(manifest, pred_root, external_scores_path=ext,
                                            out_dir=tmp_path / "out")
-    alpha = b"alpha,41.0,0.96,,,\r\n" if ext_rows else b"alpha,,,,,\r\n"
+    if ext_rows is COMPLETE_EXT_ROWS:
+        rows = b"alpha,inf,0.96,0.2,0.5,0.3\r\nbeta,40.0,0.95,0.25,0.45,0.25\r\n"
+        ranks = (
+            b"team,rank_arniqa,rank_lpips,rank_psnr,rank_ssim,rank_topiq,score_fidelity,"
+            b"score_overall,score_perceptual,pos_fidelity,pos_overall,pos_perceptual\r\n"
+            b"alpha,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1.0,1,1,1\r\n"
+            b"beta,2.0,2.0,2.0,2.0,2.0,2.0,2.0,2.0,2,2,2\r\n"
+        )
+    else:
+        alpha = b"alpha,41.0,0.96,,,\r\n" if ext_rows else b"alpha,,,,,\r\n"
+        rows = alpha + b"beta,,,,,\r\n"
+        ranks = b"team\r\nalpha\r\nbeta\r\n"
     assert scores_path.read_bytes() == (
         b"# aggregation=mean_per_image phase=dev\n"
-        b"team,psnr,ssim,lpips,arniqa,topiq\r\n" + alpha + b"beta,,,,,\r\n"
+        b"team,psnr,ssim,lpips,arniqa,topiq\r\n" + rows
     )
-    assert rank_path.read_bytes() == b"team\r\nalpha\r\nbeta\r\n"
+    assert rank_path.read_bytes() == ranks
     assert (tmp_path / "out" / "per_image.csv").read_bytes() == (
         b"team,image_id,camera,iso,dgain,psnr_db,ssim\r\n"
     )
+    rank_out = tmp_path / "rank.csv"
+    assert main(["rank", "--scores", str(scores_path), "--out", str(rank_out)]) == 0
+    assert rank_out.read_bytes() == ranks
 
 
 def test_nan_prediction_names_the_file(tmp_path):
