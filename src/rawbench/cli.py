@@ -179,6 +179,8 @@ def _cmd_rank(args) -> int:
             for m in ranking.ALL_METRICS
         }
         records.append(ranking.MetricRecord(team=row["team"], **kwargs))
+    if not records:
+        raise DataError(f"{args.scores}: no team rows after the header")
     categories = ranking.complete_categories(records)
     table = ranking.final_table(records, categories)
     harness.write_ranktable(table, args.out)

@@ -6,9 +6,13 @@ averages the overlapping reconstructions.  After a variance-stabilizing
 transform the noise std is ~1, making the threshold parameter-free; with
 ``transform="none"`` the caller supplies the DN-domain sigma instead.
 
-The blocks that start on one phase of the stride grid do not overlap, so
-each phase is transformed as one batch of matrix products and added back in
-place; the flush blocks at the far edges form one more phase.
+The blocks that start on one phase of the stride grid do not overlap; the
+flush blocks at the far edges form one more phase.  The blocks of one row
+phase x column phase therefore tile one rectangle of the plane, which is
+transformed by two plain matrix products each way (the columns of every
+block at once by a left product, then the rows of every block at once by a
+right product on the rectangle's rows taken 8 at a time), thresholded and
+added back in place.
 
 Each plane is processed one core of at most 224 x 224 pixels at a time,
 which bounds the working set: one shrink call sees at most about 240^2
@@ -24,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .calibration import NoiseParams
 from .core import PackedImage, SPACE_NORMALIZED
@@ -62,22 +65,22 @@ class DenoiseConfig:
             raise DomainError("threshold_mult must be >= 0")
 
 
-def _block_groups(extent: int) -> tuple[list[slice], np.ndarray]:
+def _block_groups(extent: int) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Block starts along one axis, split into groups of non-overlapping blocks.
 
     The starts are 0, 4, 8, ... up to ``extent - 8``, plus the flush start
-    ``extent - 8`` when the grid misses it.  Each group is a slice over start
-    positions: one per phase of the grid, stepping by the block side, then
-    the flush start on its own.  Also returns how many blocks cover each
-    pixel.
+    ``extent - 8`` when the grid misses it.  Each group is a run of starts
+    one block side apart, given as (first start, number of blocks): one per
+    phase of the grid, then the flush start on its own.  Also returns how
+    many blocks cover each pixel.
     """
     last = (extent - _BLOCK) // _STRIDE * _STRIDE
-    groups = [slice(o, last + 1, _BLOCK) for o in range(0, min(_BLOCK, last + 1), _STRIDE)]
+    groups = [(o, (last - o) // _BLOCK + 1) for o in range(0, min(_BLOCK, last + 1), _STRIDE)]
     if last != extent - _BLOCK:
-        groups.append(slice(extent - _BLOCK, extent - _BLOCK + 1))
+        groups.append((extent - _BLOCK, 1))
     is_start = np.zeros(extent - _BLOCK + 1)
-    for g in groups:
-        is_start[g] = 1.0
+    for start, n in groups:
+        is_start[start : start + n * _BLOCK : _BLOCK] = 1.0
     return groups, np.convolve(is_start, np.ones(_BLOCK))
 
 
@@ -97,17 +100,22 @@ def dct8_shrink(plane: np.ndarray, sigma: float, threshold_mult: float = 3.0) ->
     rows, row_cover = _block_groups(p.shape[0])
     cols, col_cover = _block_groups(p.shape[1])
     thr = threshold_mult * sigma
-    src = sliding_window_view(p, (_BLOCK, _BLOCK))
     out = np.zeros_like(p)
-    dst = sliding_window_view(out, (_BLOCK, _BLOCK), writeable=True)
-    for ry in rows:
-        for rx in cols:
-            # the blocks of one row group x column group are disjoint, so the
-            # in-place overlap-add below writes each pixel at most once
-            coef = _DCT @ src[ry, rx] @ _DCT.T
+    for y0, ny in rows:
+        for x0, nx in cols:
+            # The ny x nx disjoint blocks of one row group x column group tile
+            # one rectangle.  Viewed as (ny, 8, 8 nx), a left product by the
+            # DCT matrix transforms the columns of every block, and a right
+            # product on its rows taken 8 at a time transforms their rows.
+            y1, x1 = y0 + _BLOCK * ny, x0 + _BLOCK * nx
+            x = p[y0:y1, x0:x1].reshape(ny, _BLOCK, _BLOCK * nx)
+            coef = ((_DCT @ x).reshape(-1, _BLOCK) @ _DCT.T).reshape(ny, _BLOCK, nx, _BLOCK)
             keep = np.abs(coef) >= thr
-            keep[..., 0, 0] = True
-            dst[ry, rx] += _DCT.T @ (coef * keep) @ _DCT
+            keep[:, 0, :, 0] = True
+            coef *= keep
+            rec = (_DCT.T @ coef.reshape(ny, _BLOCK, _BLOCK * nx)).reshape(-1, _BLOCK) @ _DCT
+            # disjoint blocks: this overlap-add writes each pixel at most once
+            out[y0:y1, x0:x1] += rec.reshape(y1 - y0, x1 - x0)
     out /= row_cover[:, None] * col_cover[None, :]
     return out
 

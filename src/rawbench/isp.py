@@ -66,8 +66,14 @@ def srgb_gamma(v):
     Inputs are clamped to [0, 1].
     """
     v = np.asarray(v, dtype=np.float64)
-    v = np.clip(v, 0.0, 1.0)
-    return np.where(v <= _SRGB_KNEE, 12.92 * v, 1.055 * np.power(v, 1.0 / 2.4) - 0.055)
+    # fresh arrays, also for a scalar (0-d) input, so the steps below can
+    # write in place: one power pass, then the linear segment over its values
+    v = np.clip(v, 0.0, 1.0, out=np.empty_like(v))
+    out = np.power(v, 1.0 / 2.4, out=np.empty_like(v))
+    out *= 1.055
+    out -= 0.055
+    np.multiply(v, 12.92, out=out, where=v <= _SRGB_KNEE)
+    return out
 
 
 def srgb_gamma_inverse(v):

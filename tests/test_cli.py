@@ -186,12 +186,14 @@ def test_bench_malformed_manifest_exits_2(tmp_path, capsys, doc):
     ("team,psnr,ssim\none,41.0,0.96\ntwo,nan,0.95\n", 3, "column 'psnr': NaN value"),
     ("team,psnr\none,41.0\n# again\none,40.0\n", 4, "duplicate team 'one'"),
     ("team,psnr\none,41.0\ntwo,40.0,0.95\n", 3, "more cells than the 2 header columns"),
-], ids=["no-team-column", "non-numeric", "nan", "duplicate-team", "long-row"])
+    ("# scores\nteam,psnr\n", None, "no team rows after the header"),
+], ids=["no-team-column", "non-numeric", "nan", "duplicate-team", "long-row", "no-rows"])
 def test_rank_bad_scores_csv_names_file_and_line(tmp_path, capsys, text, where, what):
     scores = tmp_path / "scores.csv"
     scores.write_text(text)
     assert main(["rank", "--scores", str(scores), "--out", str(tmp_path / "rank.csv")]) == 2
-    assert f"{scores}:{where}: {what}" in capsys.readouterr().err
+    named = f"{scores}:{where}" if where is not None else f"{scores}"  # the file, or file:line
+    assert f"{named}: {what}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, where, what", [

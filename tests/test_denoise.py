@@ -1,8 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 
 from rawbench import denoise
@@ -44,6 +50,44 @@ def dct8_reference(plane, sigma, threshold_mult):
     return out / cnt
 
 
+def dct8_block_oracle(plane, sigma, threshold_mult):
+    """Per-block shrink in the group order of :func:`dct8_shrink`.
+
+    Each block is transformed on its own as ``C @ block @ C.T`` over a
+    sliding window view, and the groups of disjoint blocks (grid phase 0,
+    phase 4, then the flush start, on each axis) are added back in the same
+    order, so the result must equal :func:`dct8_shrink` bit for bit.
+    """
+    p = np.asarray(plane, dtype=np.float64)
+    C = denoise._DCT
+
+    def groups(extent):
+        last = (extent - 8) // 4 * 4
+        gs = [slice(o, last + 1, 8) for o in (0, 4) if o <= last]
+        if last != extent - 8:
+            gs.append(slice(extent - 8, extent - 7))
+        cover = np.zeros(extent)
+        for g in gs:
+            for s in range(*g.indices(extent - 7)):
+                cover[s : s + 8] += 1.0
+        return gs, cover
+
+    rows, row_cover = groups(p.shape[0])
+    cols, col_cover = groups(p.shape[1])
+    thr = threshold_mult * sigma
+    src = sliding_window_view(p, (8, 8))
+    out = np.zeros_like(p)
+    dst = sliding_window_view(out, (8, 8), writeable=True)
+    for ry in rows:
+        for rx in cols:
+            coef = C @ src[ry, rx] @ C.T
+            keep = np.abs(coef) >= thr
+            keep[..., 0, 0] = True
+            dst[ry, rx] += C.T @ (coef * keep) @ C
+    out /= row_cover[:, None] * col_cover[None, :]
+    return out
+
+
 class TestDct8Shrink:
     def test_sigma_zero_is_identity(self):
         rng = np.random.default_rng(0)
@@ -78,6 +122,25 @@ class TestDct8Shrink:
         np.testing.assert_allclose(
             dct8_shrink(x, 1.0, 3.0), dct8_reference(x, 1.0, 3.0), atol=1e-12
         )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        h=st.integers(8, 120),
+        w=st.integers(8, 120),
+        sigma=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+        threshold_mult=st.one_of(st.just(0.0), st.floats(0.0, 4.0)),
+        integer=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @example(h=8, w=8, sigma=1.0, threshold_mult=0.0, integer=False, seed=0)
+    @example(h=120, w=118, sigma=1.0, threshold_mult=3.0, integer=True, seed=1)
+    def test_bit_identical_to_block_oracle(self, h, w, sigma, threshold_mult, integer, seed):
+        # integer-valued planes put coefficients exactly on the threshold
+        x = np.random.default_rng(seed).normal(3.0, 2.0, (h, w))
+        if integer:
+            x = np.rint(x)
+        got = dct8_shrink(x, sigma, threshold_mult)
+        assert got.tobytes() == dct8_block_oracle(x, sigma, threshold_mult).tobytes()
 
     def test_small_plane_rejected(self):
         with pytest.raises(DimensionError):
@@ -118,10 +181,30 @@ class TestTiling:
         single = dct8_shrink(plane, 1.0, 3.0)
         np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core), single)
 
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # The shrink's matrix products are large enough for OpenBLAS to split
+        # across threads; the seeded result must not depend on that.
+        code = (
+            "import hashlib, numpy as np\n"
+            "from rawbench.denoise import _tiled_shrink\n"
+            "plane = np.random.default_rng(7).normal(0, 1, (1024, 1024)) + 3.0\n"
+            "print(hashlib.sha256(_tiled_shrink(plane, 1.0, 3.0).tobytes()).hexdigest())\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        src = str(Path(denoise.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        plane = np.random.default_rng(7).normal(0, 1, (1024, 1024)) + 3.0
+        here = hashlib.sha256(_tiled_shrink(plane, 1.0, 3.0).tobytes()).hexdigest()
+        assert proc.stdout.strip() == here
+
 
 class TestDenoiseRaw:
-    def _noisy_pair(self, seed=5, side=128):
-        yy, xx = np.meshgrid(np.linspace(0, 1, side), np.linspace(0, 1, side), indexing="ij")
+    def _noisy_pair(self, seed=5, shape=(128, 128)):
+        h, w = shape
+        yy, xx = np.meshgrid(np.linspace(0, 1, h), np.linspace(0, 1, w), indexing="ij")
         chart = 0.08 + 0.4 * (0.5 + 0.5 * np.sin(2 * np.pi * xx) * np.cos(2 * np.pi * yy))
         clean = PackedImage(channels=np.stack([chart] * 4), space=SPACE_NORMALIZED,
                             black_level=BLACK, white_level=WHITE, iso=800)
@@ -158,12 +241,34 @@ class TestDenoiseRaw:
         np.testing.assert_array_equal(a.channels, b.channels)
 
     def test_core_size_does_not_change_output(self, monkeypatch):
-        noisy, _ = self._noisy_pair(side=256)  # larger than one default core
+        noisy, _ = self._noisy_pair(shape=(256, 256))  # larger than one default core
         default = denoise_raw(noisy, self._pg(), DenoiseConfig())
         for core in (10**6, 48):  # single pass, then many small cores
             monkeypatch.setattr(denoise, "_tiled_shrink", partial(_tiled_shrink, core=core))
             out = denoise_raw(noisy, self._pg(), DenoiseConfig())
             np.testing.assert_array_equal(out.channels, default.channels)
+
+    # SHA-256 of the float64 channels of seeded denoise_raw outputs: a
+    # 120x100 plane (one core, no flush block) and a 250x246 plane (tiled,
+    # with a flush block row and column)
+    @pytest.mark.parametrize("shape, cfg, digest", [
+        ((120, 100), DenoiseConfig(transform="gat"),
+         "0b4e8f3e3fe82b42c7f044a02b0e61365a9e00f31037280f0466d751d079892e"),
+        ((120, 100), DenoiseConfig(transform="ksigma"),
+         "13c8b19397a98065b8e425afd983c8b47fec88bda49eeffe5b5d17bb933e5e51"),
+        ((120, 100), DenoiseConfig(transform="none", sigma_dn=400.0),
+         "aa3cfac711d6e6e52df953f48acc3a71f05376a19f00a3e59dc45ec3c685b85c"),
+        ((250, 246), DenoiseConfig(transform="gat"),
+         "8548fee64c7a00e3cefe576cfa88efb7e5bdbfad2c62bd6403c66a4fffc7c557"),
+        ((250, 246), DenoiseConfig(transform="ksigma"),
+         "a2469e2c33c23dacb772d15866bca835a783cca242c62638d8dac1f63c8b1f67"),
+        ((250, 246), DenoiseConfig(transform="none", sigma_dn=400.0),
+         "f48084450c1a16fc6672b18ccdd77ee345762e77ddf3fa62c9b5f8f4aeae4d35"),
+    ], ids=["gat-core", "ksigma-core", "none-core", "gat-flush", "ksigma-flush", "none-flush"])
+    def test_pinned_output_digest(self, shape, cfg, digest):
+        noisy, _ = self._noisy_pair(shape=shape)
+        out = denoise_raw(noisy, self._pg(), cfg)
+        assert hashlib.sha256(out.channels.tobytes()).hexdigest() == digest
 
     def test_transform_none_needs_sigma(self):
         noisy, _ = self._noisy_pair()

@@ -223,6 +223,25 @@ class TestSrgbGamma:
         # there is no strict mode: input outside [0, 1] is clamped
         assert srgb_gamma(1.5) == pytest.approx(1.0, abs=1e-12)
 
+    def test_bit_identical_to_two_branch_formula(self):
+        knee = 0.0031308
+
+        def oracle(v):
+            v = np.clip(np.asarray(v, dtype=np.float64), 0.0, 1.0)
+            return np.where(v <= knee, 12.92 * v, 1.055 * np.power(v, 1.0 / 2.4) - 0.055)
+
+        rng = np.random.default_rng(8)
+        v = np.concatenate([rng.uniform(-0.1, 1.1, 20000), rng.uniform(0.0, 2 * knee, 20000),
+                            np.nextafter(knee, [0.0, 1.0]), [knee, 0.0, -0.0, 1.0, 1.5, -2.0]])
+        kept = v.copy()
+        assert srgb_gamma(v).tobytes() == oracle(v).tobytes()
+        strided = v.reshape(-1, 2)[:, ::-1]
+        assert srgb_gamma(strided).tobytes() == oracle(strided).tobytes()
+        assert v.tobytes() == kept.tobytes()  # the input is not written
+        for x in (0.0, knee / 2, knee, 0.5, 1.0, 1.5, np.float32(0.25)):
+            got, want = srgb_gamma(x), oracle(x)
+            assert got.shape == () and got.tobytes() == want.tobytes()
+
 
 class TestImageFiles:
     def test_ppm_roundtrip(self, tmp_path):
