@@ -45,7 +45,7 @@ from .core import (
     write_packed,
 )
 from .denoise import DenoiseConfig, dct8_shrink, denoise_raw, effective_pg_params
-from .isp import IspConfig, run_isp, srgb_gamma, srgb_gamma_inverse, write_ppm16
+from .isp import IspConfig, run_isp, srgb_gamma, write_ppm16
 from .metrics import EvalResult, evaluate_pair, psnr, ssim
 from .ranking import (
     MetricRecord,

@@ -183,8 +183,8 @@ def estimate_system_gain(points: list[tuple[float, float]]) -> tuple[float, floa
 def laplacian_variance(plane: np.ndarray) -> float:
     """Variance of the 4-neighbor Laplacian over the valid interior.
 
-    Sharpness/quality score used to drop the blurriest fraction of a clean
-    image pool; a constant or linear-ramp plane scores exactly 0.
+    A sharpness/quality score for a clean image pool (the blurriest planes
+    score lowest); a constant or linear-ramp plane scores exactly 0.
     """
     p = np.asarray(plane, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] < 3:
@@ -193,17 +193,6 @@ def laplacian_variance(plane: np.ndarray) -> float:
         p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
     )
     return float(np.var(lap))
-
-
-def filter_by_sharpness(planes: list[np.ndarray], drop_fraction: float = 0.2) -> list[int]:
-    """Indices of planes kept after dropping the lowest-Laplacian-variance fraction."""
-    if not 0 <= drop_fraction < 1:
-        raise ValueError(f"drop_fraction must be in [0, 1), got {drop_fraction}")
-    scores = [laplacian_variance(p) for p in planes]
-    n_drop = int(len(planes) * drop_fraction)
-    order = sorted(range(len(planes)), key=lambda i: (scores[i], i))
-    dropped = set(order[:n_drop])
-    return [i for i in range(len(planes)) if i not in dropped]
 
 
 def build_profile(

@@ -37,6 +37,17 @@ def _values(form: str, sep: str, count: int | None, convert):
     return parse
 
 
+def _threads(text: str) -> int:
+    """An argparse ``type`` for --threads: an integer of at least 1."""
+    try:
+        threads = int(text)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return threads
+
+
 def _iso_gain(text: str) -> tuple[int, float]:
     iso, gain = text.split("=")
     return int(iso), float(gain)
@@ -293,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-root", required=True)
     p.add_argument("--external", default=None, help="team,metric,value CSV")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=int, default=1, help="worker threads for scoring")
+    p.add_argument("--threads", type=_threads, default=1, help="worker threads for scoring")
     p.add_argument("--strict", action="store_true", help="eagerly validate referenced files")
     p.set_defaults(func=_cmd_bench)
     return parser

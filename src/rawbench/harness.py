@@ -197,6 +197,11 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads!r}")
+
+
 def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     """Read and score (label, pred_path, gt_path) triples into (pred camera_id,
     pred iso, EvalResult), returned in input order.
@@ -206,8 +211,10 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     predictions against it and releases it when it ends.  With
     ``threads > 1`` whole groups run in parallel, so at most ``threads``
     references are held at once.  A shape mismatch names the label, a GT too
-    small for the crop names the GT file.
+    small for the crop names the GT file.  ``threads`` below 1 raises
+    ValueError.
     """
+    _check_threads(threads)
     pairs = list(pairs)
     groups: dict[object, list[int]] = {}
     for i, (_, _, gt_path) in enumerate(pairs):
@@ -265,8 +272,10 @@ def run_benchmark(
     ``<image_id>.rawb`` predictions.  Paired entries are scored with the
     crop protocol; perceptual metrics come from the external CSV.  Missing
     predictions are all reported at once before aborting.  Returns the
-    paths of scores.csv and ranktable.csv.
+    paths of scores.csv and ranktable.csv.  ``threads`` below 1 raises
+    ValueError before any file is touched.
     """
+    _check_threads(threads)
     pred_root = Path(pred_root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

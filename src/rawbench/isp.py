@@ -76,13 +76,6 @@ def srgb_gamma(v):
     return out
 
 
-def srgb_gamma_inverse(v):
-    """Analytic inverse of :func:`srgb_gamma` on [0, 1]."""
-    v = np.asarray(v, dtype=np.float64)
-    v = np.clip(v, 0.0, 1.0)
-    return np.where(v <= 12.92 * _SRGB_KNEE, v / 12.92, np.power((v + 0.055) / 1.055, 2.4))
-
-
 def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
     """Per-channel gains equalizing channel means to the green mean.
 

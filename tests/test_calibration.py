@@ -13,7 +13,6 @@ from rawbench.calibration import (
     estimate_dark_shading,
     estimate_read_noise,
     estimate_system_gain,
-    filter_by_sharpness,
     laplacian_variance,
     load_profile,
     save_profile,
@@ -206,16 +205,6 @@ class TestLaplacianVariance:
     def test_too_small(self):
         with pytest.raises(DimensionError):
             laplacian_variance(np.zeros((2, 5)))
-
-    def test_sharpness_filter_drops_blurriest(self):
-        rng = np.random.default_rng(5)
-        sharp = [rng.uniform(0, 1, (16, 16)) for _ in range(8)]
-        blurry = [np.full((16, 16), 0.5) for _ in range(2)]
-        planes = blurry[:1] + sharp + blurry[1:]
-        kept = filter_by_sharpness(planes, drop_fraction=0.2)
-        assert 0 not in kept and len(planes) - 1 not in kept
-        assert len(kept) == 8
-
 
 class TestBuildProfile:
     def _darks(self, iso, rng, n=4, side=16):

@@ -374,6 +374,14 @@ def test_run_flags_only_where_used(command, flag):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["0", "-4", "two"])
+def test_bench_threads_below_one_exits_2(capsys, bad):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *REQUIRED_ARGS["bench"], "--threads", bad])
+    assert exc.value.code == 2
+    assert f"argument --threads: expected an integer >= 1, got {bad!r}" in capsys.readouterr().err
+
+
 def test_denoise_tiling_flags_removed():
     for flag in ("--tile", "--overlap"):
         with pytest.raises(SystemExit) as exc:

@@ -455,3 +455,17 @@ class TestScorePairs:
 
     def test_empty(self):
         assert score_pairs([], "final") == []
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+            score_pairs([], "dev", threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -4])
+def test_run_benchmark_threads_below_one_rejected(tmp_path, threads):
+    manifest_path, pred_root = _setup_benchmark(tmp_path)
+    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        run_benchmark(load_manifest(manifest_path), pred_root, out_dir=tmp_path / "out",
+                      threads=threads)
+    assert not (tmp_path / "out").exists()

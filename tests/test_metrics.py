@@ -214,6 +214,43 @@ def ssim_unbanded(pred, gt):
     return float(np.mean(scores))
 
 
+def filter_valid_oracle(x):
+    """SSIM's window filter as two full scipy passes, valid region only."""
+    g = metrics._gaussian_window(11, 1.5)
+    y = ndimage.correlate1d(x, g, axis=0, mode="constant")
+    y = ndimage.correlate1d(y, g, axis=1, mode="constant")
+    return y[5 : x.shape[0] - 5, 5 : x.shape[1] - 5]
+
+
+class TestFilterValid:
+    def test_window_is_exactly_symmetric(self):
+        # This exact symmetry is what makes summing (x[-j] + x[+j]) * w[c - j]
+        # for j = 5, ..., 1 equal, bit for bit, to scipy's correlate1d order.
+        assert metrics._GAUSS[::-1].tobytes() == metrics._GAUSS.tobytes()
+
+    # Sides 11-150 on each axis (11 is one valid row or column); planes that
+    # are uniform, integer-valued, of tiny magnitude, or float32-origin.
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(11, 150), w=st.integers(11, 150), seed=st.integers(0, 2**32 - 1),
+           kind=st.sampled_from(["uniform", "integer", "tiny", "float32"]))
+    @example(h=11, w=11, seed=0, kind="uniform")
+    @example(h=11, w=150, seed=1, kind="integer")
+    @example(h=150, w=11, seed=2, kind="tiny")
+    @example(h=74, w=97, seed=3, kind="float32")
+    def test_equals_two_scipy_passes_bit_for_bit(self, h, w, seed, kind):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0, 1, (h, w))
+        if kind == "integer":
+            x = rng.integers(0, 1024, (h, w)).astype(np.float64)
+        elif kind == "tiny":
+            x = 1e-3 * x * x
+        elif kind == "float32":
+            x = x.astype(np.float32).astype(np.float64)
+        got = metrics._filter_valid(x)
+        assert got.shape == (h - 10, w - 10)
+        assert got.tobytes() == filter_valid_oracle(x).tobytes()
+
+
 def reference_of(gt):
     """A Reference holding the packed image ``gt`` as its (already cropped) planes."""
     return metrics.Reference(gt, metrics._ssim_stats(gt),
