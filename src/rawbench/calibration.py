@@ -10,6 +10,17 @@ Estimators follow plain sample statistics with (n-1) denominators.  Row
 (banding) noise is measured from per-row means after removing each frame's
 own mean, so a constant per-frame offset contaminates neither the band nor
 the pixel estimate.
+
+``build_profile`` calibrates each dark frame in one pass.  The shading map
+is a running float64 sum divided by n once: frame 0 cast, then each later
+frame added.  Those are the adds of ``np.stack(...).mean(axis=0)`` in its
+order, so the map has the stack's bits without the (n, H, W) stack.  Each
+dark's residual mosaic is then made once.  It is split to RGGB for the
+library, its band means are taken from it, and its band-mean-removed
+pixels are written into one preallocated buffer.  The mosaic is dropped
+before the next dark's is made.  The buffer holds the values, in order, of
+the raveled per-frame parts that ``estimate_read_noise`` once concatenated,
+so both sigmas keep their bits as well.
 """
 
 from __future__ import annotations
@@ -105,8 +116,13 @@ def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
             raise ProfileError("dark frames have mixed dimensions")
         if d.iso != first.iso or d.camera_id != first.camera_id:
             raise ProfileError("dark frames mix ISO or camera")
-    stack = np.stack([crop_frame(d, roi).data.astype(np.float64) for d in darks])
-    return stack.mean(axis=0)
+    # mean(axis=0) of the float64 stack, without the stack: the same adds in
+    # the same order (frame 0, then each later frame), then one divide by n
+    total = crop_frame(first, roi).data.astype(np.float64, order="C")
+    for d in darks[1:]:
+        total += crop_frame(d, roi).data
+    total /= len(darks)
+    return total
 
 
 def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
@@ -115,16 +131,36 @@ def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
     The result is the frame's signal-independent noise residual, zero-mean
     per pixel over the library.
     """
+    return _library_image(dark, _dark_residual(dark, shading))
+
+
+def _dark_residual(dark: RawFrame, shading: np.ndarray) -> np.ndarray:
+    """The float64 mosaic ``dark - shading`` (a new C-ordered array)."""
     shading = np.asarray(shading, dtype=np.float64)
     if dark.data.shape != shading.shape:
         raise DimensionError(
             f"dark {dark.data.shape} does not match shading {shading.shape}"
         )
+    return np.subtract(dark.data, shading, dtype=np.float64, order="C")
+
+
+def _library_image(dark: RawFrame, residual: np.ndarray) -> PackedImage:
+    """A dark's residual mosaic packed to RGGB, tagged DN above black."""
     return PackedImage(
-        channels=split_rggb(dark.data.astype(np.float64) - shading),
-        space=SPACE_DN_ABOVE_BLACK,
-        **_meta_kwargs(dark),
+        channels=split_rggb(residual), space=SPACE_DN_ABOVE_BLACK, **_meta_kwargs(dark)
     )
+
+
+def _residual_mosaics(darks: list[RawFrame], roi: Roi, shading: np.ndarray,
+                      library: list[PackedImage]):
+    """Yield each dark's residual mosaic over ``roi``, one at a time, and
+    append its RGGB split to ``library`` on the way."""
+    for dark in darks:
+        dark = crop_frame(dark, roi)
+        mosaic = _dark_residual(dark, shading)
+        library.append(_library_image(dark, mosaic))
+        yield mosaic
+        del mosaic  # the next frame's mosaic is not made beside this one
 
 
 def estimate_read_noise(
@@ -140,19 +176,35 @@ def estimate_read_noise(
     """
     if not residuals:
         raise InsufficientData("need at least one residual frame")
+    _check_band_axis(band_axis)
+    mosaics = (np.asarray(interleave_rggb(r.channels), dtype=np.float64) for r in residuals)
+    return _read_noise_stats(mosaics, sum(r.channels.size for r in residuals), band_axis)
+
+
+def _check_band_axis(band_axis: str) -> None:
     if band_axis not in ("row", "col"):
         raise ValueError(f"band_axis must be 'row' or 'col', got {band_axis!r}")
+
+
+def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, float]:
+    """(sigma_read, sigma_row) of C-ordered float64 residual mosaics holding
+    ``n_pixels`` values in all, taken one at a time from the iterable
+    ``mosaics``.  Each frame's band-mean-removed pixels go to their slot of
+    one buffer, which holds what concatenating the frames' raveled parts
+    would, so ``np.std`` sums the same values in the same order."""
     band_means = []
-    pixel_parts = []
-    for res in residuals:
-        mosaic = interleave_rggb(res.channels).astype(np.float64)
-        if band_axis == "col":
-            mosaic = mosaic.T
-        means = mosaic.mean(axis=1)
+    pixels = np.empty(n_pixels)
+    start = 0
+    for mosaic in mosaics:
+        bands = mosaic.T if band_axis == "col" else mosaic
+        means = bands.mean(axis=1)
         band_means.append(means - means.mean())
-        pixel_parts.append((mosaic - means[:, None]).ravel())
+        stop = start + bands.size
+        np.subtract(bands, means[:, None], out=pixels[start:stop].reshape(bands.shape))
+        start = stop
+        del mosaic, bands  # free this frame's mosaic before the next one is made
     sigma_row = float(np.std(np.concatenate(band_means), ddof=1))
-    sigma_read = float(np.std(np.concatenate(pixel_parts), ddof=1))
+    sigma_read = float(np.std(pixels, ddof=1))
     return sigma_read, sigma_row
 
 
@@ -209,27 +261,40 @@ def build_profile(
     Gains come from ``provided_gains`` verbatim when present (the normal
     case: the dataset ships calibrated values), otherwise from a
     photon-transfer fit of ``ptc_points_by_iso``.  Every ISO keeps the
-    default quantization step of NoiseParams (1 DN).
+    default quantization step of NoiseParams (1 DN).  Without ``roi`` the
+    whole frames are calibrated, so every ISO's darks must have the first
+    ISO's size.
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
+    _check_band_axis(band_axis)
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
     iso_params: dict[int, NoiseParams] = {}
     shading_maps: dict[int, np.ndarray] = {}
     libraries: dict[int, list[PackedImage]] = {}
     ref: RawFrame | None = None
+    whole_frames = roi is None
     for iso in isos:
         darks = darks_by_iso.get(iso)
         if not darks:
             raise ProfileError(f"no dark frames supplied for ISO {iso}")
         if ref is None:
             ref = darks[0]
-            if roi is None:
+            if whole_frames:
                 roi = Roi(0, 0, ref.width, ref.height)
+        elif whole_frames and darks[0].data.shape != ref.data.shape:
+            raise ProfileError(
+                f"ISO {iso} darks are {darks[0].width}x{darks[0].height} but ISO {isos[0]} "
+                f"darks are {ref.width}x{ref.height}; pass an roi to calibrate a common region"
+            )
         shading = estimate_dark_shading(darks, roi)
-        residuals = [correct_dark_frame(crop_frame(d, roi), shading) for d in darks]
-        sigma_read, sigma_row = estimate_read_noise(residuals, band_axis=band_axis)
+        residuals: list[PackedImage] = []
+        sigma_read, sigma_row = _read_noise_stats(
+            _residual_mosaics(darks, roi, shading, residuals),
+            len(darks) * roi.w * roi.h,
+            band_axis,
+        )
         if iso in provided_gains:
             gain = float(provided_gains[iso])
         elif iso in ptc_points_by_iso:

@@ -68,7 +68,10 @@ def _cmd_calibrate(args) -> int:
         raise MissingDataError(f"{darks_root}: expected one subdirectory per ISO")
     darks_by_iso = {}
     for iso_dir in iso_dirs:
-        iso = int(iso_dir.name)
+        try:
+            iso = int(iso_dir.name)
+        except ValueError:
+            raise ValueError(f"{iso_dir}: subdirectory name is not an integer ISO") from None
         frames = [core.read_frame(p) for p in sorted(iso_dir.glob("*.rawb"))]
         if frames:
             darks_by_iso[iso] = frames

@@ -26,6 +26,7 @@ cache-sized.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -325,13 +326,16 @@ def _write_rawb(path, layout: str, space: str, payload: np.ndarray, fields: dict
 
 def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:
     """Read a RAWB file whose layout is one of ``layouts``; the payload comes
-    back as (H, W) for a mosaic and (C, H, W) otherwise."""
-    blob = Path(path).read_bytes()
-    nl = blob.find(b"\n")
-    if nl < 0:
+    back as (H, W) for a mosaic and (C, H, W) otherwise.  The payload is read
+    straight into a new (aligned) array, not through a copy of the file's
+    bytes, and the array is returned read-only."""
+    with open(path, "rb") as f:
+        line = f.readline()
+        payload = os.fstat(f.fileno()).st_size - len(line)
+    if not line.endswith(b"\n"):
         raise FormatError(f"{path}: missing header line")
     try:
-        header = json.loads(blob[:nl].decode("utf-8"))
+        header = json.loads(line.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("magic") != _RAWB_MAGIC:
@@ -350,12 +354,12 @@ def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:
     if w < 0 or h < 0:
         raise FormatError(f"{path}: negative size {w}x{h}")
     expected = w * h * c * _RAWB_DTYPES[tag].itemsize
-    payload = blob[nl + 1 :]
-    if len(payload) != expected:
+    if payload != expected:
         raise FormatError(
-            f"{path}: payload is {len(payload)} bytes, header implies {expected}"
+            f"{path}: payload is {payload} bytes, header implies {expected}"
         )
-    data = np.frombuffer(payload, dtype=_RAWB_DTYPES[tag])
+    data = np.fromfile(path, dtype=_RAWB_DTYPES[tag], count=w * h * c, offset=len(line))
+    data.flags.writeable = False
     return header, data.reshape(h, w) if layout == "mosaic" else data.reshape(c, h, w)
 
 

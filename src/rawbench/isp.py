@@ -66,13 +66,17 @@ def srgb_gamma(v):
     Inputs are clamped to [0, 1].
     """
     v = np.asarray(v, dtype=np.float64)
-    # fresh arrays, also for a scalar (0-d) input, so the steps below can
-    # write in place: one power pass, then the linear segment over its values
-    v = np.clip(v, 0.0, 1.0, out=np.empty_like(v))
-    out = np.power(v, 1.0 / 2.4, out=np.empty_like(v))
+    # fresh C-ordered arrays, also for a scalar (0-d) input, so the steps
+    # below can write in place: one power pass, then the linear segment
+    # gathered and scattered over its flat indices (numpy's masked multiply
+    # is several times slower where a band mixes both segments)
+    v = np.clip(v, 0.0, 1.0, out=np.empty(v.shape))
+    out = np.power(v, 1.0 / 2.4, out=np.empty(v.shape))
     out *= 1.055
     out -= 0.055
-    np.multiply(v, 12.92, out=out, where=v <= _SRGB_KNEE)
+    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
+    low = np.flatnonzero(flat_v <= _SRGB_KNEE)
+    flat_out[low] = flat_v[low] * 12.92
     return out
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rawbench.calibration import (
     NoiseParams,
@@ -17,7 +18,15 @@ from rawbench.calibration import (
     load_profile,
     save_profile,
 )
-from rawbench.core import PackedImage, Roi, SPACE_DN_ABOVE_BLACK
+from rawbench.core import (
+    PackedImage,
+    RawFrame,
+    Roi,
+    SPACE_DN_ABOVE_BLACK,
+    crop_frame,
+    interleave_rggb,
+    split_rggb,
+)
 from rawbench.errors import (
     CalibrationWarning,
     DimensionError,
@@ -268,6 +277,113 @@ class TestBuildProfile:
                 back.dark_library[iso][0].channels,
                 prof.dark_library[iso][0].channels.astype(np.float32),
             )
+
+    def test_bad_band_axis_fails_before_any_frame_is_read(self):
+        # no darks at all: a check made after the first frame would raise
+        # "no dark frames supplied" instead
+        with pytest.raises(ValueError, match="band_axis must be 'row' or 'col', got 'diag'"):
+            build_profile("camA", [800], {}, provided_gains={800: 1.0}, band_axis="diag")
+
+    @pytest.mark.parametrize("side", [32, 128])
+    def test_later_iso_of_another_size_names_both_isos(self, side):
+        rng = np.random.default_rng(10)
+        darks = {800: self._darks(800, rng, side=64), 1600: self._darks(1600, rng, side=side)}
+        gains = {800: 0.8, 1600: 1.6}
+        with pytest.raises(ProfileError,
+                           match=f"ISO 1600 darks are {side}x{side} but ISO 800 darks are 64x64"):
+            build_profile("camA", [800, 1600], darks, provided_gains=gains)
+        # an explicit roi that fits every frame calibrates the common region
+        prof = build_profile("camA", [800, 1600], darks, provided_gains=gains,
+                             roi=Roi(0, 0, 32, 32))
+        assert prof.dark_shading[1600].shape == (32, 32)
+
+
+def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
+    """The estimators as written before they became one pass per frame: a
+    float64 stack for the shading, each residual split to RGGB, and read
+    noise from interleaved, cast, raveled and concatenated residuals."""
+    iso_params, shading_maps, libraries = {}, {}, {}
+    first = darks_by_iso[isos[0]][0]
+    roi = roi or Roi(0, 0, first.width, first.height)
+    for iso in isos:
+        darks = [crop_frame(d, roi) for d in darks_by_iso[iso]]
+        shading = np.stack([d.data.astype(np.float64) for d in darks]).mean(axis=0)
+        residuals = [
+            PackedImage(channels=split_rggb(d.data.astype(np.float64) - shading),
+                        space=SPACE_DN_ABOVE_BLACK, black_level=d.black_level,
+                        white_level=d.white_level, camera_id=d.camera_id, iso=d.iso)
+            for d in darks
+        ]
+        band_means, pixel_parts = [], []
+        for res in residuals:
+            mosaic = interleave_rggb(res.channels).astype(np.float64)
+            if band_axis == "col":
+                mosaic = mosaic.T
+            means = mosaic.mean(axis=1)
+            band_means.append(means - means.mean())
+            pixel_parts.append((mosaic - means[:, None]).ravel())
+        iso_params[iso] = NoiseParams(
+            K=gains[iso],
+            sigma_read=float(np.std(np.concatenate(pixel_parts), ddof=1)),
+            sigma_row=float(np.std(np.concatenate(band_means), ddof=1)),
+        )
+        shading_maps[iso] = shading
+        libraries[iso] = residuals
+    return SensorProfile(camera_id="camA", black_level=first.black_level,
+                         white_level=first.white_level, effective_roi=roi,
+                         iso_params=iso_params, dark_shading=shading_maps,
+                         dark_library=libraries)
+
+
+class TestOnePassCalibration:
+    """build_profile and its estimators give the bits of the oracle above."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 6), n_isos=st.integers(1, 2),
+           dtype=st.sampled_from([np.uint16, np.float32]),
+           h=st.integers(4, 14), w=st.integers(4, 14),
+           roi=st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2)),
+           band_axis=st.sampled_from(["row", "col"]), fortran=st.booleans(),
+           seed=st.integers(0, 2**16))
+    def test_bits_match_the_stacked_oracle(self, tmp_path_factory, n, n_isos, dtype, h, w, roi,
+                                           band_axis, fortran, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2 * h, 2 * w)
+        isos = [800, 3200][:n_isos]
+        darks_by_iso = {}
+        for iso in isos:
+            frames = []
+            for _ in range(n):
+                dn = 512.0 + rng.normal(0, 3.0 * iso / 800, shape) + rng.normal(0, 2.0, (shape[0], 1))
+                data = dn.clip(0).astype(dtype)
+                frames.append(RawFrame(np.asfortranarray(data) if fortran else data,
+                                       black_level=BLACK, white_level=WHITE, camera_id="camA",
+                                       iso=iso))
+            darks_by_iso[iso] = frames
+        if roi is not None:
+            # offsets of 2 (mod 4) included; the region keeps at least 2x2
+            x0, y0 = 2 * roi[0], 2 * roi[1]
+            roi = Roi(x0, y0, shape[1] - x0 - 2, shape[0] - y0 - 2)
+        gains = {800: 0.8, 3200: 3.2}
+        want = _oracle_profile(isos, darks_by_iso, gains, roi, band_axis)
+        got = build_profile("camA", isos, darks_by_iso, provided_gains=gains, roi=roi,
+                            band_axis=band_axis)
+        assert got.effective_roi == want.effective_roi
+        for iso in isos:
+            assert got.iso_params[iso] == want.iso_params[iso]
+            assert got.dark_shading[iso].tobytes() == want.dark_shading[iso].tobytes()
+            assert estimate_dark_shading(darks_by_iso[iso], want.effective_roi).tobytes() == \
+                want.dark_shading[iso].tobytes()
+            lib_got, lib_want = got.dark_library[iso], want.dark_library[iso]
+            assert [r.channels.tobytes() for r in lib_got] == \
+                [r.channels.tobytes() for r in lib_want]
+            assert estimate_read_noise(lib_want, band_axis) == (
+                want.iso_params[iso].sigma_read, want.iso_params[iso].sigma_row)
+        out = tmp_path_factory.mktemp("profiles")
+        save_profile(want, out / "want" / "prof.json")
+        save_profile(got, out / "got" / "prof.json")
+        assert {p.name: p.read_bytes() for p in (out / "got").iterdir()} == \
+            {p.name: p.read_bytes() for p in (out / "want").iterdir()}
 
 
 def _fixed_profile():

@@ -219,6 +219,16 @@ def test_calibrate_without_dark_frames_exits_3(tmp_path, capsys, camera_id):
     assert "no .rawb dark frames" in capsys.readouterr().err
 
 
+def test_calibrate_names_a_subdirectory_that_is_no_iso(workspace, capsys):
+    notes = workspace / "darks" / "notes"
+    notes.mkdir()
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--gains", "800=0.8,1600=1.6",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert f"{notes}: subdirectory name is not an integer ISO" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
 def test_calibrate_from_ptc_csv(workspace):
     ptc = workspace / "ptc.csv"
     ptc.write_text("iso,mean,variance\n"

@@ -32,7 +32,7 @@ from rawbench.core import (
 )
 from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError
 
-from conftest import make_frame
+from conftest import BLACK, WHITE, make_frame
 
 
 def pack_oracle(data):
@@ -308,6 +308,21 @@ class TestRawbIO:
         f = make_frame(np.zeros((2, 2), dtype=np.float64))
         with pytest.raises(FormatError):
             write_frame(f, tmp_path / "x.rawb")
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_read_data_is_read_only_and_equals_the_payload(self, tmp_path, dtype):
+        rng = np.random.default_rng(7)
+        frame = make_frame((rng.random((6, 8)) * 1000).astype(dtype))
+        packed = PackedImage(channels=(rng.random((4, 3, 5)) * 1000).astype(dtype),
+                             space="dn", black_level=BLACK, white_level=WHITE)
+        write_frame(frame, tmp_path / "f.rawb")
+        write_packed(packed, tmp_path / "p.rawb")
+        for data, path in ((read_frame(tmp_path / "f.rawb").data, tmp_path / "f.rawb"),
+                           (read_packed(tmp_path / "p.rawb").channels, tmp_path / "p.rawb")):
+            assert not data.flags.writeable
+            with pytest.raises(ValueError):
+                data[0, 0] = 1
+            assert data.tobytes() == path.read_bytes().split(b"\n", 1)[1]
 
     def test_packed_roundtrip(self, tmp_path):
         rng = np.random.default_rng(6)

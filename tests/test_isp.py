@@ -232,9 +232,12 @@ class TestSrgbGamma:
         strided = v.reshape(-1, 2)[:, ::-1]
         assert srgb_gamma(strided).tobytes() == oracle(strided).tobytes()
         assert v.tobytes() == kept.tobytes()  # the input is not written
-        for x in (0.0, knee / 2, knee, 0.5, 1.0, 1.5, np.float32(0.25)):
+        for x in (0.0, knee / 2, knee, 0.5, 1.0, 1.5, np.float32(0.25), np.array(knee / 3)):
             got, want = srgb_gamma(x), oracle(x)
             assert got.shape == () and got.tobytes() == want.tobytes()
+        # every value on one segment: all below (or at) the knee, none below
+        for v in (rng.uniform(-0.1, knee, (7, 5, 3)), rng.uniform(2 * knee, 1.2, (7, 5, 3))):
+            assert srgb_gamma(v).tobytes() == oracle(v).tobytes()
 
 
 class TestImageFiles:
