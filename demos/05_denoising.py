@@ -31,7 +31,7 @@ clean = PackedImage(channels=np.stack([chart] * 4), space=SPACE_NORMALIZED,
                     black_level=BLACK, white_level=WHITE, iso=800)
 
 noisy = synthesize_noisy(clean, profile,
-                         SynthConfig(iso=800, dgain=100.0, row=False, quant=False, seed=3))
+                         SynthConfig(iso=800, dgain=100.0, seed=3))
 pg = effective_pg_params(profile.iso_params[800], dgain=100.0)
 print(f"effective DN-domain parameters after dgain: K'={pg.K:.1f}, sigma'={pg.sigma:.1f}")
 

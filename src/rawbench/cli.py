@@ -99,11 +99,6 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    profile = calibration.load_profile(args.profile)
-    clean_paths = sorted(Path(args.clean).glob("*.rawb"))
-    if not clean_paths:
-        raise MissingDataError(f"{args.clean}: no .rawb clean frames found")
-    frames = [core.read_frame(p) for p in clean_paths]
     sampler = synth.BatchConfig(
         iso_choices=args.iso_set,
         dgain_choices=args.dgain_set,
@@ -112,6 +107,11 @@ def _cmd_synth(args) -> int:
         hybrid_rho=args.rho,
         clip_hi=args.clip_hi,
     )
+    profile = calibration.load_profile(args.profile)
+    clean_paths = sorted(Path(args.clean).glob("*.rawb"))
+    if not clean_paths:
+        raise MissingDataError(f"{args.clean}: no .rawb clean frames found")
+    frames = [core.read_frame(p) for p in clean_paths]
     pairs = synth.make_pair_batch(
         frames, profile, sampler, args.patch, args.per_image, args.seed
     )

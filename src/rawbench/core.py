@@ -74,6 +74,13 @@ def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
     return black, white
 
 
+def _check_clip_hi(clip_hi) -> float:
+    """The normalized-range rule of images and synthesis: a finite clip_hi > 0."""
+    if not (np.isfinite(clip_hi) and clip_hi > 0):
+        raise DomainError(f"clip_hi must be finite and > 0, got {clip_hi}")
+    return float(clip_hi)
+
+
 def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     """The one image-level rule of RawFrame and PackedImage: the levels pass
     ``_check_levels``, and float data are finite (and >= 0 when
@@ -130,8 +137,8 @@ class PackedImage:
     ``channels`` has shape (4, H, W) in R, Gr, Gb, B order.  ``space`` is
     one of ``dn`` (raw DN), ``dn_above_black`` (black pedestal removed,
     may be negative for noise residuals), or ``normalized`` (values in
-    [0, clip_hi]).  Float planes must be finite.  Metadata mirrors the
-    source RawFrame.
+    [0, clip_hi], a finite clip_hi > 0).  Float planes must be finite.
+    Metadata mirrors the source RawFrame.
     """
 
     channels: np.ndarray
@@ -149,6 +156,7 @@ class PackedImage:
             raise DimensionError(f"channels must have shape (4, H, W), got {ch.shape}")
         if self.space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED):
             raise DomainError(f"unknown value space {self.space!r}")
+        object.__setattr__(self, "clip_hi", _check_clip_hi(self.clip_hi))
         _check_image(self, ch, nonnegative=False)
         object.__setattr__(self, "channels", ch)
 

@@ -9,7 +9,8 @@ electron mean and via a rounded Gaussian above it.
 Signal-independent noise comes from one of three sources:
 
 * ``parametric``  - Gaussian pixel noise + Gaussian row (banding) noise +
-  uniform quantization dither, per the profile's NoiseParams;
+  uniform quantization dither, per the profile's NoiseParams, which alone
+  switch them: a zero sigma or quant step draws nothing;
 * ``dark_sample`` - a random crop of a real corrected dark residual from
   the profile's library;
 * ``hybrid``      - per image, a Bernoulli(rho) pick between the two, which
@@ -30,8 +31,8 @@ from .calibration import NoiseParams, SensorProfile
 from .core import (
     PackedImage,
     RawFrame,
-    SPACE_DN_ABOVE_BLACK,
     SPACE_NORMALIZED,
+    _check_clip_hi,
     normalize,
     pack_rggb,
 )
@@ -44,26 +45,24 @@ _GAUSS_THRESHOLD = 30.0
 
 @dataclass(frozen=True, kw_only=True)
 class _NoiseKnobs:
-    """Noise source and component toggles shared by SynthConfig and BatchConfig."""
+    """Noise source and output range shared by SynthConfig and BatchConfig
+    (the sensor profile alone decides which noise components are drawn)."""
 
     mode: str = "parametric"
     hybrid_rho: float = 0.5
     clip_hi: float = 1.0
-    shot: bool = True
-    read: bool = True
-    row: bool = True
-    quant: bool = True
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 <= self.hybrid_rho <= 1.0:
             raise DomainError(f"hybrid_rho must be in [0, 1], got {self.hybrid_rho}")
+        _check_clip_hi(self.clip_hi)
 
 
 @dataclass(frozen=True, kw_only=True)
 class SynthConfig(_NoiseKnobs):
-    """One synthesis draw: ISO/dgain point, noise source, component toggles."""
+    """One synthesis draw: ISO/dgain point, noise source, output range."""
 
     iso: int
     dgain: float
@@ -76,22 +75,21 @@ class SynthConfig(_NoiseKnobs):
 
 
 def sample_shot(
-    clean_norm: PackedImage,
+    clean: np.ndarray,
+    span: np.ndarray,
     params: NoiseParams,
     dgain: float,
     rng: np.random.Generator,
-) -> PackedImage:
-    """Sample shot noise: DN_above_black = Poisson(e) * K with e = c*(w-b)/(dgain*K).
+) -> np.ndarray:
+    """Sample shot noise: DN_above_black = Poisson(e) * K with e = c*span/(dgain*K).
 
-    Poisson counts are drawn exactly below ``_GAUSS_THRESHOLD`` electrons and
-    approximated by round(N(e, e)) clamped at zero above it.
+    ``clean`` holds normalized planes, and ``span`` broadcasts white - black
+    to them.  Poisson counts are drawn exactly below ``_GAUSS_THRESHOLD``
+    electrons and approximated by round(N(e, e)) clamped at zero above it.
     """
-    if clean_norm.space != SPACE_NORMALIZED:
-        raise DomainError("sample_shot expects a normalized clean image")
-    c = clean_norm.channels.astype(np.float64)
+    c = np.asarray(clean, dtype=np.float64)
     if np.min(c) < 0:
         raise DomainError("clean image must be >= 0")
-    span = (clean_norm.white_level - clean_norm.black_level)[:, None, None]
     electrons = c * span / (dgain * params.K)
     counts = np.empty_like(electrons)
     small = electrons < _GAUSS_THRESHOLD
@@ -100,35 +98,33 @@ def sample_shot(
     if np.any(big):
         e_big = electrons[big]
         counts[big] = np.maximum(np.rint(rng.normal(e_big, np.sqrt(e_big))), 0.0)
-    return replace(clean_norm, channels=counts * params.K, space=SPACE_DN_ABOVE_BLACK)
+    return counts * params.K
 
 
 def sample_parametric_read(
     shape: tuple[int, int, int],
     params: NoiseParams,
     rng: np.random.Generator,
-    knobs: _NoiseKnobs = _NoiseKnobs(),
 ) -> np.ndarray:
     """Signal-independent DN residual for a packed (4, H, W) shape.
 
     Pixel noise is N(0, sigma_read^2); banding is N(0, sigma_row^2) shared
     along each mosaic row (even rows feed the R/Gr planes, odd rows Gb/B);
-    quantization is uniform dither over one quant step.  ``knobs`` (a
-    SynthConfig or BatchConfig) switches these with ``read``, ``row`` and
-    ``quant``; by default every component is on.  Disabled components
-    contribute exactly zero.
+    quantization is uniform dither over one quant step.  ``params`` switches
+    them: a component whose sigma (or quant step) is zero draws nothing from
+    ``rng`` and contributes exactly zero.
     """
     if len(shape) != 3 or shape[0] != 4:
         raise DimensionError(f"expected a packed (4, H, W) shape, got {shape}")
     _, h, w = shape
     res = np.zeros(shape, dtype=np.float64)
-    if knobs.read and params.sigma_read > 0:
+    if params.sigma_read > 0:
         res += rng.normal(0.0, params.sigma_read, shape)
-    if knobs.row and params.sigma_row > 0:
+    if params.sigma_row > 0:
         offsets = rng.normal(0.0, params.sigma_row, 2 * h)
         res[:2] += offsets[0::2, None]
         res[2:] += offsets[1::2, None]
-    if knobs.quant and params.quant_step > 0:
+    if params.quant_step > 0:
         half = params.quant_step / 2.0
         res += rng.uniform(-half, half, shape)
     return res
@@ -180,9 +176,9 @@ def synthesize_noisy(
     """Full noisy-image synthesis for one clean patch.
 
     noisy = clamp(signal_norm + dgain * residual_DN / (white - black), 0, clip_hi)
-    where signal_norm is the shot-noise draw mapped back to normalized units
-    (or exactly the clean image when shot noise is disabled).  ``clip=False``
-    skips the final clamp, exposing the pre-clip field for moment checks.
+    where signal_norm is the shot-noise draw mapped back to normalized units.
+    ``clip=False`` skips the final clamp, exposing the pre-clip field for
+    moment checks.
     """
     if clean_norm.space != SPACE_NORMALIZED:
         raise DomainError("synthesize_noisy expects a normalized clean image")
@@ -190,21 +186,8 @@ def synthesize_noisy(
     shot_rng, noise_rng, select_rng = _rng_streams(cfg.seed)
     span = (profile.white_level - profile.black_level)[:, None, None]
     shape = clean_norm.channels.shape
-
-    if cfg.shot:
-        shot = sample_shot(
-            replace(
-                clean_norm,
-                black_level=profile.black_level,
-                white_level=profile.white_level,
-            ),
-            params,
-            cfg.dgain,
-            shot_rng,
-        )
-        signal_norm = cfg.dgain * shot.channels / span
-    else:
-        signal_norm = clean_norm.channels.astype(np.float64)
+    shot = sample_shot(clean_norm.channels, span, params, cfg.dgain, shot_rng)
+    signal_norm = cfg.dgain * shot / span
 
     if cfg.mode == "hybrid":
         use_dark = bool(select_rng.random() < cfg.hybrid_rho)
@@ -213,7 +196,7 @@ def synthesize_noisy(
     if use_dark:
         residual = sample_dark_patch(profile, cfg.iso, shape, noise_rng)
     else:
-        residual = sample_parametric_read(shape, params, noise_rng, cfg)
+        residual = sample_parametric_read(shape, params, noise_rng)
 
     noisy = signal_norm + cfg.dgain * residual / span
     if clip:
@@ -248,6 +231,12 @@ class BatchConfig(_NoiseKnobs):
             raise DomainError("iso_choices must be non-empty")
         if (self.dgain_choices is None) == (self.dgain_range is None):
             raise DomainError("set exactly one of dgain_choices / dgain_range")
+        dgains = self.dgain_choices if self.dgain_range is None else self.dgain_range
+        values = np.asarray(dgains, dtype=np.float64)
+        if not (values.size and np.isfinite(values).all() and values.min() > 0):
+            raise DomainError(f"dgains must be finite and > 0, got {dgains}")
+        if self.dgain_range is not None and not (values.shape == (2,) and values[0] <= values[1]):
+            raise DomainError(f"dgain_range must be (lo, hi) with lo <= hi, got {dgains}")
 
 
 def make_pair_batch(
@@ -267,6 +256,8 @@ def make_pair_batch(
     """
     if patch <= 0 or patch % 2:
         raise DimensionError(f"patch side must be even and > 0, got {patch}")
+    if patches_per_image < 1:
+        raise DomainError(f"patches_per_image must be >= 1, got {patches_per_image}")
     knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}
     pairs: list[tuple[PackedImage, PackedImage]] = []
     for i, frame in enumerate(clean_frames):

@@ -39,7 +39,6 @@ from rawbench.metrics import psnr, ssim
 from rawbench.ranking import category_scores, final_table, majority_tiebreak
 from rawbench.synth import (
     SynthConfig,
-    _NoiseKnobs,
     sample_parametric_read,
     sample_shot,
     synthesize_noisy,
@@ -205,13 +204,11 @@ def test_criterion_6_closed_loop_calibration(clock):
 
     # photon-transfer closed loop through the synthesis sampler
     params = NoiseParams(K=0.8, sigma_read=4.0, sigma_row=0.0, quant_step=0.0)
+    span = (WHITE - BLACK)[:, None, None]
     points = []
     for clean_v in np.linspace(0.02, 0.6, 12):
-        clean = PackedImage(channels=np.full((4, 256, 256), clean_v),
-                            space=SPACE_NORMALIZED, black_level=BLACK, white_level=WHITE)
-        flat = sample_shot(clean, params, 1.0, rng).channels
-        flat = flat + sample_parametric_read(flat.shape, params, rng,
-                                             _NoiseKnobs(row=False, quant=False))
+        flat = sample_shot(np.full((4, 256, 256), clean_v), span, params, 1.0, rng)
+        flat = flat + sample_parametric_read(flat.shape, params, rng)
         points.append((float(flat.mean()), float(flat.var())))
     K_est, _ = estimate_system_gain(points)
     assert abs(K_est - 0.8) / 0.8 <= 0.02
@@ -226,7 +223,7 @@ def test_criterion_7_baseline_denoiser(clock, monkeypatch):
                         black_level=BLACK, white_level=WHITE, iso=800)
     prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=0.0, quant_step=0.0)
     noisy = synthesize_noisy(clean, prof,
-                             SynthConfig(iso=800, dgain=100.0, row=False, quant=False, seed=5))
+                             SynthConfig(iso=800, dgain=100.0, seed=5))
     pg = effective_pg_params(prof.iso_params[800], 100.0)
 
     denoised = denoise_raw(noisy, pg, DenoiseConfig(transform="gat"))

@@ -95,6 +95,36 @@ def test_synth_rerun_byte_identical(workspace):
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flags, what", [
+    (["--clip-hi", "0"], "clip_hi"),
+    (["--clip-hi", "-1"], "clip_hi"),
+    (["--clip-hi", "nan"], "clip_hi"),
+    (["--dgain-range=-5:0"], "dgain"),
+    (["--dgain-range", "20:10"], "dgain_range"),
+    (["--dgain-set", "100,0"], "dgain"),
+])
+def test_synth_rejects_bad_sampler_before_reading_anything(tmp_path, capsys, flags, what):
+    # neither the profile nor the clean directory exists: the sampler is checked first
+    out = tmp_path / "pairs"
+    rc = main(["synth", "--profile", str(tmp_path / "none.json"), "--clean",
+               str(tmp_path / "none"), "--out", str(out), *flags])
+    assert rc == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_synth_rejects_zero_patches_per_image(workspace, capsys):
+    profile = workspace / "profile.json"
+    assert main(["calibrate", "--darks", str(workspace / "darks"), "--camera-id", "camA",
+                 "--gains", "800=0.8,1600=1.6", "--out", str(profile)]) == 0
+    out = workspace / "pairs"
+    rc = main(["synth", "--profile", str(profile), "--clean", str(workspace / "clean"),
+               "--out", str(out), "--iso-set", "800", "--patch", "16", "--per-image", "0"])
+    assert rc == 2
+    assert "patches_per_image" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_and_rank(workspace, tmp_path):
     rng = np.random.default_rng(1)
     gt_dir = tmp_path / "gt"

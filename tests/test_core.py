@@ -418,6 +418,32 @@ class TestImageRule:
                           black_level=512.0, white_level=16383.0)
         assert img.channels.min() == -3.5
 
+    @pytest.mark.parametrize("clip_hi", [0.0, -1.0, np.nan, np.inf])
+    def test_packed_rejects_bad_clip_hi_before_the_data_scan(self, clip_hi):
+        ch = np.full((4, 2, 2), np.nan)  # would fail the finite scan, which comes later
+        with pytest.raises(DomainError, match="clip_hi"):
+            PackedImage(channels=ch, space=SPACE_NORMALIZED, black_level=512.0,
+                        white_level=16383.0, clip_hi=clip_hi)
+
+    @pytest.mark.parametrize("clip_hi", [0.0, -1.0, np.nan, np.inf])
+    def test_normalize_rejects_bad_clip_hi(self, clip_hi):
+        img = pack_rggb(make_frame(np.full((4, 4), 1000, dtype=np.uint16)))
+        with pytest.raises(DomainError, match="clip_hi"):
+            normalize(img, clip_hi=clip_hi)
+
+    @pytest.mark.parametrize("clip_hi", [0.0, -1.0, float("nan"), float("inf")])
+    def test_read_packed_rejects_bad_clip_hi_naming_the_file(self, tmp_path, clip_hi):
+        path = tmp_path / "den.rawb"
+        write_packed(PackedImage(channels=np.full((4, 2, 2), 0.5, dtype=np.float32),
+                                 space=SPACE_NORMALIZED, black_level=512.0,
+                                 white_level=16383.0), path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(line), "clip_hi": clip_hi}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        with pytest.raises(DomainError, match="clip_hi") as err:
+            read_packed(path)
+        assert str(err.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("black,white", [
         (200.0, 100.0), (100.0, 100.0), ([0.0, 0.0, 0.0, 50.0], 50.0), (-1.0, 100.0),
         (0.0, np.nan), (np.nan, 100.0),

@@ -209,7 +209,7 @@ class TestDenoiseRaw:
         clean = PackedImage(channels=np.stack([chart] * 4), space=SPACE_NORMALIZED,
                             black_level=BLACK, white_level=WHITE, iso=800)
         prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=0.0, quant_step=0.0)
-        cfg = SynthConfig(iso=800, dgain=100.0, row=False, quant=False, seed=seed)
+        cfg = SynthConfig(iso=800, dgain=100.0, seed=seed)
         return synthesize_noisy(clean, prof, cfg), clean
 
     def _pg(self):

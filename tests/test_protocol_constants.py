@@ -2,7 +2,8 @@
 
 SSIM's window and constants, PSNR's peak, the ISP's (identity) color
 matrix, the denoiser's block step, the MAC convention, the profile's
-quantization step and the synthesis noise components each have one value.
+quantization step and the synthesis noise components each have one value
+(the components are the sensor profile's to switch).
 Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
 """
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from rawbench import budget, calibration, denoise, isp, metrics, synth
+from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_NORMALIZED
 
 from conftest import BLACK, WHITE, make_frame
@@ -27,6 +29,8 @@ def _profile(kw):
     return calibration.build_profile("camA", [800], darks, provided_gains={800: 0.8}, **kw)
 
 
+_TOGGLES = ("shot", "read", "row", "quant")
+
 REMOVED = {
     "ssim-window": (lambda kw: metrics.ssim(_img(), _img(), **kw), "window", 7),
     "psnr-peak": (lambda kw: metrics.psnr(_img(), _img(), **kw), "peak", 2.0),
@@ -40,6 +44,17 @@ REMOVED = {
     "build_profile-quant_step": (_profile, "quant_step", 1.0),
     "SynthConfig-frame_sigma": (lambda kw: synth.SynthConfig(iso=800, dgain=1.0, **kw),
                                 "frame_sigma", 0.0),
+    **{f"SynthConfig-{name}": (lambda kw: synth.SynthConfig(iso=800, dgain=1.0, **kw),
+                               name, False)
+       for name in _TOGGLES},
+    **{f"BatchConfig-{name}": (lambda kw: synth.BatchConfig(iso_choices=(800,),
+                                                            dgain_choices=(1.0,), **kw),
+                               name, False)
+       for name in _TOGGLES},
+    "sample_parametric_read-knobs": (
+        lambda kw: synth.sample_parametric_read((4, 2, 2), NoiseParams(1.0, 1.0, 1.0, 1.0),
+                                                np.random.default_rng(0), **kw),
+        "knobs", None),
 }
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from rawbench.errors import DimensionError, DomainError, ProfileError
 from rawbench.synth import (
     BatchConfig,
     SynthConfig,
-    _NoiseKnobs,
     make_pair_batch,
     sample_dark_patch,
     sample_parametric_read,
@@ -31,58 +32,59 @@ def flat_clean(value, side=64):
     )
 
 
+SPANS = np.full((4, 1, 1), SPAN)
+
+
 class TestSampleShot:
     def test_zero_clean_is_exact_zero(self):
-        out = sample_shot(flat_clean(0.0), NoiseParams(1.0, 0, 0, 0), 1.0,
+        out = sample_shot(np.zeros((4, 64, 64)), SPANS, NoiseParams(1.0, 0, 0, 0), 1.0,
                           np.random.default_rng(0))
-        np.testing.assert_array_equal(out.channels, 0.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_poisson_moments(self):
         # clean 0.5 with unit gain and span 1000 -> 500 electrons
-        clean = PackedImage(channels=np.full((4, 500, 500), 0.5), space=SPACE_NORMALIZED,
-                            black_level=np.zeros(4), white_level=1000.0)
-        out = sample_shot(clean, NoiseParams(1.0, 0, 0, 0), 1.0, np.random.default_rng(1))
-        m, v = out.channels.mean(), out.channels.var()
+        out = sample_shot(np.full((4, 500, 500), 0.5), 1000.0, NoiseParams(1.0, 0, 0, 0), 1.0,
+                          np.random.default_rng(1))
+        m, v = out.mean(), out.var()
         assert abs(m - 500.0) / 500.0 <= 0.005
         assert abs(v - 500.0) / 500.0 <= 0.02
 
     def test_scaled_poisson_variance_identity(self):
         # Var_DN = K * E[DN] for K-scaled Poisson counts
-        clean = PackedImage(channels=np.full((4, 500, 500), 0.5), space=SPACE_NORMALIZED,
-                            black_level=np.zeros(4), white_level=1000.0)
-        out = sample_shot(clean, NoiseParams(2.0, 0, 0, 0), 1.0, np.random.default_rng(2))
-        m, v = out.channels.mean(), out.channels.var()
+        out = sample_shot(np.full((4, 500, 500), 0.5), 1000.0, NoiseParams(2.0, 0, 0, 0), 1.0,
+                          np.random.default_rng(2))
+        m, v = out.mean(), out.var()
         assert abs(v - 2.0 * m) / (2.0 * m) <= 0.02
 
     def test_exact_poisson_branch_below_threshold(self):
         # tiny means use the exact sampler: all outputs integer multiples of K
-        clean = flat_clean(0.001, side=32)
-        out = sample_shot(clean, NoiseParams(0.8, 0, 0, 0), 100.0, np.random.default_rng(3))
-        counts = out.channels / 0.8
+        out = sample_shot(np.full((4, 32, 32), 0.001), SPANS, NoiseParams(0.8, 0, 0, 0), 100.0,
+                          np.random.default_rng(3))
+        counts = out / 0.8
         np.testing.assert_allclose(counts, np.rint(counts), atol=1e-9)
 
     def test_negative_clean_rejected(self):
-        bad = PackedImage(channels=np.full((4, 2, 2), -0.1), space=SPACE_NORMALIZED,
-                          black_level=BLACK, white_level=WHITE)
         with pytest.raises(DomainError):
-            sample_shot(bad, NoiseParams(1.0, 0, 0, 0), 1.0, np.random.default_rng(4))
+            sample_shot(np.full((4, 2, 2), -0.1), SPANS, NoiseParams(1.0, 0, 0, 0), 1.0,
+                        np.random.default_rng(4))
 
 
 class TestParametricRead:
     def test_all_off_is_zero(self):
-        res = sample_parametric_read((4, 8, 8), NoiseParams(1.0, 5.0, 2.0, 1.0),
-                                     np.random.default_rng(0),
-                                     _NoiseKnobs(read=False, row=False, quant=False))
+        rng = np.random.default_rng(0)
+        res = sample_parametric_read((4, 8, 8), NoiseParams(1.0, 0.0, 0.0, 0.0), rng)
         np.testing.assert_array_equal(res, 0.0)
+        # a zero profile draws nothing from the stream
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_read_only_std(self):
         res = sample_parametric_read((4, 500, 500), NoiseParams(1.0, 5.0, 0.0, 0.0),
-                                     np.random.default_rng(1), _NoiseKnobs(row=False, quant=False))
+                                     np.random.default_rng(1))
         assert abs(res.std() - 5.0) / 5.0 <= 0.01
 
     def test_row_only_structure(self):
         res = sample_parametric_read((4, 64, 64), NoiseParams(1.0, 0.0, 2.0, 0.0),
-                                     np.random.default_rng(2), _NoiseKnobs(read=False, quant=False))
+                                     np.random.default_rng(2))
         # every pixel within a mosaic row identical: R row == Gr row, constant
         assert np.all(res[0] == res[0][:, :1])
         np.testing.assert_array_equal(res[0], res[1])
@@ -92,7 +94,7 @@ class TestParametricRead:
 
     def test_quant_only_uniform(self):
         res = sample_parametric_read((4, 250, 250), NoiseParams(1.0, 0.0, 0.0, 2.0),
-                                     np.random.default_rng(3), _NoiseKnobs(read=False, row=False))
+                                     np.random.default_rng(3))
         assert res.min() >= -1.0 and res.max() <= 1.0
         assert abs(res.std() - 2.0 / np.sqrt(12)) / (2.0 / np.sqrt(12)) <= 0.01
 
@@ -142,24 +144,20 @@ class TestDarkPatch:
 
 
 class TestSynthesizeNoisy:
-    def test_identity_when_all_disabled(self):
-        prof = make_profile()
-        clean = flat_clean(0.37)
-        cfg = SynthConfig(iso=800, dgain=100.0, shot=False, read=False, row=False, quant=False)
-        out = synthesize_noisy(clean, prof, cfg)
-        np.testing.assert_array_equal(out.channels, clean.channels)
-
     def test_dark_sample_constant_residual_formula(self):
-        prof = make_profile()
+        # The shot draw has its own stream, so a zero-noise parametric run at
+        # the same seed is the signal the dark residual is added to.
+        prof = make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0)
         const = 7.0
         lib_img = PackedImage(channels=np.full((4, 64, 64), const), space="dn_above_black",
                               black_level=BLACK, white_level=WHITE, iso=800)
         prof.dark_library[800] = [lib_img]
         clean = flat_clean(0.2)
-        cfg = SynthConfig(iso=800, dgain=50.0, mode="dark_sample", shot=False)
-        out = synthesize_noisy(clean, prof, cfg)
-        expected = np.clip(0.2 + 50.0 * const / SPAN, 0, 1.0)
-        np.testing.assert_allclose(out.channels, expected, rtol=1e-12)
+        signal = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3),
+                                  clip=False)
+        out = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3,
+                                                        mode="dark_sample"), clip=False)
+        np.testing.assert_array_equal(out.channels, signal.channels + 50.0 * const / SPAN)
 
     def test_moment_law_parametric(self):
         prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0)
@@ -208,9 +206,11 @@ class TestSynthesizeNoisy:
         dark_picks = 0
         n = 200
         for seed in range(n):
+            # a zero-noise parametric run at the same seed draws the same shot noise
+            signal = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=10, seed=seed))
             out = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=10, seed=seed,
-                                                            mode="hybrid", shot=False))
-            if out.channels[0, 0, 0] > 0.2:
+                                                            mode="hybrid"))
+            if not np.array_equal(out.channels, signal.channels):
                 dark_picks += 1
         assert 0.35 <= dark_picks / n <= 0.65
 
@@ -288,13 +288,105 @@ class TestPairBatch:
         with pytest.raises(DomainError):
             BatchConfig(iso_choices=(800,), dgain_choices=(1.0,), dgain_range=(1.0, 2.0))
 
-    @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"hybrid_rho": 7.0}])
+    @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"hybrid_rho": 7.0}, {"clip_hi": 0.0},
+                                     {"clip_hi": -1.0}, {"clip_hi": np.nan}, {"clip_hi": np.inf}])
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(DomainError):
             self._sampler(**bad)
+        with pytest.raises(DomainError):
+            SynthConfig(iso=800, dgain=1.0, **bad)
+
+    @pytest.mark.parametrize("dgains", [
+        {"dgain_range": (-5.0, 0.0)}, {"dgain_range": (0.0, 10.0)}, {"dgain_range": (20.0, 10.0)},
+        {"dgain_range": (1.0, np.inf)}, {"dgain_range": (np.nan, 10.0)},
+        {"dgain_choices": (100.0, 0.0)}, {"dgain_choices": (-1.0,)},
+        {"dgain_choices": (np.nan,)}, {"dgain_choices": ()},
+    ], ids=["range-negative", "range-zero-lo", "range-reversed", "range-inf", "range-nan",
+            "choice-zero", "choice-negative", "choice-nan", "choices-empty"])
+    def test_bad_dgains_rejected(self, dgains):
+        with pytest.raises(DomainError, match="dgain"):
+            self._sampler(**{"dgain_choices": None, **dgains})
+
+    def test_single_point_dgain_range_accepted(self):
+        pairs = make_pair_batch(self._frames(1), make_profile(),
+                                self._sampler(dgain_choices=None, dgain_range=(50.0, 50.0)),
+                                patch=8, patches_per_image=2, master_seed=0)
+        assert len(pairs) == 2
+
+    @pytest.mark.parametrize("per_image", [0, -3])
+    def test_patches_per_image_checked_before_any_frame(self, per_image):
+        # the frames are not images: touching one would raise something else
+        with pytest.raises(DomainError, match="patches_per_image"):
+            make_pair_batch([None, None], make_profile(), self._sampler(),
+                            patch=8, patches_per_image=per_image, master_seed=0)
 
     def test_configs_refuse_positional_arguments(self):
         with pytest.raises(TypeError):
             SynthConfig(800, 2.0, "hybrid", 0.5)
         with pytest.raises(TypeError):
             BatchConfig((800,), (1.0,))
+
+
+class TestPinnedBytes:
+    """SHA-256 pins over seeded synthesis output in every mode: a seed fixes
+    the bytes of a batch and of a single synthesized patch."""
+
+    @staticmethod
+    def _profile():
+        from rawbench.calibration import correct_dark_frame
+        rng = np.random.default_rng(21)
+        prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0,
+                            isos=(800, 3200))
+        for iso in (800, 3200):
+            prof.dark_library[iso] = [
+                correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
+                                   np.full((40, 40), 512.0))
+                for _ in range(2)
+            ]
+        return prof
+
+    @staticmethod
+    def _digest(arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("mode, dgains, digest", [
+        ("parametric", {"dgain_choices": (100.0, 200.0)},
+         "cc03de46a2b808c06e5d9193e1789588eced11e1ff7bcb3c17d16ab23ca435ed"),
+        ("parametric", {"dgain_range": (10.0, 100.0)},
+         "ab00c3cd7cebf7576059eee59a251106a0de5bdabae5889c191ff6fc75d0eee6"),
+        ("dark_sample", {"dgain_choices": (100.0, 200.0)},
+         "bc7704885d604efc4334aa740610e9c6a1ec008e72b3ca2850dcb49304ba13d4"),
+        ("dark_sample", {"dgain_range": (10.0, 100.0)},
+         "36b1e8dfa470dafe04de87567d322c20ac9f3f8925ffefb4e919702c03aca43b"),
+        ("hybrid", {"dgain_choices": (100.0, 200.0)},
+         "7a3f9979796d043fc9818327855765840aad0b29a62aab7da5acdc47c4d7c453"),
+        ("hybrid", {"dgain_range": (10.0, 100.0)},
+         "c008ec8b5a6e7f13631e766d10f5ba7ca8adf12d3e3a4885f09089f811b9163b"),
+    ], ids=["parametric-choices", "parametric-range", "dark_sample-choices",
+            "dark_sample-range", "hybrid-choices", "hybrid-range"])
+    def test_pair_batch_digest(self, mode, dgains, digest):
+        rng = np.random.default_rng(4)
+        frames = [make_frame(rng.integers(512, 16383, (48, 48)).astype(np.uint16))
+                  for _ in range(2)]
+        sampler = BatchConfig(iso_choices=(800, 3200), mode=mode, **dgains)
+        arrays = []
+        for seed in (0, 1):
+            for noisy, clean in make_pair_batch(frames, self._profile(), sampler, patch=8,
+                                                patches_per_image=3, master_seed=seed):
+                arrays += [noisy.channels, clean.channels, np.array([noisy.iso])]
+        assert self._digest(arrays) == digest
+
+    @pytest.mark.parametrize("clip, digest", [
+        (True, "67d55ee54e3edc20ce474139acb4e9c40d8dbd574f15c2e8489eab33f52cafdf"),
+        (False, "adaa831c811acde6dd37d0539aaa80cc28bb2bf102cc30b3adc395c388b35658"),
+    ], ids=["clip", "no-clip"])
+    def test_synthesize_noisy_digest(self, clip, digest):
+        ramp = np.linspace(0.0, 1.0, 4 * 24 * 24).reshape(4, 24, 24)
+        clean = PackedImage(channels=ramp, space=SPACE_NORMALIZED, black_level=BLACK,
+                            white_level=WHITE, camera_id="camA", iso=800)
+        cfg = SynthConfig(iso=800, dgain=20.0, seed=7)
+        out = synthesize_noisy(clean, self._profile(), cfg, clip=clip)
+        assert self._digest([out.channels]) == digest
