@@ -14,7 +14,6 @@ from rawbench import (
     Roi,
     build_profile,
     estimate_system_gain,
-    laplacian_variance,
     load_profile,
     save_profile,
 )
@@ -48,12 +47,6 @@ for electrons in np.linspace(50, 4000, 10):
     points.append((float(flat.mean()), float(flat.var())))
 K_est, floor = estimate_system_gain(points)
 print(f"\nphoton-transfer fit: K = {K_est:.4f} (true {TRUE['K']}), floor = {floor:.2f} DN^2")
-
-# Laplacian variance as a sharpness score: a flat card scores 0, texture high.
-flat_card = np.full((64, 64), 0.5)
-texture = rng.uniform(0, 1, (64, 64))
-print(f"\nLaplacian variance, flat card: {laplacian_variance(flat_card):.3f}")
-print(f"Laplacian variance, texture:   {laplacian_variance(texture):.3f}")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "profile.json"

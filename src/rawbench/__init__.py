@@ -22,7 +22,6 @@ from .calibration import (
     estimate_dark_shading,
     estimate_read_noise,
     estimate_system_gain,
-    laplacian_variance,
     load_profile,
     save_profile,
 )
@@ -50,7 +49,6 @@ from .metrics import EvalResult, evaluate_pair, psnr, ssim
 from .ranking import (
     MetricRecord,
     RankTable,
-    category_scores,
     final_table,
     majority_tiebreak,
     rank_metric,

@@ -232,21 +232,6 @@ def estimate_system_gain(points: list[tuple[float, float]]) -> tuple[float, floa
     return k, floor
 
 
-def laplacian_variance(plane: np.ndarray) -> float:
-    """Variance of the 4-neighbor Laplacian over the valid interior.
-
-    A sharpness/quality score for a clean image pool (the blurriest planes
-    score lowest); a constant or linear-ramp plane scores exactly 0.
-    """
-    p = np.asarray(plane, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] < 3 or p.shape[1] < 3:
-        raise DimensionError(f"plane must be at least 3x3, got {p.shape}")
-    lap = (
-        p[:-2, 1:-1] + p[2:, 1:-1] + p[1:-1, :-2] + p[1:-1, 2:] - 4.0 * p[1:-1, 1:-1]
-    )
-    return float(np.var(lap))
-
-
 def build_profile(
     camera_id: str,
     isos: list[int],

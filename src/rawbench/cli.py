@@ -195,10 +195,9 @@ def _cmd_rank(args) -> int:
         records.append(ranking.MetricRecord(team=row["team"], **kwargs))
     if not records:
         raise DataError(f"{args.scores}: no team rows after the header")
-    categories = ranking.complete_categories(records)
-    table = ranking.final_table(records, categories)
+    table = ranking.final_table(records)
     harness.write_ranktable(table, args.out)
-    print(f"ranked {len(records)} teams over {list(categories)} -> {args.out}")
+    print(f"ranked {len(records)} teams over {list(table.positions)} -> {args.out}")
     return 0
 
 

@@ -191,16 +191,13 @@ def _meta_kwargs(img) -> dict:
     return {name: getattr(img, name) for name in _META}
 
 
-def pack_rggb(frame: RawFrame, space: str = SPACE_DN) -> PackedImage:
-    """Split a Bayer mosaic into 4 half-resolution planes (R, Gr, Gb, B).
+def pack_rggb(frame: RawFrame) -> PackedImage:
+    """Split a Bayer mosaic into 4 half-resolution DN planes (R, Gr, Gb, B).
 
     channels[R][i][j] = data[2i][2j], Gr = data[2i][2j+1],
-    Gb = data[2i+1][2j], B = data[2i+1][2j+1].  ``space`` declares how the
-    caller wants the values tagged; packing itself never subtracts black.
+    Gb = data[2i+1][2j], B = data[2i+1][2j+1].  Packing never subtracts black.
     """
-    if space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK):
-        raise DomainError(f"pack space must be a DN space, got {space!r}")
-    return PackedImage(channels=split_rggb(frame.data), space=space, **_meta_kwargs(frame))
+    return PackedImage(channels=split_rggb(frame.data), space=SPACE_DN, **_meta_kwargs(frame))
 
 
 def split_rggb(mosaic: np.ndarray) -> np.ndarray:

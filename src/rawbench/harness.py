@@ -11,9 +11,11 @@ with exact summation so entry order never changes a reported value.
 Every CSV the package reads (external scores, ``rawbench rank``'s wide
 scores, ``calibrate --ptc-csv``) goes through ``_read_csv``/``_csv_value``:
 a header row, ``#`` lines skipped, and a malformed row or a NaN value is a
-DataError naming ``file:line``.  A team with no metric at all is listed in
-the rank table but ranked in no category, so ``rawbench rank`` on the
-``scores.csv`` written here reproduces ``ranktable.csv`` byte for byte.
+DataError naming ``file:line``.  The rank table is ``ranking.final_table``
+of one record per team, which ranks only the categories every team
+completes: a team with no metric at all is listed but ranked in no
+category, so ``rawbench rank`` on the ``scores.csv`` written here
+reproduces ``ranktable.csv`` byte for byte.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ from .calibration import SensorProfile
 from .core import read_frame
 from .errors import DataError, DimensionError, ManifestError, MissingDataError
 from .metrics import evaluate_pair, prepare_reference
-from .ranking import (
-    ALL_METRICS,
-    MetricRecord,
-    RankTable,
-    complete_categories,
-    final_table,
-)
+from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
 
 _SCENE_TYPES = ("paired", "wild")
 _PHASES = ("dev", "final")
@@ -303,19 +299,16 @@ def run_benchmark(
         (team, entry.image_id, entry.camera, entry.iso, entry.dgain, res)
         for (team, entry), (_, _, res) in zip(jobs, score_pairs(pairs, manifest.phase, threads))
     ]
-    computed: dict[str, dict[str, float]] = {t: {} for t in teams}
+    merged: dict[str, dict[str, float]] = {t: {} for t in teams}
     for team in teams:
         team_res = [row[-1] for row in per_image_rows if row[0] == team]
         if team_res:
-            computed[team]["psnr"] = _mean([r.psnr for r in team_res])
-            computed[team]["ssim"] = _mean([r.ssim for r in team_res])
+            merged[team]["psnr"] = _mean([r.psnr for r in team_res])
+            merged[team]["ssim"] = _mean([r.ssim for r in team_res])
 
     external = ingest_external_scores(external_scores_path) if external_scores_path else {}
-    merged: dict[str, dict[str, float]] = {t: dict(computed[t]) for t in teams}
     for (team, metric), value in sorted(external.items()):
-        if team not in merged:
-            merged[team] = {}
-        if metric in merged[team]:
+        if metric in merged.setdefault(team, {}):
             warnings.warn(
                 f"external {metric} for {team!r} overrides the computed value"
             )
@@ -324,7 +317,7 @@ def run_benchmark(
     records = [
         MetricRecord(team=t, **{m: merged[t].get(m) for m in ALL_METRICS}) for t in all_teams
     ]
-    table = final_table(records, complete_categories(records))
+    table = final_table(records)
 
     scores_path = out_dir / "scores.csv"
     with open(scores_path, "w", newline="", encoding="utf-8") as fh:

@@ -1,12 +1,16 @@
 """Challenge scoring engine: per-metric ranks, category scores, tie-breaks.
 
-Teams are first ranked independently for each metric (fractional average
-ranks on exact ties, so rank sums stay at n(n+1)/2).  Average ranking
-scores are then computed in three categories -- overall (all five
-metrics), fidelity (PSNR, SSIM) and perceptual (LPIPS, ARNIQA, TOPIQ) --
-and lower is better.  Teams with equal category scores are ordered by a
-majority vote over that category's metrics: whoever wins strictly more
-pairwise metric comparisons places first.
+``final_table`` is the one way from metric records to a ``RankTable``.  It
+ranks exactly the complete categories -- overall (all five metrics),
+fidelity (PSNR, SSIM) and perceptual (LPIPS, ARNIQA, TOPIQ) -- in which
+every record has every metric; a team missing a metric is still listed,
+and a category it leaves incomplete is not ranked.  Teams are first
+ranked independently for each metric those categories use (fractional
+average ranks on exact ties, so rank sums stay at n(n+1)/2).  Average
+ranking scores are then computed per category, and lower is better.
+Teams with equal category scores are ordered by a majority vote over that
+category's metrics: whoever wins strictly more pairwise metric
+comparisons places first.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DataError
 
@@ -53,9 +57,9 @@ class MetricRecord:
 @dataclass(frozen=True)
 class RankTable:
     teams: tuple[str, ...]
-    metric_ranks: dict[str, dict[str, float]] = field(default_factory=dict)
-    scores: dict[str, dict[str, float]] = field(default_factory=dict)
-    positions: dict[str, dict[str, int]] = field(default_factory=dict)
+    metric_ranks: dict[str, dict[str, float]]
+    scores: dict[str, dict[str, float]]
+    positions: dict[str, dict[str, int]]
 
 
 def rank_metric(values: list[tuple[str, float]], direction: str) -> list[tuple[str, float]]:
@@ -81,47 +85,6 @@ def rank_metric(values: list[tuple[str, float]], direction: str) -> list[tuple[s
             ranks[order[k]] = avg
         pos = end + 1
     return [(team, ranks[i]) for i, (team, _) in enumerate(values)]
-
-
-def _metric_rank_map(records: list[MetricRecord], metric: str) -> dict[str, float]:
-    entries = []
-    for r in records:
-        v = r.get(metric)
-        if v is None:
-            raise DataError(f"team {r.team!r} is missing metric {metric!r}")
-        entries.append((r.team, float(v)))
-    return dict(rank_metric(entries, METRIC_DIRECTIONS[metric]))
-
-
-def complete_categories(records: list[MetricRecord]) -> tuple[str, ...]:
-    """Categories in which every record has every metric; only these are ranked."""
-    return tuple(
-        cat
-        for cat, metric_set in CATEGORY_METRICS.items()
-        if all(r.get(m) is not None for r in records for m in metric_set)
-    )
-
-
-def category_scores(
-    records: list[MetricRecord],
-    categories: tuple[str, ...] = ("overall", "fidelity", "perceptual"),
-) -> dict[str, dict[str, float]]:
-    """Average ranking score per team for each requested category (lower is better)."""
-    return _ranks_and_scores(records, categories)[1]
-
-
-def _ranks_and_scores(records: list[MetricRecord], categories: tuple[str, ...]):
-    """Rank maps of the metrics the categories use, and the category scores."""
-    needed = sorted({m for cat in categories for m in CATEGORY_METRICS[cat]})
-    rank_maps = {m: _metric_rank_map(records, m) for m in needed}
-    out: dict[str, dict[str, float]] = {}
-    for r in records:
-        out[r.team] = {
-            cat: sum(rank_maps[m][r.team] for m in CATEGORY_METRICS[cat])
-            / len(CATEGORY_METRICS[cat])
-            for cat in categories
-        }
-    return rank_maps, out
 
 
 def majority_tiebreak(
@@ -164,11 +127,9 @@ def majority_tiebreak(
     return (team_a, team_b) if team_a <= team_b else (team_b, team_a)
 
 
-def final_table(
-    records: list[MetricRecord],
-    categories: tuple[str, ...] = ("overall", "fidelity", "perceptual"),
-) -> RankTable:
-    """Per-metric ranks, category average scores, and final category positions.
+def final_table(records: list[MetricRecord]) -> RankTable:
+    """Per-metric ranks, category average scores, and final category positions
+    of the categories in which every record has every metric.
 
     Positions are by ascending average score; equal scores are resolved by
     the majority rule over the category's own metric set.
@@ -178,24 +139,30 @@ def final_table(
     teams = tuple(r.team for r in records)
     if len(set(teams)) != len(teams):
         raise DataError("duplicate team names in records")
-    metric_ranks, scores = _ranks_and_scores(records, categories)
-    positions: dict[str, dict[str, int]] = {cat: {} for cat in categories}
+    categories = [
+        cat
+        for cat, metric_set in CATEGORY_METRICS.items()
+        if all(r.get(m) is not None for r in records for m in metric_set)
+    ]
+    metric_ranks = {
+        m: dict(rank_metric([(r.team, float(r.get(m))) for r in records], METRIC_DIRECTIONS[m]))
+        for m in sorted({m for cat in categories for m in CATEGORY_METRICS[cat]})
+    }
+    scores: dict[str, dict[str, float]] = {}
+    positions: dict[str, dict[str, int]] = {}
     for cat in categories:
         metric_set = CATEGORY_METRICS[cat]
+        scores[cat] = {
+            t: sum(metric_ranks[m][t] for m in metric_set) / len(metric_set) for t in teams
+        }
 
-        def cmp(a: str, b: str, _cat=cat, _set=metric_set) -> int:
-            sa, sb = scores[a][_cat], scores[b][_cat]
+        def cmp(a: str, b: str, _scores=scores[cat], _set=metric_set) -> int:
+            sa, sb = _scores[a], _scores[b]
             if sa != sb:
                 return -1 if sa < sb else 1
             first, _ = majority_tiebreak(a, b, records, _set)
             return -1 if first == a else 1
 
         ordered = sorted(teams, key=functools.cmp_to_key(cmp))
-        for i, team in enumerate(ordered, start=1):
-            positions[cat][team] = i
-    return RankTable(
-        teams=teams,
-        metric_ranks=metric_ranks,
-        scores={cat: {t: scores[t][cat] for t in teams} for cat in categories},
-        positions=positions,
-    )
+        positions[cat] = {team: i for i, team in enumerate(ordered, start=1)}
+    return RankTable(teams=teams, metric_ranks=metric_ranks, scores=scores, positions=positions)

@@ -23,6 +23,7 @@ bit-identical regardless of execution order or worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -69,8 +70,8 @@ class SynthConfig(_NoiseKnobs):
     seed: int = 0
 
     def __post_init__(self):
-        if not self.dgain > 0:
-            raise DomainError(f"dgain must be > 0, got {self.dgain}")
+        if not (math.isfinite(self.dgain) and self.dgain > 0):
+            raise DomainError(f"dgain must be finite and > 0, got {self.dgain}")
         super().__post_init__()
 
 
@@ -258,6 +259,8 @@ def make_pair_batch(
         raise DimensionError(f"patch side must be even and > 0, got {patch}")
     if patches_per_image < 1:
         raise DomainError(f"patches_per_image must be >= 1, got {patches_per_image}")
+    for iso in sampler.iso_choices:
+        profile.params_for(iso)
     knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}
     pairs: list[tuple[PackedImage, PackedImage]] = []
     for i, frame in enumerate(clean_frames):

@@ -36,7 +36,7 @@ from rawbench.core import (
 from rawbench import denoise
 from rawbench.denoise import DenoiseConfig, _tiled_shrink, denoise_raw, effective_pg_params
 from rawbench.metrics import psnr, ssim
-from rawbench.ranking import category_scores, final_table, majority_tiebreak
+from rawbench.ranking import final_table, majority_tiebreak
 from rawbench.synth import (
     SynthConfig,
     sample_parametric_read,
@@ -87,9 +87,6 @@ def test_criterion_1_ranking_reproduction(table1_records, clock):
                "DIPLab": 4.4, "MSA-Net": 4.8, "MS-Unet": 5.8}
     for team, score in overall.items():
         assert table.scores["overall"][team] == pytest.approx(score, abs=1e-12)
-    scores = category_scores(table1_records)
-    for team, score in overall.items():
-        assert scores[team]["overall"] == pytest.approx(score, abs=1e-12)
     assert clock() < 1.0
 
 

@@ -14,7 +14,6 @@ from rawbench.calibration import (
     estimate_dark_shading,
     estimate_read_noise,
     estimate_system_gain,
-    laplacian_variance,
     load_profile,
     save_profile,
 )
@@ -36,18 +35,6 @@ from rawbench.errors import (
 )
 
 from conftest import BLACK, WHITE, make_frame
-
-
-def laplacian_oracle(plane):
-    """Brute-force 3x3 convolution with [[0,1,0],[1,-4,1],[0,1,0]], valid region."""
-    p = np.asarray(plane, dtype=np.float64)
-    h, w = p.shape
-    vals = []
-    for y in range(1, h - 1):
-        for x in range(1, w - 1):
-            vals.append(p[y - 1, x] + p[y + 1, x] + p[y, x - 1] + p[y, x + 1] - 4 * p[y, x])
-    vals = np.asarray(vals)
-    return float(np.mean((vals - vals.mean()) ** 2))
 
 
 class TestDarkShading:
@@ -191,29 +178,6 @@ class TestSystemGain:
             k, _ = estimate_system_gain([(10.0, 20.0), (20.0, 10.0)])
         assert k < 0
 
-
-class TestLaplacianVariance:
-    def test_constant_is_zero(self):
-        assert laplacian_variance(np.full((8, 8), 3.7)) == 0.0
-
-    def test_linear_ramp_is_zero(self):
-        x = np.tile(np.arange(8, dtype=np.float64), (8, 1))
-        assert laplacian_variance(x) == pytest.approx(0.0, abs=1e-20)
-
-    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.0)])
-    def test_checkerboard_matches_oracle(self, lo, hi):
-        y, x = np.mgrid[0:6, 0:6]
-        board = np.where((x + y) % 2 == 0, hi, lo)
-        assert laplacian_variance(board) == pytest.approx(laplacian_oracle(board), rel=1e-12)
-
-    def test_random_matches_oracle(self):
-        rng = np.random.default_rng(4)
-        p = rng.uniform(0, 1, (7, 9))
-        assert laplacian_variance(p) == pytest.approx(laplacian_oracle(p), rel=1e-12)
-
-    def test_too_small(self):
-        with pytest.raises(DimensionError):
-            laplacian_variance(np.zeros((2, 5)))
 
 class TestBuildProfile:
     def _darks(self, iso, rng, n=4, side=16):

@@ -97,7 +97,7 @@ class TestPackUnpack:
         back = unpack_rggb(pack_rggb(f))
         assert back.data.dtype == data.dtype
         np.testing.assert_array_equal(back.data, data)
-        packed = pack_rggb(back, space=SPACE_DN_ABOVE_BLACK)
+        packed = replace(pack_rggb(back), space=SPACE_DN_ABOVE_BLACK)
         np.testing.assert_array_equal(pack_rggb(unpack_rggb(packed)).channels, packed.channels)
         for name in ("white_level", "camera_id", "iso", "exposure_s"):
             assert getattr(back, name) == getattr(f, name)

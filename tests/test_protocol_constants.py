@@ -3,7 +3,8 @@
 SSIM's window and constants, PSNR's peak, the ISP's (identity) color
 matrix, the denoiser's block step, the MAC convention, the profile's
 quantization step and the synthesis noise components each have one value
-(the components are the sensor profile's to switch).
+(the components are the sensor profile's to switch).  Packing always tags
+DN, and the rank table always ranks exactly its complete categories.
 Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
 """
@@ -11,9 +12,9 @@ caller cannot score, render, budget or synthesize off-protocol by accident.
 import numpy as np
 import pytest
 
-from rawbench import budget, calibration, denoise, isp, metrics, synth
+from rawbench import budget, calibration, denoise, isp, metrics, ranking, synth
 from rawbench.calibration import NoiseParams
-from rawbench.core import PackedImage, SPACE_NORMALIZED
+from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
 
 from conftest import BLACK, WHITE, make_frame
 
@@ -55,6 +56,11 @@ REMOVED = {
         lambda kw: synth.sample_parametric_read((4, 2, 2), NoiseParams(1.0, 1.0, 1.0, 1.0),
                                                 np.random.default_rng(0), **kw),
         "knobs", None),
+    "pack_rggb-space": (lambda kw: pack_rggb(make_frame(np.zeros((4, 4))), **kw),
+                        "space", SPACE_DN_ABOVE_BLACK),
+    "final_table-categories": (
+        lambda kw: ranking.final_table([ranking.MetricRecord("solo", psnr=40.0)], **kw),
+        "categories", ("overall",)),
 }
 
 

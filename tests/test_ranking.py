@@ -1,14 +1,17 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rawbench.errors import DataError
+from rawbench.harness import write_ranktable
 from rawbench.ranking import (
+    ALL_METRICS,
+    CATEGORY_METRICS,
     MetricRecord,
-    category_scores,
-    complete_categories,
     final_table,
     majority_tiebreak,
     rank_metric,
@@ -60,28 +63,32 @@ class TestRankMetric:
 
 class TestCategoryScores:
     def test_fidelity_values(self, table1_records):
-        scores = category_scores(table1_records, ("fidelity",))
+        scores = final_table(table1_records).scores
         expect = {"MR-CAS": 1.0, "IPIU-LAB": 2.0, "HIT-IIL": 3.0, "DIPLab": 4.5,
                   "MSA-Net": 5.0, "VMCL-ISP": 5.5, "MS-Unet": 7.0}
         for team, val in expect.items():
-            assert scores[team]["fidelity"] == pytest.approx(val)
+            assert scores["fidelity"][team] == pytest.approx(val)
 
     def test_perceptual_values(self, table1_records):
-        scores = category_scores(table1_records, ("perceptual",))
+        scores = final_table(table1_records).scores
         expect = {"IPIU-LAB": 7 / 3, "VMCL-ISP": 10 / 3, "MR-CAS": 11 / 3,
                   "DIPLab": 13 / 3, "HIT-IIL": 14 / 3, "MSA-Net": 14 / 3, "MS-Unet": 5.0}
         for team, val in expect.items():
-            assert scores[team]["perceptual"] == pytest.approx(val)
+            assert scores["perceptual"][team] == pytest.approx(val)
 
     def test_single_team(self):
         rec = MetricRecord(team="solo", psnr=40.0, ssim=0.9, lpips=0.2, arniqa=0.4, topiq=0.3)
-        scores = category_scores([rec])
-        assert scores["solo"] == {"overall": 1.0, "fidelity": 1.0, "perceptual": 1.0}
+        scores = final_table([rec]).scores
+        assert scores == {"overall": {"solo": 1.0}, "fidelity": {"solo": 1.0},
+                          "perceptual": {"solo": 1.0}}
 
-    def test_missing_metric_named(self, table1_records):
+    def test_incomplete_category_not_ranked_team_still_listed(self, table1_records):
         records = table1_records[:2] + [MetricRecord(team="incomplete", psnr=40.0, ssim=0.9)]
-        with pytest.raises(DataError, match="incomplete.*(lpips|arniqa|topiq)"):
-            category_scores(records, ("perceptual",))
+        table = final_table(records)
+        assert table.teams == ("MR-CAS", "IPIU-LAB", "incomplete")
+        assert list(table.positions) == list(table.scores) == ["fidelity"]
+        assert sorted(table.metric_ranks) == ["psnr", "ssim"]
+        assert table.positions["fidelity"]["incomplete"] == 3
 
 
 class TestMajorityTiebreak:
@@ -166,26 +173,36 @@ class TestFinalTable:
             assert scores == sorted(scores)
 
 
-CATEGORY_SETS = [("overall", "fidelity", "perceptual"), ("overall",), ("fidelity", "perceptual")]
+# metrics left out of a record (a None hole) block every category that uses them
+HOLES = [(), ("psnr",), ("lpips", "topiq"), ("psnr", "arniqa")]
 
 
 class TestFinalTableProperties:
     @pytest.mark.filterwarnings("ignore:exact pairwise tie")
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), n=st.integers(1, 7), categories=st.sampled_from(CATEGORY_SETS))
-    def test_permutation_invariant_and_scores_match(self, data, n, categories):
+    @given(data=st.data(), n=st.integers(1, 7), holes=st.sampled_from(HOLES))
+    def test_permutation_invariant_and_scores_match(self, data, n, holes):
         # values from a small set, so exact ties and tie-breaks are common
         rows = data.draw(st.lists(st.tuples(*[st.sampled_from([1.0, 2.0, 3.0])] * 5),
                                   min_size=n, max_size=n))
         records = [MetricRecord(f"t{i}", *row) for i, row in enumerate(rows)]
+        holed = data.draw(st.integers(0, n - 1))
+        records[holed] = MetricRecord(records[holed].team,
+                                      **{m: None if m in holes else records[holed].get(m)
+                                         for m in ALL_METRICS})
         order = data.draw(st.permutations(range(n)))
-        table = final_table(records, categories)
-        shuffled = final_table([records[i] for i in order], categories)
+        table = final_table(records)
+        shuffled = final_table([records[i] for i in order])
         assert shuffled.metric_ranks == table.metric_ranks
         assert shuffled.scores == table.scores
-        scores = category_scores(records, categories)
+        categories = [cat for cat, ms in CATEGORY_METRICS.items() if not set(ms) & set(holes)]
+        assert list(table.positions) == list(table.scores) == categories
         for cat in categories:
-            assert table.scores[cat] == {r.team: scores[r.team][cat] for r in records}
+            ms = CATEGORY_METRICS[cat]
+            assert table.scores[cat] == {
+                r.team: sum(table.metric_ranks[m][r.team] for m in ms) / len(ms)
+                for r in records
+            }
             by_score = {}
             for team, score in table.scores[cat].items():
                 by_score.setdefault(score, []).append(team)
@@ -217,10 +234,60 @@ class TestFinalTableProperties:
 
 class TestCompleteCategories:
     def test_all_metrics_complete_every_category(self, table1_records):
-        assert complete_categories(table1_records) == ("overall", "fidelity", "perceptual")
+        assert list(final_table(table1_records).positions) == ["overall", "fidelity",
+                                                               "perceptual"]
 
     def test_one_missing_metric_blocks_its_categories(self, table1_records):
         partial = [MetricRecord(team="X", psnr=40.0, ssim=0.9, lpips=0.2, arniqa=0.4)]
-        assert complete_categories(table1_records + partial) == ("fidelity",)
+        assert list(final_table(table1_records + partial).positions) == ["fidelity"]
         perceptual_only = [MetricRecord(team="Y", lpips=0.2, arniqa=0.4, topiq=0.3)]
-        assert complete_categories(perceptual_only) == ("perceptual",)
+        assert list(final_table(perceptual_only).positions) == ["perceptual"]
+
+
+def _table1():
+    return [MetricRecord(t, *v) for t, v in TABLE1.items()]
+
+
+def _ties(*pairs):
+    return [f"exact pairwise tie between {a!r} and {b!r}; falling back to lexicographic order"
+            for a, b in pairs]
+
+
+# Rank-table CSV bytes (write_ranktable) recorded before final_table chose its
+# own categories, when callers passed complete_categories(records) to it, and
+# the lexicographic fallbacks in the order the comparison sort makes them.
+PINNED_TABLES = {
+    "table1": (_table1(), [],
+               "78905bd2cae215bd3185f0fe3f385094979d468f99fef4e31fa1cbd8e095fa25"),
+    "table1-no-topiq": (
+        _table1() + [MetricRecord("NoTopiq", 41.0, 0.96, 0.24, 0.45)],
+        _ties(("NoTopiq", "MSA-Net")),
+        "523ea537fcdc8273b1d503b27c3706df7d5335501288382ccd68253469ba27e5"),
+    "perceptual-only": (
+        [MetricRecord(t, lpips=v[2], arniqa=v[3], topiq=v[4]) for t, v in TABLE1.items()], [],
+        "2406b56e74c263737f6e41acc780cf7480188a063b1511d349be1d29693b5261"),
+    "tie-heavy": (
+        [MetricRecord("zeta", 40.0, 0.9, 0.2, 0.4, 0.3),
+         MetricRecord("alpha", 40.0, 0.9, 0.2, 0.4, 0.3),
+         MetricRecord("p", 3.0, 1.0, 2.0, 2.0, 1.0),
+         MetricRecord("q", 1.0, 3.0, 1.0, 1.0, 2.0),
+         MetricRecord("r", 2.0, 2.0, 3.0, 3.0, 3.0)],
+        _ties(("alpha", "zeta"), ("alpha", "zeta"), ("p", "alpha"), ("p", "zeta"),
+              ("p", "alpha"), ("q", "p"), ("q", "zeta"), ("r", "q"), ("r", "zeta"),
+              ("alpha", "zeta")),
+        "c27f9db3d10d33d114bb424df3be70571c016ec8a5ac4f0e39b9857a40710e40"),
+    "table1-empty-team": (
+        _table1() + [MetricRecord("Empty")], [],
+        "c1eee444040a5be57cf678d644db2e272d28f1d7e7cfe9c63977cec4d90b78fc"),
+}
+
+
+@pytest.mark.parametrize("records, fallbacks, digest", PINNED_TABLES.values(),
+                         ids=PINNED_TABLES.keys())
+def test_pinned_ranktable_bytes(records, fallbacks, digest, tmp_path):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        table = final_table(records)
+    assert [str(w.message) for w in caught] == fallbacks
+    write_ranktable(table, tmp_path / "ranktable.csv")
+    assert hashlib.sha256((tmp_path / "ranktable.csv").read_bytes()).hexdigest() == digest

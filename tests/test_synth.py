@@ -289,12 +289,14 @@ class TestPairBatch:
             BatchConfig(iso_choices=(800,), dgain_choices=(1.0,), dgain_range=(1.0, 2.0))
 
     @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"hybrid_rho": 7.0}, {"clip_hi": 0.0},
-                                     {"clip_hi": -1.0}, {"clip_hi": np.nan}, {"clip_hi": np.inf}])
+                                     {"clip_hi": -1.0}, {"clip_hi": np.nan}, {"clip_hi": np.inf},
+                                     {"dgain": np.inf}])
     def test_bad_knobs_rejected(self, bad):
-        with pytest.raises(DomainError):
-            self._sampler(**bad)
-        with pytest.raises(DomainError):
-            SynthConfig(iso=800, dgain=1.0, **bad)
+        if "dgain" not in bad:  # a batch draws its dgains from presets
+            with pytest.raises(DomainError):
+                self._sampler(**bad)
+        with pytest.raises(DomainError, match=next(iter(bad))):
+            SynthConfig(**{"iso": 800, "dgain": 1.0, **bad})
 
     @pytest.mark.parametrize("dgains", [
         {"dgain_range": (-5.0, 0.0)}, {"dgain_range": (0.0, 10.0)}, {"dgain_range": (20.0, 10.0)},
@@ -319,6 +321,12 @@ class TestPairBatch:
         with pytest.raises(DomainError, match="patches_per_image"):
             make_pair_batch([None, None], make_profile(), self._sampler(),
                             patch=8, patches_per_image=per_image, master_seed=0)
+
+    def test_iso_choices_checked_before_any_frame(self):
+        sampler = self._sampler(iso_choices=(800, 9999))
+        with pytest.raises(ProfileError, match="9999"):
+            make_pair_batch([], make_profile(), sampler, patch=8, patches_per_image=1,
+                            master_seed=0)
 
     def test_configs_refuse_positional_arguments(self):
         with pytest.raises(TypeError):
