@@ -11,7 +11,8 @@ import numpy as np
 
 from rawbench import (
     RawFrame,
-    center_crop,
+    Roi,
+    crop_frame,
     denormalize,
     normalize,
     pack_rggb,
@@ -40,8 +41,15 @@ back = denormalize(norm)
 print("normalize -> denormalize max error:",
       float(np.abs(back.channels - packed.channels).max()))
 
-crop = center_crop(norm, 2, 2)
+# Crops are taken on the mosaic at even offsets, so the CFA phase is kept:
+# the centred 2x2 of the 3x3 planes starts at the floor-rounded offset
+# (3 - 2) // 2 = 0, which is mosaic offset 0.
+side = 2
+y0, x0 = (packed.plane_height - side) // 2, (packed.plane_width - side) // 2
+crop = normalize(crop_frame(frame, Roi(x0=2 * x0, y0=2 * y0, w=2 * side, h=2 * side)))
 print("\ncenter crop to 2x2 planes, R plane:\n", crop.channels[0])
+print("equals the normalized planes' center crop:",
+      np.array_equal(crop.channels, norm.channels[:, y0 : y0 + side, x0 : x0 + side]))
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "frame.rawb"

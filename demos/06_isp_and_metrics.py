@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from rawbench import RawFrame, evaluate_pair, normalize, pack_rggb
+from rawbench import RawFrame, evaluate_pair, normalize
 from rawbench.isp import IspConfig, run_isp, srgb_gamma, write_ppm16
 
 rng = np.random.default_rng(0)
@@ -23,7 +23,7 @@ mosaic[1::2, 0::2] = 6000.0   # Gb
 mosaic[1::2, 1::2] = 9000.0   # B
 frame = RawFrame(data=mosaic + 512, black_level=512.0, white_level=16383.0,
                  camera_id="demo-cam", iso=800)
-img = normalize(pack_rggb(frame))
+img = normalize(frame)
 
 rgb_raw = run_isp(img, IspConfig(wb=(1.0, 1.0, 1.0), gamma="none"))
 rgb_wb = run_isp(img, IspConfig(wb="gray_world", gamma="none"))

@@ -32,7 +32,6 @@ from .core import (
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
     SPACE_NORMALIZED,
-    center_crop,
     crop_frame,
     denormalize,
     normalize,

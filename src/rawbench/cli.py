@@ -131,29 +131,26 @@ def _as_f32(img: core.PackedImage) -> core.PackedImage:
 
 
 def _cmd_denoise(args) -> int:
-    profile = calibration.load_profile(args.profile)
-    frame = core.read_frame(args.infile)
-    noisy = core.normalize(core.pack_rggb(frame), clip_hi=args.clip_hi)
-    params = effective_pg_params(profile.params_for(args.iso), args.dgain)
     cfg = DenoiseConfig(
         transform=args.transform,
         threshold_mult=args.threshold,
         sigma_dn=args.sigma_dn,
     )
+    profile = calibration.load_profile(args.profile)
+    noisy = core.normalize(core.read_frame(args.infile), clip_hi=args.clip_hi)
+    params = effective_pg_params(profile.params_for(args.iso), args.dgain)
     den = denoise_raw(noisy, params, cfg)
-    dn = core.denormalize(den)
-    out_frame = core.unpack_rggb(replace(dn, channels=dn.channels.astype(np.float32)))
-    core.write_frame(out_frame, args.out)
+    core.write_frame(core.unpack_rggb(_as_f32(core.denormalize(den))), args.out)
     print(f"denoised {args.infile} -> {args.out} (transform={args.transform})")
     return 0
 
 
 def _cmd_isp(args) -> int:
+    wb_text, wb = args.wb
+    cfg = isp.IspConfig(wb=wb, gamma=args.gamma)
     img = core.read_planes(args.infile)
     if img.space != core.SPACE_NORMALIZED:
         img = core.normalize(img)
-    wb_text, wb = args.wb
-    cfg = isp.IspConfig(wb=wb, gamma=args.gamma)
     rgb = isp.run_isp(img, cfg)
     out = Path(args.out)
     # the ISP applies no color matrix; the header records it as "identity"

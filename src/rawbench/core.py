@@ -6,11 +6,12 @@ array in digital numbers (DN) plus the metadata needed to interpret it
 representation: four half-resolution planes in R, Gr, Gb, B order with a
 value-space tag telling whether the data are raw DN, DN above black, or
 normalized to [0, clip_hi].  The CFA is RGGB by definition; there is no
-pattern field to get wrong.
+pattern field to get wrong.  ``normalize`` takes a mosaic as well as
+planes, and a crop is taken on the mosaic with ``crop_frame``.
 
 Both types enforce one image-level rule when built (including by
-``dataclasses.replace``): 0 <= black < white, and float data finite
-(mosaics also >= 0).  Functions taking them therefore do not repeat the
+``dataclasses.replace``): 0 <= black < white, white finite, and float data
+finite (mosaics also >= 0).  Functions taking them therefore do not repeat the
 checks, and the RAWB readers only put the file's path in front of an error.
 
 All arithmetic is done in float64; storage is u16 (DN) or f32.  Every
@@ -62,11 +63,19 @@ def _as_black_level(black_level) -> np.ndarray:
 _META = ("black_level", "white_level", "camera_id", "iso", "exposure_s")
 
 
+def _check_finite(name, value, *, positive, error) -> float:
+    """The rule for one numeric setting: finite and > 0 (``positive``) or >= 0.
+    Returns it as a float; otherwise raises ``error`` naming the setting and value."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
+    return float(value)
+
+
 def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
-    """The level rule of images and sensor profiles: 0 <= black < white.
-    Returns the levels as a float64 4-vector and a float."""
+    """The level rule of images and sensor profiles: 0 <= black < white, with
+    white finite.  Returns the levels as a float64 4-vector and a float."""
     black = _as_black_level(black_level)
-    white = float(white_level)
+    white = _check_finite("white_level", float(white_level), positive=True, error=ProfileError)
     if not np.all((black >= 0) & (black < white)):
         raise ProfileError(
             f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
@@ -76,9 +85,7 @@ def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
 
 def _check_clip_hi(clip_hi) -> float:
     """The normalized-range rule of images and synthesis: a finite clip_hi > 0."""
-    if not (np.isfinite(clip_hi) and clip_hi > 0):
-        raise DomainError(f"clip_hi must be finite and > 0, got {clip_hi}")
-    return float(clip_hi)
+    return _check_finite("clip_hi", clip_hi, positive=True, error=DomainError)
 
 
 def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
@@ -200,13 +207,19 @@ def pack_rggb(frame: RawFrame) -> PackedImage:
     return PackedImage(channels=split_rggb(frame.data), space=SPACE_DN, **_meta_kwargs(frame))
 
 
+def _rggb_views(mosaic: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The four CFA phases of an even-sized mosaic as strided (H, W) views,
+    in R, Gr, Gb, B order; the only place the phases are sliced."""
+    return mosaic[0::2, 0::2], mosaic[0::2, 1::2], mosaic[1::2, 0::2], mosaic[1::2, 1::2]
+
+
 def split_rggb(mosaic: np.ndarray) -> np.ndarray:
     """Split a (2H, 2W) Bayer mosaic into 4 RGGB planes (4, H, W); inverse of
     :func:`interleave_rggb`."""
     m = np.asarray(mosaic)
     if m.ndim != 2 or m.shape[0] % 2 or m.shape[1] % 2:
         raise DimensionError(f"expected an even-sized 2-D mosaic, got {m.shape}")
-    return np.stack([m[0::2, 0::2], m[0::2, 1::2], m[1::2, 0::2], m[1::2, 1::2]])
+    return np.stack(_rggb_views(m))
 
 
 def interleave_rggb(channels: np.ndarray) -> np.ndarray:
@@ -216,10 +229,8 @@ def interleave_rggb(channels: np.ndarray) -> np.ndarray:
         raise DimensionError(f"expected (4, H, W) planes, got {ch.shape}")
     _, h, w = ch.shape
     mosaic = np.empty((2 * h, 2 * w), dtype=ch.dtype)
-    mosaic[0::2, 0::2] = ch[0]
-    mosaic[0::2, 1::2] = ch[1]
-    mosaic[1::2, 0::2] = ch[2]
-    mosaic[1::2, 1::2] = ch[3]
+    for view, plane in zip(_rggb_views(mosaic), ch):
+        view[...] = plane
     return mosaic
 
 
@@ -237,23 +248,29 @@ def unpack_rggb(img: PackedImage) -> RawFrame:
     return RawFrame(data=interleave_rggb(img.channels), **_meta_kwargs(img))
 
 
-def normalize(img: PackedImage, clip_hi: float = 1.0) -> PackedImage:
+def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     """Map DN planes to [0, clip_hi] using per-channel black and white levels.
 
     out[c] = clamp((in[c] - black[c]) / (white - black[c]), 0, clip_hi).
     For ``dn_above_black`` input the subtraction is already done and only
-    the scaling applies.
+    the scaling applies.  A RawFrame's CFA views are cast straight into the
+    float64 planes, with the bytes of ``normalize(pack_rggb(frame))``.
     """
-    if img.space == SPACE_NORMALIZED:
+    if isinstance(img, RawFrame):
+        space, out = SPACE_DN, np.stack(_rggb_views(img.data), dtype=np.float64)
+    elif img.space == SPACE_NORMALIZED:
         raise DomainError("input is already normalized")
+    else:
+        space, out = img.space, img.channels.astype(np.float64)
+    # out is a new array, so the steps below work in place
     black = img.black_level
     span = img.white_level - black
-    out = img.channels.astype(np.float64)  # a new array, so the steps below work in place
-    if img.space == SPACE_DN:
+    if space == SPACE_DN:
         out -= black[:, None, None]
     out /= span[:, None, None]
     np.clip(out, 0.0, clip_hi, out=out)
-    return replace(img, channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi))
+    return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi),
+                       **_meta_kwargs(img))
 
 
 def denormalize(img: PackedImage) -> PackedImage:
@@ -267,16 +284,6 @@ def denormalize(img: PackedImage) -> PackedImage:
     span = img.white_level - black
     out = img.channels.astype(np.float64) * span[:, None, None] + black[:, None, None]
     return replace(img, channels=out, space=SPACE_DN)
-
-
-def center_crop(img: PackedImage, w: int, h: int) -> PackedImage:
-    """Center-crop all 4 planes to w x h (plane pixels), floor-rounded offset."""
-    ph, pw = img.plane_height, img.plane_width
-    if w < 1 or h < 1 or w > pw or h > ph:
-        raise DimensionError(f"crop {w}x{h} does not fit planes {pw}x{ph}")
-    x0 = (pw - w) // 2
-    y0 = (ph - h) // 2
-    return replace(img, channels=img.channels[:, y0 : y0 + h, x0 : x0 + w])
 
 
 def crop_frame(frame: RawFrame, roi: Roi) -> RawFrame:

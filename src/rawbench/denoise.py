@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .calibration import NoiseParams
-from .core import PackedImage, SPACE_NORMALIZED
+from .core import PackedImage, SPACE_NORMALIZED, _check_finite
 from .errors import DimensionError, DomainError, ProfileError
 from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
@@ -61,8 +61,9 @@ class DenoiseConfig:
     def __post_init__(self):
         if self.transform not in _TRANSFORMS:
             raise DomainError(f"transform must be one of {_TRANSFORMS}")
-        if self.threshold_mult < 0:
-            raise DomainError("threshold_mult must be >= 0")
+        _check_finite("threshold_mult", self.threshold_mult, positive=False, error=DomainError)
+        if self.sigma_dn is not None:
+            _check_finite("sigma_dn", self.sigma_dn, positive=False, error=DomainError)
 
 
 def _block_groups(extent: int) -> tuple[list[tuple[int, int]], np.ndarray]:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PackedImage, SPACE_NORMALIZED, _row_bands, interleave_rggb
+from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _row_bands, interleave_rggb
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
@@ -52,9 +52,10 @@ class IspConfig:
             if self.wb != "gray_world":
                 raise DomainError(f"unknown wb mode {self.wb!r}")
         else:
-            gains = tuple(float(g) for g in self.wb)
-            if len(gains) != 3 or any(g <= 0 for g in gains):
-                raise DomainError("fixed wb gains must be 3 positive values")
+            gains = tuple(_check_finite("wb gain", float(g), positive=True, error=DomainError)
+                          for g in self.wb)
+            if len(gains) != 3:
+                raise DomainError(f"fixed wb gains must be 3 values, got {len(gains)}")
             object.__setattr__(self, "wb", gains)
         if self.gamma not in ("srgb", "none"):
             raise DomainError(f"gamma must be 'srgb' or 'none', got {self.gamma!r}")

@@ -5,11 +5,11 @@ tensor, one MSE) against a peak of 1.  SSIM is the standard single-scale
 formulation with an 11x11 Gaussian window (sigma 1.5), k1 = 0.01,
 k2 = 0.03, L = 1.0, valid-region pooling, averaged over the four channels.
 These are the protocol's constants: no argument changes them.  evaluate_pair
-implements the benchmark crop protocol: center-crop the packed planes to
-512 (development phase) or 1024 (final phase) before scoring.
+implements the benchmark crop protocol: center-crop the mosaic to 512
+(development phase) or 1024 (final phase) packed pixels before scoring.
 
 A prediction is scored against a *prepared reference* (``Reference``): the
-ground truth packed, center-cropped and normalized once, plus the SSIM terms
+ground truth center-cropped and normalized once, plus the SSIM terms
 that depend on it alone, the windowed mean ``mu_y`` and variance ``var_y`` of
 each channel.  At the final phase every team is scored against the same
 ground truths, so ``prepare_reference`` (RawFrame only) runs once per
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import PackedImage, RawFrame, _row_bands, center_crop, normalize, pack_rggb
+from .core import PackedImage, RawFrame, Roi, _row_bands, crop_frame, normalize
 from .errors import DimensionError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
@@ -67,7 +67,7 @@ class Reference:
     """A ground truth prepared once for scoring many predictions against it.
 
     ``image`` holds the planes of a RawFrame of shape ``mosaic_shape`` after
-    the crop protocol of ``phase`` (packed, center-cropped, normalized), and
+    the crop protocol of ``phase`` (mosaic center-cropped, then normalized), and
     ``stats`` the (2, 4, h - 10, w - 10) float64 block of SSIM's ``mu_y`` and
     ``var_y`` per channel under the 11x11, sigma 1.5 window.
     """
@@ -139,10 +139,14 @@ def _bands(plane: np.ndarray):
 
 
 def _crop_protocol(frame: RawFrame, phase: str) -> PackedImage:
-    """Pack, center-crop to the phase's side, then normalize: normalizing is
-    pointwise, so normalizing only the cropped pixels gives the same values."""
+    """Center-crop the mosaic to the phase's side of planes at even offsets
+    (the floor-rounded plane offset, doubled), then normalize."""
     side = _CROP_SIDES[phase]
-    return normalize(center_crop(pack_rggb(frame), side, side), clip_hi=1.0)
+    ph, pw = frame.height // 2, frame.width // 2
+    if side > ph or side > pw:
+        raise DimensionError(f"crop {side}x{side} does not fit planes {pw}x{ph}")
+    roi = Roi(x0=(pw - side) // 2 * 2, y0=(ph - side) // 2 * 2, w=2 * side, h=2 * side)
+    return normalize(crop_frame(frame, roi))
 
 
 def _check_phase(phase: str) -> None:
@@ -208,7 +212,7 @@ def ssim(pred: PackedImage, gt: PackedImage | Reference) -> float:
 def evaluate_pair(
     pred_frame: RawFrame, gt: RawFrame | Reference, phase: str = "dev"
 ) -> EvalResult:
-    """Benchmark protocol for one prediction: center-crop, normalize, score.
+    """Benchmark protocol for one prediction: crop the mosaic, normalize, score.
 
     Crop side is 512 packed pixels in the dev phase and 1024 in the final
     phase.  ``gt`` is a RawFrame or a Reference prepared from one for the

@@ -35,7 +35,6 @@ from .core import (
     SPACE_NORMALIZED,
     _check_clip_hi,
     normalize,
-    pack_rggb,
 )
 from .errors import DimensionError, DomainError, ProfileError
 
@@ -264,7 +263,7 @@ def make_pair_batch(
     knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}
     pairs: list[tuple[PackedImage, PackedImage]] = []
     for i, frame in enumerate(clean_frames):
-        packed = normalize(pack_rggb(frame), clip_hi=sampler.clip_hi)
+        packed = normalize(frame, clip_hi=sampler.clip_hi)
         h, w = packed.plane_height, packed.plane_width
         if patch > h or patch > w:
             raise DimensionError(

@@ -376,11 +376,13 @@ class TestLoadProfileErrors:
         (lambda doc: doc["effective_roi"].pop("h"), "'h'"),
         (lambda doc: doc.update(effective_roi={"x0": 1, "y0": 0, "w": 8, "h": 8}), "x0"),
         (lambda doc: doc.update(white_level=100.0), "0 <= black < white"),
+        (lambda doc: doc.update(white_level=float("inf")), "white_level must be finite"),
         (lambda doc: doc.update(black_level=[1.0, 2.0, 3.0]), "4 values"),
         (lambda doc: doc["isos"]["800"].update(dark_library="abc.rawb"), "ISO 800: dark_library"),
         (lambda doc: doc["isos"]["3200"].update(dark_library=[1, 2]), "ISO 3200: dark_library"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "isos-list", "roi-no-h", "roi-odd-x0",
-            "white-below-black", "black-3-values", "string-dark-library", "number-dark-library"])
+            "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
+            "number-dark-library"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)

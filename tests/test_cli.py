@@ -113,6 +113,25 @@ def test_synth_rejects_bad_sampler_before_reading_anything(tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, what", [
+    ("denoise", ["--threshold", "nan"], "threshold_mult must be finite"),
+    ("denoise", ["--threshold", "inf"], "threshold_mult must be finite"),
+    ("denoise", ["--transform", "none", "--sigma-dn", "inf"], "sigma_dn must be finite"),
+    ("isp", ["--wb", "nan,1,1"], "wb gain must be finite"),
+    ("isp", ["--wb", "1,inf,1"], "wb gain must be finite"),
+])
+def test_non_finite_setting_exits_2_before_reading_anything(tmp_path, capsys, command, flags,
+                                                            what):
+    # neither the profile nor the input exists: the settings are checked first
+    out = tmp_path / "out.rawb"
+    args = [command, "--in", str(tmp_path / "none.rawb"), "--out", str(out), *flags]
+    if command == "denoise":
+        args += ["--profile", str(tmp_path / "none.json"), "--iso", "800", "--dgain", "10"]
+    assert main(args) == 2
+    assert what in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_rejects_zero_patches_per_image(workspace, capsys):
     profile = workspace / "profile.json"
     assert main(["calibrate", "--darks", str(workspace / "darks"), "--camera-id", "camA",

@@ -14,7 +14,6 @@ from rawbench.core import (
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
     SPACE_NORMALIZED,
-    center_crop,
     crop_frame,
     denormalize,
     interleave_rggb,
@@ -195,6 +194,25 @@ class TestNormalizeProperties:
         np.testing.assert_array_equal(planes, before)  # the input is not touched
 
     @settings(max_examples=80, deadline=None)
+    @given(dtype=st.sampled_from([np.uint16, np.float32]), clip_hi=st.sampled_from([0.5, 1.0, 2.0]),
+           h=st.integers(1, 9), w=st.integers(1, 9), seed=st.integers(0, 2**16))
+    def test_mosaic_equals_its_packed_planes(self, dtype, clip_hi, h, w, seed):
+        # a RawFrame is packed straight into the float64 planes: same bytes
+        # and metadata as normalizing pack_rggb's DN planes
+        rng = np.random.default_rng(seed)
+        black = rng.uniform(0, 1000, 4).round()
+        white = float(rng.uniform(2000, 16383))
+        frame = RawFrame(data=rng.uniform(0, 20000, (2 * h, 2 * w)).astype(dtype),
+                         black_level=black, white_level=white, camera_id="camB", iso=1600,
+                         exposure_s=0.25)
+        got = normalize(frame, clip_hi=clip_hi)
+        want = normalize(pack_rggb(frame), clip_hi=clip_hi)
+        assert got.channels.dtype == np.float64 and got.channels.flags.c_contiguous
+        assert got.channels.tobytes() == want.channels.tobytes()
+        for name in (f.name for f in fields(PackedImage) if f.name != "channels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=80, deadline=None)
     @given(dtype=st.sampled_from([np.uint16, np.float32]), h=st.integers(1, 9),
            w=st.integers(1, 9), seed=st.integers(0, 2**16))
     def test_denormalize_inverts_normalize(self, dtype, h, w, seed):
@@ -219,28 +237,6 @@ class TestNormalizeProperties:
 
 
 class TestCrop:
-    def test_center_crop_4x4_to_2x2(self):
-        data = np.arange(64, dtype=np.uint16).reshape(8, 8)  # planes are 4x4
-        img = pack_rggb(make_frame(data))
-        out = center_crop(img, 2, 2)
-        np.testing.assert_array_equal(out.channels, img.channels[:, 1:3, 1:3])
-
-    def test_full_crop_is_identity(self):
-        img = pack_rggb(make_frame(np.arange(16, dtype=np.uint16).reshape(4, 4)))
-        out = center_crop(img, 2, 2)
-        np.testing.assert_array_equal(out.channels, img.channels)
-
-    def test_odd_remainder_floor_offset(self):
-        data = np.arange(100, dtype=np.uint16).reshape(10, 10)  # planes are 5x5
-        img = pack_rggb(make_frame(data))
-        out = center_crop(img, 2, 2)
-        np.testing.assert_array_equal(out.channels, img.channels[:, 1:3, 1:3])
-
-    def test_too_large_rejected(self):
-        img = pack_rggb(make_frame(np.zeros((4, 4), dtype=np.uint16)))
-        with pytest.raises(DimensionError):
-            center_crop(img, 3, 2)
-
     def test_crop_commutes_with_pack(self):
         rng = np.random.default_rng(3)
         data = rng.integers(0, 16000, (12, 16)).astype(np.uint16)
@@ -446,7 +442,7 @@ class TestImageRule:
 
     @pytest.mark.parametrize("black,white", [
         (200.0, 100.0), (100.0, 100.0), ([0.0, 0.0, 0.0, 50.0], 50.0), (-1.0, 100.0),
-        (0.0, np.nan), (np.nan, 100.0),
+        (0.0, np.nan), (np.nan, 100.0), (0.0, np.inf),
     ])
     def test_both_types_reject_bad_levels(self, black, white):
         with pytest.raises(ProfileError):
@@ -454,6 +450,18 @@ class TestImageRule:
                         black_level=black, white_level=white)
         with pytest.raises(ProfileError):
             RawFrame(data=np.zeros((2, 2), dtype=np.uint16), black_level=black, white_level=white)
+
+    def test_read_frame_rejects_infinite_white_naming_the_file(self, tmp_path):
+        # an infinite span would normalize every pixel to 0.0
+        path = tmp_path / "gt.rawb"
+        write_frame(make_frame(np.full((4, 4), 1000, dtype=np.uint16)), path)
+        line, payload = path.read_bytes().split(b"\n", 1)
+        header = {**json.loads(line), "white_level": float("inf")}
+        path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+        assert b'"white_level": Infinity' in path.read_bytes()
+        with pytest.raises(ProfileError, match="white_level must be finite.*got inf") as err:
+            read_frame(path)
+        assert str(err.value).startswith(f"{path}: ")
 
 
 class TestReadPlanes:

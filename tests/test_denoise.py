@@ -296,3 +296,12 @@ class TestDenoiseRaw:
             DenoiseConfig(transform="wavelet")
         with pytest.raises(DomainError):
             DenoiseConfig(threshold_mult=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("threshold_mult", np.nan), ("threshold_mult", np.inf),
+        ("sigma_dn", np.nan), ("sigma_dn", np.inf), ("sigma_dn", -1.0),
+    ])
+    def test_config_rejects_non_finite_settings(self, field, value):
+        # a NaN threshold would zero every AC coefficient
+        with pytest.raises(DomainError, match=f"{field} must be finite and >= 0, got {value}"):
+            DenoiseConfig(**{field: value})

@@ -188,6 +188,14 @@ class TestRunIsp:
             IspConfig(wb=(1.0, -1.0, 1.0))
         with pytest.raises(DomainError):
             IspConfig(gamma="rec709")
+        with pytest.raises(DomainError, match="3 values, got 2"):
+            IspConfig(wb=(1.0, 1.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+    def test_wb_gains_must_be_finite_and_positive(self, bad):
+        # a NaN gain would render NaN pixels
+        with pytest.raises(DomainError, match=f"wb gain must be finite and > 0, got {bad}"):
+            IspConfig(wb=(1.0, bad, 1.0))
 
 
 class TestSrgbGamma:

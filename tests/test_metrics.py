@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rawbench import metrics
-from rawbench.core import PackedImage, SPACE_NORMALIZED
+from rawbench.core import PackedImage, RawFrame, SPACE_NORMALIZED, normalize, pack_rggb
 from rawbench.errors import DimensionError
 from rawbench.metrics import evaluate_pair, prepare_reference, psnr, ssim
 
@@ -125,6 +126,65 @@ class TestSsim:
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
             ssim(packed(np.zeros((4, 8, 8))), packed(np.zeros((4, 8, 8))))
+
+
+def pack_crop_normalize(frame, side):
+    """The crop protocol in three steps: pack the whole mosaic, center-crop
+    the planes at the floor-rounded offset, then normalize."""
+    img = pack_rggb(frame)
+    y0, x0 = (img.plane_height - side) // 2, (img.plane_width - side) // 2
+    return normalize(replace(img, channels=img.channels[:, y0 : y0 + side, x0 : x0 + side]))
+
+
+def ramp_frame(ph, pw):
+    """A u16 mosaic of ph x pw planes whose pixels differ from their neighbours."""
+    data = np.arange(4 * ph * pw) % 15000 + 600
+    return make_frame(data.astype(np.uint16).reshape(2 * ph, 2 * pw))
+
+
+class TestCropProtocol:
+    """The crop is taken on the mosaic; the planes are those of the packed
+    image's centre crop."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(phase=st.sampled_from(["dev", "final"]), dtype=st.sampled_from([np.uint16, np.float32]),
+           extra_h=st.integers(0, 5), extra_w=st.integers(0, 5), seed=st.integers(0, 2**16))
+    @example(phase="dev", dtype=np.uint16, extra_h=2, extra_w=3, seed=0)
+    @example(phase="final", dtype=np.float32, extra_h=5, extra_w=1, seed=1)
+    def test_equals_pack_crop_normalize(self, phase, dtype, extra_h, extra_w, seed):
+        side = metrics._CROP_SIDES[phase]
+        rng = np.random.default_rng(seed)
+        shape = (2 * (side + extra_h), 2 * (side + extra_w))
+        frame = RawFrame(data=rng.uniform(0, 20000, shape).astype(dtype),
+                         black_level=rng.uniform(0, 1000, 4).round(),
+                         white_level=float(rng.uniform(2000, 16383)), camera_id="camB", iso=1600)
+        got = metrics._crop_protocol(frame, phase)
+        want = pack_crop_normalize(frame, side)
+        assert got.channels.tobytes() == want.channels.tobytes()
+        for name in (f.name for f in fields(PackedImage) if f.name != "channels"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_centred_crop_offset(self):
+        frame = ramp_frame(514, 516)  # planes 2 and 4 wider than the dev side
+        planes = normalize(pack_rggb(frame)).channels
+        got = metrics._crop_protocol(frame, "dev").channels
+        np.testing.assert_array_equal(got, planes[:, 1:513, 2:514])
+
+    def test_odd_remainder_floor_offset(self):
+        frame = ramp_frame(513, 515)  # odd remainders 1 and 3: offsets 0 and 1
+        planes = normalize(pack_rggb(frame)).channels
+        got = metrics._crop_protocol(frame, "dev").channels
+        np.testing.assert_array_equal(got, planes[:, 0:512, 1:513])
+
+    def test_full_crop_is_identity(self):
+        frame = ramp_frame(512, 512)
+        got = metrics._crop_protocol(frame, "dev").channels
+        assert got.tobytes() == normalize(frame).channels.tobytes()
+
+    def test_too_large_rejected(self):
+        for ph, pw in [(511, 600), (600, 511)]:
+            with pytest.raises(DimensionError, match=f"crop 512x512 does not fit planes {pw}x{ph}"):
+                metrics._crop_protocol(ramp_frame(ph, pw), "dev")
 
 
 class TestEvaluatePair:

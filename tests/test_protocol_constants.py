@@ -4,15 +4,21 @@ SSIM's window and constants, PSNR's peak, the ISP's (identity) color
 matrix, the denoiser's block step, the MAC convention, the profile's
 quantization step and the synthesis noise components each have one value
 (the components are the sensor profile's to switch).  Packing always tags
-DN, and the rank table always ranks exactly its complete categories.
+DN, the rank table always ranks exactly its complete categories, and the
+RGGB phase order is sliced in one place.
 Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
 """
 
+import inspect
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from rawbench import budget, calibration, denoise, isp, metrics, ranking, synth
+import rawbench
+from rawbench import budget, calibration, core, denoise, isp, metrics, ranking, synth
 from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
 
@@ -69,3 +75,23 @@ def test_removed_keyword_is_a_type_error(call, name, value):
     call({})  # the same call without the keyword is valid
     with pytest.raises(TypeError, match=name):
         call({name: value})
+
+
+_CFA_SLICE_PAIR = re.compile(r"\[\s*[01]::2\s*,\s*[01]::2\s*\]")
+
+
+def test_cfa_phases_are_sliced_only_in_rggb_views():
+    # one code path for the RGGB phase order: every split, interleave and
+    # normalization of a mosaic goes through core._rggb_views
+    package = Path(rawbench.__file__).parent
+    hits = {path.name: len(_CFA_SLICE_PAIR.findall(path.read_text(encoding="utf-8")))
+            for path in package.glob("*.py")}
+    assert len(_CFA_SLICE_PAIR.findall(inspect.getsource(core._rggb_views))) == 4
+    assert {name: n for name, n in hits.items() if n} == {"core.py": 4}
+
+
+def test_center_crop_is_gone():
+    # the crop protocol crops the mosaic (core.crop_frame)
+    assert not hasattr(rawbench, "center_crop")
+    assert not hasattr(core, "center_crop")
+    assert not hasattr(metrics, "center_crop") and not hasattr(metrics, "pack_rggb")
