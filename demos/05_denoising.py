@@ -47,7 +47,8 @@ for transform in ("gat", "ksigma"):
 # pipelines trained on that mapping.  GAT is the right choice for this
 # classical thresholding denoiser.
 #
-# Each 256x256 plane above was shrunk in cores of at most 224 pixels.  Cores
-# start on multiples of the block period and carry a one-period halo, so the
-# result is exactly that of a single pass; the cores only bound the working
-# set, and there is no setting for them.
+# Each 256x256 plane above was denoised in cores of at most 224 pixels: each
+# core's patch, the core plus a one-period halo, runs the whole chain (VST,
+# shrink, crop to the core, inverse VST, clip).  Cores start on multiples of
+# the block period, so the result is exactly that of one whole-plane pass;
+# the cores only bound the working set, and there is no setting for them.

@@ -38,6 +38,7 @@ from .core import (
     Roi,
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
+    _check_finite,
     _check_levels,
     _meta_kwargs,
     crop_frame,
@@ -64,10 +65,9 @@ class NoiseParams:
     quant_step: float = 1.0
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise ProfileError(f"system gain must be > 0, got {self.K}")
-        if self.sigma_read < 0 or self.sigma_row < 0 or self.quant_step < 0:
-            raise ProfileError("noise sigmas and quant_step must be >= 0")
+        _check_finite("system gain K", self.K, positive=True, error=ProfileError)
+        for name in ("sigma_read", "sigma_row", "quant_step"):
+            _check_finite(name, getattr(self, name), positive=False, error=ProfileError)
 
 
 @dataclass
@@ -191,7 +191,10 @@ def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, fl
     ``n_pixels`` values in all, taken one at a time from the iterable
     ``mosaics``.  Each frame's band-mean-removed pixels go to their slot of
     one buffer, which holds what concatenating the frames' raveled parts
-    would, so ``np.std`` sums the same values in the same order."""
+    would.  The buffer is private, so ``np.std(pixels, ddof=1)``'s own steps
+    (numpy's ``_var``: sum for the mean, subtract, square, sum, divide by
+    n - 1, square root) run on it in place: the same arithmetic in the same
+    order, without a second n-pixel temporary."""
     band_means = []
     pixels = np.empty(n_pixels)
     start = 0
@@ -204,7 +207,11 @@ def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, fl
         start = stop
         del mosaic, bands  # free this frame's mosaic before the next one is made
     sigma_row = float(np.std(np.concatenate(band_means), ddof=1))
-    sigma_read = float(np.std(pixels, ddof=1))
+    mean = np.add.reduce(pixels, keepdims=True)
+    np.true_divide(mean, n_pixels, out=mean)
+    pixels -= mean
+    np.square(pixels, out=pixels)
+    sigma_read = float(np.sqrt(np.add.reduce(pixels) / (n_pixels - 1)))
     return sigma_read, sigma_row
 
 

@@ -18,21 +18,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _check_finite
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class PgParams:
-    """Poisson-Gaussian noise description in the DN domain."""
+    """Poisson-Gaussian noise description in the DN domain.
+
+    K > 0 and sigma >= 0 must be finite, and so must their squares, which
+    the transforms compute.
+    """
 
     K: float
     sigma: float
 
     def __post_init__(self):
-        if not self.K > 0:
-            raise DomainError(f"system gain K must be > 0, got {self.K}")
-        if self.sigma < 0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma}")
+        for name, value, positive in (("system gain K", self.K, True),
+                                      ("sigma", self.sigma, False)):
+            value = _check_finite(name, value, positive=positive, error=DomainError)
+            if not np.isfinite(value * value):
+                raise DomainError(f"{name} must have a finite square, got {value}")
 
 
 def ksigma_forward(y, p: PgParams):

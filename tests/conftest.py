@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from rawbench import denoise
 from rawbench.calibration import NoiseParams, SensorProfile
 from rawbench.core import RawFrame, Roi
+from rawbench.denoise import _denoise_cores
 from rawbench.ranking import MetricRecord
 
 # Published benchmark rows: team -> (psnr, ssim, lpips, arniqa, topiq),
@@ -63,6 +65,19 @@ def make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0, isos=(800
         dark_shading={},
         dark_library={iso: [] for iso in isos},
     )
+
+
+def patch_core(monkeypatch, core):
+    """Make ``denoise_raw`` work in cores of side ``core``.  Returns a list
+    that gets the core side once per call, so a test can see the patch bite."""
+    calls = []
+
+    def cores(*args):
+        calls.append(core)
+        return _denoise_cores(*args, core=core)
+
+    monkeypatch.setattr(denoise, "_denoise_cores", cores)
+    return calls
 
 
 def pytest_runtest_logreport(report):

@@ -5,7 +5,6 @@ one ACCEPTANCE PASS/FAIL line per criterion.
 """
 
 import time
-from functools import partial
 
 import numpy as np
 import pytest
@@ -33,8 +32,7 @@ from rawbench.core import (
     unpack_rggb,
     write_frame,
 )
-from rawbench import denoise
-from rawbench.denoise import DenoiseConfig, _tiled_shrink, denoise_raw, effective_pg_params
+from rawbench.denoise import DenoiseConfig, denoise_raw, effective_pg_params
 from rawbench.metrics import psnr, ssim
 from rawbench.ranking import final_table, majority_tiebreak
 from rawbench.synth import (
@@ -58,6 +56,7 @@ from conftest import (
     WHITE,
     make_frame,
     make_profile,
+    patch_core,
 )
 
 SPAN = WHITE - BLACK[0]
@@ -232,8 +231,9 @@ def test_criterion_7_baseline_denoiser(clock, monkeypatch):
 
     # tiling is exact: single pass, default cores and small cores agree bit for bit
     for core in (512, 48):
-        monkeypatch.setattr(denoise, "_tiled_shrink", partial(_tiled_shrink, core=core))
+        calls = patch_core(monkeypatch, core)
         other = denoise_raw(noisy, pg, DenoiseConfig(transform="gat"))
+        assert calls == [core]
         np.testing.assert_array_equal(other.channels, denoised.channels)
     assert clock() < 60.0
 

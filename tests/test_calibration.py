@@ -366,12 +366,22 @@ def _fixed_profile():
     )
 
 
+@pytest.mark.parametrize("field", ["K", "sigma_read", "sigma_row", "quant_step"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_noise_params_reject_non_finite_fields(field, value):
+    with pytest.raises(ProfileError, match=f"{field} must be finite and >=? 0, got {value}"):
+        NoiseParams(**{"K": 0.8, "sigma_read": 4.0, "sigma_row": 2.0, "quant_step": 1.0,
+                       field: value})
+
+
 class TestLoadProfileErrors:
     @pytest.mark.parametrize("damage, match", [
         (lambda doc: doc.pop("isos"), "missing field 'isos'"),
         (lambda doc: doc["isos"]["800"].pop("K"), "'K'"),
         (lambda doc: doc["isos"]["800"].update(K="fast"), "malformed"),
         (lambda doc: doc["isos"]["800"].update(K=-1.0), "system gain"),
+        (lambda doc: doc["isos"]["800"].update(sigma_read=float("nan")),
+         "sigma_read must be finite"),
         (lambda doc: doc.update(isos=[800]), "malformed"),
         (lambda doc: doc["effective_roi"].pop("h"), "'h'"),
         (lambda doc: doc.update(effective_roi={"x0": 1, "y0": 0, "w": 8, "h": 8}), "x0"),
@@ -380,7 +390,7 @@ class TestLoadProfileErrors:
         (lambda doc: doc.update(black_level=[1.0, 2.0, 3.0]), "4 values"),
         (lambda doc: doc["isos"]["800"].update(dark_library="abc.rawb"), "ISO 800: dark_library"),
         (lambda doc: doc["isos"]["3200"].update(dark_library=[1, 2]), "ISO 3200: dark_library"),
-    ], ids=["no-isos", "no-K", "string-K", "negative-K", "isos-list", "roi-no-h", "roi-odd-x0",
+    ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
             "number-dark-library"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):

@@ -2,7 +2,6 @@ import hashlib
 import os
 import subprocess
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_NORMALIZED
 from rawbench.denoise import (
     DenoiseConfig,
-    _tiled_shrink,
+    _denoise_cores,
     dct8_shrink,
     denoise_raw,
     effective_pg_params,
@@ -24,8 +23,9 @@ from rawbench.denoise import (
 from rawbench.errors import DimensionError, DomainError, ProfileError
 from rawbench.metrics import psnr
 from rawbench.synth import SynthConfig, synthesize_noisy
+from rawbench.transforms import gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
-from conftest import BLACK, WHITE, make_profile
+from conftest import BLACK, WHITE, make_profile, patch_core
 
 SPAN = WHITE - BLACK[0]
 
@@ -86,6 +86,53 @@ def dct8_block_oracle(plane, sigma, threshold_mult):
             dst[ry, rx] += C.T @ (coef * keep) @ C
     out /= row_cover[:, None] * col_cover[None, :]
     return out
+
+
+def whole_plane_chain(noisy_norm, params, cfg):
+    """:func:`denoise_raw`'s channels as one whole-plane pass per channel.
+
+    Each step runs over the full plane: scale, VST forward, one single-pass
+    :func:`dct8_shrink`, VST inverse, rescale and clip.  The core loop must
+    equal it bit for bit.
+    """
+    span = noisy_norm.white_level - noisy_norm.black_level
+    out = np.empty_like(noisy_norm.channels, dtype=np.float64)
+    for c in range(4):
+        y = noisy_norm.channels[c].astype(np.float64) * span[c]
+        if cfg.transform == "gat":
+            t, sigma = gat_forward(y, params), 1.0
+        elif cfg.transform == "ksigma":
+            t, sigma = ksigma_forward(y, params), 1.0
+        else:
+            t, sigma = y, float(cfg.sigma_dn)
+        t = dct8_shrink(t, sigma, cfg.threshold_mult)
+        if cfg.transform == "gat":
+            y_hat = gat_inverse(np.maximum(t, 0.0), params)
+        elif cfg.transform == "ksigma":
+            y_hat = ksigma_inverse(t, params)
+        else:
+            y_hat = t
+        out[c] = np.clip(y_hat / span[c], 0.0, noisy_norm.clip_hi)
+    return out
+
+
+def noisy_image(shape, seed=0):
+    """A seeded normalized 4-channel image: a ramp under Gaussian noise, clipped to [0, 1]."""
+    h, w = shape
+    rng = np.random.default_rng(seed)
+    ramp = np.linspace(0.02, 0.6, w)[None, None, :]
+    x = np.clip(ramp + rng.normal(0.0, 0.05, (4, h, w)), 0.0, 1.0)
+    return PackedImage(channels=x, space=SPACE_NORMALIZED, black_level=BLACK,
+                       white_level=WHITE, iso=800)
+
+
+PG = effective_pg_params(NoiseParams(K=0.8, sigma_read=4.0, sigma_row=0.0, quant_step=0.0),
+                         100.0)
+CONFIGS = {
+    "gat": DenoiseConfig(transform="gat"),
+    "ksigma": DenoiseConfig(transform="ksigma"),
+    "none": DenoiseConfig(transform="none", sigma_dn=400.0),
+}
 
 
 class TestDct8Shrink:
@@ -155,50 +202,65 @@ class TestDct8Shrink:
 
 class TestTiling:
     def test_tiled_equals_single_pass(self):
-        rng = np.random.default_rng(3)
-        plane = rng.normal(0, 1, (128, 128)) + np.linspace(0, 3, 128)[None, :]
-        single = dct8_shrink(plane, 1.0, 3.0)
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core=48), single)
+        img = noisy_image((128, 128), seed=3)
+        for cfg in CONFIGS.values():
+            got = _denoise_cores(img, PG, cfg, core=48)
+            assert got.tobytes() == whole_plane_chain(img, PG, cfg).tobytes()
 
     def test_non_square_and_misfit_sizes(self):
-        rng = np.random.default_rng(4)
-        plane = rng.normal(0, 1, (100, 70))
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core=40),
-                                      dct8_shrink(plane, 1.0, 3.0))
+        img = noisy_image((100, 70), seed=4)
+        got = _denoise_cores(img, PG, CONFIGS["gat"], core=40)
+        assert got.tobytes() == whole_plane_chain(img, PG, CONFIGS["gat"]).tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(
-        h=st.integers(8, 160),
-        w=st.integers(8, 160),
+        h=st.integers(8, 300),
+        w=st.integers(8, 300),
         core=st.integers(1, 170),
+        transform=st.sampled_from(sorted(CONFIGS)),
         seed=st.integers(0, 2**16),
     )
-    @example(h=602, w=602, core=224, seed=0)
-    @example(h=610, w=610, core=224, seed=0)
-    @example(h=610, w=518, core=90, seed=0)
-    def test_tiled_equals_single_pass_property(self, h, w, core, seed):
-        plane = np.random.default_rng(seed).normal(0, 1, (h, w)) + np.linspace(0, 3, w)
-        single = dct8_shrink(plane, 1.0, 3.0)
-        np.testing.assert_array_equal(_tiled_shrink(plane, 1.0, 3.0, core), single)
+    @example(h=602, w=602, core=224, transform="gat", seed=0)
+    @example(h=610, w=610, core=224, transform="ksigma", seed=0)
+    @example(h=610, w=518, core=90, transform="none", seed=0)
+    def test_tiled_equals_single_pass_property(self, h, w, core, transform, seed):
+        # the halo matters: a patch cut at the core's edge shrinks its border
+        # blocks without their neighbours and differs there
+        img = noisy_image((h, w), seed)
+        got = _denoise_cores(img, PG, CONFIGS[transform], core)
+        assert got.tobytes() == whole_plane_chain(img, PG, CONFIGS[transform]).tobytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self):
         # The shrink's matrix products are large enough for OpenBLAS to split
-        # across threads; the seeded result must not depend on that.
+        # across threads, and its C-ordered and transposed operands take
+        # different paths; the seeded results must not depend on either.
         code = (
             "import hashlib, numpy as np\n"
-            "from rawbench.denoise import _tiled_shrink\n"
-            "plane = np.random.default_rng(7).normal(0, 1, (1024, 1024)) + 3.0\n"
-            "print(hashlib.sha256(_tiled_shrink(plane, 1.0, 3.0).tobytes()).hexdigest())\n"
+            "from rawbench.core import PackedImage, SPACE_NORMALIZED\n"
+            "from rawbench.denoise import DenoiseConfig, dct8_shrink, denoise_raw\n"
+            "from rawbench.transforms import PgParams\n"
+            "rng = np.random.default_rng(7)\n"
+            "plane = rng.normal(0, 1, (1024, 1024)) + 3.0\n"
+            "print(hashlib.sha256(dct8_shrink(plane, 1.0, 3.0).tobytes()).hexdigest())\n"
+            "x = np.linspace(0.02, 0.6, 518) + rng.normal(0, 0.05, (4, 610, 518))\n"
+            "img = PackedImage(channels=np.clip(x, 0, 1), space=SPACE_NORMALIZED,\n"
+            "                  black_level=np.full(4, 512.0), white_level=16383.0)\n"
+            "den = denoise_raw(img, PgParams(K=80.0, sigma=400.0), DenoiseConfig('gat'))\n"
+            "print(hashlib.sha256(den.channels.tobytes()).hexdigest())\n"
         )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         src = str(Path(denoise.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        plane = np.random.default_rng(7).normal(0, 1, (1024, 1024)) + 3.0
-        here = hashlib.sha256(_tiled_shrink(plane, 1.0, 3.0).tobytes()).hexdigest()
-        assert proc.stdout.strip() == here
+        outputs = []
+        for threads in ("1", None):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestDenoiseRaw:
@@ -244,8 +306,9 @@ class TestDenoiseRaw:
         noisy, _ = self._noisy_pair(shape=(256, 256))  # larger than one default core
         default = denoise_raw(noisy, self._pg(), DenoiseConfig())
         for core in (10**6, 48):  # single pass, then many small cores
-            monkeypatch.setattr(denoise, "_tiled_shrink", partial(_tiled_shrink, core=core))
+            calls = patch_core(monkeypatch, core)
             out = denoise_raw(noisy, self._pg(), DenoiseConfig())
+            assert calls == [core]
             np.testing.assert_array_equal(out.channels, default.channels)
 
     # SHA-256 of the float64 channels of seeded denoise_raw outputs: a
@@ -287,6 +350,11 @@ class TestDenoiseRaw:
                                              quant_step=0.0), 10.0)
         assert pg.K == pytest.approx(8.0)
         assert pg.sigma == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("dgain", [np.inf, np.nan, 0.0])
+    def test_effective_params_reject_bad_dgain(self, dgain):
+        with pytest.raises(DomainError, match=f"dgain must be finite and > 0, got {dgain}"):
+            effective_pg_params(NoiseParams(K=0.8, sigma_read=3.0, sigma_row=4.0), dgain)
 
     def test_config_validation(self):
         for removed in ("shrink", "tile", "overlap"):  # settings that could not change the output

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,21 @@ class TestKsigma:
             PgParams(K=0.0, sigma=1.0)
         with pytest.raises(DomainError):
             PgParams(K=-1.0, sigma=1.0)
+
+
+@pytest.mark.parametrize("field, value, rule", [
+    ("K", np.inf, "system gain K must be finite and > 0"),
+    ("K", np.nan, "system gain K must be finite and > 0"),
+    ("K", 1e300, "system gain K must have a finite square"),
+    ("sigma", np.nan, "sigma must be finite and >= 0"),
+    ("sigma", np.inf, "sigma must be finite and >= 0"),
+    ("sigma", -1.0, "sigma must be finite and >= 0"),
+    ("sigma", 1e300, "sigma must have a finite square"),
+], ids=["K-inf", "K-nan", "K-square", "sigma-nan", "sigma-inf", "sigma-negative", "sigma-square"])
+def test_pg_params_reject_values_the_transforms_cannot_use(field, value, rule):
+    # the transforms square K and sigma: 1e300 used to overflow inside them
+    with pytest.raises(DomainError, match=re.escape(f"{rule}, got {value}")):
+        PgParams(**{"K": 2.0, "sigma": 4.0, field: value})
 
 
 class TestGat:
