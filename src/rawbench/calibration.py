@@ -66,8 +66,11 @@ class NoiseParams:
 
     def __post_init__(self):
         _check_finite("system gain K", self.K, positive=True, error=ProfileError)
+        # effective_pg_params squares these
         for name in ("sigma_read", "sigma_row", "quant_step"):
-            _check_finite(name, getattr(self, name), positive=False, error=ProfileError)
+            value = _check_finite(name, getattr(self, name), positive=False, error=ProfileError)
+            if not np.isfinite(value * value):
+                raise ProfileError(f"{name} must have a finite square, got {value}")
 
 
 @dataclass

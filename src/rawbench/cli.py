@@ -148,8 +148,8 @@ def _cmd_denoise(args) -> int:
 def _cmd_isp(args) -> int:
     wb_text, wb = args.wb
     cfg = isp.IspConfig(wb=wb, gamma=args.gamma)
-    img = core.read_planes(args.infile)
-    if img.space != core.SPACE_NORMALIZED:
+    img = core._read_image(args.infile, "mosaic", "rggb")
+    if isinstance(img, core.RawFrame) or img.space != core.SPACE_NORMALIZED:
         img = core.normalize(img)
     rgb = isp.run_isp(img, cfg)
     out = Path(args.out)

@@ -419,13 +419,6 @@ def read_packed(path) -> PackedImage:
     return _read_image(path, "rggb")
 
 
-def read_planes(path) -> PackedImage:
-    """Read a mosaic or RGGB RAWB file as four RGGB planes; the file's header
-    decides which, and a mosaic is packed in its DN space."""
-    img = _read_image(path, "mosaic", "rggb")
-    return pack_rggb(img) if isinstance(img, RawFrame) else img
-
-
 def write_rgb(rgb: np.ndarray, path, extra: dict | None = None) -> None:
     """Write an (H, W, 3) float image as a 3-channel f32 RAWB container.
 

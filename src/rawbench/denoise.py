@@ -73,6 +73,8 @@ class DenoiseConfig:
         _check_finite("threshold_mult", self.threshold_mult, positive=False, error=DomainError)
         if self.sigma_dn is not None:
             _check_finite("sigma_dn", self.sigma_dn, positive=False, error=DomainError)
+        elif self.transform == "none":
+            raise ProfileError('transform="none" requires sigma_dn')
 
 
 def _block_groups(extent: int) -> tuple[list[tuple[int, int]], np.ndarray]:
@@ -160,8 +162,6 @@ def denoise_raw(
     """
     if noisy_norm.space != SPACE_NORMALIZED:
         raise DomainError("denoise_raw expects a normalized image")
-    if cfg.transform == "none" and cfg.sigma_dn is None:
-        raise ProfileError('transform="none" requires cfg.sigma_dn')
     return replace(noisy_norm, channels=_denoise_cores(noisy_norm, params, cfg))
 
 

@@ -25,15 +25,13 @@ num/den into one full-size ratio array, and the channel's mean is taken
 once over that array.  The pooled sum therefore keeps the order of the unbanded
 formula, and every score is bit-identical to it.
 
-The window filter (``_filter_valid``) is separable.  Its vertical pass is
-numpy sums of shifted row slices, over the valid rows only, added in the
-order ``scipy.ndimage.correlate1d`` uses for a symmetric window: the centre
-row times ``w[5]``, then ``(x[-j] + x[+j]) * w[5 - j]`` for j = 5, ..., 1.
-The window is exactly symmetric and no valid row reads the padding, so each
-step is the same correctly rounded operation as in scipy and the bits are
-equal; it avoids scipy's column walk with a stride of one row.  The
-horizontal pass stays on ``correlate1d``, which measured faster than numpy
-on column slices.
+The window filter (``_filter_valid``) is separable, and one loop runs both
+passes: rows, then columns.  Each pass is numpy sums of shifted row (or
+column) slices over the valid outputs only, added in the order
+``scipy.ndimage.correlate1d`` uses for a symmetric window: the centre times
+``w[5]``, then ``(x[-j] + x[+j]) * w[5 - j]`` for j = 5, ..., 1.  The window
+is exactly symmetric and no valid output reads the padding, so each step is
+the same correctly rounded operation as in scipy and the bits are equal.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .core import PackedImage, RawFrame, Roi, _row_bands, crop_frame, normalize
 from .errors import DimensionError
@@ -108,27 +105,29 @@ _R = _WINDOW // 2  # the window's radius: a valid output row reads 2 * _R more i
 
 def _filter_valid(x: np.ndarray) -> np.ndarray:
     """Separable correlation of float64 ``x`` with SSIM's window, valid
-    region only.
+    region only: a (h - 10, w - 10) array.
 
-    The vertical pass computes only the valid rows, as numpy sums of shifted
-    row slices in scipy's own order for a symmetric window: the centre row
-    times ``w[5]``, then ``(x[-j] + x[+j]) * w[5 - j]`` added for j = 5, ..., 1.
-    ``_GAUSS`` is exactly symmetric and no valid row reads the padding, so
-    each step is the same correctly rounded operation as in
-    ``ndimage.correlate1d`` and the bits are equal.  Do not reorder these
-    steps.  The horizontal pass stays on ``correlate1d``: done in numpy on
-    column slices it measured slower.  Each row's horizontal pass is
-    independent of the others, so the rows dropped first do not change it.
+    One loop runs the vertical pass, then the horizontal one, over shifted
+    row (then column) slices and the valid outputs only, in
+    ``ndimage.correlate1d``'s order for a symmetric window: the centre line
+    times ``w[5]``, then ``(x[-j] + x[+j]) * w[5 - j]`` added for
+    j = 5, ..., 1.  ``_GAUSS`` is exactly symmetric and no valid output reads
+    the padding, so each step is the same correctly rounded operation as in
+    scipy and the bits are equal.  Float addition is not associative: do not
+    reorder these steps.  The column slices are strided views; a transposed
+    copy measured slower.
     """
-    n = x.shape[0] - 2 * _R
-    y = np.multiply(x[_R : _R + n], _GAUSS[_R])
-    t = np.empty_like(y)
-    for j in range(_R, 0, -1):
-        np.add(x[_R - j : _R - j + n], x[_R + j : _R + j + n], out=t)
-        t *= _GAUSS[_R - j]
-        y += t
-    y = ndimage.correlate1d(y, _GAUSS, axis=1, mode="constant")
-    return y[:, _R : x.shape[1] - _R]
+    for axis in (0, 1):
+        n = x.shape[axis] - 2 * _R
+        lines = [x[a : a + n] if axis == 0 else x[:, a : a + n] for a in range(2 * _R + 1)]
+        y = np.multiply(lines[_R], _GAUSS[_R])
+        t = np.empty_like(y)
+        for j in range(_R, 0, -1):
+            np.add(lines[_R - j], lines[_R + j], out=t)
+            t *= _GAUSS[_R - j]
+            y += t
+        x = y
+    return x
 
 
 def _bands(plane: np.ndarray):

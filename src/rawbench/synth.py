@@ -23,7 +23,6 @@ bit-identical regardless of execution order or worker count.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -34,6 +33,7 @@ from .core import (
     RawFrame,
     SPACE_NORMALIZED,
     _check_clip_hi,
+    _check_finite,
     normalize,
 )
 from .errors import DimensionError, DomainError, ProfileError
@@ -69,8 +69,7 @@ class SynthConfig(_NoiseKnobs):
     seed: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.dgain) and self.dgain > 0):
-            raise DomainError(f"dgain must be finite and > 0, got {self.dgain}")
+        _check_finite("dgain", self.dgain, positive=True, error=DomainError)
         super().__post_init__()
 
 
@@ -186,19 +185,25 @@ def synthesize_noisy(
     shot_rng, noise_rng, select_rng = _rng_streams(cfg.seed)
     span = (profile.white_level - profile.black_level)[:, None, None]
     shape = clean_norm.channels.shape
-    shot = sample_shot(clean_norm.channels, span, params, cfg.dgain, shot_rng)
-    signal_norm = cfg.dgain * shot / span
-
-    if cfg.mode == "hybrid":
-        use_dark = bool(select_rng.random() < cfg.hybrid_rho)
-    else:
-        use_dark = cfg.mode == "dark_sample"
-    if use_dark:
-        residual = sample_dark_patch(profile, cfg.iso, shape, noise_rng)
-    else:
-        residual = sample_parametric_read(shape, params, noise_rng)
-
-    noisy = signal_norm + cfg.dgain * residual / span
+    # a dgain that passes its own check can still overflow the electron or
+    # residual terms; that must fail, not clip to a plausible 0/clip_hi patch
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            shot = sample_shot(clean_norm.channels, span, params, cfg.dgain, shot_rng)
+            signal_norm = cfg.dgain * shot / span
+            if cfg.mode == "hybrid":
+                use_dark = bool(select_rng.random() < cfg.hybrid_rho)
+            else:
+                use_dark = cfg.mode == "dark_sample"
+            if use_dark:
+                residual = sample_dark_patch(profile, cfg.iso, shape, noise_rng)
+            else:
+                residual = sample_parametric_read(shape, params, noise_rng)
+            noisy = signal_norm + cfg.dgain * residual / span
+    except FloatingPointError as exc:
+        raise DomainError(
+            f"dgain {cfg.dgain} at ISO {cfg.iso} overflows the synthesized image ({exc})"
+        ) from exc
     if clip:
         noisy = np.clip(noisy, 0.0, cfg.clip_hi)
     return replace(

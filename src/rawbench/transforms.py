@@ -26,8 +26,8 @@ from .errors import DomainError
 class PgParams:
     """Poisson-Gaussian noise description in the DN domain.
 
-    K > 0 and sigma >= 0 must be finite, and so must their squares, which
-    the transforms compute.
+    K > 0 and sigma >= 0 must be finite, and so must their squares and
+    (sigma / K)^2, which the transforms compute.
     """
 
     K: float
@@ -39,6 +39,9 @@ class PgParams:
             value = _check_finite(name, value, positive=positive, error=DomainError)
             if not np.isfinite(value * value):
                 raise DomainError(f"{name} must have a finite square, got {value}")
+        ratio = float(self.sigma) / float(self.K)
+        if not np.isfinite(ratio * ratio):
+            raise DomainError(f"(sigma / K)^2 must be finite, got sigma={self.sigma}, K={self.K}")
 
 
 def ksigma_forward(y, p: PgParams):

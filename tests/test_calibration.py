@@ -374,6 +374,14 @@ def test_noise_params_reject_non_finite_fields(field, value):
                        field: value})
 
 
+@pytest.mark.parametrize("field", ["sigma_read", "sigma_row", "quant_step"])
+def test_noise_params_reject_fields_with_an_infinite_square(field):
+    # effective_pg_params squares them: sigma_read=1e200 raised a bare OverflowError there
+    with pytest.raises(ProfileError, match=f"{field} must have a finite square, got 1e\\+200"):
+        NoiseParams(**{"K": 1.0, "sigma_read": 4.0, "sigma_row": 0.0, "quant_step": 1.0,
+                       field: 1e200})
+
+
 class TestLoadProfileErrors:
     @pytest.mark.parametrize("damage, match", [
         (lambda doc: doc.pop("isos"), "missing field 'isos'"),

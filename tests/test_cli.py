@@ -10,7 +10,9 @@ import pytest
 from rawbench.cli import build_parser, main
 from rawbench.core import (
     PackedImage,
+    RawFrame,
     SPACE_NORMALIZED,
+    pack_rggb,
     read_frame,
     read_packed,
     write_frame,
@@ -119,6 +121,7 @@ def test_synth_rejects_bad_sampler_before_reading_anything(tmp_path, capsys, fla
     ("denoise", ["--transform", "none", "--sigma-dn", "inf"], "sigma_dn must be finite"),
     ("isp", ["--wb", "nan,1,1"], "wb gain must be finite"),
     ("isp", ["--wb", "1,inf,1"], "wb gain must be finite"),
+    ("denoise", ["--transform", "none"], 'transform="none" requires sigma_dn'),
 ])
 def test_non_finite_setting_exits_2_before_reading_anything(tmp_path, capsys, command, flags,
                                                             what):
@@ -393,6 +396,59 @@ def test_isp_rejects_nan_packed_input(tmp_path, capsys):
     assert main(["isp", "--in", str(path), "--out", str(out)]) == 2
     assert f"{path}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_isp_renders_a_mosaic_as_its_packed_rggb_file(tmp_path):
+    frame = make_frame(np.arange(192, dtype=np.uint16).reshape(12, 16) * 80 + 600)
+    write_frame(frame, tmp_path / "m.rawb")
+    write_packed(pack_rggb(frame), tmp_path / "p.rawb")
+    outs = []
+    for name in ("m", "p"):
+        outs.append(tmp_path / f"{name}.ppm")
+        assert main(["isp", "--in", str(tmp_path / f"{name}.rawb"), "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _isp_inputs(tmp_path):
+    rng = np.random.default_rng(11)
+    u16 = RawFrame(data=rng.integers(0, 16383, (24, 20)).astype(np.uint16),
+                   black_level=[512.0] * 4, white_level=16383.0, camera_id="camA", iso=800)
+    f32 = RawFrame(data=rng.uniform(0, 16383, (24, 20)).astype(np.float32),
+                   black_level=[512.0, 511.5, 512.25, 513.0], white_level=16383.0, iso=1600)
+    dn = pack_rggb(RawFrame(data=rng.integers(0, 4095, (20, 24)).astype(np.uint16),
+                            black_level=[64.0, 60.0, 62.0, 66.0], white_level=4095.0))
+    norm = PackedImage(channels=np.random.default_rng(12).uniform(0, 1, (4, 10, 12))
+                       .astype(np.float32), space=SPACE_NORMALIZED, black_level=512.0,
+                       white_level=16383.0)
+    write_frame(u16, tmp_path / "u16.rawb")
+    write_frame(f32, tmp_path / "f32.rawb")
+    write_packed(dn, tmp_path / "dn.rawb")
+    write_packed(norm, tmp_path / "normalized.rawb")
+
+
+# SHA-256 of `rawbench isp` output per input file: (RAWB rgb at --wb 2,1,1.5
+# --gamma none, PPM at the defaults).
+ISP_PINS = {
+    "u16": ("57ac4c907e079b6ad69b471cfc4d505f7fa8a50f92dfe5542d4c6e9d960ae94e",
+            "b46ada9353b638b2739440ddeb56e5c85ffdc0c9ae2b135c20ff09bd821a7fa3"),
+    "f32": ("c5026418354081925294789430b132deaaeb6925c4e7c0784e79f698de3db0c9",
+            "5158b8c44f112adb01322f01707df0df03cf2f11e944833ae858a2ef88e11843"),
+    "dn": ("73cc4ab5abdfa78a3beb62990254a2c3004b85cd33f76f8eb937e4436b8901bd",
+           "2105899c550cd1d7853a081d93decad95503c7157d5a1cee8a5376b22a27f0c0"),
+    "normalized": ("13d3942162c092e571c5a776ef50fe08502bd66922c7a696212ffc7c7bc8cff9",
+                   "a9d4f76d3792949e9676d34e83f8f10f829c609fe9f3a1d42688aa98b3682d9a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ISP_PINS))
+def test_isp_output_pinned(tmp_path, name):
+    _isp_inputs(tmp_path)
+    digests = []
+    for suffix, flags in ((".rawb", ["--wb", "2,1,1.5", "--gamma", "none"]), (".ppm", [])):
+        out = tmp_path / f"out{suffix}"
+        assert main(["isp", "--in", str(tmp_path / f"{name}.rawb"), "--out", str(out), *flags]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert tuple(digests) == ISP_PINS[name]
 
 
 def test_eval_misaligned_crop_names_the_file(tmp_path, capsys):

@@ -21,13 +21,13 @@ from rawbench.core import (
     pack_rggb,
     read_frame,
     read_packed,
-    read_planes,
     read_rgb,
     split_rggb,
     unpack_rggb,
     write_frame,
     write_packed,
     write_rgb,
+    _read_image,
 )
 from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError
 
@@ -464,20 +464,27 @@ class TestImageRule:
         assert str(err.value).startswith(f"{path}: ")
 
 
-class TestReadPlanes:
+def read_mosaic_or_rggb(path):
+    """The reader ``rawbench isp`` uses: the file's header decides the type."""
+    return _read_image(path, "mosaic", "rggb")
+
+
+class TestReadImage:
     def test_mosaic_and_rggb_files(self, tmp_path):
         frame = make_frame(np.arange(16, dtype=np.uint16).reshape(4, 4) + 600)
         write_frame(frame, tmp_path / "m.rawb")
         write_packed(pack_rggb(frame), tmp_path / "p.rawb")
-        for name in ("m.rawb", "p.rawb"):
-            img = read_planes(tmp_path / name)
-            assert img.space == SPACE_DN
-            np.testing.assert_array_equal(img.channels, pack_oracle(frame.data))
+        mosaic = read_mosaic_or_rggb(tmp_path / "m.rawb")
+        assert isinstance(mosaic, RawFrame)
+        np.testing.assert_array_equal(mosaic.data, frame.data)
+        packed = read_mosaic_or_rggb(tmp_path / "p.rawb")
+        assert isinstance(packed, PackedImage) and packed.space == SPACE_DN
+        np.testing.assert_array_equal(packed.channels, pack_oracle(frame.data))
 
     def test_other_files_name_the_path(self, tmp_path):
         (tmp_path / "x.ppm").write_bytes(b"P6\n2 2\n65535\n" + bytes(24))
         with pytest.raises(FormatError, match="x.ppm"):
-            read_planes(tmp_path / "x.ppm")
+            read_mosaic_or_rggb(tmp_path / "x.ppm")
 
 
 def _sha(path) -> str:
@@ -562,7 +569,7 @@ class TestRawbRoundTrip:
             back, data = read_packed(path), orig.channels
             got = back.channels
             assert back.space == space and back.clip_hi == clip_hi
-            np.testing.assert_array_equal(read_planes(path).channels, chans)
+            np.testing.assert_array_equal(read_mosaic_or_rggb(path).channels, chans)
         assert got.dtype == np.dtype(np_dtype).newbyteorder("<") and got.tobytes() == data.tobytes()
         np.testing.assert_array_equal(back.black_level, orig.black_level)
         assert (back.white_level, back.camera_id, back.iso, back.exposure_s) == (
@@ -586,7 +593,7 @@ class TestMalformedBlobs:
                 with pytest.raises(FormatError):
                     readers[name](path)
                 with pytest.raises(FormatError):
-                    read_planes(path)
+                    read_mosaic_or_rggb(path)
 
     @pytest.mark.parametrize("change", [
         {"width": -2, "height": -2},
@@ -623,6 +630,6 @@ class TestMalformedBlobs:
     def test_garbage_raises_format_error(self, tmp_path_factory, blob, prefix):
         path = tmp_path_factory.mktemp("junk") / "junk.rawb"
         path.write_bytes(prefix + blob)
-        for reader in (read_frame, read_packed, read_planes, read_rgb):
+        for reader in (read_frame, read_packed, read_mosaic_or_rggb, read_rgb):
             with pytest.raises(FormatError):
                 reader(path)

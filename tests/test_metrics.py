@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +301,10 @@ class TestFilterValid:
     @example(h=11, w=150, seed=1, kind="integer")
     @example(h=150, w=11, seed=2, kind="tiny")
     @example(h=74, w=97, seed=3, kind="float32")
+    @example(h=37, w=11, seed=4, kind="uniform")  # one valid column
+    @example(h=53, w=12, seed=5, kind="integer")  # two valid columns
+    @example(h=11, w=96, seed=6, kind="uniform")  # one valid row
+    @example(h=74, w=1034, seed=7, kind="uniform")  # one SSIM band of a 1024 crop
     def test_equals_two_scipy_passes_bit_for_bit(self, h, w, seed, kind):
         rng = np.random.default_rng(seed)
         x = rng.uniform(0, 1, (h, w))
@@ -309,6 +317,31 @@ class TestFilterValid:
         got = metrics._filter_valid(x)
         assert got.shape == (h - 10, w - 10)
         assert got.tobytes() == filter_valid_oracle(x).tobytes()
+
+
+def test_scoring_imports_no_scipy():
+    # scipy is a test oracle only: the CLI and a scored pair must not load it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import rawbench.cli\n"
+        "from rawbench import metrics\n"
+        "from rawbench.core import RawFrame\n"
+        "data = np.random.default_rng(0).integers(600, 16000, (1024, 1024)).astype(np.uint16)\n"
+        "gt = RawFrame(data=data, black_level=512.0, white_level=16383.0)\n"
+        "pred = RawFrame(data=data // 2 + 600, black_level=512.0, white_level=16383.0)\n"
+        "print(metrics.evaluate_pair(pred, gt).ssim)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    ssim_text, modules = proc.stdout.splitlines()
+    assert 0.0 < float(ssim_text) < 1.0
+    assert modules == "[]"
 
 
 def reference_of(gt):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -217,6 +218,14 @@ class TestSynthesizeNoisy:
     def test_unknown_iso(self):
         with pytest.raises(ProfileError):
             synthesize_noisy(flat_clean(0.1), make_profile(), SynthConfig(iso=1600, dgain=10))
+
+    @pytest.mark.parametrize("dgain", [1e308, 1e-306])
+    def test_overflowing_dgain_names_dgain_and_iso(self, dgain):
+        # 1e308 overflowed dgain * residual / span with only a RuntimeWarning and
+        # came back as a patch of 0s and 1s; 1e-306 overflows the electron count
+        with pytest.raises(DomainError, match=re.escape(f"dgain {dgain} at ISO 800 overflows")):
+            synthesize_noisy(flat_clean(0.3, side=8), make_profile(),
+                             SynthConfig(iso=800, dgain=dgain))
 
     def test_bad_config(self):
         with pytest.raises(DomainError):

@@ -65,6 +65,12 @@ def test_pg_params_reject_values_the_transforms_cannot_use(field, value, rule):
         PgParams(**{"K": 2.0, "sigma": 4.0, field: value})
 
 
+def test_pg_params_reject_an_infinite_sigma_over_k_square():
+    # ksigma_forward squares sigma / K: 1 / 1e-300 raised a bare OverflowError there
+    with pytest.raises(DomainError, match=re.escape("(sigma / K)^2 must be finite")):
+        PgParams(K=1e-300, sigma=1.0)
+
+
 class TestGat:
     def test_pure_anscombe_at_zero(self):
         np.testing.assert_allclose(gat_forward(0.0, PgParams(K=1.0, sigma=0.0)),
