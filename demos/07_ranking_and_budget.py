@@ -8,7 +8,6 @@ convolution whose MACs equal a plain convolution's.
 """
 
 from rawbench import LayerSpec, MetricRecord, build_report, check_constraints, final_table
-from rawbench.budget import count_macs, count_params
 
 ROWS = {
     "MR-CAS": (41.90, 0.9633, 0.2314, 0.4615, 0.2584),
@@ -44,6 +43,7 @@ print(f"\nmodel: {report.total_params:,} params, {report.total_macs/1e9:.2f} GMa
 
 conv = LayerSpec("conv2d", in_ch=4, out_ch=32, kernel=3)
 bgc = LayerSpec("bgc", in_ch=4, out_ch=32, kernel=3, period_n=2)
+bgc_report, conv_report = build_report([bgc]), build_report([conv])
 print("\nBGC vs conv2d at (1, 4, 512, 512):")
-print(f"  MACs   {count_macs([bgc]):,} vs {count_macs([conv]):,} (equal)")
-print(f"  params {count_params([bgc]):,} vs {count_params([conv]):,} (N^2 = 4x)")
+print(f"  MACs   {bgc_report.total_macs:,} vs {conv_report.total_macs:,} (equal)")
+print(f"  params {bgc_report.total_params:,} vs {conv_report.total_params:,} (N^2 = 4x)")

@@ -57,8 +57,6 @@ from .budget import (
     LayerSpec,
     build_report,
     check_constraints,
-    count_macs,
-    count_params,
 )
 from .harness import Manifest, ingest_external_scores, load_manifest, run_benchmark
 from .synth import BatchConfig, SynthConfig, make_pair_batch, synthesize_noisy

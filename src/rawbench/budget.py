@@ -4,8 +4,9 @@ Conventions match the usual GMac counters and the challenge's budget, which
 is stated in MACs: one MAC per multiply-accumulate (not two FLOPs),
 same-padding spatial dims, bias terms add parameters but no MACs.
 
-Shapes are walked and checked once, in ``build_report``; ``count_macs`` is
-derived from its per-layer breakdown.  Every input dimension must be >= 1.
+``build_report`` is the one way to the parameter and MAC totals: it walks
+and checks the layer shapes once, and its totals are the sums of its
+per-layer breakdown.  Every input dimension must be >= 1.
 
 The Bayer group convolution (bgc) layer runs an independent convolution on
 each of the N^2 CFA-phase sub-tensors and reassembles the original layout,
@@ -42,14 +43,17 @@ class LayerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
-        if min(self.in_ch, self.out_ch, self.kernel, self.stride) < 1:
-            raise SpecError(f"channels/kernel/stride must be >= 1 in {self}")
+        for name in ("in_ch", "out_ch", "kernel", "stride", "period_n"):
+            value = getattr(self, name)
+            # exact ints: 8.0, "8", True or NaN is not a channel count
+            if type(value) is not int or value < 1:
+                raise SpecError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.bias) is not bool:
+            raise SpecError(f"bias must be true or false, got {self.bias!r}")
         if self.kind == "depthwise" and self.in_ch != self.out_ch:
             raise SpecError(f"depthwise requires in_ch == out_ch, got {self}")
         if self.kind == "pointwise" and self.kernel != 1:
             raise SpecError(f"pointwise requires kernel == 1, got {self}")
-        if self.kind == "bgc" and self.period_n < 1:
-            raise SpecError(f"bgc period_n must be >= 1, got {self}")
 
 
 @dataclass(frozen=True)
@@ -79,11 +83,6 @@ def _layer_cost(layer: LayerSpec) -> tuple[int, int]:
     return groups * (weights + (layer.out_ch if layer.bias else 0)), weights
 
 
-def count_params(model: list[LayerSpec]) -> int:
-    """Total learnable parameters of an ordered layer list."""
-    return sum(_layer_cost(layer)[0] for layer in model)
-
-
 def _out_hw(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
     """Output spatial dims at same padding; strides and bgc periods must divide."""
     if h % layer.stride or w % layer.stride:
@@ -97,13 +96,6 @@ def _out_hw(layer: LayerSpec, h: int, w: int) -> tuple[int, int]:
                 f"bgc sub-tensor {h // n}x{w // n} not divisible by stride {layer.stride}"
             )
     return h // layer.stride, w // layer.stride
-
-
-def count_macs(
-    model: list[LayerSpec], input_shape: tuple[int, int, int, int] = REFERENCE_INPUT
-) -> int:
-    """Multiply-accumulates for one forward pass, from :func:`build_report`."""
-    return build_report(model, input_shape).total_macs
 
 
 def build_report(
@@ -189,9 +181,8 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
         unknown = set(entry) - allowed
         if unknown:
             raise SpecError(f"{path}: layer {i} has unknown fields {sorted(unknown)}")
-        for name, value in entry.items():
-            # JSON gives exact ints and bools; 8.0, "8" or true is not a channel count
-            if name != "kind" and type(value) is not (bool if name == "bias" else int):
-                raise SpecError(f"{path}: layer {i} field {name!r} has the wrong type: {value!r}")
-        layers.append(LayerSpec(**entry))
+        try:
+            layers.append(LayerSpec(**entry))
+        except SpecError as exc:
+            raise SpecError(f"{path}: layer {i}: {exc}") from exc
     return layers, ensemble, tuple(input_shape)

@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="PSNR/SSIM over prediction/ground-truth directories")
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
-    p.add_argument("--phase", choices=("dev", "final"), default="dev")
+    p.add_argument("--phase", choices=harness._PHASES, default="dev")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
 

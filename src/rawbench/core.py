@@ -71,6 +71,14 @@ def _check_finite(name, value, *, positive, error) -> float:
     return float(value)
 
 
+def _check_iso(name, value) -> int:
+    """The ISO rule of images and synthesis: a finite whole number >= 0.
+    Returns it as an int; otherwise raises DomainError naming the setting."""
+    if _check_finite(name, value, positive=False, error=DomainError) % 1:
+        raise DomainError(f"{name} must be a whole number, got {value}")
+    return int(value)
+
+
 def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
     """The level rule of images and sensor profiles: 0 <= black < white, with
     white finite.  Returns the levels as a float64 4-vector and a float."""
@@ -90,9 +98,13 @@ def _check_clip_hi(clip_hi) -> float:
 
 def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     """The one image-level rule of RawFrame and PackedImage: the levels pass
-    ``_check_levels``, and float data are finite (and >= 0 when
+    ``_check_levels``, the ISO ``_check_iso``, ``exposure_s`` is None or
+    finite and >= 0, and float data are finite (and >= 0 when
     ``nonnegative``).  Stores the checked levels, and the ISO as an int."""
     black, white = _check_levels(img.black_level, img.white_level)
+    iso = _check_iso("iso", img.iso)
+    if img.exposure_s is not None:
+        _check_finite("exposure_s", img.exposure_s, positive=False, error=DomainError)
     if data.dtype.kind == "f":
         if not np.isfinite(data).all():
             raise DomainError("data must be finite")
@@ -100,7 +112,7 @@ def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
             raise DomainError("mosaic data must be >= 0")
     object.__setattr__(img, "black_level", black)
     object.__setattr__(img, "white_level", white)
-    object.__setattr__(img, "iso", int(img.iso))
+    object.__setattr__(img, "iso", iso)
 
 
 @dataclass(frozen=True, eq=False)

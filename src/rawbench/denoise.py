@@ -14,15 +14,16 @@ block at once by a left product, then the rows of every block at once by a
 right product on the rectangle's rows taken 8 at a time), thresholded and
 added back in place.
 
-One core of at most 224 x 224 pixels is the unit of work.  Cores start on
-multiples of the block period (8, the block side; the core side is rounded
-down to a multiple of it), and each core's patch, the core plus a
-one-period halo, runs the whole chain: scale to DN, VST forward, shrink,
-crop to the core, VST inverse, rescale and clip, straight into the output.
-The halo holds every block that touches the core, so the shrink of the
-patch equals the single pass over the plane there, and every other step is
-pointwise: the result equals the whole-plane chain, while one shrink call
-sees at most about 240^2 pixels and no plane-sized temporary is made.
+One core of at most ``_CORE`` x ``_CORE`` (224 x 224) pixels is the unit of
+work.  Cores start on multiples of the block period (8, the block side; the
+core side is rounded down to a multiple of it), and each core's patch, the
+core plus a one-period halo, runs the whole chain: scale to DN, VST
+forward, shrink, crop to the core, VST inverse, rescale and clip, straight
+into the output.  The halo holds every block that touches the core, so the
+shrink of the patch equals the single pass over the plane there, and every
+other step is pointwise: the result equals the whole-plane chain, while
+one shrink call sees at most about 240^2 pixels and no plane-sized
+temporary is made.
 
 The forward transform's row product multiplies by ``_DCT_T``, a C-ordered
 copy of the DCT matrix's transpose: numpy's matmul on the transposed view
@@ -157,29 +158,18 @@ def denoise_raw(
     for the applied digital gain (see :func:`effective_pg_params`).  The
     pipeline per channel is scale to DN above black -> VST forward -> dct8
     shrinkage (sigma = 1 post-VST, or cfg.sigma_dn for transform="none") ->
-    VST inverse -> rescale -> clamp to [0, clip_hi], run on each core's patch
-    (see the module docstring).  The output is deterministic.
+    VST inverse -> rescale -> clamp to [0, clip_hi].  The unit of work is
+    one core of side ``_CORE`` (rounded down to the block period) with its
+    one-period halo, and the result equals the whole-plane chain (see the
+    module docstring); a plane no larger than one core is one patch.  The
+    output is deterministic.
     """
     if noisy_norm.space != SPACE_NORMALIZED:
         raise DomainError("denoise_raw expects a normalized image")
-    return replace(noisy_norm, channels=_denoise_cores(noisy_norm, params, cfg))
-
-
-def _denoise_cores(
-    noisy_norm: PackedImage, params: PgParams, cfg: DenoiseConfig, core: int = _CORE
-) -> np.ndarray:
-    """The channels of :func:`denoise_raw`'s output, computed one core at a time.
-
-    Core origins are multiples of the block period, so each patch (core plus
-    a one-period halo) sees exactly the blocks the single pass places over
-    its core, in the same order, and the steps around the shrink are
-    pointwise: the result equals the whole-plane chain.  A plane no larger
-    than one core is one patch.
-    """
     span = noisy_norm.white_level - noisy_norm.black_level
     sigma = 1.0 if cfg.transform != "none" else float(cfg.sigma_dn)
     _, h, w = noisy_norm.channels.shape
-    step = max(core // _BLOCK * _BLOCK, _BLOCK)
+    step = max(_CORE // _BLOCK * _BLOCK, _BLOCK)
     out = np.empty((4, h, w))
     for c, ay, ax in product(range(4), range(0, h, step), range(0, w, step)):
         y0, x0 = max(0, ay - _BLOCK), max(0, ax - _BLOCK)
@@ -197,4 +187,4 @@ def _denoise_cores(
         elif cfg.transform == "ksigma":
             t = ksigma_inverse(t, params)
         np.clip(t / span[c], 0.0, noisy_norm.clip_hi, out=out[c, ay : ay + step, ax : ax + step])
-    return out
+    return replace(noisy_norm, channels=out)

@@ -1,12 +1,15 @@
 """Dataset manifests, batch evaluation, score CSVs in and out.
 
 A manifest lists the benchmark images (paired indoor scenes with ground
-truth, in-the-wild scenes without).  ``run_benchmark`` evaluates every
-team's predictions on the paired entries, merges externally computed
-perceptual scores (LPIPS/ARNIQA/TOPIQ come from deep IQA tools, supplied
-as a CSV), and emits deterministic per-image, per-team, and rank-table
-CSVs.  Per-team aggregation is the arithmetic mean over images, computed
-with exact summation so entry order never changes a reported value.
+truth, in-the-wild scenes without) under one scoring phase, which is a key
+of the crop protocol's table ``metrics._CROP_SIDES``; scoring needs no
+sensor profile, so entry ISOs are recorded, not checked against one.
+``run_benchmark`` evaluates every team's predictions on the paired
+entries, merges externally computed perceptual scores (LPIPS/ARNIQA/TOPIQ
+come from deep IQA tools, supplied as a CSV), and emits deterministic
+per-image, per-team, and rank-table CSVs.  Per-team aggregation is the
+arithmetic mean over images, computed with exact summation so entry order
+never changes a reported value.
 
 Every CSV the package reads (external scores, ``rawbench rank``'s wide
 scores, ``calibrate --ptc-csv``) goes through ``_read_csv``/``_csv_value``:
@@ -28,14 +31,13 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .calibration import SensorProfile
 from .core import read_frame
 from .errors import DataError, DimensionError, ManifestError, MissingDataError
-from .metrics import evaluate_pair, prepare_reference
+from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
 
 _SCENE_TYPES = ("paired", "wild")
-_PHASES = ("dev", "final")
+_PHASES = tuple(_CROP_SIDES)
 
 
 @dataclass(frozen=True)
@@ -63,11 +65,11 @@ class Manifest:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-def load_manifest(path, profile: SensorProfile | None = None, strict: bool = False) -> Manifest:
+def load_manifest(path, strict: bool = False) -> Manifest:
     """Parse and validate a manifest JSON file.
 
-    With ``strict=True`` every referenced file must already exist; with a
-    profile, entry ISOs must be among its calibrated settings.
+    The phase must be one of the crop protocol's (``metrics._CROP_SIDES``).
+    With ``strict=True`` every referenced file must already exist.
     """
     path = Path(path)
     try:
@@ -108,11 +110,6 @@ def load_manifest(path, profile: SensorProfile | None = None, strict: bool = Fal
             raise ManifestError(f"{where}: paired entry needs gt_path")
         if entry.scene_type == "wild" and entry.gt_path:
             warnings.warn(f"{where}: gt_path on a wild entry is ignored")
-        if profile is not None and entry.iso not in profile.iso_params:
-            raise ManifestError(
-                f"{where}: ISO {entry.iso} not in profile "
-                f"(available: {sorted(profile.iso_params)})"
-            )
         if strict:
             for p in (entry.noisy_path, entry.gt_path):
                 if p and not manifest.resolve(p).exists():

@@ -34,6 +34,7 @@ from .core import (
     SPACE_NORMALIZED,
     _check_clip_hi,
     _check_finite,
+    _check_iso,
     normalize,
 )
 from .errors import DimensionError, DomainError, ProfileError
@@ -55,7 +56,7 @@ class _NoiseKnobs:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if not 0.0 <= self.hybrid_rho <= 1.0:
+        if _check_finite("hybrid_rho", self.hybrid_rho, positive=False, error=DomainError) > 1:
             raise DomainError(f"hybrid_rho must be in [0, 1], got {self.hybrid_rho}")
         _check_clip_hi(self.clip_hi)
 
@@ -69,7 +70,11 @@ class SynthConfig(_NoiseKnobs):
     seed: int = 0
 
     def __post_init__(self):
+        _check_iso("iso", self.iso)
         _check_finite("dgain", self.dgain, positive=True, error=DomainError)
+        # SeedSequence takes integers only: 3.0 or NaN would fail there, later
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
         super().__post_init__()
 
 
@@ -234,13 +239,17 @@ class BatchConfig(_NoiseKnobs):
         super().__post_init__()
         if not self.iso_choices:
             raise DomainError("iso_choices must be non-empty")
+        for iso in self.iso_choices:
+            _check_iso("iso_choices", iso)
         if (self.dgain_choices is None) == (self.dgain_range is None):
             raise DomainError("set exactly one of dgain_choices / dgain_range")
-        dgains = self.dgain_choices if self.dgain_range is None else self.dgain_range
-        values = np.asarray(dgains, dtype=np.float64)
-        if not (values.size and np.isfinite(values).all() and values.min() > 0):
-            raise DomainError(f"dgains must be finite and > 0, got {dgains}")
-        if self.dgain_range is not None and not (values.shape == (2,) and values[0] <= values[1]):
+        name = "dgain_choices" if self.dgain_range is None else "dgain_range"
+        dgains = getattr(self, name)
+        if not len(dgains):
+            raise DomainError(f"{name} must be non-empty")
+        for dgain in dgains:
+            _check_finite(name, dgain, positive=True, error=DomainError)
+        if self.dgain_range is not None and not (len(dgains) == 2 and dgains[0] <= dgains[1]):
             raise DomainError(f"dgain_range must be (lo, hi) with lo <= hi, got {dgains}")
 
 

@@ -6,7 +6,6 @@ import pytest
 from rawbench import denoise
 from rawbench.calibration import NoiseParams, SensorProfile
 from rawbench.core import RawFrame, Roi
-from rawbench.denoise import _denoise_cores
 from rawbench.ranking import MetricRecord
 
 # Published benchmark rows: team -> (psnr, ssim, lpips, arniqa, topiq),
@@ -68,16 +67,22 @@ def make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0, isos=(800
 
 
 def patch_core(monkeypatch, core):
-    """Make ``denoise_raw`` work in cores of side ``core``.  Returns a list
-    that gets the core side once per call, so a test can see the patch bite."""
-    calls = []
+    """Make ``denoise_raw`` work in cores of side ``core`` (``denoise._CORE``).
 
-    def cores(*args):
-        calls.append(core)
-        return _denoise_cores(*args, core=core)
+    Returns a list that gets the shape of every patch ``dct8_shrink`` sees,
+    so a test can see the patch bite: a core of side ``step`` (``core``
+    rounded down to the 8-pixel period) gives patches of at most
+    ``step + 16`` per side, one per channel and core."""
+    shapes = []
+    shrink = denoise.dct8_shrink
 
-    monkeypatch.setattr(denoise, "_denoise_cores", cores)
-    return calls
+    def recording_shrink(plane, *args):
+        shapes.append(plane.shape)
+        return shrink(plane, *args)
+
+    monkeypatch.setattr(denoise, "_CORE", core)
+    monkeypatch.setattr(denoise, "dct8_shrink", recording_shrink)
+    return shapes
 
 
 def pytest_runtest_logreport(report):

@@ -9,13 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from rawbench.budget import (
-    BudgetReport,
-    LayerSpec,
-    check_constraints,
-    count_macs,
-    count_params,
-)
+from rawbench.budget import BudgetReport, LayerSpec, build_report, check_constraints
 from rawbench.calibration import (
     NoiseParams,
     correct_dark_frame,
@@ -134,14 +128,14 @@ def test_criterion_3_bgc_accounting(clock):
                     conv = LayerSpec("conv2d", in_ch=in_ch, out_ch=out_ch, kernel=k)
                     bgc = LayerSpec("bgc", in_ch=in_ch, out_ch=out_ch, kernel=k, period_n=2)
                     shape = (1, in_ch, hw, hw)
-                    conv_macs = count_macs([conv], shape)
-                    bgc_macs = count_macs([bgc], shape)
-                    assert conv_macs == bgc_macs
-                    assert conv_macs == macs_oracle(conv, hw, hw)
-                    assert bgc_macs == macs_oracle(bgc, hw, hw)
-                    assert count_params([bgc]) == 4 * count_params([conv])
-                    assert count_params([conv]) == params_oracle(conv)
-                    assert count_params([bgc]) == params_oracle(bgc)
+                    conv_report = build_report([conv], shape)
+                    bgc_report = build_report([bgc], shape)
+                    assert conv_report.total_macs == bgc_report.total_macs
+                    assert conv_report.total_macs == macs_oracle(conv, hw, hw)
+                    assert bgc_report.total_macs == macs_oracle(bgc, hw, hw)
+                    assert bgc_report.total_params == 4 * conv_report.total_params
+                    assert conv_report.total_params == params_oracle(conv)
+                    assert bgc_report.total_params == params_oracle(bgc)
     assert clock() < 1.0
 
 
@@ -230,10 +224,10 @@ def test_criterion_7_baseline_denoiser(clock, monkeypatch):
     np.testing.assert_allclose(identity.channels, noisy.channels, atol=1e-9)
 
     # tiling is exact: single pass, default cores and small cores agree bit for bit
-    for core in (512, 48):
-        calls = patch_core(monkeypatch, core)
+    for core, n_patches, side in ((512, 4, 256), (48, 4 * 36, 64)):
+        shapes = patch_core(monkeypatch, core)
         other = denoise_raw(noisy, pg, DenoiseConfig(transform="gat"))
-        assert calls == [core]
+        assert len(shapes) == n_patches and max(map(max, shapes)) == side
         np.testing.assert_array_equal(other.channels, denoised.channels)
     assert clock() < 60.0
 

@@ -8,10 +8,9 @@ from rawbench.budget import (
     LayerSpec,
     MAX_MACS,
     MAX_PARAMS,
+    REFERENCE_INPUT,
     build_report,
     check_constraints,
-    count_macs,
-    count_params,
     load_model_spec,
 )
 from rawbench.errors import SpecError
@@ -66,45 +65,55 @@ def macs_oracle(layer, h, w):
     return n
 
 
+def params(layer):
+    """``build_report``'s parameter total of one layer, on an input with its channels."""
+    return build_report([layer], (1, layer.in_ch, 512, 512)).total_params
+
+
+def macs(model, input_shape=REFERENCE_INPUT):
+    """``build_report``'s MAC total of a model."""
+    return build_report(model, input_shape).total_macs
+
+
 class TestCountParams:
     def test_conv_hand_count(self):
         layer = LayerSpec("conv2d", in_ch=4, out_ch=32, kernel=3, bias=True)
-        assert count_params([layer]) == 4 * 32 * 9 + 32 == 1184
-        assert count_params([layer]) == params_oracle(layer)
+        assert params(layer) == 4 * 32 * 9 + 32 == 1184
+        assert params(layer) == params_oracle(layer)
 
     def test_bgc_is_n2_times_conv(self):
         layer = LayerSpec("bgc", in_ch=4, out_ch=32, kernel=3, bias=True, period_n=2)
-        assert count_params([layer]) == 4 * 1184 == 4736
-        assert count_params([layer]) == params_oracle(layer)
+        assert params(layer) == 4 * 1184 == 4736
+        assert params(layer) == params_oracle(layer)
 
     def test_elementwise_free(self):
-        assert count_params([LayerSpec("elementwise")]) == 0
+        assert params(LayerSpec("elementwise")) == 0
 
     def test_depthwise_pointwise(self):
         dw = LayerSpec("depthwise", in_ch=16, out_ch=16, kernel=3, bias=True)
         pw = LayerSpec("pointwise", in_ch=16, out_ch=32, kernel=1, bias=True)
-        assert count_params([dw]) == 16 * 9 + 16 == params_oracle(dw)
-        assert count_params([pw]) == 16 * 32 + 32 == params_oracle(pw)
+        assert params(dw) == 16 * 9 + 16 == params_oracle(dw)
+        assert params(pw) == 16 * 32 + 32 == params_oracle(pw)
 
     def test_no_bias(self):
         layer = LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3, bias=False)
-        assert count_params([layer]) == 4 * 8 * 9
+        assert params(layer) == 4 * 8 * 9
 
 
 class TestCountMacs:
     def test_conv_reference_shape(self):
         layer = LayerSpec("conv2d", in_ch=4, out_ch=32, kernel=3)
-        assert count_macs([layer]) == 1152 * 262144 == 301_989_888
+        assert macs([layer]) == 1152 * 262144 == 301_989_888
 
     def test_bgc_equals_conv(self):
         conv = LayerSpec("conv2d", in_ch=4, out_ch=32, kernel=3)
         bgc = LayerSpec("bgc", in_ch=4, out_ch=32, kernel=3, period_n=2)
-        assert count_macs([bgc]) == count_macs([conv]) == 301_989_888
+        assert macs([bgc]) == macs([conv]) == 301_989_888
 
     def test_stride_two_quarters_macs(self):
         s1 = LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3, stride=1)
         s2 = LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3, stride=2)
-        assert count_macs([s1]) == 4 * count_macs([s2])
+        assert macs([s1]) == 4 * macs([s2])
 
     def test_matches_bruteforce_small_instances(self):
         for kind in ("conv2d", "depthwise", "pointwise", "bgc"):
@@ -114,7 +123,7 @@ class TestCountMacs:
                 for hw in (4, 8, 16):
                     in_ch = out_ch = 3 if kind == "depthwise" else 2
                     layer = LayerSpec(kind, in_ch=in_ch, out_ch=out_ch, kernel=k)
-                    got = count_macs([layer], (1, in_ch, hw, hw))
+                    got = macs([layer], (1, in_ch, hw, hw))
                     assert got == macs_oracle(layer, hw, hw), (kind, k, hw)
 
     def test_shapes_thread_through_layers(self):
@@ -124,15 +133,20 @@ class TestCountMacs:
             LayerSpec("conv2d", in_ch=8, out_ch=4, kernel=3),
         ]
         expect = 4 * 8 * 9 * 256 * 256 + 8 * 4 * 9 * 256 * 256
-        assert count_macs(model) == expect
+        assert macs(model) == expect
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(SpecError):
-            count_macs([LayerSpec("conv2d", in_ch=3, out_ch=8, kernel=3)])
+            build_report([LayerSpec("conv2d", in_ch=3, out_ch=8, kernel=3)])
+        # the parameter total is checked by the same walk: a layer that does
+        # not take its predecessor's channels has no total
+        with pytest.raises(SpecError, match="expects 16 channels, input has 8"):
+            build_report([LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3),
+                          LayerSpec("conv2d", in_ch=16, out_ch=4, kernel=3)])
 
     def test_indivisible_stride_rejected(self):
         with pytest.raises(SpecError):
-            count_macs([LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3, stride=3)])
+            build_report([LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3, stride=3)])
 
 
 class TestConstraints:
@@ -175,8 +189,8 @@ class TestModelSpecIO:
         report = build_report(model)
         assert report.total_params == sum(e["params"] for e in report.per_layer)
         assert report.total_macs == sum(e["macs"] for e in report.per_layer)
-        assert report.total_params == count_params(model)
-        assert report.total_macs == count_macs(model)
+        assert report.total_params == sum(params_oracle(layer) for layer in model)
+        assert report.total_macs == (4 * 16 * 25 + 16 * 16 * 9 + 16 * 4 * 9) * 512 * 512
 
     def test_load_bare_list(self, tmp_path):
         doc = [{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3}]
@@ -263,8 +277,9 @@ class TestCountMacsFromReport:
     def test_equals_value_from_build_report(self, stack):
         layers, shape = stack
         report = build_report(layers, shape)
-        assert count_macs(layers, shape) == report.total_macs
         assert report.total_macs == sum(entry["macs"] for entry in report.per_layer)
+        assert report.total_params == sum(entry["params"] for entry in report.per_layer)
+        assert [entry["params"] for entry in report.per_layer] == list(map(params_oracle, layers))
 
     @pytest.mark.parametrize("shape", [(1, 4, -512, 512), (1, 4, 512, 0), (0, 4, 64, 64),
                                        (1, 0, 64, 64)])
@@ -272,5 +287,3 @@ class TestCountMacsFromReport:
         layers = [LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3)]
         with pytest.raises(SpecError, match="dimension < 1"):
             build_report(layers, shape)
-        with pytest.raises(SpecError, match="dimension < 1"):
-            count_macs(layers, shape)

@@ -348,6 +348,19 @@ def test_budget_spec_types_exit_2(tmp_path, capsys, spec):
     assert "typed.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layers, message", [
+    ([{"kind": "conv2d", "in_ch": 0}], "layer 0: in_ch must be an integer >= 1, got 0"),
+    ([{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3},
+      {"kind": "depthwise", "in_ch": 8, "out_ch": 16}], "layer 1: depthwise requires in_ch"),
+], ids=["in-ch-0", "depthwise-widens"])
+def test_budget_bad_layer_names_file_and_layer(tmp_path, capsys, layers, message):
+    # LayerSpec's own checks used to reach the CLI without the file or layer
+    model = tmp_path / "layers.json"
+    model.write_text(json.dumps(layers))
+    assert main(["budget", "--model", str(model)]) == 2
+    assert f"{model}: {message}" in capsys.readouterr().err
+
+
 def test_budget_string_ensemble_exits_2(tmp_path, capsys):
     # "false" used to count as an ensemble: FAIL and exit 1 for a tiny model.
     model = tmp_path / "tiny.json"
@@ -392,6 +405,23 @@ def test_isp_rejects_nan_packed_input(tmp_path, capsys):
     blob = bytearray(path.read_bytes())
     blob[-4:] = np.float32(np.nan).tobytes()
     path.write_bytes(bytes(blob))
+    out = tmp_path / "o.ppm"
+    assert main(["isp", "--in", str(path), "--out", str(out)]) == 2
+    assert f"{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("meta", [
+    {"iso": float("inf")}, {"iso": float("nan")}, {"iso": 800.5}, {"iso": -1},
+    {"exposure_s": float("nan")}, {"exposure_s": -1},
+], ids=["iso-inf", "iso-nan", "iso-fraction", "iso-negative", "exposure-nan", "exposure-negative"])
+def test_isp_rejects_bad_capture_metadata(tmp_path, capsys, meta):
+    # an infinite ISO used to end in an OverflowError traceback (exit 1), 800.5
+    # was stored as 800, and a NaN exposure was accepted and written back
+    path = tmp_path / "meta.rawb"
+    write_frame(make_frame(np.full((4, 4), 600, dtype=np.uint16)), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(json.dumps({**json.loads(header), **meta}).encode() + b"\n" + payload)
     out = tmp_path / "o.ppm"
     assert main(["isp", "--in", str(path), "--out", str(out)]) == 2
     assert f"{path}: " in capsys.readouterr().err

@@ -15,7 +15,6 @@ from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_NORMALIZED
 from rawbench.denoise import (
     DenoiseConfig,
-    _denoise_cores,
     dct8_shrink,
     denoise_raw,
     effective_pg_params,
@@ -200,16 +199,29 @@ class TestDct8Shrink:
             dct8_shrink(np.zeros((8, 8)), float("nan"))
 
 
+def cores_run(img, cfg, core):
+    """``denoise_raw``'s channels at core side ``core``, after checking from
+    the patch shapes its shrink saw that the core side took effect."""
+    with pytest.MonkeyPatch.context() as mp:
+        shapes = patch_core(mp, core)
+        got = denoise_raw(img, PG, cfg).channels
+    _, h, w = img.channels.shape
+    step = max(core // 8 * 8, 8)
+    assert len(shapes) == 4 * -(-h // step) * -(-w // step)
+    assert max(map(max, shapes)) <= step + 16
+    return got
+
+
 class TestTiling:
     def test_tiled_equals_single_pass(self):
         img = noisy_image((128, 128), seed=3)
         for cfg in CONFIGS.values():
-            got = _denoise_cores(img, PG, cfg, core=48)
+            got = cores_run(img, cfg, 48)
             assert got.tobytes() == whole_plane_chain(img, PG, cfg).tobytes()
 
     def test_non_square_and_misfit_sizes(self):
         img = noisy_image((100, 70), seed=4)
-        got = _denoise_cores(img, PG, CONFIGS["gat"], core=40)
+        got = cores_run(img, CONFIGS["gat"], 40)
         assert got.tobytes() == whole_plane_chain(img, PG, CONFIGS["gat"]).tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -227,7 +239,7 @@ class TestTiling:
         # the halo matters: a patch cut at the core's edge shrinks its border
         # blocks without their neighbours and differs there
         img = noisy_image((h, w), seed)
-        got = _denoise_cores(img, PG, CONFIGS[transform], core)
+        got = cores_run(img, CONFIGS[transform], core)
         assert got.tobytes() == whole_plane_chain(img, PG, CONFIGS[transform]).tobytes()
 
     def test_bytes_do_not_depend_on_blas_threads(self):
@@ -305,10 +317,11 @@ class TestDenoiseRaw:
     def test_core_size_does_not_change_output(self, monkeypatch):
         noisy, _ = self._noisy_pair(shape=(256, 256))  # larger than one default core
         default = denoise_raw(noisy, self._pg(), DenoiseConfig())
-        for core in (10**6, 48):  # single pass, then many small cores
-            calls = patch_core(monkeypatch, core)
+        # single pass, then 6 x 6 small cores with their halos
+        for core, n_patches, side in ((10**6, 4, 256), (48, 4 * 36, 64)):
+            shapes = patch_core(monkeypatch, core)
             out = denoise_raw(noisy, self._pg(), DenoiseConfig())
-            assert calls == [core]
+            assert len(shapes) == n_patches and max(map(max, shapes)) == side
             np.testing.assert_array_equal(out.channels, default.channels)
 
     # SHA-256 of the float64 channels of seeded denoise_raw outputs: a

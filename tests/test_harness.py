@@ -18,7 +18,7 @@ from rawbench.harness import (
 from rawbench.metrics import evaluate_pair
 
 from conftest import (
-    FIDELITY_POSITIONS, PERCEPTUAL_POSITIONS, TABLE1, WHITE, make_frame, make_profile,
+    FIDELITY_POSITIONS, PERCEPTUAL_POSITIONS, TABLE1, WHITE, make_frame,
 )
 
 
@@ -55,11 +55,6 @@ class TestLoadManifest:
         del entry["gt_path"]
         with pytest.raises(ManifestError):
             load_manifest(write_manifest(tmp_path / "m.json", [entry]))
-
-    def test_unknown_iso_with_profile(self, tmp_path):
-        p = write_manifest(tmp_path / "m.json", [self._entry(iso=640)])
-        with pytest.raises(ManifestError, match="ISO 640"):
-            load_manifest(p, profile=make_profile())
 
     def test_strict_missing_files(self, tmp_path):
         p = write_manifest(tmp_path / "m.json", [self._entry()])

@@ -8,8 +8,14 @@ DN, the rank table always ranks exactly its complete categories, and the
 RGGB phase order is sliced in one place.
 Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
+Each concept has one source: budget totals come from ``build_report``, the
+denoiser's core side from ``denoise._CORE`` and the scoring phases from
+``metrics._CROP_SIDES``, and the package's count of settable values is
+pinned.
 """
 
+import argparse
+import ast
 import inspect
 import re
 from pathlib import Path
@@ -18,7 +24,7 @@ import numpy as np
 import pytest
 
 import rawbench
-from rawbench import budget, calibration, core, denoise, isp, metrics, ranking, synth
+from rawbench import budget, calibration, cli, core, denoise, harness, isp, metrics, ranking, synth
 from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
 
@@ -46,8 +52,8 @@ REMOVED = {
     "DenoiseConfig-stride": (lambda kw: denoise.DenoiseConfig(**kw), "stride", 4),
     "dct8_shrink-stride": (lambda kw: denoise.dct8_shrink(np.ones((8, 8)), 1.0, **kw),
                            "stride", 4),
-    "count_macs-flops": (lambda kw: budget.count_macs([budget.LayerSpec("conv2d", 4, 4)], **kw),
-                         "flops", True),
+    "build_report-flops": (lambda kw: budget.build_report([budget.LayerSpec("conv2d", 4, 4)], **kw),
+                           "flops", True),
     "build_profile-quant_step": (_profile, "quant_step", 1.0),
     "SynthConfig-frame_sigma": (lambda kw: synth.SynthConfig(iso=800, dgain=1.0, **kw),
                                 "frame_sigma", 0.0),
@@ -95,3 +101,66 @@ def test_center_crop_is_gone():
     assert not hasattr(rawbench, "center_crop")
     assert not hasattr(core, "center_crop")
     assert not hasattr(metrics, "center_crop") and not hasattr(metrics, "pack_rggb")
+
+
+PACKAGE = Path(rawbench.__file__).parent
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def test_settable_value_count():
+    # Function parameters with a default plus dataclass fields with a default,
+    # over the package's modules.  A class's fields are counted in its own
+    # body only, so fields a dataclass inherits are counted once, in the base.
+    count = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    assert count == 63
+
+
+def test_second_paths_are_gone():
+    # budget totals come only from build_report; the core side only from _CORE
+    for module, name in ((budget, "count_params"), (budget, "count_macs"),
+                         (rawbench, "count_params"), (rawbench, "count_macs"),
+                         (denoise, "_denoise_cores")):
+        assert not hasattr(module, name), name
+
+
+def test_load_manifest_takes_no_profile(tmp_path):
+    # scoring needs no sensor profile, and harness imports nothing from calibration
+    path = tmp_path / "m.json"
+    path.write_text('{"phase": "final", "entries": []}')
+    assert harness.load_manifest(path).phase == "final"
+    with pytest.raises(TypeError, match="profile"):
+        harness.load_manifest(path, profile=None)
+    tree = ast.parse(inspect.getsource(harness))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "calibration" not in imported
+
+
+def test_phase_list_is_written_once():
+    # the crop table's keys are the phases: every list of them derives from it
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            items = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
+            if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set)) and {"dev", "final"} <= {
+                    item.value for item in items if isinstance(item, ast.Constant)}:
+                hits.append(path.name)
+    assert hits == ["metrics.py"]
+    assert harness._PHASES == tuple(metrics._CROP_SIDES) == ("dev", "final")
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    phase = next(a for a in sub.choices["eval"]._actions if a.dest == "phase")
+    assert tuple(phase.choices) == harness._PHASES
