@@ -43,9 +43,11 @@ _RAWB_MAGIC = "RAWB1"
 _RAWB_DTYPES = {"u16": np.dtype("<u2"), "f32": np.dtype("<f4")}
 _RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 # Output rows per band.  SSIM measured equal at 64 and 128 rows on 1024²
-# planes; run_isp on four ~600² planes (2-vCPU host) took 353-366 ms at 64
-# rows against 401 and 426 ms at 128 and 256.  Even, so that a band of ISP
-# output rows is a whole number of plane rows.
+# planes; run_isp on four ~600² planes (2-vCPU host, median of 8
+# alternations, three processes) took 165-181 ms at 64 rows against 160-191
+# at 32, 173-207 at 16 and 160-181 at 128, so the smaller buffers of 64
+# rows cost nothing.  Even, so that a band of ISP output rows is a whole
+# number of plane rows.
 _BAND_ROWS = 64
 
 
@@ -294,7 +296,8 @@ def denormalize(img: PackedImage) -> PackedImage:
         raise DomainError("denormalize expects normalized input")
     black = img.black_level
     span = img.white_level - black
-    out = img.channels.astype(np.float64) * span[:, None, None] + black[:, None, None]
+    out = np.multiply(img.channels, span[:, None, None], dtype=np.float64)
+    out += black[:, None, None]
     return replace(img, channels=out, space=SPACE_DN)
 
 
@@ -343,9 +346,12 @@ def _write_rawb(path, layout: str, space: str, payload: np.ndarray, fields: dict
         "space": space,
         **fields,
     }
-    blob = json.dumps(header).encode("utf-8") + b"\n"
-    blob += np.ascontiguousarray(payload, dtype=_RAWB_DTYPES[tag]).tobytes()
-    Path(path).write_bytes(blob)
+    # converted before the file is opened, so a failed conversion leaves no
+    # file; the array's own buffer is written, not a bytes copy of it
+    data = np.ascontiguousarray(payload, dtype=_RAWB_DTYPES[tag])
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(data)
 
 
 def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:

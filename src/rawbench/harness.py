@@ -31,8 +31,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import read_frame
-from .errors import DataError, DimensionError, ManifestError, MissingDataError
+from .core import _check_finite, _check_iso, read_frame
+from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
 
@@ -65,6 +65,14 @@ class Manifest:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
+def _entry_number(field: str, value):
+    """A manifest entry's numeric field as JSON gives it: a number, never a
+    string or a bool to coerce."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return value
+
+
 def load_manifest(path, strict: bool = False) -> Manifest:
     """Parse and validate a manifest JSON file.
 
@@ -94,12 +102,13 @@ def load_manifest(path, strict: bool = False) -> Manifest:
                 image_id=str(raw["image_id"]),
                 camera=str(raw.get("camera", "")),
                 scene_type=str(raw["scene_type"]),
-                iso=int(raw["iso"]),
-                dgain=float(raw.get("dgain", 1.0)),
+                iso=_check_iso("iso", _entry_number("iso", raw["iso"])),
+                dgain=_check_finite("dgain", _entry_number("dgain", raw.get("dgain", 1.0)),
+                                    positive=True, error=DomainError),
                 noisy_path=str(raw["noisy_path"]),
                 gt_path=raw.get("gt_path"),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise ManifestError(f"{where}: {exc}") from exc
         if entry.scene_type not in _SCENE_TYPES:
             raise ManifestError(f"{where}: scene_type must be one of {_SCENE_TYPES}")

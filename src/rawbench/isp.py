@@ -1,4 +1,4 @@
-"""Minimal ISP: white balance, remosaic, bilinear demosaic, gamma.
+"""Minimal ISP: white balance, bilinear demosaic, gamma.
 
 Converts a normalized RGGB image to an sRGB array of exactly twice the
 plane resolution, the representation perceptual metrics are computed on.
@@ -8,19 +8,33 @@ sites of each colour, and the standard sRGB opto-electronic transfer
 function or no gamma at all.  There is no color matrix: the camera RGB is
 taken as the output RGB (an identity CCM).
 
+The demosaic reads the four white-balanced planes; no mosaic is rebuilt.
+The mosaic site ``(2i + a, 2j + b)`` is pixel ``(i, j)`` of plane
+``2a + b``, so each neighbour an output phase ``(py, px)`` sums is a shifted
+slice of one plane, zero-padded by one pixel: offset ``(dy, dx)`` reads
+plane ``2 * ((py + dy) % 2) + (px + dx) % 2`` at a shift of
+``((py + dy) // 2, (px + dx) // 2)`` plane pixels.  A sum's first term is
+added to +0.0, so no sum is -0.0: a -0.0 site gives +0.0, as it does in
+the normalised convolution.
+
 ``run_isp`` computes the gray-world gains over the whole image, then renders
-in the row bands of ``core._row_bands``, so its float64 temporaries stay
+in the row bands of ``core._row_bands``, so its float64 buffers stay
 cache-sized: each band of output rows is a whole number of plane rows, read
-with one plane row of halo on each side where the image has one.  A plane
-row is two mosaic rows, so every band's mosaic starts on the CFA's first
-row.  The demosaic reaches one mosaic row up and down, so the halo gives
-each of the band's own pixels exactly the in-bounds sites it has in the
-whole image, summed in the same order and divided by the same count; the
-halo's own rows are dropped.  Every later step (gamma, clip) works pixel
-by pixel, so the result equals the whole-image chain bit for bit; a
-property test keeps that chain as its reference.
-``write_ppm16`` encodes and writes one band of rows at a time, with the
-same bytes as encoding the whole array.
+with one plane row of halo on each side where the image has one.  The
+demosaic reaches one mosaic row up and down, so the halo gives each of the
+band's own pixels exactly the in-bounds sites it has in the whole image,
+summed in the same order and divided by the same count.  A band's
+balanced, zero-bordered planes and its sums are kept in two buffers
+allocated once per call; the sums form one contiguous
+``(2, 2, 3, rows, w)`` workspace (phase row, phase column, colour, plane
+row, plane column), the sRGB transfer runs on it in place through the
+helper ``srgb_gamma`` also calls, and one clip interleaves it into the
+output rows.  Every step after the demosaic works pixel by pixel, so the
+result equals the whole-image chain bit for bit; a property test keeps
+that chain as its reference.
+``write_ppm16`` encodes and writes one band of rows at a time, through one
+reused float buffer and one reused 16-bit buffer, with the same bytes as
+encoding the whole array.
 """
 
 from __future__ import annotations
@@ -31,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _row_bands, interleave_rggb
+from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _row_bands
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
@@ -66,19 +80,26 @@ def srgb_gamma(v):
 
     Inputs are clamped to [0, 1].
     """
-    v = np.asarray(v, dtype=np.float64)
-    # fresh C-ordered arrays, also for a scalar (0-d) input, so the steps
-    # below can write in place: one power pass, then the linear segment
-    # gathered and scattered over its flat indices (numpy's masked multiply
-    # is several times slower where a band mixes both segments)
-    v = np.clip(v, 0.0, 1.0, out=np.empty(v.shape))
-    out = np.power(v, 1.0 / 2.4, out=np.empty(v.shape))
-    out *= 1.055
-    out -= 0.055
-    flat_v, flat_out = v.reshape(-1), out.reshape(-1)
-    low = np.flatnonzero(flat_v <= _SRGB_KNEE)
-    flat_out[low] = flat_v[low] * 12.92
+    # a fresh C-ordered array, also for a scalar (0-d) input, so the input
+    # is never written
+    out = np.array(v, dtype=np.float64, order="C")
+    _srgb_in_place(out)
     return out
+
+
+def _srgb_in_place(v: np.ndarray) -> None:
+    """Clamp a C-contiguous float64 array to [0, 1] and apply the sRGB OETF
+    in place: one power pass, with the linear segment gathered before it and
+    scattered back over its flat indices after (numpy's masked multiply is
+    several times slower where a band mixes both segments)."""
+    np.clip(v, 0.0, 1.0, out=v)
+    flat = v.reshape(-1)
+    low = np.flatnonzero(flat <= _SRGB_KNEE)
+    linear = flat[low] * 12.92
+    np.power(flat, 1.0 / 2.4, out=flat)
+    flat *= 1.055
+    flat -= 0.055
+    flat[low] = linear
 
 
 def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
@@ -104,8 +125,14 @@ def _pair_counts(n: int, p: int) -> np.ndarray:
     return (i > 0).astype(np.float64) + (i < n - 1)
 
 
-def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
-    """Bilinear demosaic of an RGGB mosaic; borders average available neighbors.
+def _demosaic(padded: np.ndarray, p0: int, h: int, out: np.ndarray) -> np.ndarray:
+    """Bilinear demosaic of balanced RGGB planes; borders average available neighbors.
+
+    ``out`` has shape (2, 2, 3, rows, w): colour ``c`` at mosaic site
+    ``(2 * (p0 + i) + py, 2 * j + px)`` of an image of ``h`` plane rows is
+    ``out[py, px, c, i, j]``.  ``padded`` holds plane rows ``p0 - 1`` to
+    ``p0 + rows`` (zero where outside the image) and one zero column on
+    each side: its shape is (4, >= rows + 2, w + 2).
 
     Each output value is the sum of the in-bounds nearest sites of its
     colour, divided by their count.  Those sites lie in the 3x3
@@ -113,36 +140,49 @@ def _demosaic_bilinear(mosaic: np.ndarray) -> np.ndarray:
     the normalised convolution with the classic half/quarter bilinear
     kernels bit for bit: the sites reaching one pixel carry the same
     power-of-two weight and are summed in the same row-major offset order.
+    The mosaic site at offset ``(dy, dx)`` from phase ``(py, px)`` is plane
+    ``2 * ((py + dy) % 2) + (px + dx) % 2`` shifted by ``((py + dy) // 2,
+    (px + dx) // 2)`` plane pixels, so each term is a slice of one padded
+    plane.  The first term of a sum is added to +0.0, as a sum started
+    from zeros is, so a -0.0 site gives +0.0.
 
     A count depends only on which neighbour rows and columns exist.  Around
     a pixel the sites fall into four classes, each of one colour: the pixel
     itself (1 site), its row pair (``nx`` in bounds), its column pair
     (``ny``) and its diagonals (``ny * nx``).  A colour's count is the sum
     of its classes: a product for the diagonal set, ``ny + nx`` for the
-    green cross.
+    green cross.  The pixel's own colour is its own site alone (count 1),
+    so its sum is not divided.
     """
-    h, w = mosaic.shape
-    values = np.pad(np.asarray(mosaic, dtype=np.float64), 1)
-    rgb = np.empty((h, w, 3), dtype=np.float64)
-    for py, px in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        ny = _pair_counts(h, py)[:, None]
-        nx = _pair_counts(w, px)
-        total = np.zeros((3, len(ny), len(nx)))
-        count = [0.0, 0.0, 0.0]
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                c = _CFA[(py + dy) % 2][(px + dx) % 2]
-                if c == 1 and dy and dx:
-                    continue  # a green diagonal is never a nearest green site
-                at = (slice(1 + py + dy, 1 + h + dy, 2), slice(1 + px + dx, 1 + w + dx, 2))
-                total[c] += values[at]
-        for sy, sx, n in ((0, 0, 1.0), (0, 1, nx), (1, 0, ny), (1, 1, ny * nx)):
-            c = _CFA[(py + sy) % 2][(px + sx) % 2]
-            if not (c == 1 and sy and sx):
-                count[c] = count[c] + n
-        for c in range(3):
-            np.divide(total[c], count[c], out=rgb[py::2, px::2, c])
-    return rgb
+    rows, w = out.shape[3:]
+    for py in (0, 1):
+        ny = _pair_counts(2 * h, py)[p0 : p0 + rows, None]
+        for px in (0, 1):
+            nx = _pair_counts(2 * w, px)
+            sums = out[py, px]
+            started = [False, False, False]
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    sy, sx = py + dy, px + dx
+                    c = _CFA[sy % 2][sx % 2]
+                    if c == 1 and dy and dx:
+                        continue  # a green diagonal is never a nearest green site
+                    site = padded[2 * (sy % 2) + sx % 2,
+                                  1 + sy // 2 : 1 + sy // 2 + rows, 1 + sx // 2 : 1 + sx // 2 + w]
+                    if started[c]:
+                        sums[c] += site
+                    else:
+                        np.add(site, 0.0, out=sums[c])
+                        started[c] = True
+            count = [0.0, 0.0, 0.0]
+            for sy, sx, n in ((0, 1, nx), (1, 0, ny), (1, 1, ny * nx)):
+                c = _CFA[(py + sy) % 2][(px + sx) % 2]
+                if not (c == 1 and sy and sx):
+                    count[c] = count[c] + n
+            for c in range(3):
+                if c != _CFA[py][px]:
+                    sums[c] /= count[c]
+    return out
 
 
 def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
@@ -156,16 +196,26 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
     gains = np.asarray([gain_r, gain_g, gain_g, gain_b])[:, None, None]
     _, h, w = img.channels.shape
     out = np.empty((2 * h, 2 * w, 3))
+    # out[2 * i + py, 2 * j + px, c] is tiles[i, py, j, px, c]
+    tiles = out.reshape(h, 2, w, 2, 3)
+    band = next(_row_bands(2 * h), (0, 0))[1] // 2  # plane rows in the first (longest) band
+    padded = np.zeros((4, band + 2, w + 2))
+    workspace = np.empty(12 * band * w)
     for o0, o1 in _row_bands(2 * h):
         p0, p1 = o0 // 2, o1 // 2
+        rows = p1 - p0
         # one plane row (two mosaic rows, so the CFA phase is kept) of halo
-        # on each side, where the image has one
+        # on each side, where the image has one; the first band's top row
+        # stays zero, and the last band's bottom row is zeroed
         a, b = max(p0 - 1, 0), min(p1 + 1, h)
-        balanced = img.channels[:, a:b].astype(np.float64) * gains
-        rgb = _demosaic_bilinear(interleave_rggb(balanced))[2 * (p0 - a) : 2 * (p1 - a)]
+        np.multiply(img.channels[:, a:b], gains, out=padded[:, 1 + a - p0 : 1 + b - p0, 1:-1])
+        if p1 == h:
+            padded[:, rows + 1] = 0.0
+        # a prefix of the flat buffer, so a short band is contiguous too
+        rgb = _demosaic(padded, p0, h, workspace[: 12 * rows * w].reshape(2, 2, 3, rows, w))
         if cfg.gamma == "srgb":
-            rgb = srgb_gamma(rgb)
-        np.clip(rgb, 0.0, 1.0, out=out[o0:o1])
+            _srgb_in_place(rgb)
+        np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
     return out
 
 
@@ -179,17 +229,25 @@ def write_ppm16(rgb: np.ndarray, path) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3), got {rgb.shape}")
     h, w = rgb.shape[:2]
+    # one finiteness mask, one float and one big-endian u16 buffer, reused
+    # by every band
+    scaled = np.empty((next(_row_bands(h), (0, 0))[1], w, 3))
+    finite = np.empty(scaled.shape, dtype=bool)
+    encoded = np.empty(scaled.shape, dtype=">u2")
     fh = open(path, "wb")
     try:
         with fh:
             fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
             for r0, r1 in _row_bands(h):
-                band = np.asarray(rgb[r0:r1], dtype=np.float64)
-                if not np.all(np.isfinite(band)):
+                band, n = rgb[r0:r1], r1 - r0
+                if not np.isfinite(band, out=finite[:n]).all():
                     raise DomainError(f"{path}: non-finite value in rows {r0}-{r1 - 1}")
-                scaled = np.clip(band, 0.0, 1.0)
-                scaled *= 65535.0
-                fh.write(np.rint(scaled, out=scaled).astype(">u2"))
+                f, u = scaled[:n], encoded[:n]
+                np.clip(band, 0.0, 1.0, out=f)
+                f *= 65535.0
+                np.rint(f, out=f)
+                np.copyto(u, f, casting="unsafe")
+                fh.write(u)
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise

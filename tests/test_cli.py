@@ -231,6 +231,17 @@ def test_bench_malformed_manifest_exits_2(tmp_path, capsys, doc):
     assert f"{manifest}: " in capsys.readouterr().err
 
 
+def test_bench_manifest_with_infinite_iso_exits_2(tmp_path, capsys):
+    # json.dumps writes the ISO as Infinity, which used to end in an
+    # OverflowError traceback (exit 1)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"phase": "dev", "entries": [
+        {"image_id": "img1", "scene_type": "paired", "iso": float("inf"),
+         "noisy_path": "n.rawb", "gt_path": "g.rawb"}]}))
+    assert main(["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path)]) == 2
+    assert f"{manifest}: entry 0: iso must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, where, what", [
     ("name,psnr,ssim\none,41.0,0.96\n", 1, "missing column(s) team"),
     ("# scores\nteam,psnr,ssim\none,41.0,0.96\ntwo,abc,0.95\n", 4,

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import threading
 
 import numpy as np
@@ -72,6 +73,28 @@ class TestLoadManifest:
         (tmp_path / "g.rawb").unlink()
         with pytest.raises(ManifestError, match="g.rawb does not exist"):
             load_manifest(tmp_path / "m.json", strict=True)
+
+    @pytest.mark.parametrize("field, value, match", [
+        ("iso", float("inf"), "iso must be finite and >= 0, got inf"),
+        ("iso", 800.7, "iso must be a whole number, got 800.7"),
+        ("iso", -5, "iso must be finite and >= 0, got -5"),
+        ("iso", "800", "iso must be a number, got '800'"),
+        ("dgain", float("nan"), "dgain must be finite and > 0, got nan"),
+        ("dgain", -3, "dgain must be finite and > 0, got -3"),
+        ("dgain", True, "dgain must be a number, got True"),
+    ], ids=["iso-inf", "iso-fraction", "iso-negative", "iso-string", "dgain-nan",
+            "dgain-negative", "dgain-bool"])
+    def test_bad_iso_or_dgain_names_entry_and_field(self, tmp_path, field, value, match):
+        # an infinite ISO used to raise a bare OverflowError, 800.7 was stored
+        # as 800, and a NaN or negative dgain was kept
+        entries = [self._entry(), self._entry(image_id="img2", **{field: value})]
+        with pytest.raises(ManifestError, match=re.escape(f"m.json: entry 1: {match}")):
+            load_manifest(write_manifest(tmp_path / "m.json", entries))
+
+    def test_whole_float_iso_and_int_dgain_are_read_as_numbers(self, tmp_path):
+        m = load_manifest(write_manifest(tmp_path / "m.json", [self._entry(iso=800.0, dgain=100)]))
+        assert (m.entries[0].iso, m.entries[0].dgain) == (800, 100.0)
+        assert type(m.entries[0].iso) is int and type(m.entries[0].dgain) is float
 
     def test_bad_phase(self, tmp_path):
         p = tmp_path / "m.json"

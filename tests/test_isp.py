@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,18 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rawbench import core
-from rawbench.core import PackedImage, SPACE_NORMALIZED, interleave_rggb, read_rgb, write_rgb
+from rawbench.core import (
+    PackedImage,
+    SPACE_NORMALIZED,
+    interleave_rggb,
+    read_rgb,
+    split_rggb,
+    write_rgb,
+)
 from rawbench.errors import DomainError
 from rawbench.isp import (
     IspConfig,
-    _demosaic_bilinear,
+    _demosaic,
     gray_world_gains,
     read_ppm16,
     run_isp,
@@ -78,12 +86,19 @@ def demosaic_convolution(mosaic):
     ], axis=-1)
 
 
+def demosaic_planes(planes):
+    """The plane-domain demosaic of whole (4, h, w) planes as one (2h, 2w, 3) image."""
+    _, h, w = planes.shape
+    rgb = _demosaic(np.pad(planes, ((0, 0), (1, 1), (1, 1))), 0, h, np.empty((2, 2, 3, h, w)))
+    return rgb.transpose(3, 0, 4, 1, 2).reshape(2 * h, 2 * w, 3)
+
+
 def isp_whole_image(img, cfg):
-    """run_isp's chain on the whole image at once: gains, remosaic, demosaic
-    of the full mosaic, gamma, clip."""
+    """run_isp's chain on the whole image at once: gains, demosaic of the
+    whole balanced planes, gamma, clip."""
     gains = gray_world_gains(img) if cfg.wb == "gray_world" else cfg.wb
     balanced = img.channels * np.asarray([gains[0], gains[1], gains[1], gains[2]])[:, None, None]
-    rgb = _demosaic_bilinear(interleave_rggb(balanced))
+    rgb = demosaic_planes(balanced)
     if cfg.gamma == "srgb":
         rgb = srgb_gamma(rgb)
     return np.clip(rgb, 0.0, 1.0)
@@ -142,7 +157,8 @@ class TestRunIsp:
     )
     def test_demosaic_equals_normalized_convolution(self, shape):
         mosaic = np.random.default_rng(shape[0]).uniform(0, 1.5, shape)
-        np.testing.assert_array_equal(_demosaic_bilinear(mosaic), demosaic_convolution(mosaic))
+        np.testing.assert_array_equal(demosaic_planes(split_rggb(mosaic)),
+                                      demosaic_convolution(mosaic))
 
     @settings(max_examples=60, deadline=None)
     @given(half_h=st.integers(1, 40), half_w=st.integers(1, 40), seed=st.integers(0, 2**16))
@@ -151,7 +167,8 @@ class TestRunIsp:
         # a few repeated values and zeros alongside arbitrary ones
         mosaic = rng.choice([0.0, 0.5, rng.uniform(0, 4)], (2 * half_h, 2 * half_w))
         mosaic += rng.uniform(0, 1, mosaic.shape) * (rng.uniform(size=mosaic.shape) < 0.7)
-        np.testing.assert_array_equal(_demosaic_bilinear(mosaic), demosaic_convolution(mosaic))
+        np.testing.assert_array_equal(demosaic_planes(split_rggb(mosaic)),
+                                      demosaic_convolution(mosaic))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -168,7 +185,44 @@ class TestRunIsp:
         rng = np.random.default_rng(seed)
         img = packed(rng.uniform(0, 1, (4, h, w)) * (rng.uniform(size=(4, h, w)) < 0.9))
         cfg = IspConfig(wb=wb, gamma=gamma)
-        assert np.array_equal(run_isp(img, cfg), isp_whole_image(img, cfg))
+        assert run_isp(img, cfg).tobytes() == isp_whole_image(img, cfg).tobytes()
+
+    # SHA-256 of run_isp's float64 bytes, computed with the mosaic-domain
+    # demosaic: the PPM pins quantize an sRGB render and would not see a
+    # low-bit change.  The planes hold zeros, -0.0 and values above 1 after
+    # the gains, at band-edge heights and at width 1.
+    @pytest.mark.parametrize("h, w, cfg, digest", [
+        (PLANE_BAND - 1, 23, IspConfig(),
+         "afdf1b3cc52dee9f7c0b4f4bbbc5b729d494252bee73a87c8bd042a206f3e3fe"),
+        (PLANE_BAND + 1, 17, IspConfig(wb=(2.0, 1.0, 1.5), gamma="none"),
+         "2a7e93835fe4837d27bffe827836fbf3dbdad9423fd149242aa23db28613022a"),
+        (2 * PLANE_BAND + 1, 29, IspConfig(wb=(0.3, 1.0, 5.0)),
+         "e64d70dd43e22d1c761cc395d6999883ed7792f4319ae98ea076c5a303e14532"),
+        (2 * PLANE_BAND + 1, 1, IspConfig(gamma="none"),
+         "52d57df72147e8b195cfc8b26b2ff8bd7fd5df39dbaaff87ed6dd8d9c2d49f02"),
+        (PLANE_BAND + 1, 1, IspConfig(wb=(0.3, 1.0, 5.0)),
+         "5e8afc98596a685d713a03b3e5cab9ff3fb9eaa16b6a87a77fbd0b999b5adade"),
+    ])
+    def test_float_render_digest(self, h, w, cfg, digest):
+        rng = np.random.default_rng(h * 100 + w)
+        planes = rng.uniform(0.0, 1.2, (4, h, w))
+        planes[rng.uniform(size=planes.shape) < 0.1] = 0.0
+        planes[rng.uniform(size=planes.shape) < 0.05] = -0.0
+        rgb = run_isp(packed(planes), cfg)
+        assert hashlib.sha256(rgb.tobytes()).hexdigest() == digest
+
+    def test_band_temporaries_stay_small(self):
+        # beyond its output, a render allocates band-sized buffers only
+        # (about 4 MB here); an image-sized float64 temporary of the planes
+        # alone would be 15 MB
+        img = packed(np.random.default_rng(3).uniform(0, 1, (4, 602, 770)))
+        tracemalloc.start()
+        try:
+            rgb = run_isp(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - rgb.nbytes < 6e6
 
     def test_output_range_and_dims(self):
         rng = np.random.default_rng(2)

@@ -131,10 +131,12 @@ def test_settable_value_count():
 
 
 def test_second_paths_are_gone():
-    # budget totals come only from build_report; the core side only from _CORE
+    # budget totals come only from build_report; the core side only from
+    # _CORE; the ISP demosaics the planes, never a rebuilt mosaic
     for module, name in ((budget, "count_params"), (budget, "count_macs"),
                          (rawbench, "count_params"), (rawbench, "count_macs"),
-                         (denoise, "_denoise_cores")):
+                         (denoise, "_denoise_cores"), (isp, "_demosaic_bilinear"),
+                         (isp, "interleave_rggb")):
         assert not hasattr(module, name), name
 
 
