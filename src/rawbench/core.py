@@ -21,13 +21,17 @@ between threads.
 Whole-image passes that would push megabytes of float64 temporaries through
 memory (SSIM, the ISP, the PPM encoder) walk their output in bands of
 ``_BAND_ROWS`` rows with ``_row_bands``, so the temporaries of one band stay
-cache-sized.
+cache-sized.  The denoiser and the ISP also split one image into
+independent tasks, each writing its own part of the output, and run them
+with ``_map`` on as many threads as the process has CPUs (``_WORKERS``), so
+the bytes do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,6 +53,35 @@ _RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 # rows cost nothing.  Even, so that a band of ISP output rows is a whole
 # number of plane rows.
 _BAND_ROWS = 64
+
+
+# Workers for the independent tasks of one image (denoise cores, ISP band
+# runs): the CPUs this process may run on, which ``taskset`` or a cpuset
+# limits.  The output bytes do not depend on it.
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity mask on this platform
+    _WORKERS = os.cpu_count() or 1
+
+
+def _map(fn, items, workers: int) -> list:
+    """``[fn(x) for x in items]``, in input order.
+
+    With ``min(workers, len(items)) > 1`` the calls run on a thread pool
+    created and shut down inside this call, so no thread outlives it; the
+    first exception in input order reaches the caller, and calls not yet
+    started are cancelled.  The calls must not depend on each other's order:
+    each should write only its own part of any shared output.
+    """
+    items = list(items)
+    n = min(workers, len(items))
+    if n <= 1:
+        return [fn(x) for x in items]
+    pool = ThreadPoolExecutor(max_workers=n)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _as_black_level(black_level) -> np.ndarray:
@@ -270,17 +303,20 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     the scaling applies.  A RawFrame's CFA views are cast straight into the
     float64 planes, with the bytes of ``normalize(pack_rggb(frame))``.
     """
+    black = img.black_level
+    # each path casts to float64 and removes black in one pass into a new
+    # array, so the steps below work in place
     if isinstance(img, RawFrame):
-        space, out = SPACE_DN, np.stack(_rggb_views(img.data), dtype=np.float64)
+        out = np.empty((4, img.height // 2, img.width // 2))
+        for plane, view, b in zip(out, _rggb_views(img.data), black):
+            np.subtract(view, b, out=plane, dtype=np.float64)
     elif img.space == SPACE_NORMALIZED:
         raise DomainError("input is already normalized")
+    elif img.space == SPACE_DN:
+        out = np.subtract(img.channels, black[:, None, None], dtype=np.float64)
     else:
-        space, out = img.space, img.channels.astype(np.float64)
-    # out is a new array, so the steps below work in place
-    black = img.black_level
+        out = img.channels.astype(np.float64)
     span = img.white_level - black
-    if space == SPACE_DN:
-        out -= black[:, None, None]
     out /= span[:, None, None]
     np.clip(out, 0.0, clip_hi, out=out)
     return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi),

@@ -14,16 +14,18 @@ block at once by a left product, then the rows of every block at once by a
 right product on the rectangle's rows taken 8 at a time), thresholded and
 added back in place.
 
-One core of at most ``_CORE`` x ``_CORE`` (224 x 224) pixels is the unit of
-work.  Cores start on multiples of the block period (8, the block side; the
-core side is rounded down to a multiple of it), and each core's patch, the
-core plus a one-period halo, runs the whole chain: scale to DN, VST
-forward, shrink, crop to the core, VST inverse, rescale and clip, straight
-into the output.  The halo holds every block that touches the core, so the
+One core of at most ``_CORE`` x ``_CORE`` (224 x 224) pixels of one channel
+is the unit of work.  Cores start on multiples of the block period (8, the
+block side; the core side is rounded down to a multiple of it), and each
+core's patch, the core plus a one-period halo, runs the whole chain: scale
+to DN, VST forward, shrink, crop to the core, VST inverse, rescale and
+clip, straight into the output.  The halo holds every block that touches the core, so the
 shrink of the patch equals the single pass over the plane there, and every
 other step is pointwise: the result equals the whole-plane chain, while
 one shrink call sees at most about 240^2 pixels and no plane-sized
-temporary is made.
+temporary is made.  The cores are independent tasks: each reads the input
+and writes only its own disjoint slice of the output, so ``core._map`` runs
+them on ``core._WORKERS`` threads and the bytes do not depend on that count.
 
 The forward transform's row product multiplies by ``_DCT_T``, a C-ordered
 copy of the DCT matrix's transpose: numpy's matmul on the transposed view
@@ -37,6 +39,7 @@ from itertools import product
 
 import numpy as np
 
+from . import core
 from .calibration import NoiseParams
 from .core import PackedImage, SPACE_NORMALIZED, _check_finite
 from .errors import DimensionError, DomainError, ProfileError
@@ -152,7 +155,7 @@ def denoise_raw(
     params: PgParams,
     cfg: DenoiseConfig = DenoiseConfig(),
 ) -> PackedImage:
-    """Denoise a normalized RGGB image channel by channel, one core at a time.
+    """Denoise a normalized RGGB image core by core, on every channel.
 
     ``params`` is one PgParams shared by all four channels, already scaled
     for the applied digital gain (see :func:`effective_pg_params`).  The
@@ -162,7 +165,8 @@ def denoise_raw(
     one core of side ``_CORE`` (rounded down to the block period) with its
     one-period halo, and the result equals the whole-plane chain (see the
     module docstring); a plane no larger than one core is one patch.  The
-    output is deterministic.
+    cores run as independent tasks on ``core._WORKERS`` threads, and the
+    output is deterministic and independent of that count.
     """
     if noisy_norm.space != SPACE_NORMALIZED:
         raise DomainError("denoise_raw expects a normalized image")
@@ -171,7 +175,10 @@ def denoise_raw(
     _, h, w = noisy_norm.channels.shape
     step = max(_CORE // _BLOCK * _BLOCK, _BLOCK)
     out = np.empty((4, h, w))
-    for c, ay, ax in product(range(4), range(0, h, step), range(0, w, step)):
+
+    def task(where):
+        # the whole chain of one channel's core, into its own slice of out
+        c, ay, ax = where
         y0, x0 = max(0, ay - _BLOCK), max(0, ax - _BLOCK)
         patch = noisy_norm.channels[c, y0 : ay + step + _BLOCK, x0 : ax + step + _BLOCK]
         t = np.multiply(patch, span[c], dtype=np.float64)
@@ -187,4 +194,6 @@ def denoise_raw(
         elif cfg.transform == "ksigma":
             t = ksigma_inverse(t, params)
         np.clip(t / span[c], 0.0, noisy_norm.clip_hi, out=out[c, ay : ay + step, ax : ax + step])
+
+    core._map(task, product(range(4), range(0, h, step), range(0, w, step)), core._WORKERS)
     return replace(noisy_norm, channels=out)

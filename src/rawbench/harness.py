@@ -27,11 +27,10 @@ import csv
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import _check_finite, _check_iso, read_frame
+from .core import _check_finite, _check_iso, _map, read_frame
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -231,7 +230,8 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
             raise DimensionError(f"{label}: {exc}") from exc
         return pred.camera_id, pred.iso, res
 
-    def score_group(gt_path, members):
+    def score_group(group):
+        gt_path, members = group
         gt = read_frame(gt_path)
         try:
             ref = prepare_reference(gt, phase)
@@ -240,11 +240,7 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
         del gt  # only the reference is needed from here
         return [score_one(ref, i) for i in members]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(score_group, groups.keys(), groups.values()))
-    else:
-        done = [score_group(*group) for group in groups.items()]
+    done = _map(score_group, groups.items(), threads)
     results: list[tuple] = [()] * len(pairs)
     for members, rows in zip(groups.values(), done):
         for i, row in zip(members, rows):

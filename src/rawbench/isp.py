@@ -23,15 +23,18 @@ cache-sized: each band of output rows is a whole number of plane rows, read
 with one plane row of halo on each side where the image has one.  The
 demosaic reaches one mosaic row up and down, so the halo gives each of the
 band's own pixels exactly the in-bounds sites it has in the whole image,
-summed in the same order and divided by the same count.  A band's
-balanced, zero-bordered planes and its sums are kept in two buffers
-allocated once per call; the sums form one contiguous
+summed in the same order and divided by the same count.  The bands are
+split into at most ``core._WORKERS`` contiguous runs, one task each, and
+``core._map`` runs the tasks on that many threads; each task writes only
+its own output rows.  A task keeps a band's balanced, zero-bordered planes
+and its sums in two buffers of its own, allocated once and reused by every
+band of its run, in order; the sums form one contiguous
 ``(2, 2, 3, rows, w)`` workspace (phase row, phase column, colour, plane
 row, plane column), the sRGB transfer runs on it in place through the
 helper ``srgb_gamma`` also calls, and one clip interleaves it into the
 output rows.  Every step after the demosaic works pixel by pixel, so the
-result equals the whole-image chain bit for bit; a property test keeps
-that chain as its reference.
+result equals the whole-image chain bit for bit, whatever the number of
+runs; a property test keeps that chain as its reference.
 ``write_ppm16`` encodes and writes one band of rows at a time, through one
 reused float buffer and one reused 16-bit buffer, with the same bytes as
 encoding the whole array.
@@ -45,6 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _row_bands
 from .errors import DimensionError, DomainError
 
@@ -106,14 +110,19 @@ def gray_world_gains(img: PackedImage) -> tuple[float, float, float]:
     """Per-channel gains equalizing channel means to the green mean.
 
     gain_c = mean(G) / mean(c) with G = (Gr + Gb)/2; green gain is 1.  A
-    channel with non-positive mean keeps gain 1 (nothing to balance).
+    channel with non-positive mean keeps gain 1 (nothing to balance).  A
+    gain that is not finite (a mean so small that the ratio overflows)
+    raises DomainError naming the channel.
     """
     r = float(np.mean(img.channels[0]))
     g = float(np.mean(img.channels[1]) + np.mean(img.channels[2])) / 2.0
     b = float(np.mean(img.channels[3]))
     gain_r = g / r if r > 0 else 1.0
     gain_b = g / b if b > 0 else 1.0
-    return gain_r, 1.0, gain_b
+    # a vanishing (e.g. subnormal) mean gives an infinite gain; a zero green
+    # mean gives gain 0, gray world's own answer for a scene without green
+    return (_check_finite("gray-world R gain", gain_r, positive=False, error=DomainError), 1.0,
+            _check_finite("gray-world B gain", gain_b, positive=False, error=DomainError))
 
 
 _CFA = ((0, 1), (1, 2))  # colour (0 R, 1 G, 2 B) of a site by (row parity, column parity)
@@ -198,24 +207,34 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
     out = np.empty((2 * h, 2 * w, 3))
     # out[2 * i + py, 2 * j + px, c] is tiles[i, py, j, px, c]
     tiles = out.reshape(h, 2, w, 2, 3)
-    band = next(_row_bands(2 * h), (0, 0))[1] // 2  # plane rows in the first (longest) band
-    padded = np.zeros((4, band + 2, w + 2))
-    workspace = np.empty(12 * band * w)
-    for o0, o1 in _row_bands(2 * h):
-        p0, p1 = o0 // 2, o1 // 2
-        rows = p1 - p0
-        # one plane row (two mosaic rows, so the CFA phase is kept) of halo
-        # on each side, where the image has one; the first band's top row
-        # stays zero, and the last band's bottom row is zeroed
-        a, b = max(p0 - 1, 0), min(p1 + 1, h)
-        np.multiply(img.channels[:, a:b], gains, out=padded[:, 1 + a - p0 : 1 + b - p0, 1:-1])
-        if p1 == h:
-            padded[:, rows + 1] = 0.0
-        # a prefix of the flat buffer, so a short band is contiguous too
-        rgb = _demosaic(padded, p0, h, workspace[: 12 * rows * w].reshape(2, 2, 3, rows, w))
-        if cfg.gamma == "srgb":
-            _srgb_in_place(rgb)
-        np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
+    bands = list(_row_bands(2 * h))
+    band = bands[0][1] // 2 if bands else 0  # plane rows in the first (longest) band
+    n_runs = min(core._WORKERS, len(bands))
+
+    def render(run):
+        # a run of bands in order, through buffers of its own; padded starts
+        # zero, so the top halo row stays zero when the run starts at band 0
+        padded = np.zeros((4, band + 2, w + 2))
+        workspace = np.empty(12 * band * w)
+        for o0, o1 in run:
+            p0, p1 = o0 // 2, o1 // 2
+            rows = p1 - p0
+            # one plane row (two mosaic rows, so the CFA phase is kept) of
+            # halo on each side, where the image has one; the first band's
+            # top row stays zero, and the last band's bottom row is zeroed
+            a, b = max(p0 - 1, 0), min(p1 + 1, h)
+            np.multiply(img.channels[:, a:b], gains, out=padded[:, 1 + a - p0 : 1 + b - p0, 1:-1])
+            if p1 == h:
+                padded[:, rows + 1] = 0.0
+            # a prefix of the flat buffer, so a short band is contiguous too
+            rgb = _demosaic(padded, p0, h, workspace[: 12 * rows * w].reshape(2, 2, 3, rows, w))
+            if cfg.gamma == "srgb":
+                _srgb_in_place(rgb)
+            np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
+
+    # n_runs contiguous runs whose lengths differ by at most one band
+    core._map(render, (bands[i * len(bands) // n_runs : (i + 1) * len(bands) // n_runs]
+                       for i in range(n_runs)), n_runs)
     return out
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rawbench import core
 from rawbench.cli import build_parser, main
 from rawbench.core import (
     PackedImage,
@@ -419,6 +420,20 @@ def test_isp_rejects_nan_packed_input(tmp_path, capsys):
     out = tmp_path / "o.ppm"
     assert main(["isp", "--in", str(path), "--out", str(out)]) == 2
     assert f"{path}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_isp_infinite_gray_world_gain_exits_2(tmp_path, capsys, monkeypatch):
+    # RAWB payloads are u16 or f32, whose channel-mean ratios stay finite, so
+    # the float64 image reaches the subcommand through its reader
+    ch = np.full((4, 4, 4), 0.25)
+    ch[0] = 5e-324
+    img = PackedImage(channels=ch, space=SPACE_NORMALIZED, black_level=512.0,
+                      white_level=16383.0)
+    monkeypatch.setattr(core, "_read_image", lambda path, *layouts: img)
+    out = tmp_path / "o.ppm"
+    assert main(["isp", "--in", str(tmp_path / "in.rawb"), "--out", str(out)]) == 2
+    assert "gray-world R gain must be finite" in capsys.readouterr().err
     assert not out.exists()
 
 

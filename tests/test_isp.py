@@ -126,6 +126,19 @@ class TestRunIsp:
         img = packed(np.full((4, 8, 8), 0.25))
         assert gray_world_gains(img) == (1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("channel, name", [(0, "R"), (3, "B")])
+    def test_infinite_gray_world_gain_rejected(self, channel, name):
+        # a subnormal channel mean used to give gain inf and a render with
+        # that channel clipped to 1
+        ch = np.full((4, 8, 8), 0.25)
+        ch[channel] = 5e-324
+        with pytest.raises(DomainError, match=f"gray-world {name} gain .* got inf"):
+            gray_world_gains(packed(ch))
+        with pytest.raises(DomainError, match=f"gray-world {name} gain"):
+            run_isp(packed(ch))
+        # fixed gains do not use the channel means
+        assert np.isfinite(run_isp(packed(ch), IspConfig(wb=(1.0, 1.0, 1.0)))).all()
+
     def test_gray_world_balances_casts(self):
         ch = np.stack([np.full((8, 8), 0.4), np.full((8, 8), 0.2),
                        np.full((8, 8), 0.2), np.full((8, 8), 0.1)])
@@ -211,10 +224,12 @@ class TestRunIsp:
         rgb = run_isp(packed(planes), cfg)
         assert hashlib.sha256(rgb.tobytes()).hexdigest() == digest
 
-    def test_band_temporaries_stay_small(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_band_temporaries_stay_small(self, monkeypatch, workers):
         # beyond its output, a render allocates band-sized buffers only
-        # (about 4 MB here); an image-sized float64 temporary of the planes
-        # alone would be 15 MB
+        # (about 4 MB here per worker); an image-sized float64 temporary of
+        # the planes alone would be 15 MB
+        monkeypatch.setattr(core, "_WORKERS", workers)
         img = packed(np.random.default_rng(3).uniform(0, 1, (4, 602, 770)))
         tracemalloc.start()
         try:
@@ -222,7 +237,7 @@ class TestRunIsp:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - rgb.nbytes < 6e6
+        assert peak - rgb.nbytes < 6e6 * workers
 
     def test_output_range_and_dims(self):
         rng = np.random.default_rng(2)
