@@ -258,7 +258,7 @@ def build_profile(
     photon-transfer fit of ``ptc_points_by_iso``.  Every ISO keeps the
     default quantization step of NoiseParams (1 DN).  Without ``roi`` the
     whole frames are calibrated, so every ISO's darks must have the first
-    ISO's size.
+    ISO's size.  Each ISO's darks must carry that ISO.
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
@@ -274,6 +274,9 @@ def build_profile(
         darks = darks_by_iso.get(iso)
         if not darks:
             raise ProfileError(f"no dark frames supplied for ISO {iso}")
+        other = sorted({d.iso for d in darks} - {iso})
+        if other:
+            raise ProfileError(f"ISO {iso} darks include frames of ISO {other[0]}")
         if ref is None:
             ref = darks[0]
             if whole_frames:

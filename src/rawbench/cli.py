@@ -72,6 +72,7 @@ def _cmd_calibrate(args) -> int:
             iso = int(iso_dir.name)
         except ValueError:
             raise ValueError(f"{iso_dir}: subdirectory name is not an integer ISO") from None
+        core._check_iso(f"{iso_dir}: ISO", iso)
         frames = [core.read_frame(p) for p in sorted(iso_dir.glob("*.rawb"))]
         if frames:
             darks_by_iso[iso] = frames

@@ -55,8 +55,8 @@ _RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 _BAND_ROWS = 64
 
 
-# Workers for the independent tasks of one image (denoise cores, ISP band
-# runs): the CPUs this process may run on, which ``taskset`` or a cpuset
+# Workers for the independent tasks of one image (denoise cores, ISP row
+# bands): the CPUs this process may run on, which ``taskset`` or a cpuset
 # limits.  The output bytes do not depend on it.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
@@ -304,19 +304,20 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     float64 planes, with the bytes of ``normalize(pack_rggb(frame))``.
     """
     black = img.black_level
-    # each path casts to float64 and removes black in one pass into a new
-    # array, so the steps below work in place
     if isinstance(img, RawFrame):
-        out = np.empty((4, img.height // 2, img.width // 2))
-        for plane, view, b in zip(out, _rggb_views(img.data), black):
-            np.subtract(view, b, out=plane, dtype=np.float64)
+        src, shape = _rggb_views(img.data), (4, img.height // 2, img.width // 2)
     elif img.space == SPACE_NORMALIZED:
         raise DomainError("input is already normalized")
-    elif img.space == SPACE_DN:
-        out = np.subtract(img.channels, black[:, None, None], dtype=np.float64)
     else:
-        out = img.channels.astype(np.float64)
-    span = img.white_level - black
+        src, shape = img.channels, img.channels.shape
+        if img.space == SPACE_DN_ABOVE_BLACK:
+            black = np.zeros(4)  # x - 0.0 is x bit for bit, -0.0 included
+    # one pass per plane casts to float64 and removes black into a new
+    # array, so the steps below work in place
+    out = np.empty(shape)
+    for plane, view, b in zip(out, src, black):
+        np.subtract(view, b, out=plane, dtype=np.float64)
+    span = img.white_level - img.black_level
     out /= span[:, None, None]
     np.clip(out, 0.0, clip_hi, out=out)
     return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi),

@@ -199,6 +199,9 @@ def _mean(values: list[float]) -> float:
 
 
 def _check_threads(threads: int) -> None:
+    # a NaN count passes ``< 1`` and gives a pool that never starts a thread
+    if type(threads) is not int:
+        raise ValueError(f"threads must be an int, got {threads!r}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads!r}")
 
@@ -212,8 +215,8 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     predictions against it and releases it when it ends.  With
     ``threads > 1`` whole groups run in parallel, so at most ``threads``
     references are held at once.  A shape mismatch names the label, a GT too
-    small for the crop names the GT file.  ``threads`` below 1 raises
-    ValueError.
+    small for the crop names the GT file.  ``threads`` that is not an int
+    >= 1 raises ValueError.
     """
     _check_threads(threads)
     pairs = list(pairs)
@@ -270,8 +273,8 @@ def run_benchmark(
     ``<image_id>.rawb`` predictions.  Paired entries are scored with the
     crop protocol; perceptual metrics come from the external CSV.  Missing
     predictions are all reported at once before aborting.  Returns the
-    paths of scores.csv and ranktable.csv.  ``threads`` below 1 raises
-    ValueError before any file is touched.
+    paths of scores.csv and ranktable.csv.  ``threads`` that is not an int
+    >= 1 raises ValueError before any file is touched.
     """
     _check_threads(threads)
     pred_root = Path(pred_root)

@@ -23,21 +23,18 @@ cache-sized: each band of output rows is a whole number of plane rows, read
 with one plane row of halo on each side where the image has one.  The
 demosaic reaches one mosaic row up and down, so the halo gives each of the
 band's own pixels exactly the in-bounds sites it has in the whole image,
-summed in the same order and divided by the same count.  The bands are
-split into at most ``core._WORKERS`` contiguous runs, one task each, and
-``core._map`` runs the tasks on that many threads; each task writes only
-its own output rows.  A task keeps a band's balanced, zero-bordered planes
-and its sums in two buffers of its own, allocated once and reused by every
-band of its run, in order; the sums form one contiguous
-``(2, 2, 3, rows, w)`` workspace (phase row, phase column, colour, plane
-row, plane column), the sRGB transfer runs on it in place through the
-helper ``srgb_gamma`` also calls, and one clip interleaves it into the
-output rows.  Every step after the demosaic works pixel by pixel, so the
-result equals the whole-image chain bit for bit, whatever the number of
-runs; a property test keeps that chain as its reference.
-``write_ppm16`` encodes and writes one band of rows at a time, through one
-reused float buffer and one reused 16-bit buffer, with the same bytes as
-encoding the whole array.
+summed in the same order and divided by the same count.  Each band is one
+task that ``core._map`` runs on ``core._WORKERS`` threads, and it writes
+only its own output rows.  A task allocates its own zero-bordered balanced
+planes, and the demosaic returns the band's sums as one new contiguous
+``(2, 2, 3, rows, w)`` array (phase row, phase column, colour, plane row,
+plane column); the sRGB transfer runs on it in place through the helper
+``srgb_gamma`` also calls, and one clip interleaves it into the output
+rows.  Every step after the demosaic works pixel by pixel, so the result
+equals the whole-image chain bit for bit, whatever the number of workers;
+a property test keeps that chain as its reference.
+``write_ppm16`` encodes and writes one band of rows at a time, with the
+same bytes as encoding the whole array.
 """
 
 from __future__ import annotations
@@ -134,14 +131,15 @@ def _pair_counts(n: int, p: int) -> np.ndarray:
     return (i > 0).astype(np.float64) + (i < n - 1)
 
 
-def _demosaic(padded: np.ndarray, p0: int, h: int, out: np.ndarray) -> np.ndarray:
+def _demosaic(padded: np.ndarray, p0: int, h: int) -> np.ndarray:
     """Bilinear demosaic of balanced RGGB planes; borders average available neighbors.
 
-    ``out`` has shape (2, 2, 3, rows, w): colour ``c`` at mosaic site
+    ``padded`` holds plane rows ``p0 - 1`` to ``p0 + rows`` (zero where
+    outside the image) and one zero column on each side: its shape is
+    exactly (4, rows + 2, w + 2).  Returns a new array ``out`` of shape
+    (2, 2, 3, rows, w): colour ``c`` at mosaic site
     ``(2 * (p0 + i) + py, 2 * j + px)`` of an image of ``h`` plane rows is
-    ``out[py, px, c, i, j]``.  ``padded`` holds plane rows ``p0 - 1`` to
-    ``p0 + rows`` (zero where outside the image) and one zero column on
-    each side: its shape is (4, >= rows + 2, w + 2).
+    ``out[py, px, c, i, j]``.
 
     Each output value is the sum of the in-bounds nearest sites of its
     colour, divided by their count.  Those sites lie in the 3x3
@@ -163,7 +161,8 @@ def _demosaic(padded: np.ndarray, p0: int, h: int, out: np.ndarray) -> np.ndarra
     green cross.  The pixel's own colour is its own site alone (count 1),
     so its sum is not divided.
     """
-    rows, w = out.shape[3:]
+    rows, w = padded.shape[1] - 2, padded.shape[2] - 2
+    out = np.empty((2, 2, 3, rows, w))
     for py in (0, 1):
         ny = _pair_counts(2 * h, py)[p0 : p0 + rows, None]
         for px in (0, 1):
@@ -207,34 +206,20 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
     out = np.empty((2 * h, 2 * w, 3))
     # out[2 * i + py, 2 * j + px, c] is tiles[i, py, j, px, c]
     tiles = out.reshape(h, 2, w, 2, 3)
-    bands = list(_row_bands(2 * h))
-    band = bands[0][1] // 2 if bands else 0  # plane rows in the first (longest) band
-    n_runs = min(core._WORKERS, len(bands))
 
-    def render(run):
-        # a run of bands in order, through buffers of its own; padded starts
-        # zero, so the top halo row stays zero when the run starts at band 0
-        padded = np.zeros((4, band + 2, w + 2))
-        workspace = np.empty(12 * band * w)
-        for o0, o1 in run:
-            p0, p1 = o0 // 2, o1 // 2
-            rows = p1 - p0
-            # one plane row (two mosaic rows, so the CFA phase is kept) of
-            # halo on each side, where the image has one; the first band's
-            # top row stays zero, and the last band's bottom row is zeroed
-            a, b = max(p0 - 1, 0), min(p1 + 1, h)
-            np.multiply(img.channels[:, a:b], gains, out=padded[:, 1 + a - p0 : 1 + b - p0, 1:-1])
-            if p1 == h:
-                padded[:, rows + 1] = 0.0
-            # a prefix of the flat buffer, so a short band is contiguous too
-            rgb = _demosaic(padded, p0, h, workspace[: 12 * rows * w].reshape(2, 2, 3, rows, w))
-            if cfg.gamma == "srgb":
-                _srgb_in_place(rgb)
-            np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
+    def render(band):
+        p0, p1 = band[0] // 2, band[1] // 2
+        # one plane row (two mosaic rows, so the CFA phase is kept) of halo
+        # on each side, where the image has one; outside it stays zero
+        padded = np.zeros((4, p1 - p0 + 2, w + 2))
+        a, b = max(p0 - 1, 0), min(p1 + 1, h)
+        np.multiply(img.channels[:, a:b], gains, out=padded[:, 1 + a - p0 : 1 + b - p0, 1:-1])
+        rgb = _demosaic(padded, p0, h)
+        if cfg.gamma == "srgb":
+            _srgb_in_place(rgb)
+        np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
 
-    # n_runs contiguous runs whose lengths differ by at most one band
-    core._map(render, (bands[i * len(bands) // n_runs : (i + 1) * len(bands) // n_runs]
-                       for i in range(n_runs)), n_runs)
+    core._map(render, _row_bands(2 * h), core._WORKERS)
     return out
 
 
@@ -248,25 +233,20 @@ def write_ppm16(rgb: np.ndarray, path) -> None:
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise DimensionError(f"expected (H, W, 3), got {rgb.shape}")
     h, w = rgb.shape[:2]
-    # one finiteness mask, one float and one big-endian u16 buffer, reused
-    # by every band
-    scaled = np.empty((next(_row_bands(h), (0, 0))[1], w, 3))
-    finite = np.empty(scaled.shape, dtype=bool)
-    encoded = np.empty(scaled.shape, dtype=">u2")
     fh = open(path, "wb")
     try:
         with fh:
             fh.write(f"P6\n{w} {h}\n65535\n".encode("ascii"))
             for r0, r1 in _row_bands(h):
-                band, n = rgb[r0:r1], r1 - r0
-                if not np.isfinite(band, out=finite[:n]).all():
+                band = rgb[r0:r1]
+                if not np.isfinite(band).all():
                     raise DomainError(f"{path}: non-finite value in rows {r0}-{r1 - 1}")
-                f, u = scaled[:n], encoded[:n]
-                np.clip(band, 0.0, 1.0, out=f)
+                # clip into float64: a float32 band would otherwise round
+                # in float32 and change the bytes
+                f = np.clip(band, 0.0, 1.0, dtype=np.float64)
                 f *= 65535.0
                 np.rint(f, out=f)
-                np.copyto(u, f, casting="unsafe")
-                fh.write(u)
+                fh.write(f.astype(">u2", order="C"))
     except BaseException:
         Path(path).unlink(missing_ok=True)
         raise

@@ -248,6 +248,13 @@ class TestBuildProfile:
         with pytest.raises(ValueError, match="band_axis must be 'row' or 'col', got 'diag'"):
             build_profile("camA", [800], {}, provided_gains={800: 1.0}, band_axis="diag")
 
+    def test_darks_of_another_iso_name_both_isos(self):
+        # ISO-1600 darks filed under ISO 800 would give ISO 800 their noise
+        rng = np.random.default_rng(11)
+        darks = {800: self._darks(800, rng)[:3] + self._darks(1600, rng, n=1)}
+        with pytest.raises(ProfileError, match="ISO 800 darks include frames of ISO 1600"):
+            build_profile("camA", [800], darks, provided_gains={800: 0.8})
+
     @pytest.mark.parametrize("side", [32, 128])
     def test_later_iso_of_another_size_names_both_isos(self, side):
         rng = np.random.default_rng(10)

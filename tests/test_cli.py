@@ -293,6 +293,28 @@ def test_calibrate_names_a_subdirectory_that_is_no_iso(workspace, capsys):
     assert not (workspace / "profile.json").exists()
 
 
+def test_calibrate_darks_of_another_iso_exit_2(workspace, capsys):
+    # ISO-1600 darks filed under 800 would give ISO 800 their noise
+    darks = workspace / "darks"
+    (darks / "800").rename(workspace / "darks800")
+    (darks / "1600").rename(darks / "800")
+    rc = main(["calibrate", "--darks", str(darks), "--gains", "800=0.8",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert "ISO 800 darks include frames of ISO 1600" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
+def test_calibrate_names_a_negative_iso_subdirectory(workspace, capsys):
+    negative = workspace / "darks" / "-5"
+    (workspace / "darks" / "800").rename(negative)
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--gains", "1600=1.6",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert f"{negative}: ISO must be finite and >= 0, got -5" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
 def test_calibrate_from_ptc_csv(workspace):
     ptc = workspace / "ptc.csv"
     ptc.write_text("iso,mean,variance\n"

@@ -479,6 +479,13 @@ class TestScorePairs:
         with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
             score_pairs([], "dev", threads=threads)
 
+    @pytest.mark.parametrize("threads", [float("nan"), 2.5, True, "2"])
+    def test_threads_that_are_no_int_rejected(self, threads):
+        # a NaN count passed ``< 1`` and gave a pool that never started a
+        # thread, so scoring hung
+        with pytest.raises(ValueError, match=re.escape(f"threads must be an int, got {threads!r}")):
+            score_pairs([], "dev", threads=threads)
+
 
 @pytest.mark.parametrize("threads", [0, -4])
 def test_run_benchmark_threads_below_one_rejected(tmp_path, threads):

@@ -89,7 +89,7 @@ def demosaic_convolution(mosaic):
 def demosaic_planes(planes):
     """The plane-domain demosaic of whole (4, h, w) planes as one (2h, 2w, 3) image."""
     _, h, w = planes.shape
-    rgb = _demosaic(np.pad(planes, ((0, 0), (1, 1), (1, 1))), 0, h, np.empty((2, 2, 3, h, w)))
+    rgb = _demosaic(np.pad(planes, ((0, 0), (1, 1), (1, 1))), 0, h)
     return rgb.transpose(3, 0, 4, 1, 2).reshape(2 * h, 2 * w, 3)
 
 
@@ -239,6 +239,20 @@ class TestRunIsp:
             tracemalloc.stop()
         assert peak - rgb.nbytes < 6e6 * workers
 
+    @pytest.mark.parametrize("h", [PLANE_BAND - 1, PLANE_BAND + 1, 2 * PLANE_BAND + 1])
+    def test_one_task_per_band(self, monkeypatch, h):
+        # each row band of the output is its own task
+        items, run = [], core._map
+
+        def recording_map(fn, tasks, workers):
+            tasks = list(tasks)
+            items.extend(tasks)
+            return run(fn, tasks, workers)
+
+        monkeypatch.setattr(core, "_map", recording_map)
+        run_isp(packed(np.random.default_rng(h).uniform(0, 1, (4, h, 5))))
+        assert items == list(core._row_bands(2 * h))
+
     def test_output_range_and_dims(self):
         rng = np.random.default_rng(2)
         img = packed(rng.uniform(0, 1, (4, 6, 10)))
@@ -339,6 +353,29 @@ class TestImageFiles:
         path = tmp_path_factory.mktemp("ppm") / "img.ppm"
         write_ppm16(rgb, path)
         assert path.read_bytes() == ppm_whole_image(rgb)
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran-f32"])
+    def test_ppm_bytes_of_a_non_contiguous_array(self, tmp_path, layout):
+        rng = np.random.default_rng(12)
+        if layout == "transposed":
+            rgb = rng.uniform(-0.2, 1.2, (3, core._BAND_ROWS + 5, 9)).transpose(1, 2, 0)
+        else:
+            rgb = np.asfortranarray(rng.uniform(-0.2, 1.2, (core._BAND_ROWS + 5, 9, 3)),
+                                    dtype=np.float32)
+        write_ppm16(rgb, tmp_path / "img.ppm")
+        assert (tmp_path / "img.ppm").read_bytes() == ppm_whole_image(rgb)
+
+    def test_ppm_temporaries_stay_small(self, tmp_path):
+        # band-sized temporaries only (2.4 MB of float64 a band here); an
+        # image-sized float64 temporary would be 44 MB
+        rgb = np.random.default_rng(13).uniform(0, 1, (1204, 1540, 3))
+        tracemalloc.start()
+        try:
+            write_ppm16(rgb, tmp_path / "img.ppm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_ppm_non_finite_rejected_without_a_file(self, tmp_path, bad):

@@ -1,6 +1,6 @@
 """One image on several threads.
 
-``denoise_raw``'s cores and ``run_isp``'s band runs are tasks that
+``denoise_raw``'s cores and ``run_isp``'s row bands are tasks that
 ``core._map`` runs on ``core._WORKERS`` threads, as are ``score_pairs``'
 ground-truth groups on ``threads``.  The bytes must not depend on the
 worker count or on OpenBLAS's threads, no thread may outlive a call, and a
