@@ -21,16 +21,20 @@ between threads.
 Whole-image passes that would push megabytes of float64 temporaries through
 memory (SSIM, the ISP, the PPM encoder) walk their output in bands of
 ``_BAND_ROWS`` rows with ``_row_bands``, so the temporaries of one band stay
-cache-sized.  The denoiser and the ISP also split one image into
-independent tasks, each writing its own part of the output, and run them
-with ``_map`` on as many threads as the process has CPUs (``_WORKERS``), so
-the bytes do not depend on the CPU count.
+cache-sized.  The denoiser, the ISP and SSIM also split one image into
+independent tasks (denoiser cores, ISP row bands, SSIM row bands), each
+writing its own part of the output, and run them with ``_map`` on as many
+threads as the process has CPUs (``_WORKERS``), so the bytes do not depend
+on the CPU count.  A ``_map`` called from inside a ``_map`` task runs its
+items inline: pools never nest, so ``harness.score_pairs``' ground-truth
+groups on ``threads`` threads each score SSIM serially.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,12 +60,21 @@ _BAND_ROWS = 64
 
 
 # Workers for the independent tasks of one image (denoise cores, ISP row
-# bands): the CPUs this process may run on, which ``taskset`` or a cpuset
-# limits.  The output bytes do not depend on it.
+# bands, SSIM row bands): the CPUs this process may run on, which
+# ``taskset`` or a cpuset limits.  The output bytes do not depend on it.  A
+# ``_map`` nested in a ``_map`` task runs inline, so a pool of ground-truth
+# groups does not multiply it.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
+
+# ``in_task`` is set on the threads of ``_map``'s pools
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.in_task = True
 
 
 def _map(fn, items, workers: int) -> list:
@@ -70,14 +83,16 @@ def _map(fn, items, workers: int) -> list:
     With ``min(workers, len(items)) > 1`` the calls run on a thread pool
     created and shut down inside this call, so no thread outlives it; the
     first exception in input order reaches the caller, and calls not yet
-    started are cancelled.  The calls must not depend on each other's order:
-    each should write only its own part of any shared output.
+    started are cancelled.  Called from one of those calls, it runs its own
+    items inline instead, so pools never nest.  The calls must not depend on
+    each other's order: each should write only its own part of any shared
+    output.
     """
     items = list(items)
     n = min(workers, len(items))
-    if n <= 1:
+    if n <= 1 or getattr(_pool_thread, "in_task", False):
         return [fn(x) for x in items]
-    pool = ThreadPoolExecutor(max_workers=n)
+    pool = ThreadPoolExecutor(max_workers=n, initializer=_mark_pool_thread)
     try:
         return list(pool.map(fn, items))
     finally:

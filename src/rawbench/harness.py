@@ -212,11 +212,13 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
 
     The triples are scored in groups sharing a ground truth: a group reads
     and prepares its GT once (``metrics.prepare_reference``), scores its
-    predictions against it and releases it when it ends.  With
-    ``threads > 1`` whole groups run in parallel, so at most ``threads``
-    references are held at once.  A shape mismatch names the label, a GT too
-    small for the crop names the GT file.  ``threads`` that is not an int
-    >= 1 raises ValueError.
+    predictions against it and releases it when it ends.  ``threads`` is
+    the number of ground truths scored, and held in memory, at once.  When
+    groups run in parallel (``threads > 1`` and several ground truths), each
+    scores SSIM on its own thread, since pools do not nest; otherwise each
+    image's SSIM runs on every CPU the process may use (``core._WORKERS``).
+    A shape mismatch names the label, a GT too small for the crop names the
+    GT file.  ``threads`` that is not an int >= 1 raises ValueError.
     """
     _check_threads(threads)
     pairs = list(pairs)
@@ -273,8 +275,9 @@ def run_benchmark(
     ``<image_id>.rawb`` predictions.  Paired entries are scored with the
     crop protocol; perceptual metrics come from the external CSV.  Missing
     predictions are all reported at once before aborting.  Returns the
-    paths of scores.csv and ranktable.csv.  ``threads`` that is not an int
-    >= 1 raises ValueError before any file is touched.
+    paths of scores.csv and ranktable.csv.  ``threads`` is the number of
+    ground truths scored at once (see ``score_pairs``); one that is not an
+    int >= 1 raises ValueError before any file is touched.
     """
     _check_threads(threads)
     pred_root = Path(pred_root)

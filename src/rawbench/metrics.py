@@ -4,9 +4,11 @@ PSNR pools the squared error over all four RGGB channels jointly (one
 tensor, one MSE) against a peak of 1.  SSIM is the standard single-scale
 formulation with an 11x11 Gaussian window (sigma 1.5), k1 = 0.01,
 k2 = 0.03, L = 1.0, valid-region pooling, averaged over the four channels.
-These are the protocol's constants: no argument changes them.  evaluate_pair
-implements the benchmark crop protocol: center-crop the mosaic to 512
-(development phase) or 1024 (final phase) packed pixels before scoring.
+These are the protocol's constants: no argument changes them, and both
+metrics take normalized images only (a DomainError names any other space).
+evaluate_pair implements the benchmark crop protocol: center-crop the
+mosaic to 512 (development phase) or 1024 (final phase) packed pixels
+before scoring.
 
 A prediction is scored against a *prepared reference* (``Reference``): the
 ground truth center-cropped and normalized once, plus the SSIM terms
@@ -20,10 +22,15 @@ helper, so there is one scoring path.
 
 SSIM filters in the row bands of ``core._row_bands``: the band of valid
 output rows [r0, r1) reads the input rows [r0, r1 + 10) (the window's
-radius is 5), so its temporaries stay cache-sized.  Each band writes its
-num/den into one full-size ratio array, and the channel's mean is taken
-once over that array.  The pooled sum therefore keeps the order of the unbanded
-formula, and every score is bit-identical to it.
+radius is 5), so its temporaries stay cache-sized.  Each band is a task that
+``core._map`` runs on ``core._WORKERS`` threads with its own temporaries.
+Each channel has one full-size ratio array; a band task writes only its own
+rows of it, and the channel's mean is taken once over that array after
+every band has run.  The four channel means are averaged in channel order.
+The pooled sums therefore keep the order of the unbanded formula, and every
+score is bit-identical to it at any worker count.  ``prepare_reference``
+runs one task per (channel, band), each writing its rows of ``mu_y`` and
+``var_y``.
 
 The window filter (``_filter_valid``) is separable, and one loop runs both
 passes: rows, then columns.  Each pass is numpy sums of shifted row (or
@@ -38,11 +45,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .core import PackedImage, RawFrame, Roi, _row_bands, crop_frame, normalize
-from .errors import DimensionError
+from . import core
+from .core import PackedImage, RawFrame, Roi, SPACE_NORMALIZED, _row_bands, crop_frame, normalize
+from .errors import DimensionError, DomainError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
 # SSIM's constants (Wang et al., 2004): Gaussian window side and sigma, and
@@ -75,11 +84,21 @@ class Reference:
     phase: str
 
 
+def _check_normalized(metric: str, **images: PackedImage) -> None:
+    """The metrics' peak and L are 1: an image in any other space raises
+    DomainError naming the argument and its space."""
+    for name, img in images.items():
+        if img.space != SPACE_NORMALIZED:
+            raise DomainError(f"{metric} expects normalized images, got {name} in space "
+                              f"{img.space!r}")
+
+
 def psnr(pred: PackedImage, gt: PackedImage) -> float:
     """10*log10(1 / MSE) with MSE pooled over all channels and pixels (peak 1).
 
-    Identical images return +inf.
+    Identical images return +inf.  Both images must be normalized.
     """
+    _check_normalized("psnr", pred=pred, gt=gt)
     if pred.channels.shape != gt.channels.shape:
         raise DimensionError(
             f"shape mismatch {pred.channels.shape} vs {gt.channels.shape}"
@@ -130,11 +149,10 @@ def _filter_valid(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _bands(plane: np.ndarray):
-    """Yield (r0, r1, rows) per band of valid output rows [r0, r1) of SSIM's
-    window: ``rows`` are the float64 input rows [r0, r1 + 2 * _R)."""
-    for r0, r1 in _row_bands(plane.shape[0] - 2 * _R):
-        yield r0, r1, np.asarray(plane[r0 : r1 + 2 * _R], dtype=np.float64)
+def _band_rows(plane: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """The float64 input rows [r0, r1 + 2 * _R) that SSIM's valid output rows
+    [r0, r1) read."""
+    return np.asarray(plane[r0 : r1 + 2 * _R], dtype=np.float64)
 
 
 def _crop_protocol(frame: RawFrame, phase: str) -> PackedImage:
@@ -155,19 +173,23 @@ def _check_phase(phase: str) -> None:
 
 def _ssim_stats(gt: PackedImage) -> np.ndarray:
     """SSIM's ground-truth-only terms: the (2, 4, h - 10, w - 10) float64
-    block of ``mu_y`` and ``var_y`` per channel, filtered band by band.
-    Planes smaller than the window raise DimensionError."""
+    block of ``mu_y`` and ``var_y`` per channel, one task per channel and
+    band.  Planes smaller than the window raise DimensionError."""
     if gt.plane_height < _WINDOW or gt.plane_width < _WINDOW:
         raise DimensionError(
             f"planes {gt.plane_height}x{gt.plane_width} smaller than window {_WINDOW}"
         )
     _, h, w = gt.channels.shape
     stats = np.empty((2, 4, h - 2 * _R, w - 2 * _R))
-    for c in range(4):
-        for r0, r1, y in _bands(gt.channels[c]):
-            mu_y = _filter_valid(y)
-            stats[0, c, r0:r1] = mu_y
-            stats[1, c, r0:r1] = _filter_valid(y * y) - mu_y * mu_y
+
+    def band(task):
+        c, (r0, r1) = task
+        y = _band_rows(gt.channels[c], r0, r1)
+        mu_y = _filter_valid(y)
+        stats[0, c, r0:r1] = mu_y
+        stats[1, c, r0:r1] = _filter_valid(y * y) - mu_y * mu_y
+
+    core._map(band, product(range(4), _row_bands(h - 2 * _R)), core._WORKERS)
     return stats
 
 
@@ -179,32 +201,45 @@ def prepare_reference(gt: RawFrame, phase: str = "dev") -> Reference:
     return Reference(image, _ssim_stats(image), gt.data.shape, phase)
 
 
+def _ssim_channel(x_plane: np.ndarray, y_plane: np.ndarray, stats: np.ndarray) -> float:
+    """One channel's mean SSIM: ``stats`` is its (2, h - 10, w - 10) block of
+    ``mu_y`` and ``var_y``.  Each band of rows is a task writing its rows of
+    the channel's ratio array; the mean is taken once all have run."""
+    ratio = np.empty(stats.shape[1:])
+
+    def band(rows):
+        r0, r1 = rows
+        x = _band_rows(x_plane, r0, r1)
+        y = _band_rows(y_plane, r0, r1)
+        mu_y = stats[0, r0:r1]
+        var_y = stats[1, r0:r1]
+        mu_x = _filter_valid(x)
+        var_x = _filter_valid(x * x) - mu_x * mu_x
+        cov = _filter_valid(x * y) - mu_x * mu_y
+        num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
+        den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
+        np.divide(num, den, out=ratio[r0:r1])
+
+    core._map(band, _row_bands(len(ratio)), core._WORKERS)
+    return float(np.mean(ratio))
+
+
 def ssim(pred: PackedImage, gt: PackedImage | Reference) -> float:
     """Mean single-scale SSIM over the four RGGB channels (valid pooling).
 
     ``gt`` may be a Reference, whose ``mu_y``/``var_y`` are then used as
-    they are; a PackedImage's are filtered here.
+    they are; a PackedImage's are filtered here.  Both images must be
+    normalized (a Reference's always is).
     """
     gt_image = gt.image if isinstance(gt, Reference) else gt
+    _check_normalized("ssim", pred=pred, gt=gt_image)
     if pred.channels.shape != gt_image.channels.shape:
         raise DimensionError(
             f"shape mismatch {pred.channels.shape} vs {gt_image.channels.shape}"
         )
     stats = gt.stats if isinstance(gt, Reference) else _ssim_stats(gt_image)
-    ratio = np.empty(stats.shape[2:])
-    scores = []
-    for c in range(4):
-        bands = zip(_bands(pred.channels[c]), _bands(gt_image.channels[c]))
-        for (r0, r1, x), (_, _, y) in bands:
-            mu_y = stats[0, c, r0:r1]
-            var_y = stats[1, c, r0:r1]
-            mu_x = _filter_valid(x)
-            var_x = _filter_valid(x * x) - mu_x * mu_x
-            cov = _filter_valid(x * y) - mu_x * mu_y
-            num = (2.0 * mu_x * mu_y + _C1) * (2.0 * cov + _C2)
-            den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
-            np.divide(num, den, out=ratio[r0:r1])
-        scores.append(float(np.mean(ratio)))
+    scores = [_ssim_channel(pred.channels[c], gt_image.channels[c], stats[:, c])
+              for c in range(4)]
     return float(np.mean(scores))
 
 

@@ -11,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rawbench import metrics
-from rawbench.core import PackedImage, RawFrame, SPACE_NORMALIZED, normalize, pack_rggb
-from rawbench.errors import DimensionError
+from rawbench.core import (PackedImage, RawFrame, SPACE_DN, SPACE_DN_ABOVE_BLACK,
+                           SPACE_NORMALIZED, normalize, pack_rggb)
+from rawbench.errors import DimensionError, DomainError
 from rawbench.metrics import evaluate_pair, prepare_reference, psnr, ssim
 
 from conftest import BLACK, WHITE, make_frame
@@ -130,6 +131,35 @@ class TestSsim:
     def test_window_too_large(self):
         with pytest.raises(DimensionError):
             ssim(packed(np.zeros((4, 8, 8))), packed(np.zeros((4, 8, 8))))
+
+
+class TestNormalizedOnly:
+    # both metrics assume peak 1 and L = 1: a DN-space pair would score a
+    # plausible SSIM near 1 and a negative PSNR
+    @pytest.mark.parametrize("metric", [psnr, ssim])
+    @pytest.mark.parametrize("pred_space, gt_space, bad", [
+        (SPACE_DN, SPACE_DN, "pred in space 'dn'"),
+        (SPACE_NORMALIZED, SPACE_DN, "gt in space 'dn'"),
+        (SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, "pred in space 'dn_above_black'"),
+        (SPACE_NORMALIZED, SPACE_DN_ABOVE_BLACK, "gt in space 'dn_above_black'"),
+    ])
+    def test_other_spaces_are_rejected(self, metric, pred_space, gt_space, bad):
+        rng = np.random.default_rng(16)
+
+        def image(space):
+            scale = 1.0 if space == SPACE_NORMALIZED else 3000.0
+            return PackedImage(channels=scale * rng.uniform(0, 1, (4, 16, 16)), space=space,
+                               black_level=BLACK, white_level=WHITE)
+
+        with pytest.raises(DomainError, match=f"{metric.__name__} expects normalized images, "
+                                              f"got {bad}"):
+            metric(image(pred_space), image(gt_space))
+
+    def test_prediction_checked_against_a_reference(self):
+        gt = packed(np.full((4, 16, 16), 0.5))
+        pred = replace(gt, space=SPACE_DN, channels=np.full((4, 16, 16), 3000.0))
+        with pytest.raises(DomainError, match="got pred in space 'dn'"):
+            ssim(pred, reference_of(gt))
 
 
 def pack_crop_normalize(frame, side):

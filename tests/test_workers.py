@@ -1,22 +1,25 @@
 """One image on several threads.
 
-``denoise_raw``'s cores and ``run_isp``'s row bands are tasks that
-``core._map`` runs on ``core._WORKERS`` threads, as are ``score_pairs``'
-ground-truth groups on ``threads``.  The bytes must not depend on the
-worker count or on OpenBLAS's threads, no thread may outlive a call, and a
-task's error must reach the caller.
+``denoise_raw``'s cores, ``run_isp``'s row bands and SSIM's row bands are
+tasks that ``core._map`` runs on ``core._WORKERS`` threads, as are
+``score_pairs``' ground-truth groups on ``threads``; a ``_map`` inside a
+task runs inline.  The bytes and scores must not depend on the worker
+count or on OpenBLAS's threads, no thread may outlive a call, and a task's
+error must reach the caller.
 """
 
+import json
 import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rawbench import core, denoise, harness, isp
+from rawbench import core, denoise, harness, isp, metrics
 from rawbench.calibration import save_profile
 from rawbench.cli import main
 from rawbench.core import PackedImage, SPACE_NORMALIZED, write_frame
@@ -70,6 +73,15 @@ def test_map_keeps_input_order():
     assert core._map(lambda x: x, [], 4) == []
 
 
+def test_map_inside_a_task_runs_inline():
+    # each inner call runs on its outer task's thread: pools do not nest
+    def task(_):
+        outer = threading.current_thread()
+        return core._map(lambda y: threading.current_thread() is outer, range(3), 4)
+
+    assert core._map(task, range(2), 2) == [[True] * 3] * 2
+
+
 def test_map_runs_tasks_at_once():
     # both tasks must be in flight together, or the barrier times out
     barrier = threading.Barrier(2, timeout=10)
@@ -111,23 +123,52 @@ def test_isp_bytes_do_not_depend_on_worker_count(monkeypatch, h, w, cfg_name):
     assert outputs.count(outputs[0]) == len(WORKERS)
 
 
-def test_cli_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
-    # rawbench denoise then rawbench isp, in subprocesses with OpenBLAS at one
-    # thread and at its default, and in process at one worker
-    rng = np.random.default_rng(11)
-    mosaic = rng.normal(600.0 + np.linspace(0, 3000, 520), 40.0, (600, 520))
-    write_frame(make_frame(np.clip(mosaic, 0, WHITE).astype(np.uint16)), tmp_path / "in.rawb")
-    save_profile(make_profile(), tmp_path / "profile.json")
+# 150x141 planes have 140 valid SSIM rows: two bands of 64 and one of 12.
+# The dev crop of a 1040x1030 mosaic has 502: seven bands and one of 54.
+SSIM_PRED, SSIM_GT = image(150, 141, 3), image(150, 141, 4)
 
-    def commands(tag):
-        den, ppm = tmp_path / f"den_{tag}.rawb", tmp_path / f"img_{tag}.ppm"
-        return den, ppm, [
-            ["denoise", "--in", str(tmp_path / "in.rawb"), "--profile",
-             str(tmp_path / "profile.json"), "--iso", "800", "--dgain", "4",
-             "--transform", "gat", "--out", str(den)],
-            ["isp", "--in", str(den), "--out", str(ppm)],
-        ]
 
+def dev_frame():
+    rng = np.random.default_rng(5)
+    return make_frame(rng.integers(600, 16000, (1040, 1030)).astype(np.uint16))
+
+
+SSIM_RUNS = {
+    "ssim-image": lambda: np.float64(metrics.ssim(SSIM_PRED, SSIM_GT)),
+    "ssim-reference": lambda: np.float64(metrics.ssim(SSIM_PRED, metrics.Reference(
+        SSIM_GT, metrics._ssim_stats(SSIM_GT), (300, 282), "dev"))),
+    "reference-stats": lambda: metrics.prepare_reference(dev_frame(), "dev").stats,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SSIM_RUNS))
+def test_ssim_bytes_do_not_depend_on_worker_count(monkeypatch, name):
+    outputs = per_worker_count(monkeypatch, SSIM_RUNS[name])
+    assert outputs.count(outputs[0]) == len(WORKERS)
+
+
+def test_ssim_temporaries_stay_small(monkeypatch):
+    # one channel's ratio array (8.2 MB) and each worker's band temporaries;
+    # the four channels' ratios at once would be 33 MB
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    rng = np.random.default_rng(6)
+    ref = metrics.prepare_reference(
+        make_frame(rng.integers(2000, 14000, (2048, 2048)).astype(np.uint16)), "final")
+    pred = image(1024, 1024, 7)
+    tracemalloc.start()
+    try:
+        metrics.ssim(pred, ref)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+
+
+def outputs_across_blas_and_workers(monkeypatch, commands):
+    """The bytes of the files that ``commands(tag)`` names after running its
+    rawbench argvs: in subprocesses with OpenBLAS at one thread and at its
+    default, and in process at one worker.  ``commands`` returns
+    ``(paths, argvs)``, both unique to ``tag``."""
     src = str(Path(core.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", None):
@@ -135,17 +176,64 @@ def test_cli_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatc
         if threads is not None:
             env["OPENBLAS_NUM_THREADS"] = threads
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        den, ppm, argvs = commands(threads or "default")
+        paths, argvs = commands(threads or "default")
         for argv in argvs:
             proc = subprocess.run([sys.executable, "-m", "rawbench.cli", *argv], env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append((den.read_bytes(), ppm.read_bytes()))
+        outputs.append([p.read_bytes() for p in paths])
     monkeypatch.setattr(core, "_WORKERS", 1)
-    den, ppm, argvs = commands("serial")
+    paths, argvs = commands("serial")
     for argv in argvs:
         assert main(argv) == 0
-    outputs.append((den.read_bytes(), ppm.read_bytes()))
+    outputs.append([p.read_bytes() for p in paths])
+    return outputs
+
+
+def test_cli_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
+    # rawbench denoise then rawbench isp
+    rng = np.random.default_rng(11)
+    mosaic = rng.normal(600.0 + np.linspace(0, 3000, 520), 40.0, (600, 520))
+    write_frame(make_frame(np.clip(mosaic, 0, WHITE).astype(np.uint16)), tmp_path / "in.rawb")
+    save_profile(make_profile(), tmp_path / "profile.json")
+
+    def commands(tag):
+        den, ppm = tmp_path / f"den_{tag}.rawb", tmp_path / f"img_{tag}.ppm"
+        return (den, ppm), [
+            ["denoise", "--in", str(tmp_path / "in.rawb"), "--profile",
+             str(tmp_path / "profile.json"), "--iso", "800", "--dgain", "4",
+             "--transform", "gat", "--out", str(den)],
+            ["isp", "--in", str(den), "--out", str(ppm)],
+        ]
+
+    outputs = outputs_across_blas_and_workers(monkeypatch, commands)
+    assert outputs.count(outputs[0]) == 3
+
+
+def test_bench_csvs_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
+    # rawbench bench at the final phase: two teams, two ground truths
+    rng = np.random.default_rng(12)
+    entries = []
+    for g in range(2):
+        gt = rng.integers(2000, 14000, (2048, 2050)).astype(np.uint16)
+        write_frame(make_frame(gt), tmp_path / f"g{g}.rawb")
+        entries.append({"image_id": f"g{g}", "scene_type": "paired", "iso": 800,
+                        "noisy_path": f"g{g}.rawb", "gt_path": f"g{g}.rawb"})
+        for team, sigma in (("a", 20), ("b", 60)):
+            (tmp_path / "preds" / team).mkdir(parents=True, exist_ok=True)
+            pred = np.clip(gt + rng.normal(0, sigma, gt.shape), 0, WHITE).astype(np.float32)
+            write_frame(make_frame(pred), tmp_path / "preds" / team / f"g{g}.rawb")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"phase": "final", "entries": entries}))
+
+    def commands(tag):
+        out = tmp_path / f"out_{tag}"
+        return [out / name for name in ("scores.csv", "per_image.csv", "ranktable.csv")], [
+            ["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path / "preds"),
+             "--out-dir", str(out)],
+        ]
+
+    outputs = outputs_across_blas_and_workers(monkeypatch, commands)
     assert outputs.count(outputs[0]) == 3
 
 
@@ -165,14 +253,19 @@ def score_pairs_input(tmp_path):
 CALLS = {
     "denoise_raw": lambda tmp_path: denoise_raw(image(250, 246, 1), PG),
     "run_isp": lambda tmp_path: run_isp(image(300, 41, 1)),
+    "ssim": lambda tmp_path: metrics.ssim(SSIM_PRED, SSIM_GT),
+    "prepare_reference": lambda tmp_path: metrics.prepare_reference(dev_frame(), "dev"),
     "score_pairs": lambda tmp_path: harness.score_pairs(score_pairs_input(tmp_path), "dev",
                                                         threads=2),
 }
 # a step each call's tasks run, and which of its calls fails: score_pairs'
-# two groups make two calls
+# two groups make two calls, and ssim's own band tasks start after the 24
+# calls (4 channels x 3 bands x 2) that filter its ground truth's terms
 TASK_STEPS = {
     "denoise_raw": (denoise, "dct8_shrink", 3),
     "run_isp": (isp, "_demosaic", 3),
+    "ssim": (metrics, "_filter_valid", 27),
+    "prepare_reference": (metrics, "_filter_valid", 3),
     "score_pairs": (harness, "evaluate_pair", 2),
 }
 
@@ -208,3 +301,31 @@ def test_task_error_reaches_the_caller(monkeypatch, tmp_path, name):
     with pytest.raises(Boom):
         CALLS[name](tmp_path)
     assert threading.active_count() == before
+
+
+def test_score_pairs_pools_do_not_nest(monkeypatch, tmp_path):
+    # two ground-truth groups on two threads, each scoring SSIM inline: at
+    # most two threads filter at once, and no third thread ever filters
+    step, lock = metrics._filter_valid, threading.Lock()
+    running, most, threads = [0], [0], set()
+
+    def counting_step(x):
+        with lock:
+            running[0] += 1
+            most[0] = max(most[0], running[0])
+            threads.add(threading.current_thread())
+        try:
+            return step(x)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(metrics, "_filter_valid", counting_step)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        harness.score_pairs(score_pairs_input(tmp_path), "dev", threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert most[0] <= 2 and len(threads) <= 2
