@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred-root", required=True)
     p.add_argument("--external", default=None, help="team,metric,value CSV")
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--threads", type=_threads, default=1, help="ground truths scored at once")
+    p.add_argument("--threads", type=_threads, default=1, help="most ground truths scored at once")
     p.add_argument("--strict", action="store_true", help="eagerly validate referenced files")
     p.set_defaults(func=_cmd_bench)
     return parser

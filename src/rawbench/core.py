@@ -26,8 +26,8 @@ independent tasks (denoiser cores, ISP row bands, SSIM row bands), each
 writing its own part of the output, and run them with ``_map`` on as many
 threads as the process has CPUs (``_WORKERS``), so the bytes do not depend
 on the CPU count.  A ``_map`` called from inside a ``_map`` task runs its
-items inline: pools never nest, so ``harness.score_pairs``' ground-truth
-groups on ``threads`` threads each score SSIM serially.
+items inline: pools never nest, so when ``harness.score_pairs`` runs
+ground-truth groups in parallel, each scores SSIM serially.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,41 +61,64 @@ _BAND_ROWS = 64
 # Workers for the independent tasks of one image (denoise cores, ISP row
 # bands, SSIM row bands): the CPUs this process may run on, which
 # ``taskset`` or a cpuset limits.  The output bytes do not depend on it.  A
-# ``_map`` nested in a ``_map`` task runs inline, so a pool of ground-truth
-# groups does not multiply it.
+# ``_map`` nested in a ``_map`` task runs inline, so parallel ground-truth
+# groups do not multiply it.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
     _WORKERS = os.cpu_count() or 1
 
-# ``in_task`` is set on the threads of ``_map``'s pools
-_pool_thread = threading.local()
-
-
-def _mark_pool_thread() -> None:
-    _pool_thread.in_task = True
+# ``task`` is set on a thread while it runs ``_map``'s items
+_in_map = threading.local()
 
 
 def _map(fn, items, workers: int) -> list:
     """``[fn(x) for x in items]``, in input order.
 
-    With ``min(workers, len(items)) > 1`` the calls run on a thread pool
-    created and shut down inside this call, so no thread outlives it; the
-    first exception in input order reaches the caller, and calls not yet
-    started are cancelled.  Called from one of those calls, it runs its own
-    items inline instead, so pools never nest.  The calls must not depend on
+    With ``min(workers, len(items)) > 1`` the calls run on that many
+    threads: the caller's and ones started and joined inside this call, so
+    no thread outlives it.  Each thread takes the next item not yet taken;
+    once a call has failed no new one starts, and the first exception in
+    input order reaches the caller.  Called from one of those calls, it runs
+    its own items inline, so pools never nest.  The calls must not depend on
     each other's order: each should write only its own part of any shared
     output.
     """
     items = list(items)
     n = min(workers, len(items))
-    if n <= 1 or getattr(_pool_thread, "in_task", False):
+    if n <= 1 or getattr(_in_map, "task", False):
         return [fn(x) for x in items]
-    pool = ThreadPoolExecutor(max_workers=n, initializer=_mark_pool_thread)
+    results, errors = [None] * len(items), {}
+    lock = threading.Lock()
+    todo = iter(range(len(items)))
+
+    def drain():
+        _in_map.task = True
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(todo, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(items[i])
+                except BaseException as exc:
+                    with lock:
+                        errors[i] = exc
+        finally:
+            _in_map.task = False
+
+    helpers = [threading.Thread(target=drain) for _ in range(n - 1)]
+    for thread in helpers:
+        thread.start()
     try:
-        return list(pool.map(fn, items))
+        drain()
     finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _as_black_level(black_level) -> np.ndarray:

@@ -30,6 +30,7 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import core
 from .core import _check_finite, _check_iso, _map, read_frame
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
@@ -212,11 +213,13 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
 
     The triples are scored in groups sharing a ground truth: a group reads
     and prepares its GT once (``metrics.prepare_reference``), scores its
-    predictions against it and releases it when it ends.  ``threads`` is
-    the number of ground truths scored, and held in memory, at once.  When
-    groups run in parallel (``threads > 1`` and several ground truths), each
-    scores SSIM on its own thread, since pools do not nest; otherwise each
-    image's SSIM runs on every CPU the process may use (``core._WORKERS``).
+    predictions against it and releases it when it ends.  ``threads``
+    bounds the number of ground truths scored, and held in memory, at once.
+    Groups run in parallel, each scoring SSIM on its own thread, only when
+    ``min(threads, groups)`` threads fill every CPU the process may use
+    (``core._WORKERS``); otherwise one group runs at a time and each image's
+    SSIM runs on every CPU, so a ``threads`` below the CPU count never uses
+    fewer CPUs than ``threads=1``.
     A shape mismatch names the label, a GT too small for the crop names the
     GT file.  ``threads`` that is not an int >= 1 raises ValueError.
     """
@@ -245,7 +248,11 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
         del gt  # only the reference is needed from here
         return [score_one(ref, i) for i in members]
 
-    done = _map(score_group, groups.items(), threads)
+    # Groups in parallel beat one group's SSIM bands on every CPU (traced
+    # score_final on 2 CPUs: threads=2 over threads=1, 1.17-1.40x in four
+    # runs), but fewer groups than CPUs would leave idle CPUs the bands use.
+    width = min(threads, len(groups))
+    done = _map(score_group, groups.items(), width if width >= core._WORKERS else 1)
     results: list[tuple] = [()] * len(pairs)
     for members, rows in zip(groups.values(), done):
         for i, row in zip(members, rows):
@@ -275,9 +282,9 @@ def run_benchmark(
     ``<image_id>.rawb`` predictions.  Paired entries are scored with the
     crop protocol; perceptual metrics come from the external CSV.  Missing
     predictions are all reported at once before aborting.  Returns the
-    paths of scores.csv and ranktable.csv.  ``threads`` is the number of
-    ground truths scored at once (see ``score_pairs``); one that is not an
-    int >= 1 raises ValueError before any file is touched.
+    paths of scores.csv and ranktable.csv.  ``threads`` bounds the number
+    of ground truths scored at once (see ``score_pairs``); one that is not
+    an int >= 1 raises ValueError before any file is touched.
     """
     _check_threads(threads)
     pred_root = Path(pred_root)

@@ -2,10 +2,10 @@
 
 ``denoise_raw``'s cores, ``run_isp``'s row bands and SSIM's row bands are
 tasks that ``core._map`` runs on ``core._WORKERS`` threads, as are
-``score_pairs``' ground-truth groups on ``threads``; a ``_map`` inside a
-task runs inline.  The bytes and scores must not depend on the worker
-count or on OpenBLAS's threads, no thread may outlive a call, and a task's
-error must reach the caller.
+``score_pairs``' ground-truth groups when they fill those CPUs; a
+``_map`` inside a task runs inline.  The bytes and scores must not depend
+on the worker count or on OpenBLAS's threads, no thread may outlive a
+call, and a task's error must reach the caller.
 """
 
 import json
@@ -91,6 +91,26 @@ def test_map_runs_tasks_at_once():
         return x
 
     assert core._map(task, [1, 2], 2) == [1, 2]
+
+
+def test_map_raises_the_first_error_in_input_order_and_starts_no_more():
+    # item 1 fails first in time, item 0 first in input order; after them
+    # no item starts
+    failed, started = threading.Event(), []
+
+    def task(x):
+        started.append(x)
+        if x == 1:
+            failed.set()
+            raise KeyError(x)
+        if x == 0:
+            failed.wait(timeout=10)
+            raise ValueError(x)
+        return x
+
+    with pytest.raises(ValueError):
+        core._map(task, range(6), 2)
+    assert sorted(started) == [0, 1]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask")
@@ -329,3 +349,26 @@ def test_score_pairs_pools_do_not_nest(monkeypatch, tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert most[0] <= 2 and len(threads) <= 2
+
+
+# (core._WORKERS, threads, ground truths scored at once)
+@pytest.mark.parametrize("workers, threads, at_once", [(1, 2, 2), (2, 2, 2), (2, 1, 1),
+                                                       (3, 2, 1)])
+def test_score_pairs_runs_groups_at_once_only_on_every_cpu(monkeypatch, tmp_path, workers,
+                                                           threads, at_once):
+    # groups that fill the CPUs run at once, each inside a _map task (so its
+    # SSIM runs inline), and the barrier needs them all; fewer groups than
+    # CPUs run one at a time on the caller's thread, outside any task, so
+    # each image's SSIM bands get a pool
+    prepare, gate, seen = metrics.prepare_reference, threading.Barrier(at_once, timeout=10), []
+
+    def gated_prepare(*args):
+        seen.append((threading.current_thread(), getattr(core._in_map, "task", False)))
+        gate.wait()
+        return prepare(*args)
+
+    monkeypatch.setattr(core, "_WORKERS", workers)
+    monkeypatch.setattr(harness, "prepare_reference", gated_prepare)
+    harness.score_pairs(score_pairs_input(tmp_path), "dev", threads=threads)
+    assert len({thread for thread, _ in seen}) == at_once
+    assert [in_task for _, in_task in seen] == [at_once > 1] * 2
