@@ -23,11 +23,12 @@ memory (SSIM, the ISP, the PPM encoder) walk their output in bands of
 ``_BAND_ROWS`` rows with ``_row_bands``, so the temporaries of one band stay
 cache-sized.  The denoiser, the ISP and SSIM also split one image into
 independent tasks (denoiser cores, ISP row bands, SSIM row bands), each
-writing its own part of the output, and run them with ``_map`` on as many
-threads as the process has CPUs (``_WORKERS``), so the bytes do not depend
-on the CPU count.  A ``_map`` called from inside a ``_map`` task runs its
-items inline: pools never nest, so when ``harness.score_pairs`` runs
-ground-truth groups in parallel, each scores SSIM serially.
+writing its own part of the output, and synthesis draws each training
+patch as a task with its own random stream; ``_map`` runs such tasks on as
+many threads as the process has CPUs (``_WORKERS``), so the bytes do not
+depend on the CPU count.  A ``_map`` called from inside a ``_map`` task
+runs its items inline: pools never nest, so when ``harness.score_pairs``
+runs ground-truth groups in parallel, each scores SSIM serially.
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ _RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 _BAND_ROWS = 64
 
 
-# Workers for the independent tasks of one image (denoise cores, ISP row
-# bands, SSIM row bands): the CPUs this process may run on, which
+# Workers for independent tasks (denoise cores, ISP row bands, SSIM row
+# bands, synthesis patches): the CPUs this process may run on, which
 # ``taskset`` or a cpuset limits.  The output bytes do not depend on it.  A
 # ``_map`` nested in a ``_map`` task runs inline, so parallel ground-truth
 # groups do not multiply it.

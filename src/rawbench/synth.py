@@ -17,16 +17,20 @@ Signal-independent noise comes from one of three sources:
   keeps the spatial correlation of real dark noise intact in the samples
   that use it.
 
-All randomness is driven by counter-derived streams, so batches are
-bit-identical regardless of execution order or worker count.
+All randomness is driven by counter-derived streams: each patch of a batch
+draws from its own stream and is a task that ``core._map`` runs on
+``core._WORKERS`` threads, so batches are bit-identical regardless of
+execution order or worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from itertools import product
 
 import numpy as np
 
+from . import core
 from .calibration import NoiseParams, SensorProfile
 from .core import (
     PackedImage,
@@ -264,9 +268,14 @@ def make_pair_batch(
     """Draw (noisy, clean) patch pairs from clean mosaic frames.
 
     ``patch`` is the packed-plane side length (a 512 patch is a 512x512x4
-    tensor).  Per-patch randomness is derived from
+    tensor).  Every frame is normalized and checked to fit the patch, in
+    input order, before any patch is drawn, so a bad frame fails the call
+    even when an earlier frame's patches would fail too.  Per-patch
+    randomness is derived from
     SeedSequence(master_seed, spawn_key=(image_index, patch_index)), so the
-    output is independent of execution order.
+    output is independent of execution order: each patch is a task that
+    ``core._map`` runs on ``core._WORKERS`` threads, and the pairs come back
+    in (image, patch) order.
     """
     if patch <= 0 or patch % 2:
         raise DimensionError(f"patch side must be even and > 0, got {patch}")
@@ -275,31 +284,34 @@ def make_pair_batch(
     for iso in sampler.iso_choices:
         profile.params_for(iso)
     knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}
-    pairs: list[tuple[PackedImage, PackedImage]] = []
+    packed = []
     for i, frame in enumerate(clean_frames):
-        packed = normalize(frame, clip_hi=sampler.clip_hi)
-        h, w = packed.plane_height, packed.plane_width
+        planes = normalize(frame, clip_hi=sampler.clip_hi)
+        h, w = planes.plane_height, planes.plane_width
         if patch > h or patch > w:
             raise DimensionError(
                 f"patch {patch} does not fit image planes {h}x{w} (image {i})"
             )
-        for j in range(patches_per_image):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(master_seed, spawn_key=(i, j))
-            )
-            iso = int(sampler.iso_choices[rng.integers(len(sampler.iso_choices))])
-            if sampler.dgain_choices is not None:
-                dgain = float(sampler.dgain_choices[rng.integers(len(sampler.dgain_choices))])
-            else:
-                lo, hi = sampler.dgain_range
-                dgain = float(rng.uniform(lo, hi))
-            y0 = int(rng.integers(h - patch + 1))
-            x0 = int(rng.integers(w - patch + 1))
-            clean_patch = replace(
-                packed,
-                channels=packed.channels[:, y0 : y0 + patch, x0 : x0 + patch],
-            )
-            seed = int(rng.integers(np.iinfo(np.int64).max))
-            cfg = SynthConfig(iso=iso, dgain=dgain, seed=seed, **knobs)
-            pairs.append((synthesize_noisy(clean_patch, profile, cfg), clean_patch))
-    return pairs
+        packed.append(planes)
+
+    def draw(ij):
+        planes = packed[ij[0]]
+        h, w = planes.plane_height, planes.plane_width
+        rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=ij))
+        iso = int(sampler.iso_choices[rng.integers(len(sampler.iso_choices))])
+        if sampler.dgain_choices is not None:
+            dgain = float(sampler.dgain_choices[rng.integers(len(sampler.dgain_choices))])
+        else:
+            lo, hi = sampler.dgain_range
+            dgain = float(rng.uniform(lo, hi))
+        y0 = int(rng.integers(h - patch + 1))
+        x0 = int(rng.integers(w - patch + 1))
+        clean_patch = replace(
+            planes,
+            channels=planes.channels[:, y0 : y0 + patch, x0 : x0 + patch],
+        )
+        seed = int(rng.integers(np.iinfo(np.int64).max))
+        cfg = SynthConfig(iso=iso, dgain=dgain, seed=seed, **knobs)
+        return synthesize_noisy(clean_patch, profile, cfg), clean_patch
+
+    return core._map(draw, product(range(len(packed)), range(patches_per_image)), core._WORKERS)

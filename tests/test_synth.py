@@ -291,6 +291,14 @@ class TestPairBatch:
             make_pair_batch(self._frames(1, side=8), make_profile(), self._sampler(),
                             patch=32, patches_per_image=1, master_seed=0)
 
+    def test_every_frame_checked_before_any_patch(self):
+        # frame 0's patches would overflow, but frame 1 is too small for the
+        # patch: the frame check runs first and names it
+        frames = self._frames(1) + self._frames(1, side=8)
+        with pytest.raises(DimensionError, match=re.escape("(image 1)")):
+            make_pair_batch(frames, make_profile(), self._sampler(dgain_choices=(1e308,)),
+                            patch=8, patches_per_image=2, master_seed=0)
+
     def test_sampler_validation(self):
         with pytest.raises(DomainError):
             BatchConfig(iso_choices=(800,))

@@ -1,15 +1,17 @@
-"""One image on several threads.
+"""One image, or one training batch, on several threads.
 
-``denoise_raw``'s cores, ``run_isp``'s row bands and SSIM's row bands are
-tasks that ``core._map`` runs on ``core._WORKERS`` threads, as are
-``score_pairs``' ground-truth groups when they fill those CPUs; a
-``_map`` inside a task runs inline.  The bytes and scores must not depend
-on the worker count or on OpenBLAS's threads, no thread may outlive a
-call, and a task's error must reach the caller.
+``denoise_raw``'s cores, ``run_isp``'s row bands, SSIM's row bands and
+``make_pair_batch``'s patches are tasks that ``core._map`` runs on
+``core._WORKERS`` threads, as are ``score_pairs``' ground-truth groups
+when they fill those CPUs; a ``_map`` inside a task runs inline.  The
+bytes and scores must not depend on the worker count or on OpenBLAS's
+threads, no thread may outlive a call, and a task's error must reach the
+caller.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,12 +21,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import core, denoise, harness, isp, metrics
-from rawbench.calibration import save_profile
+from rawbench import core, denoise, harness, isp, metrics, synth
+from rawbench.calibration import correct_dark_frame, save_profile
 from rawbench.cli import main
 from rawbench.core import PackedImage, SPACE_NORMALIZED, write_frame
 from rawbench.denoise import DenoiseConfig, denoise_raw
+from rawbench.errors import DomainError
 from rawbench.isp import IspConfig, run_isp
+from rawbench.synth import BatchConfig, make_pair_batch
 from rawbench.transforms import PgParams
 
 from conftest import BLACK, WHITE, make_frame, make_profile
@@ -184,6 +188,71 @@ def test_ssim_temporaries_stay_small(monkeypatch):
     assert peak < 20e6
 
 
+def synth_profile():
+    """ISOs 800 and 3200, each with two 20x20-plane corrected darks."""
+    rng = np.random.default_rng(21)
+    prof = make_profile(isos=(800, 3200))
+    for iso in (800, 3200):
+        prof.dark_library[iso] = [
+            correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
+                               np.full((40, 40), 512.0))
+            for _ in range(2)
+        ]
+    return prof
+
+
+def clean_frames():
+    """Three mosaics of different sizes: 48x40, 22x30 and 36x52."""
+    rng = np.random.default_rng(8)
+    return [make_frame(rng.integers(512, 16383, shape).astype(np.uint16))
+            for shape in ((48, 40), (22, 30), (36, 52))]
+
+
+def pair_bytes(pairs):
+    return np.concatenate([np.concatenate([noisy.channels.ravel(), clean.channels.ravel(),
+                                           [noisy.iso]]) for noisy, clean in pairs])
+
+
+# Three frames of four 8x8 patches: 12 tasks, more than any worker count
+@pytest.mark.parametrize("dgains", [{"dgain_choices": (100.0, 200.0)},
+                                    {"dgain_range": (10.0, 100.0)}], ids=["choices", "range"])
+@pytest.mark.parametrize("mode", ["parametric", "dark_sample", "hybrid"])
+def test_pair_batch_bytes_do_not_depend_on_worker_count(monkeypatch, mode, dgains):
+    frames, prof = clean_frames(), synth_profile()
+    sampler = BatchConfig(iso_choices=(800, 3200), mode=mode, **dgains)
+    outputs = per_worker_count(monkeypatch, lambda: pair_bytes(make_pair_batch(
+        frames, prof, sampler, patch=8, patches_per_image=4, master_seed=3)))
+    assert outputs.count(outputs[0]) == len(WORKERS)
+
+
+def test_overflowing_dgain_fails_on_a_helper_thread(monkeypatch):
+    # the caller's patch waits until a helper thread has drawn one, so the
+    # helper's patch must raise by itself: np.errstate holds per thread
+    draw, done, seen = synth.synthesize_noisy, threading.Event(), []
+
+    def gated_draw(*args):
+        helper = threading.current_thread() is not threading.main_thread()
+        if not helper:
+            done.wait(timeout=10)
+        try:
+            return draw(*args)
+        except DomainError as exc:
+            seen.append((helper, str(exc)))
+            raise
+        finally:
+            if helper:
+                done.set()
+
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(synth, "synthesize_noisy", gated_draw)
+    sampler = BatchConfig(iso_choices=(800,), dgain_choices=(1e308,), mode="parametric")
+    overflow = "dgain 1e+308 at ISO 800 overflows"
+    with pytest.raises(DomainError, match=re.escape(overflow)):
+        make_pair_batch(clean_frames(), make_profile(), sampler, patch=8,
+                        patches_per_image=2, master_seed=0)
+    assert any(helper and overflow in msg for helper, msg in seen)
+
+
 def outputs_across_blas_and_workers(monkeypatch, commands):
     """The bytes of the files that ``commands(tag)`` names after running its
     rawbench argvs: in subprocesses with OpenBLAS at one thread and at its
@@ -224,6 +293,27 @@ def test_cli_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatc
              str(tmp_path / "profile.json"), "--iso", "800", "--dgain", "4",
              "--transform", "gat", "--out", str(den)],
             ["isp", "--in", str(den), "--out", str(ppm)],
+        ]
+
+    outputs = outputs_across_blas_and_workers(monkeypatch, commands)
+    assert outputs.count(outputs[0]) == 3
+
+
+def test_cli_synth_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
+    # rawbench synth in hybrid mode on two clean frames of different sizes
+    (tmp_path / "clean").mkdir()
+    for k, frame in enumerate(clean_frames()[:2]):
+        write_frame(frame, tmp_path / "clean" / f"c{k}.rawb")
+    save_profile(synth_profile(), tmp_path / "profile.json")
+    names = [f"c{k}_p{j:02d}_{kind}.rawb" for k in range(2) for j in range(5)
+             for kind in ("noisy", "clean")]
+
+    def commands(tag):
+        out = tmp_path / f"pairs_{tag}"
+        return [out / name for name in names], [
+            ["synth", "--profile", str(tmp_path / "profile.json"), "--clean",
+             str(tmp_path / "clean"), "--out", str(out), "--iso-set", "800,3200",
+             "--mode", "hybrid", "--patch", "8", "--per-image", "5", "--seed", "9"],
         ]
 
     outputs = outputs_across_blas_and_workers(monkeypatch, commands)
@@ -277,6 +367,10 @@ CALLS = {
     "prepare_reference": lambda tmp_path: metrics.prepare_reference(dev_frame(), "dev"),
     "score_pairs": lambda tmp_path: harness.score_pairs(score_pairs_input(tmp_path), "dev",
                                                         threads=2),
+    "make_pair_batch": lambda tmp_path: make_pair_batch(
+        clean_frames(), synth_profile(), BatchConfig(iso_choices=(800, 3200),
+                                                     dgain_choices=(100.0,), mode="hybrid"),
+        patch=8, patches_per_image=4, master_seed=0),
 }
 # a step each call's tasks run, and which of its calls fails: score_pairs'
 # two groups make two calls, and ssim's own band tasks start after the 24
@@ -287,6 +381,7 @@ TASK_STEPS = {
     "ssim": (metrics, "_filter_valid", 27),
     "prepare_reference": (metrics, "_filter_valid", 3),
     "score_pairs": (harness, "evaluate_pair", 2),
+    "make_pair_batch": (synth, "sample_shot", 3),
 }
 
 
