@@ -40,6 +40,7 @@ from .core import (
     SPACE_DN_ABOVE_BLACK,
     _check_finite,
     _check_levels,
+    _json_number,
     _meta_kwargs,
     crop_frame,
     interleave_rggb,
@@ -360,7 +361,8 @@ def save_profile(profile: SensorProfile, json_path) -> None:
 
 def load_profile(json_path) -> SensorProfile:
     """Load a profile saved by :func:`save_profile`; a missing or malformed
-    field raises ProfileError naming the file."""
+    field raises ProfileError naming the file.  The levels and noise
+    parameters must be JSON numbers and the sidecar paths strings."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
@@ -368,14 +370,17 @@ def load_profile(json_path) -> SensorProfile:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
     try:
         isos = {int(iso): entry for iso, entry in doc["isos"].items()}
+        black = doc["black_level"]
+        for b in black if isinstance(black, list) else [black]:
+            _json_number("black_level", b)
         profile = SensorProfile(
             camera_id=doc["camera_id"],
-            black_level=np.asarray(doc["black_level"], dtype=np.float64),
-            white_level=float(doc["white_level"]),
+            black_level=np.asarray(black, dtype=np.float64),
+            white_level=float(_json_number("white_level", doc["white_level"])),
             effective_roi=Roi(**doc["effective_roi"]),
             iso_params={
-                iso: NoiseParams(**{f.name: float(entry[f.name]) for f in fields(NoiseParams)
-                                    if f.name in entry})
+                iso: NoiseParams(**{f.name: float(_json_number(f.name, entry[f.name]))
+                                    for f in fields(NoiseParams) if f.name in entry})
                 for iso, entry in isos.items()
             },
         )
@@ -387,8 +392,14 @@ def load_profile(json_path) -> SensorProfile:
         raise type(exc)(f"{json_path}: {exc}") from exc
     base = json_path.parent
     for iso, entry in isos.items():
-        if entry.get("dark_shading_path"):
-            img = read_packed(base / entry["dark_shading_path"])
+        shading = entry.get("dark_shading_path")
+        if not (shading is None or isinstance(shading, str)):
+            raise ProfileError(
+                f"{json_path}: ISO {iso}: dark_shading_path must be a file name or null, "
+                f"got {shading!r}"
+            )
+        if shading:
+            img = read_packed(base / shading)
             profile.dark_shading[iso] = interleave_rggb(img.channels).astype(np.float64)
         names = entry.get("dark_library", [])
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):

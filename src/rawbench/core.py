@@ -24,11 +24,9 @@ memory (SSIM, the ISP, the PPM encoder) walk their output in bands of
 cache-sized.  The denoiser, the ISP and SSIM also split one image into
 independent tasks (denoiser cores, ISP row bands, SSIM row bands), each
 writing its own part of the output, and synthesis draws each training
-patch as a task with its own random stream; ``_map`` runs such tasks on as
-many threads as the process has CPUs (``_WORKERS``), so the bytes do not
-depend on the CPU count.  A ``_map`` called from inside a ``_map`` task
-runs its items inline: pools never nest, so when ``harness.score_pairs``
-runs ground-truth groups in parallel, each scores SSIM serially.
+patch as a task with its own random stream.  ``_map`` alone decides how
+many threads such tasks run on (see its docstring), so the bytes do not
+depend on the CPU count and no caller names it.
 """
 
 from __future__ import annotations
@@ -59,11 +57,8 @@ _RAWB_CHANNELS = {"mosaic": 1, "rggb": 4, "rgb": 3}
 _BAND_ROWS = 64
 
 
-# Workers for independent tasks (denoise cores, ISP row bands, SSIM row
-# bands, synthesis patches): the CPUs this process may run on, which
-# ``taskset`` or a cpuset limits.  The output bytes do not depend on it.  A
-# ``_map`` nested in a ``_map`` task runs inline, so parallel ground-truth
-# groups do not multiply it.
+# The CPUs this process may run on, which ``taskset`` or a cpuset limits:
+# the most threads ``_map`` runs.  The output bytes do not depend on it.
 try:
     _WORKERS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity mask on this platform
@@ -73,20 +68,21 @@ except AttributeError:  # no affinity mask on this platform
 _in_map = threading.local()
 
 
-def _map(fn, items, workers: int) -> list:
-    """``[fn(x) for x in items]``, in input order.
+def _map(fn, items) -> list:
+    """``[fn(x) for x in items]``, in input order; the package's one pool path.
 
-    With ``min(workers, len(items)) > 1`` the calls run on that many
-    threads: the caller's and ones started and joined inside this call, so
-    no thread outlives it.  Each thread takes the next item not yet taken;
-    once a call has failed no new one starts, and the first exception in
-    input order reaches the caller.  Called from one of those calls, it runs
-    its own items inline, so pools never nest.  The calls must not depend on
-    each other's order: each should write only its own part of any shared
-    output.
+    The calls run on ``min(_WORKERS, len(items))`` threads: the caller's and
+    ones started and joined inside this call, so no thread outlives it and
+    the process never runs more threads than it has CPUs.  Each thread takes
+    the next item not yet taken; once a call has failed no new one starts,
+    and the first exception in input order reaches the caller.  Called from
+    one of those calls, it runs its own items inline, so pools never nest.
+    The calls must not depend on each other's order: each should write only
+    its own part of any shared output, so the result does not depend on
+    ``_WORKERS``.
     """
     items = list(items)
-    n = min(workers, len(items))
+    n = min(_WORKERS, len(items))
     if n <= 1 or getattr(_in_map, "task", False):
         return [fn(x) for x in items]
     results, errors = [None] * len(items), {}
@@ -144,6 +140,22 @@ def _check_finite(name, value, *, positive, error) -> float:
     return float(value)
 
 
+def _json_number(field, value):
+    """A numeric field as JSON gives it: a number, never a string or a bool
+    to coerce.  Returns it; otherwise raises TypeError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{field} must be a number, got {value!r}")
+    return value
+
+
+def _json_string(field, value) -> str:
+    """A text field as JSON gives it: a string, never a number or null to
+    coerce.  Returns it; otherwise raises TypeError naming the field."""
+    if not isinstance(value, str):
+        raise TypeError(f"{field} must be a string, got {value!r}")
+    return value
+
+
 def _check_iso(name, value) -> int:
     """The ISO rule of images and synthesis: a finite whole number >= 0.
     Returns it as an int; otherwise raises DomainError naming the setting."""
@@ -186,6 +198,16 @@ def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     object.__setattr__(img, "black_level", black)
     object.__setattr__(img, "white_level", white)
     object.__setattr__(img, "iso", iso)
+
+
+def _check_space(where: str, *spaces: str, **images: PackedImage) -> None:
+    """The value-space precondition: each of ``images``, keyed by argument
+    name, is in one of ``spaces``; otherwise DomainError names ``where``, the
+    argument and its space."""
+    for name, img in images.items():
+        if img.space not in spaces:
+            raise DomainError(f"{where} expects {' or '.join(spaces)} images, got {name} in "
+                              f"space {img.space!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,8 +350,7 @@ def _row_bands(n_rows: int):
 
 def unpack_rggb(img: PackedImage) -> RawFrame:
     """Exact inverse of :func:`pack_rggb`; metadata is copied verbatim."""
-    if img.space == SPACE_NORMALIZED:
-        raise DomainError("unpack_rggb expects DN-space data; denormalize first")
+    _check_space("unpack_rggb", SPACE_DN, SPACE_DN_ABOVE_BLACK, img=img)
     return RawFrame(data=interleave_rggb(img.channels), **_meta_kwargs(img))
 
 
@@ -344,9 +365,8 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     black = img.black_level
     if isinstance(img, RawFrame):
         src, shape = _rggb_views(img.data), (4, img.height // 2, img.width // 2)
-    elif img.space == SPACE_NORMALIZED:
-        raise DomainError("input is already normalized")
     else:
+        _check_space("normalize", SPACE_DN, SPACE_DN_ABOVE_BLACK, img=img)
         src, shape = img.channels, img.channels.shape
         if img.space == SPACE_DN_ABOVE_BLACK:
             black = np.zeros(4)  # x - 0.0 is x bit for bit, -0.0 included
@@ -367,8 +387,7 @@ def denormalize(img: PackedImage) -> PackedImage:
 
     No re-clipping is applied; clipping already happened at normalize time.
     """
-    if img.space != SPACE_NORMALIZED:
-        raise DomainError("denormalize expects normalized input")
+    _check_space("denormalize", SPACE_NORMALIZED, img=img)
     black = img.black_level
     span = img.white_level - black
     out = np.multiply(img.channels, span[:, None, None], dtype=np.float64)

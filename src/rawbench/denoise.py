@@ -25,7 +25,7 @@ other step is pointwise: the result equals the whole-plane chain, while
 one shrink call sees at most about 240^2 pixels and no plane-sized
 temporary is made.  The cores are independent tasks: each reads the input
 and writes only its own disjoint slice of the output, so ``core._map`` runs
-them on ``core._WORKERS`` threads and the bytes do not depend on that count.
+them.
 
 The forward transform's row product multiplies by ``_DCT_T``, a C-ordered
 copy of the DCT matrix's transpose: numpy's matmul on the transposed view
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import core
 from .calibration import NoiseParams
-from .core import PackedImage, SPACE_NORMALIZED, _check_finite
+from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _check_space
 from .errors import DimensionError, DomainError, ProfileError
 from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
@@ -165,11 +165,9 @@ def denoise_raw(
     one core of side ``_CORE`` (rounded down to the block period) with its
     one-period halo, and the result equals the whole-plane chain (see the
     module docstring); a plane no larger than one core is one patch.  The
-    cores run as independent tasks on ``core._WORKERS`` threads, and the
-    output is deterministic and independent of that count.
+    cores are ``core._map`` tasks.
     """
-    if noisy_norm.space != SPACE_NORMALIZED:
-        raise DomainError("denoise_raw expects a normalized image")
+    _check_space("denoise_raw", SPACE_NORMALIZED, noisy_norm=noisy_norm)
     span = noisy_norm.white_level - noisy_norm.black_level
     sigma = 1.0 if cfg.transform != "none" else float(cfg.sigma_dn)
     _, h, w = noisy_norm.channels.shape
@@ -195,5 +193,5 @@ def denoise_raw(
             t = ksigma_inverse(t, params)
         np.clip(t / span[c], 0.0, noisy_norm.clip_hi, out=out[c, ay : ay + step, ax : ax + step])
 
-    core._map(task, product(range(4), range(0, h, step), range(0, w, step)), core._WORKERS)
+    core._map(task, product(range(4), range(0, h, step), range(0, w, step)))
     return replace(noisy_norm, channels=out)

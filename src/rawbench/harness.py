@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import core
-from .core import _check_finite, _check_iso, _map, read_frame
+from .core import _check_finite, _check_iso, _json_number, _json_string, _map, read_frame
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -65,19 +65,14 @@ class Manifest:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-def _entry_number(field: str, value):
-    """A manifest entry's numeric field as JSON gives it: a number, never a
-    string or a bool to coerce."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{field} must be a number, got {value!r}")
-    return value
-
-
 def load_manifest(path, strict: bool = False) -> Manifest:
     """Parse and validate a manifest JSON file.
 
     The phase must be one of the crop protocol's (``metrics._CROP_SIDES``).
-    With ``strict=True`` every referenced file must already exist.
+    Entry fields must have their JSON types: numbers for ``iso`` and
+    ``dgain``, strings for the rest (``camera`` may be absent, ``gt_path``
+    absent or null).  With ``strict=True`` every referenced file must
+    already exist.
     """
     path = Path(path)
     try:
@@ -98,15 +93,16 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     for i, raw in enumerate(raw_entries):
         where = f"{path}: entry {i}"
         try:
+            gt_path = raw.get("gt_path")
             entry = ManifestEntry(
-                image_id=str(raw["image_id"]),
-                camera=str(raw.get("camera", "")),
-                scene_type=str(raw["scene_type"]),
-                iso=_check_iso("iso", _entry_number("iso", raw["iso"])),
-                dgain=_check_finite("dgain", _entry_number("dgain", raw.get("dgain", 1.0)),
+                image_id=_json_string("image_id", raw["image_id"]),
+                camera=_json_string("camera", raw.get("camera", "")),
+                scene_type=_json_string("scene_type", raw["scene_type"]),
+                iso=_check_iso("iso", _json_number("iso", raw["iso"])),
+                dgain=_check_finite("dgain", _json_number("dgain", raw.get("dgain", 1.0)),
                                     positive=True, error=DomainError),
-                noisy_path=str(raw["noisy_path"]),
-                gt_path=raw.get("gt_path"),
+                noisy_path=_json_string("noisy_path", raw["noisy_path"]),
+                gt_path=None if gt_path is None else _json_string("gt_path", gt_path),
             )
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise ManifestError(f"{where}: {exc}") from exc
@@ -214,12 +210,10 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     The triples are scored in groups sharing a ground truth: a group reads
     and prepares its GT once (``metrics.prepare_reference``), scores its
     predictions against it and releases it when it ends.  ``threads``
-    bounds the number of ground truths scored, and held in memory, at once.
-    Groups run in parallel, each scoring SSIM on its own thread, only when
-    ``min(threads, groups)`` threads fill every CPU the process may use
-    (``core._WORKERS``); otherwise one group runs at a time and each image's
-    SSIM runs on every CPU, so a ``threads`` below the CPU count never uses
-    fewer CPUs than ``threads=1``.
+    bounds the number of ground truths scored, and held in memory, at once:
+    the groups are ``core._map`` tasks, each scoring SSIM inline, only when
+    ``min(threads, groups)`` reaches the CPU count (``core._WORKERS``), and
+    otherwise run one at a time with each image's SSIM on every CPU.
     A shape mismatch names the label, a GT too small for the crop names the
     GT file.  ``threads`` that is not an int >= 1 raises ValueError.
     """
@@ -251,8 +245,10 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     # Groups in parallel beat one group's SSIM bands on every CPU (traced
     # score_final on 2 CPUs: threads=2 over threads=1, 1.17-1.40x in four
     # runs), but fewer groups than CPUs would leave idle CPUs the bands use.
-    width = min(threads, len(groups))
-    done = _map(score_group, groups.items(), width if width >= core._WORKERS else 1)
+    if min(threads, len(groups)) >= core._WORKERS:
+        done = _map(score_group, groups.items())
+    else:
+        done = [score_group(group) for group in groups.items()]
     results: list[tuple] = [()] * len(pairs)
     for members, rows in zip(groups.values(), done):
         for i, row in zip(members, rows):

@@ -24,13 +24,12 @@ with one plane row of halo on each side where the image has one.  The
 demosaic reaches one mosaic row up and down, so the halo gives each of the
 band's own pixels exactly the in-bounds sites it has in the whole image,
 summed in the same order and divided by the same count.  Each band is one
-task that ``core._map`` runs on ``core._WORKERS`` threads, and it writes
-only its own output rows.  A task allocates its own zero-bordered balanced
-planes, and the demosaic returns the band's sums as one new contiguous
-``(2, 2, 3, rows, w)`` array (phase row, phase column, colour, plane row,
-plane column); the sRGB transfer runs on it in place through the helper
-``srgb_gamma`` also calls, and one clip interleaves it into the output
-rows.  Every step after the demosaic works pixel by pixel, so the result
+``core._map`` task, and it writes only its own output rows.  A task
+allocates its own zero-bordered balanced planes, and the demosaic returns
+the band's sums as one new contiguous ``(2, 2, 3, rows, w)`` array (phase
+row, phase column, colour, plane row, plane column); the sRGB transfer
+runs on it in place through the helper ``srgb_gamma`` also calls, and one
+clip interleaves it into the output rows.  Every step after the demosaic works pixel by pixel, so the result
 equals the whole-image chain bit for bit, whatever the number of workers;
 a property test keeps that chain as its reference.
 ``write_ppm16`` encodes and writes one band of rows at a time, with the
@@ -46,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _row_bands
+from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _check_space, _row_bands
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
@@ -195,8 +194,7 @@ def _demosaic(padded: np.ndarray, p0: int, h: int) -> np.ndarray:
 
 def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
     """Render a normalized RGGB image to sRGB, shape (2H, 2W, 3) in [0, 1]."""
-    if img.space != SPACE_NORMALIZED:
-        raise DomainError("run_isp expects a normalized image")
+    _check_space("run_isp", SPACE_NORMALIZED, img=img)
     if cfg.wb == "gray_world":
         gain_r, gain_g, gain_b = gray_world_gains(img)
     else:
@@ -219,7 +217,7 @@ def run_isp(img: PackedImage, cfg: IspConfig = IspConfig()) -> np.ndarray:
             _srgb_in_place(rgb)
         np.clip(rgb.transpose(3, 0, 4, 1, 2), 0.0, 1.0, out=tiles[p0:p1])
 
-    core._map(render, _row_bands(2 * h), core._WORKERS)
+    core._map(render, _row_bands(2 * h))
     return out
 
 

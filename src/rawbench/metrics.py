@@ -22,8 +22,8 @@ helper, so there is one scoring path.
 
 SSIM filters in the row bands of ``core._row_bands``: the band of valid
 output rows [r0, r1) reads the input rows [r0, r1 + 10) (the window's
-radius is 5), so its temporaries stay cache-sized.  Each band is a task that
-``core._map`` runs on ``core._WORKERS`` threads with its own temporaries.
+radius is 5), so its temporaries stay cache-sized.  Each band is a
+``core._map`` task with its own temporaries.
 Each channel has one full-size ratio array; a band task writes only its own
 rows of it, and the channel's mean is taken once over that array after
 every band has run.  The four channel means are averaged in channel order.
@@ -50,8 +50,9 @@ from itertools import product
 import numpy as np
 
 from . import core
-from .core import PackedImage, RawFrame, Roi, SPACE_NORMALIZED, _row_bands, crop_frame, normalize
-from .errors import DimensionError, DomainError
+from .core import (PackedImage, RawFrame, Roi, SPACE_NORMALIZED, _check_space, _row_bands,
+                   crop_frame, normalize)
+from .errors import DimensionError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
 # SSIM's constants (Wang et al., 2004): Gaussian window side and sigma, and
@@ -84,21 +85,12 @@ class Reference:
     phase: str
 
 
-def _check_normalized(metric: str, **images: PackedImage) -> None:
-    """The metrics' peak and L are 1: an image in any other space raises
-    DomainError naming the argument and its space."""
-    for name, img in images.items():
-        if img.space != SPACE_NORMALIZED:
-            raise DomainError(f"{metric} expects normalized images, got {name} in space "
-                              f"{img.space!r}")
-
-
 def psnr(pred: PackedImage, gt: PackedImage) -> float:
     """10*log10(1 / MSE) with MSE pooled over all channels and pixels (peak 1).
 
     Identical images return +inf.  Both images must be normalized.
     """
-    _check_normalized("psnr", pred=pred, gt=gt)
+    _check_space("psnr", SPACE_NORMALIZED, pred=pred, gt=gt)
     if pred.channels.shape != gt.channels.shape:
         raise DimensionError(
             f"shape mismatch {pred.channels.shape} vs {gt.channels.shape}"
@@ -189,7 +181,7 @@ def _ssim_stats(gt: PackedImage) -> np.ndarray:
         stats[0, c, r0:r1] = mu_y
         stats[1, c, r0:r1] = _filter_valid(y * y) - mu_y * mu_y
 
-    core._map(band, product(range(4), _row_bands(h - 2 * _R)), core._WORKERS)
+    core._map(band, product(range(4), _row_bands(h - 2 * _R)))
     return stats
 
 
@@ -220,7 +212,7 @@ def _ssim_channel(x_plane: np.ndarray, y_plane: np.ndarray, stats: np.ndarray) -
         den = (mu_x * mu_x + mu_y * mu_y + _C1) * (var_x + var_y + _C2)
         np.divide(num, den, out=ratio[r0:r1])
 
-    core._map(band, _row_bands(len(ratio)), core._WORKERS)
+    core._map(band, _row_bands(len(ratio)))
     return float(np.mean(ratio))
 
 
@@ -232,7 +224,7 @@ def ssim(pred: PackedImage, gt: PackedImage | Reference) -> float:
     normalized (a Reference's always is).
     """
     gt_image = gt.image if isinstance(gt, Reference) else gt
-    _check_normalized("ssim", pred=pred, gt=gt_image)
+    _check_space("ssim", SPACE_NORMALIZED, pred=pred, gt=gt_image)
     if pred.channels.shape != gt_image.channels.shape:
         raise DimensionError(
             f"shape mismatch {pred.channels.shape} vs {gt_image.channels.shape}"

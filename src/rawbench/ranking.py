@@ -127,6 +127,17 @@ def majority_tiebreak(
     return (team_a, team_b) if team_a <= team_b else (team_b, team_a)
 
 
+def _by_score_then_majority(scores: dict[str, float], records: list[MetricRecord],
+                            metric_set: tuple[str, ...], a: str, b: str) -> int:
+    """Comparator of one category's positions: the lower average score
+    first, equal scores by :func:`majority_tiebreak` over ``metric_set``."""
+    sa, sb = scores[a], scores[b]
+    if sa != sb:
+        return -1 if sa < sb else 1
+    first, _ = majority_tiebreak(a, b, records, metric_set)
+    return -1 if first == a else 1
+
+
 def final_table(records: list[MetricRecord]) -> RankTable:
     """Per-metric ranks, category average scores, and final category positions
     of the categories in which every record has every metric.
@@ -156,13 +167,7 @@ def final_table(records: list[MetricRecord]) -> RankTable:
             t: sum(metric_ranks[m][t] for m in metric_set) / len(metric_set) for t in teams
         }
 
-        def cmp(a: str, b: str, _scores=scores[cat], _set=metric_set) -> int:
-            sa, sb = _scores[a], _scores[b]
-            if sa != sb:
-                return -1 if sa < sb else 1
-            first, _ = majority_tiebreak(a, b, records, _set)
-            return -1 if first == a else 1
-
+        cmp = functools.partial(_by_score_then_majority, scores[cat], records, metric_set)
         ordered = sorted(teams, key=functools.cmp_to_key(cmp))
         positions[cat] = {team: i for i, team in enumerate(ordered, start=1)}
     return RankTable(teams=teams, metric_ranks=metric_ranks, scores=scores, positions=positions)

@@ -18,9 +18,8 @@ Signal-independent noise comes from one of three sources:
   that use it.
 
 All randomness is driven by counter-derived streams: each patch of a batch
-draws from its own stream and is a task that ``core._map`` runs on
-``core._WORKERS`` threads, so batches are bit-identical regardless of
-execution order or worker count.
+draws from its own stream and is a ``core._map`` task, so batches are
+bit-identical regardless of execution order or worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .core import (
     _check_clip_hi,
     _check_finite,
     _check_iso,
+    _check_space,
     normalize,
 )
 from .errors import DimensionError, DomainError, ProfileError
@@ -188,8 +188,7 @@ def synthesize_noisy(
     ``clip=False`` skips the final clamp, exposing the pre-clip field for
     moment checks.
     """
-    if clean_norm.space != SPACE_NORMALIZED:
-        raise DomainError("synthesize_noisy expects a normalized clean image")
+    _check_space("synthesize_noisy", SPACE_NORMALIZED, clean_norm=clean_norm)
     params = profile.params_for(cfg.iso)
     shot_rng, noise_rng, select_rng = _rng_streams(cfg.seed)
     span = (profile.white_level - profile.black_level)[:, None, None]
@@ -273,9 +272,8 @@ def make_pair_batch(
     even when an earlier frame's patches would fail too.  Per-patch
     randomness is derived from
     SeedSequence(master_seed, spawn_key=(image_index, patch_index)), so the
-    output is independent of execution order: each patch is a task that
-    ``core._map`` runs on ``core._WORKERS`` threads, and the pairs come back
-    in (image, patch) order.
+    output is independent of execution order: each patch is a ``core._map``
+    task, and the pairs come back in (image, patch) order.
     """
     if patch <= 0 or patch % 2:
         raise DimensionError(f"patch side must be even and > 0, got {patch}")
@@ -314,4 +312,4 @@ def make_pair_batch(
         cfg = SynthConfig(iso=iso, dgain=dgain, seed=seed, **knobs)
         return synthesize_noisy(clean_patch, profile, cfg), clean_patch
 
-    return core._map(draw, product(range(len(packed)), range(patches_per_image)), core._WORKERS)
+    return core._map(draw, product(range(len(packed)), range(patches_per_image)))

@@ -405,9 +405,20 @@ class TestLoadProfileErrors:
         (lambda doc: doc.update(black_level=[1.0, 2.0, 3.0]), "4 values"),
         (lambda doc: doc["isos"]["800"].update(dark_library="abc.rawb"), "ISO 800: dark_library"),
         (lambda doc: doc["isos"]["3200"].update(dark_library=[1, 2]), "ISO 3200: dark_library"),
+        # JSON numbers only: true and "1023" used to load as 1.0 and 1023.0,
+        # and a numeric shading path failed as PosixPath / int
+        (lambda doc: doc["isos"]["800"].update(K=True), "K must be a number, got True"),
+        (lambda doc: doc["isos"]["3200"].update(quant_step="0.5"),
+         "quant_step must be a number, got '0.5'"),
+        (lambda doc: doc.update(white_level="1023"), "white_level must be a number, got '1023'"),
+        (lambda doc: doc["black_level"].__setitem__(2, "512"),
+         "black_level must be a number, got '512'"),
+        (lambda doc: doc["isos"]["800"].update(dark_shading_path=5),
+         "ISO 800: dark_shading_path must be a file name or null, got 5"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
-            "number-dark-library"])
+            "number-dark-library", "bool-K", "string-quant-step", "string-white",
+            "string-black", "number-shading-path"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)

@@ -243,6 +243,17 @@ def test_bench_manifest_with_infinite_iso_exits_2(tmp_path, capsys):
     assert f"{manifest}: entry 0: iso must be finite" in capsys.readouterr().err
 
 
+def test_bench_manifest_with_numeric_gt_path_exits_2(tmp_path, capsys):
+    # a numeric gt_path used to end in a TypeError traceback from
+    # Manifest.resolve (exit 1, the budget-failure code)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"phase": "dev", "entries": [
+        {"image_id": "img1", "scene_type": "paired", "iso": 800,
+         "noisy_path": "n.rawb", "gt_path": 5}]}))
+    assert main(["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path)]) == 2
+    assert f"{manifest}: entry 0: gt_path must be a string, got 5" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text, where, what", [
     ("name,psnr,ssim\none,41.0,0.96\n", 1, "missing column(s) team"),
     ("# scores\nteam,psnr,ssim\none,41.0,0.96\ntwo,abc,0.95\n", 4,

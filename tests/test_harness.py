@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from rawbench import harness
+from rawbench import core, harness
 from rawbench.cli import main
 from rawbench.core import read_frame, write_frame
 from rawbench.errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
@@ -90,6 +90,25 @@ class TestLoadManifest:
         entries = [self._entry(), self._entry(image_id="img2", **{field: value})]
         with pytest.raises(ManifestError, match=re.escape(f"m.json: entry 1: {match}")):
             load_manifest(write_manifest(tmp_path / "m.json", entries))
+
+    @pytest.mark.parametrize("field, value", [
+        ("image_id", None), ("image_id", 7), ("noisy_path", None), ("noisy_path", 3),
+        ("gt_path", 5), ("camera", None), ("scene_type", None),
+    ])
+    def test_text_fields_must_be_json_strings(self, tmp_path, field, value):
+        # a null image_id or noisy_path used to load as 'None', and a numeric
+        # gt_path failed later in Manifest.resolve with a bare TypeError
+        bad = self._entry(image_id="img2")
+        bad[field] = value
+        message = f"m.json: entry 1: {field} must be a string, got {value!r}"
+        with pytest.raises(ManifestError, match=re.escape(message)):
+            load_manifest(write_manifest(tmp_path / "m.json", [self._entry(), bad]))
+
+    def test_camera_may_be_absent_and_gt_path_null(self, tmp_path):
+        entry = self._entry(scene_type="wild", gt_path=None)
+        del entry["camera"]
+        m = load_manifest(write_manifest(tmp_path / "m.json", [entry]))
+        assert (m.entries[0].camera, m.entries[0].gt_path) == ("", None)
 
     def test_whole_float_iso_and_int_dgain_are_read_as_numbers(self, tmp_path):
         m = load_manifest(write_manifest(tmp_path / "m.json", [self._entry(iso=800.0, dgain=100)]))
@@ -450,8 +469,9 @@ class TestScorePairs:
             assert score_pairs(pairs, "dev", threads=2) == rows
 
     def test_gt_groups_overlap_at_two_threads(self, tmp_path, monkeypatch):
-        # One prediction per GT: the two groups must be in flight together,
-        # or the barrier on the GT reads times out.
+        # One prediction per GT on two CPUs: the two groups must be in flight
+        # together, or the barrier on the GT reads times out.
+        monkeypatch.setattr(core, "_WORKERS", 2)
         pairs = [p for p in self._pairs(tmp_path) if p[0].startswith("a/")]
         barrier = threading.Barrier(2, timeout=10)
 

@@ -244,10 +244,10 @@ class TestRunIsp:
         # each row band of the output is its own task
         items, run = [], core._map
 
-        def recording_map(fn, tasks, workers):
+        def recording_map(fn, tasks):
             tasks = list(tasks)
             items.extend(tasks)
-            return run(fn, tasks, workers)
+            return run(fn, tasks)
 
         monkeypatch.setattr(core, "_map", recording_map)
         run_isp(packed(np.random.default_rng(h).uniform(0, 1, (4, h, 5))))

@@ -10,14 +10,16 @@ Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
 Each concept has one source: budget totals come from ``build_report``, the
 denoiser's core side from ``denoise._CORE`` and the scoring phases from
-``metrics._CROP_SIDES``, and the package's count of settable values is
-pinned.
+``metrics._CROP_SIDES``, the thread count from ``core._map`` and the
+value-space precondition from ``core._check_space``, and the package's
+count of settable values is pinned.
 """
 
 import argparse
 import ast
 import inspect
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +28,11 @@ import pytest
 import rawbench
 from rawbench import budget, calibration, cli, core, denoise, harness, isp, metrics, ranking, synth
 from rawbench.calibration import NoiseParams
-from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
+from rawbench.core import PackedImage, SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
+from rawbench.errors import DomainError
+from rawbench.transforms import PgParams
 
-from conftest import BLACK, WHITE, make_frame
+from conftest import BLACK, WHITE, make_frame, make_profile
 
 
 def _img():
@@ -127,7 +131,7 @@ def test_settable_value_count():
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                              for s in node.body)
-    assert count == 63
+    assert count == 61
 
 
 def test_second_paths_are_gone():
@@ -166,3 +170,53 @@ def test_phase_list_is_written_once():
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     phase = next(a for a in sub.choices["eval"]._actions if a.dest == "phase")
     assert tuple(phase.choices) == harness._PHASES
+
+
+def test_core_alone_sets_threads_and_checks_spaces():
+    # the CPU count is read by core and by score_pairs' rule only, a _map
+    # call states only its function and items, and only core raises on a
+    # wrong .space (the other modules call core._check_space)
+    workers, map_arities, space_raises = set(), set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        if "_WORKERS" in text:
+            workers.add(path.name)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Call) and "_map" in (getattr(node.func, "id", None),
+                                                         getattr(node.func, "attr", None)):
+                map_arities.add(len(node.args) + len(node.keywords))
+            if isinstance(node, ast.If) and any(
+                    isinstance(n, ast.Attribute) and n.attr == "space" for n in ast.walk(node.test)
+            ) and any(isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt)):
+                space_raises.add(path.name)
+    assert workers == {"core.py", "harness.py"}
+    assert map_arities == {2}
+    assert space_raises == {"core.py"}
+
+
+_NORMALIZED = _img()
+_DN = (SPACE_DN, SPACE_DN_ABOVE_BLACK)
+# each function that takes images in some value spaces only: (call on an
+# image, its argument's name, the spaces it takes)
+SPACE_SITES = {
+    "normalize": (core.normalize, "img", _DN),
+    "denormalize": (core.denormalize, "img", (SPACE_NORMALIZED,)),
+    "unpack_rggb": (core.unpack_rggb, "img", _DN),
+    "psnr": (lambda img: metrics.psnr(img, _NORMALIZED), "pred", (SPACE_NORMALIZED,)),
+    "ssim": (lambda img: metrics.ssim(img, _NORMALIZED), "pred", (SPACE_NORMALIZED,)),
+    "denoise_raw": (lambda img: denoise.denoise_raw(img, PgParams(K=0.8, sigma=4.0)),
+                    "noisy_norm", (SPACE_NORMALIZED,)),
+    "run_isp": (isp.run_isp, "img", (SPACE_NORMALIZED,)),
+    "synthesize_noisy": (lambda img: synth.synthesize_noisy(
+        img, make_profile(), synth.SynthConfig(iso=800, dgain=1.0)), "clean_norm",
+        (SPACE_NORMALIZED,)),
+}
+
+
+@pytest.mark.parametrize("where", sorted(SPACE_SITES))
+def test_value_space_sites_name_the_space_they_got(where):
+    call, arg, spaces = SPACE_SITES[where]
+    for space in {SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED} - set(spaces):
+        message = f"{where} expects {' or '.join(spaces)} images, got {arg} in space {space!r}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            call(replace(_NORMALIZED, space=space))

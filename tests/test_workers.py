@@ -1,7 +1,7 @@
 """One image, or one training batch, on several threads.
 
 ``denoise_raw``'s cores, ``run_isp``'s row bands, SSIM's row bands and
-``make_pair_batch``'s patches are tasks that ``core._map`` runs on
+``make_pair_batch``'s patches are tasks that ``core._map`` runs on at most
 ``core._WORKERS`` threads, as are ``score_pairs``' ground-truth groups
 when they fill those CPUs; a ``_map`` inside a task runs inline.  The
 bytes and scores must not depend on the worker count or on OpenBLAS's
@@ -71,22 +71,24 @@ def per_worker_count(monkeypatch, run):
     return outputs
 
 
-def test_map_keeps_input_order():
+def test_map_keeps_input_order(monkeypatch):
     for workers in (1, 2, 5):
-        assert core._map(lambda x: x * x, range(9), workers) == [x * x for x in range(9)]
-    assert core._map(lambda x: x, [], 4) == []
+        monkeypatch.setattr(core, "_WORKERS", workers)
+        assert core._map(lambda x: x * x, range(9)) == [x * x for x in range(9)]
+    assert core._map(lambda x: x, []) == []
 
 
-def test_map_inside_a_task_runs_inline():
+def test_map_inside_a_task_runs_inline(monkeypatch):
     # each inner call runs on its outer task's thread: pools do not nest
     def task(_):
         outer = threading.current_thread()
-        return core._map(lambda y: threading.current_thread() is outer, range(3), 4)
+        return core._map(lambda y: threading.current_thread() is outer, range(3))
 
-    assert core._map(task, range(2), 2) == [[True] * 3] * 2
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    assert core._map(task, range(2)) == [[True] * 3] * 2
 
 
-def test_map_runs_tasks_at_once():
+def test_map_runs_tasks_at_once(monkeypatch):
     # both tasks must be in flight together, or the barrier times out
     barrier = threading.Barrier(2, timeout=10)
 
@@ -94,10 +96,11 @@ def test_map_runs_tasks_at_once():
         barrier.wait()
         return x
 
-    assert core._map(task, [1, 2], 2) == [1, 2]
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    assert core._map(task, [1, 2]) == [1, 2]
 
 
-def test_map_raises_the_first_error_in_input_order_and_starts_no_more():
+def test_map_raises_the_first_error_in_input_order_and_starts_no_more(monkeypatch):
     # item 1 fails first in time, item 0 first in input order; after them
     # no item starts
     failed, started = threading.Event(), []
@@ -112,8 +115,9 @@ def test_map_raises_the_first_error_in_input_order_and_starts_no_more():
             raise ValueError(x)
         return x
 
+    monkeypatch.setattr(core, "_WORKERS", 2)
     with pytest.raises(ValueError):
-        core._map(task, range(6), 2)
+        core._map(task, range(6))
     assert sorted(started) == [0, 1]
 
 
@@ -347,11 +351,11 @@ def test_bench_csvs_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypat
     assert outputs.count(outputs[0]) == 3
 
 
-def score_pairs_input(tmp_path):
-    """One prediction for each of two ground truths: two groups."""
+def score_pairs_input(tmp_path, groups=2):
+    """One prediction for each of ``groups`` ground truths."""
     rng = np.random.default_rng(2)
     pairs = []
-    for g in range(2):
+    for g in range(groups):
         gt = rng.integers(2000, 14000, (1024, 1024)).astype(np.uint16)
         write_frame(make_frame(gt), tmp_path / f"g{g}.rawb")
         write_frame(make_frame(np.clip(gt + rng.normal(0, 30, gt.shape), 0, WHITE)
@@ -446,8 +450,9 @@ def test_score_pairs_pools_do_not_nest(monkeypatch, tmp_path):
     assert most[0] <= 2 and len(threads) <= 2
 
 
-# (core._WORKERS, threads, ground truths scored at once)
-@pytest.mark.parametrize("workers, threads, at_once", [(1, 2, 2), (2, 2, 2), (2, 1, 1),
+# (core._WORKERS, threads, ground truths scored at once): threads=2 on one
+# CPU scores one ground truth at a time
+@pytest.mark.parametrize("workers, threads, at_once", [(1, 2, 1), (2, 2, 2), (2, 1, 1),
                                                        (3, 2, 1)])
 def test_score_pairs_runs_groups_at_once_only_on_every_cpu(monkeypatch, tmp_path, workers,
                                                            threads, at_once):
@@ -467,3 +472,25 @@ def test_score_pairs_runs_groups_at_once_only_on_every_cpu(monkeypatch, tmp_path
     harness.score_pairs(score_pairs_input(tmp_path), "dev", threads=threads)
     assert len({thread for thread, _ in seen}) == at_once
     assert [in_task for _, in_task in seen] == [at_once > 1] * 2
+
+
+def test_score_pairs_holds_no_more_ground_truths_than_cpus(monkeypatch, tmp_path):
+    # threads=3 over three ground truths on two CPUs: the groups are _map
+    # tasks on two threads, so at most two ground truths are held at once.
+    # The first two meet at the barrier, so both threads score a group.
+    prepare, lock, gate, seen = (metrics.prepare_reference, threading.Lock(),
+                                 threading.Barrier(2, timeout=10), [])
+
+    def gated_prepare(*args):
+        with lock:
+            seen.append((threading.current_thread(), getattr(core._in_map, "task", False)))
+            first_two = len(seen) <= 2
+        if first_two:
+            gate.wait()
+        return prepare(*args)
+
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    monkeypatch.setattr(harness, "prepare_reference", gated_prepare)
+    harness.score_pairs(score_pairs_input(tmp_path, groups=3), "dev", threads=3)
+    assert len({thread for thread, _ in seen}) == 2
+    assert [in_task for _, in_task in seen] == [True] * 3
