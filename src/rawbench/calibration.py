@@ -41,6 +41,7 @@ from .core import (
     _check_finite,
     _check_levels,
     _json_number,
+    _json_string,
     _meta_kwargs,
     crop_frame,
     interleave_rggb,
@@ -362,7 +363,8 @@ def save_profile(profile: SensorProfile, json_path) -> None:
 def load_profile(json_path) -> SensorProfile:
     """Load a profile saved by :func:`save_profile`; a missing or malformed
     field raises ProfileError naming the file.  The levels and noise
-    parameters must be JSON numbers and the sidecar paths strings."""
+    parameters must be JSON numbers, ``camera_id`` and the sidecar paths
+    strings, and the ROI fields integers."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
@@ -374,7 +376,7 @@ def load_profile(json_path) -> SensorProfile:
         for b in black if isinstance(black, list) else [black]:
             _json_number("black_level", b)
         profile = SensorProfile(
-            camera_id=doc["camera_id"],
+            camera_id=_json_string("camera_id", doc["camera_id"]),
             black_level=np.asarray(black, dtype=np.float64),
             white_level=float(_json_number("white_level", doc["white_level"])),
             effective_roi=Roi(**doc["effective_roi"]),
@@ -389,7 +391,7 @@ def load_profile(json_path) -> SensorProfile:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ProfileError(f"{json_path}: malformed profile ({exc})") from exc
     except (DimensionError, ProfileError) as exc:
-        raise type(exc)(f"{json_path}: {exc}") from exc
+        raise ProfileError(f"{json_path}: {exc}") from exc
     base = json_path.parent
     for iso, entry in isos.items():
         shading = entry.get("dark_shading_path")

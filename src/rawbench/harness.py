@@ -92,6 +92,8 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     seen_ids = set()
     for i, raw in enumerate(raw_entries):
         where = f"{path}: entry {i}"
+        if not isinstance(raw, dict):
+            raise ManifestError(f"{where}: expected a JSON object, got {type(raw).__name__}")
         try:
             gt_path = raw.get("gt_path")
             entry = ManifestEntry(

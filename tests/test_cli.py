@@ -224,7 +224,8 @@ def test_validation_error_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("doc", [[], {"phase": "dev", "entries": 5}], ids=["list", "entries-int"])
+@pytest.mark.parametrize("doc", [[], {"phase": "dev", "entries": 5}, {"entries": [5]}],
+                         ids=["list", "entries-int", "entry-int"])
 def test_bench_malformed_manifest_exits_2(tmp_path, capsys, doc):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rawbench.core import (
     PackedImage,
@@ -27,11 +28,14 @@ from rawbench.core import (
     write_frame,
     write_packed,
     write_rgb,
+    _META,
     _read_image,
 )
 from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError
 
-from conftest import BLACK, WHITE, make_frame
+from rawbench.synth import BatchConfig, make_pair_batch
+
+from conftest import BLACK, WHITE, make_frame, make_profile
 
 
 def pack_oracle(data):
@@ -253,6 +257,16 @@ class TestCrop:
         with pytest.raises(DimensionError):
             crop_frame(make_frame(np.zeros((4, 4), dtype=np.uint16)), Roi(2, 0, 4, 4))
 
+    @pytest.mark.parametrize("field, value", [("x0", 0.0), ("w", 8.0), ("h", True), ("y0", "2")])
+    def test_roi_fields_are_integers(self, field, value):
+        # a float ROI used to be accepted and slice with float offsets
+        with pytest.raises(DimensionError, match=f"Roi.{field} must be an integer, got {value!r}"):
+            Roi(**{"x0": 0, "y0": 0, "w": 4, "h": 4, field: value})
+
+    def test_roi_takes_numpy_integers(self):
+        # offsets worked out with numpy arithmetic stay usable
+        assert Roi(np.int64(2), np.int32(0), np.int64(8), 6) == Roi(2, 0, 8, 6)
+
 
 class TestRawbIO:
     def test_u16_roundtrip_byte_identical(self, tmp_path):
@@ -464,6 +478,80 @@ class TestImageRule:
         assert str(err.value).startswith(f"{path}: ")
 
 
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+
+
+@st.composite
+def checked_frames(draw):
+    """A u16 or f32 mosaic of 4x4 to 8x8 with 0, subnormals and the f32
+    maximum among its values, and black levels from 0 to white - 1."""
+    dtype = draw(st.sampled_from([np.uint16, np.float32]))
+    shape = (2 * draw(st.integers(2, 4)), 2 * draw(st.integers(2, 4)))
+    if dtype == np.uint16:
+        values = st.integers(0, 65535)
+    else:
+        values = st.sampled_from([0.0, _F32_TINY, _F32_MAX]) | st.floats(0.0, _F32_MAX, width=32)
+    white = draw(st.integers(1, 65535))
+    return RawFrame(data=draw(arrays(dtype, shape, elements=values)),
+                    black_level=draw(st.lists(st.integers(0, white - 1), min_size=4, max_size=4)),
+                    white_level=white, camera_id="camZ", iso=draw(st.integers(0, 25600)),
+                    exposure_s=draw(st.none() | st.floats(0.0, 1.0)))
+
+
+def assert_built_as(got, want):
+    """``got`` has ``want``'s type and fields, byte for byte, and passes the
+    image check: rebuilding it through its constructor changes nothing."""
+    assert type(got) is type(want) and vars(got).keys() == vars(want).keys()
+    rebuilt = type(got)(**vars(got))
+    for image in (want, rebuilt):
+        for name, value in vars(image).items():
+            mine = getattr(got, name)
+            if isinstance(value, np.ndarray):
+                assert (mine.dtype, mine.shape, mine.tobytes()) == \
+                    (value.dtype, value.shape, value.tobytes()), name
+            else:
+                assert (type(mine), mine) == (type(value), value), name
+
+
+class TestUncheckedSites:
+    """crop_frame, pack_rggb, normalize and make_pair_batch build their image
+    from a checked one without scanning it again; it is the image the
+    checked constructors build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame=checked_frames(), clip_hi=st.sampled_from([1.0, 2.0]), data=st.data())
+    def test_each_site_builds_the_checked_image(self, frame, clip_hi, data):
+        h, w = frame.height, frame.width
+        y0 = 2 * data.draw(st.integers(0, h // 2 - 1))
+        x0 = 2 * data.draw(st.integers(0, w // 2 - 1))
+        rh = 2 * data.draw(st.integers(1, (h - y0) // 2))
+        rw = 2 * data.draw(st.integers(1, (w - x0) // 2))
+        assert_built_as(crop_frame(frame, Roi(x0, y0, rw, rh)),
+                        replace(frame, data=frame.data[y0 : y0 + rh, x0 : x0 + rw]))
+
+        meta = {name: getattr(frame, name) for name in _META}
+        planes = split_rggb(frame.data)
+        assert_built_as(pack_rggb(frame), PackedImage(channels=planes, space=SPACE_DN, **meta))
+
+        black = frame.black_level[:, None, None]
+        span = frame.white_level - black
+        norm = np.clip((planes.astype(np.float64) - black) / span, 0.0, clip_hi)
+        want = PackedImage(channels=norm, space=SPACE_NORMALIZED, clip_hi=clip_hi, **meta)
+        assert_built_as(normalize(frame, clip_hi), want)
+        above = PackedImage(channels=planes - black, space=SPACE_DN_ABOVE_BLACK, **meta)
+        assert_built_as(normalize(above, clip_hi),
+                        replace(want, channels=np.clip(above.channels / span, 0.0, clip_hi)))
+
+        sampler = BatchConfig(iso_choices=(800,), dgain_choices=(1.0,), clip_hi=clip_hi)
+        for _, clean in make_pair_batch([frame], make_profile(), sampler, 2, 2, 0):
+            ph, pw = want.plane_height, want.plane_width
+            windows = [want.channels[:, y : y + 2, x : x + 2] for y in range(ph - 1)
+                       for x in range(pw - 1)]
+            window = next(c for c in windows if c.tobytes() == clean.channels.tobytes())
+            assert_built_as(clean, replace(want, channels=window))
+
+
 def read_mosaic_or_rggb(path):
     """The reader ``rawbench isp`` uses: the file's header decides the type."""
     return _read_image(path, "mosaic", "rggb")
@@ -616,6 +704,21 @@ class TestMalformedBlobs:
         # a level that parses but breaks the image rule names the file too
         with pytest.raises((FormatError, ProfileError), match="h.rawb"):
             read_frame(path)
+
+    @pytest.mark.parametrize("camera_id", [None, 7])
+    @pytest.mark.parametrize("layout, reader", [("mosaic", read_frame), ("rggb", read_packed)])
+    def test_camera_id_must_be_a_string(self, tmp_path, camera_id, layout, reader):
+        # read_frame used to return camera_id=None for null and 7 for 7
+        header = {"magic": "RAWB1", "width": 2, "height": 2, "channels": 1, "dtype": "u16",
+                  "layout": layout, "space": "dn", "black_level": [0.0] * 4,
+                  "white_level": 100.0, "camera_id": camera_id}
+        if layout == "rggb":
+            header["channels"] = 4
+        path = tmp_path / "h.rawb"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + bytes(8 * header["channels"]))
+        with pytest.raises(FormatError, match=f"h.rawb: .*camera_id must be a string, "
+                                              f"got {camera_id!r}"):
+            reader(path)
 
     def test_missing_level_field_raises_format_error(self, tmp_path):
         path = tmp_path / "h.rawb"

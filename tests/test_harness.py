@@ -125,7 +125,10 @@ class TestLoadManifest:
         ([], "expected a JSON object, got list"),
         ({"phase": "dev", "entries": 5}, "'entries' must be a list, got int"),
         ({"phase": "dev", "entries": {"image_id": "img1"}}, "'entries' must be a list, got dict"),
-    ], ids=["list", "entries-int", "entries-dict"])
+        # an entry of 5 used to end in an AttributeError from raw.get
+        ({"phase": "dev", "entries": [5]}, "entry 0: expected a JSON object, got int"),
+        ({"phase": "dev", "entries": [[]]}, "entry 0: expected a JSON object, got list"),
+    ], ids=["list", "entries-int", "entries-dict", "entry-int", "entry-list"])
     def test_malformed_top_level_names_the_file(self, tmp_path, doc, match):
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))

@@ -12,7 +12,9 @@ Each concept has one source: budget totals come from ``build_report``, the
 denoiser's core side from ``denoise._CORE`` and the scoring phases from
 ``metrics._CROP_SIDES``, the thread count from ``core._map`` and the
 value-space precondition from ``core._check_space``, and the package's
-count of settable values is pinned.
+count of settable values is pinned.  Only four functions build an image
+without its check (``core._unchecked``), and no module imports a name it
+never uses.
 """
 
 import argparse
@@ -192,6 +194,41 @@ def test_core_alone_sets_threads_and_checks_spaces():
     assert workers == {"core.py", "harness.py"}
     assert map_arities == {2}
     assert space_raises == {"core.py"}
+
+
+def test_unchecked_images_are_built_at_four_sites():
+    # an image skips _check_image only where it is made from a checked image
+    # by a step that keeps the rule; every other image is checked when built
+    sites = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "_unchecked" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    sites.add((path.name, getattr(top, "name", "<module>")))
+    assert sites == {("core.py", "crop_frame"), ("core.py", "pack_rggb"),
+                     ("core.py", "normalize"), ("synth.py", "make_pair_batch")}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__.py is exempt: its imports are the package's public names
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line}: {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []
 
 
 _NORMALIZED = _img()
