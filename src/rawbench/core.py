@@ -9,19 +9,11 @@ normalized to [0, clip_hi].  The CFA is RGGB by definition; there is no
 pattern field to get wrong.  ``normalize`` takes a mosaic as well as
 planes, and a crop is taken on the mosaic with ``crop_frame``.
 
-Both types follow one image-level rule (``_check_image``): 0 <= black <
-white, white finite, and float data finite (mosaics also >= 0).  An image is
-checked where its values enter the package: when a caller builds it (also
-by ``dataclasses.replace``) and when a RAWB file is read, where the reader
-only puts the file's path in front of an error.  Four functions build their
-result from a checked image by a step that keeps the rule, so they skip the
-scan (``_unchecked``): ``crop_frame`` (a view of the mosaic), ``pack_rggb``
-(a copy of its CFA phases), ``normalize`` (finite (x - black) / span,
-clipped into [0, clip_hi]) and ``synth.make_pair_batch`` (views of
-normalized planes).  Every other image the package builds is checked.  An
-image's arrays must therefore not be written after it is built; the RAWB
-readers return them read-only.  Functions taking images do not repeat the
-checks.
+Both types enforce one image-level rule when built (including by
+``dataclasses.replace``): 0 <= black < white, white finite, ``camera_id`` a
+string, and float data finite (mosaics also >= 0).  Functions taking them
+therefore do not repeat the checks, and the RAWB readers only put the file's
+path in front of an error.
 
 All arithmetic is done in float64; storage is u16 (DN) or f32.  Every
 operation is pure and returns new arrays, so values are safe to share
@@ -191,10 +183,12 @@ def _check_clip_hi(clip_hi) -> float:
 
 def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     """The one image-level rule of RawFrame and PackedImage: the levels pass
-    ``_check_levels``, the ISO ``_check_iso``, ``exposure_s`` is None or
-    finite and >= 0, and float data are finite (and >= 0 when
-    ``nonnegative``).  Stores the checked levels, and the ISO as an int."""
+    ``_check_levels``, ``camera_id`` is a string, the ISO passes
+    ``_check_iso``, ``exposure_s`` is None or finite and >= 0, and float data
+    are finite (and >= 0 when ``nonnegative``).  Stores the checked levels,
+    and the ISO as an int."""
     black, white = _check_levels(img.black_level, img.white_level)
+    _json_string("camera_id", img.camera_id)
     iso = _check_iso("iso", img.iso)
     if img.exposure_s is not None:
         _check_finite("exposure_s", img.exposure_s, positive=False, error=DomainError)
@@ -206,15 +200,6 @@ def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     object.__setattr__(img, "black_level", black)
     object.__setattr__(img, "white_level", white)
     object.__setattr__(img, "iso", iso)
-
-
-def _unchecked(cls, **fields):
-    """An image of ``cls`` with ``fields`` set as given and ``_check_image``
-    not run: for the sites that build it from a checked image by a step that
-    keeps the rule (see the module docstring)."""
-    img = object.__new__(cls)
-    img.__dict__.update(fields)
-    return img
 
 
 def _check_space(where: str, *spaces: str, **images: PackedImage) -> None:
@@ -332,8 +317,7 @@ def pack_rggb(frame: RawFrame) -> PackedImage:
     channels[R][i][j] = data[2i][2j], Gr = data[2i][2j+1],
     Gb = data[2i+1][2j], B = data[2i+1][2j+1].  Packing never subtracts black.
     """
-    return _unchecked(PackedImage, channels=split_rggb(frame.data), space=SPACE_DN,
-                      clip_hi=1.0, **_meta_kwargs(frame))
+    return PackedImage(channels=split_rggb(frame.data), space=SPACE_DN, **_meta_kwargs(frame))
 
 
 def _rggb_views(mosaic: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -384,7 +368,6 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     the scaling applies.  A RawFrame's CFA views are cast straight into the
     float64 planes, with the bytes of ``normalize(pack_rggb(frame))``.
     """
-    clip_hi = _check_clip_hi(clip_hi)
     black = img.black_level
     if isinstance(img, RawFrame):
         src, shape = _rggb_views(img.data), (4, img.height // 2, img.width // 2)
@@ -401,8 +384,8 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     span = img.white_level - img.black_level
     out /= span[:, None, None]
     np.clip(out, 0.0, clip_hi, out=out)
-    return _unchecked(PackedImage, channels=out, space=SPACE_NORMALIZED, clip_hi=clip_hi,
-                      **_meta_kwargs(img))
+    return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi),
+                       **_meta_kwargs(img))
 
 
 def denormalize(img: PackedImage) -> PackedImage:
@@ -425,7 +408,7 @@ def crop_frame(frame: RawFrame, roi: Roi) -> RawFrame:
             f"roi {roi} does not fit frame {frame.width}x{frame.height}"
         )
     data = frame.data[roi.y0 : roi.y0 + roi.h, roi.x0 : roi.x0 + roi.w]
-    return _unchecked(RawFrame, data=data, **_meta_kwargs(frame))
+    return replace(frame, data=data)
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +504,6 @@ def _read_image(path, *layouts: str) -> RawFrame | PackedImage:
     header, data = _read_rawb(path, *layouts)
     meta = {name: header[name] for name in _META if name in header}
     try:
-        if "camera_id" in meta:
-            _json_string("camera_id", meta["camera_id"])
         if header["layout"] == "mosaic":
             return RawFrame(data=data, **meta)
         return PackedImage(channels=data, space=header.get("space", SPACE_DN),

@@ -39,7 +39,6 @@ from .core import (
     _check_finite,
     _check_iso,
     _check_space,
-    _unchecked,
     normalize,
 )
 from .errors import DimensionError, DomainError, ProfileError
@@ -305,8 +304,10 @@ def make_pair_batch(
             dgain = float(rng.uniform(lo, hi))
         y0 = int(rng.integers(h - patch + 1))
         x0 = int(rng.integers(w - patch + 1))
-        window = planes.channels[:, y0 : y0 + patch, x0 : x0 + patch]
-        clean_patch = _unchecked(PackedImage, **{**vars(planes), "channels": window})
+        clean_patch = replace(
+            planes,
+            channels=planes.channels[:, y0 : y0 + patch, x0 : x0 + patch],
+        )
         seed = int(rng.integers(np.iinfo(np.int64).max))
         cfg = SynthConfig(iso=iso, dgain=dgain, seed=seed, **knobs)
         return synthesize_noisy(clean_patch, profile, cfg), clean_patch

@@ -12,9 +12,8 @@ Each concept has one source: budget totals come from ``build_report``, the
 denoiser's core side from ``denoise._CORE`` and the scoring phases from
 ``metrics._CROP_SIDES``, the thread count from ``core._map`` and the
 value-space precondition from ``core._check_space``, and the package's
-count of settable values is pinned.  Only four functions build an image
-without its check (``core._unchecked``), and no module imports a name it
-never uses.
+count of settable values is pinned, and no module imports a name it never
+uses.
 """
 
 import argparse
@@ -194,20 +193,6 @@ def test_core_alone_sets_threads_and_checks_spaces():
     assert workers == {"core.py", "harness.py"}
     assert map_arities == {2}
     assert space_raises == {"core.py"}
-
-
-def test_unchecked_images_are_built_at_four_sites():
-    # an image skips _check_image only where it is made from a checked image
-    # by a step that keeps the rule; every other image is checked when built
-    sites = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "_unchecked" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    sites.add((path.name, getattr(top, "name", "<module>")))
-    assert sites == {("core.py", "crop_frame"), ("core.py", "pack_rggb"),
-                     ("core.py", "normalize"), ("synth.py", "make_pair_batch")}
 
 
 def test_no_module_imports_a_name_it_never_uses():
