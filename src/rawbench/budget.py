@@ -18,9 +18,10 @@ MAC count is exactly equal at stride 1: each of the N^2 sub-tensors has
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .core import _check_int
 from .errors import SpecError
 
 MAX_PARAMS = 15_000_000          # inclusive bound
@@ -44,10 +45,8 @@ class LayerSpec:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown layer kind {self.kind!r}")
         for name in ("in_ch", "out_ch", "kernel", "stride", "period_n"):
-            value = getattr(self, name)
-            # exact ints: 8.0, "8", True or NaN is not a channel count
-            if type(value) is not int or value < 1:
-                raise SpecError(f"{name} must be an integer >= 1, got {value!r}")
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum=1,
+                                                      error=SpecError))
         if type(self.bias) is not bool:
             raise SpecError(f"bias must be true or false, got {self.bias!r}")
         if self.kind == "depthwise" and self.in_ch != self.out_ch:
@@ -169,11 +168,11 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
         input_shape = doc.get("input", REFERENCE_INPUT)
     else:
         raise SpecError(f"{path}: expected a layer list or an object with a 'layers' list")
-    if not isinstance(input_shape, (list, tuple)) or len(input_shape) != 4 or any(
-        type(v) is not int for v in input_shape
-    ):
+    if not isinstance(input_shape, (list, tuple)) or len(input_shape) != 4:
         raise SpecError(f"{path}: input shape must be 4 integers (N, C, H, W), got {input_shape!r}")
-    allowed = {"kind", "in_ch", "out_ch", "kernel", "stride", "bias", "period_n"}
+    input_shape = tuple(_check_int(f"{path}: input[{i}]", v, minimum=1, error=SpecError)
+                        for i, v in enumerate(input_shape))
+    allowed = {f.name for f in fields(LayerSpec)}
     layers = []
     for i, entry in enumerate(layers_doc):
         if not isinstance(entry, dict) or "kind" not in entry:
@@ -185,4 +184,4 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
             layers.append(LayerSpec(**entry))
         except SpecError as exc:
             raise SpecError(f"{path}: layer {i}: {exc}") from exc
-    return layers, ensemble, tuple(input_shape)
+    return layers, ensemble, input_shape

@@ -40,7 +40,6 @@ from .core import (
     SPACE_DN_ABOVE_BLACK,
     _check_finite,
     _check_levels,
-    _json_number,
     _json_string,
     _meta_kwargs,
     crop_frame,
@@ -56,10 +55,13 @@ from .errors import (
     ProfileError,
 )
 
+_BAND_AXES = ("row", "col")
+
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Per-ISO noise model: gain K (DN/e-), read/row sigmas (DN), quant step (DN)."""
+    """Per-ISO noise model: gain K (DN/e-), read/row sigmas (DN), quant step
+    (DN), each stored as the float ``core._check_finite`` returns."""
 
     K: float
     sigma_read: float
@@ -67,12 +69,14 @@ class NoiseParams:
     quant_step: float = 1.0
 
     def __post_init__(self):
-        _check_finite("system gain K", self.K, positive=True, error=ProfileError)
+        object.__setattr__(self, "K", _check_finite("system gain K", self.K, positive=True,
+                                                    error=ProfileError))
         # effective_pg_params squares these
         for name in ("sigma_read", "sigma_row", "quant_step"):
             value = _check_finite(name, getattr(self, name), positive=False, error=ProfileError)
             if not np.isfinite(value * value):
                 raise ProfileError(f"{name} must have a finite square, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -187,8 +191,9 @@ def estimate_read_noise(
 
 
 def _check_band_axis(band_axis: str) -> None:
-    if band_axis not in ("row", "col"):
-        raise ValueError(f"band_axis must be 'row' or 'col', got {band_axis!r}")
+    if band_axis not in _BAND_AXES:
+        raise ValueError(f"band_axis must be {' or '.join(map(repr, _BAND_AXES))}, "
+                         f"got {band_axis!r}")
 
 
 def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, float]:
@@ -296,7 +301,7 @@ def build_profile(
             band_axis,
         )
         if iso in provided_gains:
-            gain = float(provided_gains[iso])
+            gain = provided_gains[iso]
         elif iso in ptc_points_by_iso:
             gain, _ = estimate_system_gain(ptc_points_by_iso[iso])
         else:
@@ -372,16 +377,13 @@ def load_profile(json_path) -> SensorProfile:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
     try:
         isos = {int(iso): entry for iso, entry in doc["isos"].items()}
-        black = doc["black_level"]
-        for b in black if isinstance(black, list) else [black]:
-            _json_number("black_level", b)
         profile = SensorProfile(
             camera_id=_json_string("camera_id", doc["camera_id"]),
-            black_level=np.asarray(black, dtype=np.float64),
-            white_level=float(_json_number("white_level", doc["white_level"])),
+            black_level=doc["black_level"],
+            white_level=doc["white_level"],
             effective_roi=Roi(**doc["effective_roi"]),
             iso_params={
-                iso: NoiseParams(**{f.name: float(_json_number(f.name, entry[f.name]))
+                iso: NoiseParams(**{f.name: entry[f.name]
                                     for f in fields(NoiseParams) if f.name in entry})
                 for iso, entry in isos.items()
             },

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import budget as budget_mod
 from . import calibration, core, harness, isp, ranking, synth
-from .denoise import DenoiseConfig, denoise_raw, effective_pg_params
+from .denoise import _TRANSFORMS, DenoiseConfig, denoise_raw, effective_pg_params
 from .errors import DataError, MissingDataError, RawBenchError
 from .harness import _csv_value, _read_csv
 
@@ -40,12 +40,9 @@ def _values(form: str, sep: str, count: int | None, convert):
 def _threads(text: str) -> int:
     """An argparse ``type`` for --threads: an integer of at least 1."""
     try:
-        threads = int(text)
+        return core._check_int("threads", int(text), minimum=1, error=ValueError)
     except ValueError:
-        threads = 0
-    if threads < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return threads
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}") from None
 
 
 def _iso_gain(text: str) -> tuple[int, float]:
@@ -241,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gains", type=_values("iso=gain,...", ",", None, _iso_gain),
                    help="provided gains, e.g. 800=0.8,1600=1.6")
     p.add_argument("--ptc-csv", default=None, help="CSV iso,mean,variance for gain fitting")
-    p.add_argument("--band-axis", choices=("row", "col"), default="row")
+    p.add_argument("--band-axis", choices=calibration._BAND_AXES, default="row")
     p.set_defaults(func=_cmd_calibrate)
 
     p = sub.add_parser("synth", help="synthesize noisy/clean training pairs")
@@ -267,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", required=True)
     p.add_argument("--iso", type=int, required=True)
     p.add_argument("--dgain", type=float, default=1.0)
-    p.add_argument("--transform", choices=("gat", "ksigma", "none"), default="gat")
+    p.add_argument("--transform", choices=_TRANSFORMS, default="gat")
     p.add_argument("--sigma-dn", type=float, default=None, help="DN sigma for transform=none")
     p.add_argument("--threshold", type=float, default=3.0)
     p.add_argument("--out", required=True)
@@ -278,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--wb", type=_wb, default="gray-world", help="'gray-world' or r,g,b gains")
-    p.add_argument("--gamma", choices=("srgb", "none"), default="srgb")
+    p.add_argument("--gamma", choices=isp._GAMMAS, default="srgb")
     p.set_defaults(func=_cmd_isp)
 
     p = sub.add_parser("eval", help="PSNR/SSIM over prediction/ground-truth directories")

@@ -9,11 +9,14 @@ normalized to [0, clip_hi].  The CFA is RGGB by definition; there is no
 pattern field to get wrong.  ``normalize`` takes a mosaic as well as
 planes, and a crop is taken on the mosaic with ``crop_frame``.
 
-Both types enforce one image-level rule when built (including by
-``dataclasses.replace``): 0 <= black < white, white finite, ``camera_id`` a
-string, and float data finite (mosaics also >= 0).  Functions taking them
-therefore do not repeat the checks, and the RAWB readers only put the file's
-path in front of an error.
+Every number the package takes, from a caller or a file, passes one of two
+rules: ``_check_number`` (a Python or numpy int or float, never a bool or a
+string) or ``_check_int`` (such an int only, >= a minimum).  Both image types
+enforce one rule when built (including by ``dataclasses.replace``):
+0 <= black < white, white finite, ``camera_id`` a string, and float data
+finite (mosaics also >= 0).  Functions taking them therefore do not repeat
+the checks, and the RAWB readers only put the file's path in front of an
+error.
 
 All arithmetic is done in float64; storage is u16 (DN) or f32.  Every
 operation is pure and returns new arrays, so values are safe to share
@@ -119,7 +122,11 @@ def _map(fn, items) -> list:
 
 
 def _as_black_level(black_level) -> np.ndarray:
-    """Broadcast a scalar black level to the 4 CFA positions (R, Gr, Gb, B)."""
+    """Broadcast a scalar black level to the 4 CFA positions (R, Gr, Gb, B);
+    a scalar, or each element of a list or tuple, must be a number."""
+    if not isinstance(black_level, np.ndarray):
+        for b in black_level if isinstance(black_level, (list, tuple)) else (black_level,):
+            _check_number("black_level", b)
     arr = np.asarray(black_level, dtype=np.float64)
     if arr.ndim == 0:
         arr = np.full(4, float(arr))
@@ -132,20 +139,29 @@ def _as_black_level(black_level) -> np.ndarray:
 _META = ("black_level", "white_level", "camera_id", "iso", "exposure_s")
 
 
+def _check_number(name, value):
+    """The number rule: a Python or numpy int or float, never a bool, a string
+    or None.  Returns it; otherwise raises TypeError naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _check_int(name, value, *, minimum, error) -> int:
+    """The integer rule: a Python or numpy int, never a bool, >= ``minimum``.
+    Returns it as an int; otherwise raises ``error`` naming the setting."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise error(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_finite(name, value, *, positive, error) -> float:
-    """The rule for one numeric setting: finite and > 0 (``positive``) or >= 0.
-    Returns it as a float; otherwise raises ``error`` naming the setting and value."""
-    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+    """The rule for one numeric setting: a number (``_check_number``), finite
+    and > 0 (``positive``) or >= 0.  Returns it as a float; otherwise raises
+    ``error`` naming the setting and value."""
+    if not (np.isfinite(_check_number(name, value)) and (value > 0 if positive else value >= 0)):
         raise error(f"{name} must be finite and {'>' if positive else '>='} 0, got {value}")
     return float(value)
-
-
-def _json_number(field, value):
-    """A numeric field as JSON gives it: a number, never a string or a bool
-    to coerce.  Returns it; otherwise raises TypeError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{field} must be a number, got {value!r}")
-    return value
 
 
 def _json_string(field, value) -> str:
@@ -168,7 +184,7 @@ def _check_levels(black_level, white_level) -> tuple[np.ndarray, float]:
     """The level rule of images and sensor profiles: 0 <= black < white, with
     white finite.  Returns the levels as a float64 4-vector and a float."""
     black = _as_black_level(black_level)
-    white = _check_finite("white_level", float(white_level), positive=True, error=ProfileError)
+    white = _check_finite("white_level", white_level, positive=True, error=ProfileError)
     if not np.all((black >= 0) & (black < white)):
         raise ProfileError(
             f"black_level must satisfy 0 <= black < white, got {black} vs white={white}"
@@ -289,7 +305,7 @@ class PackedImage:
 class Roi:
     """Mosaic-domain rectangle with even offsets/extents (preserves CFA phase).
 
-    The fields are integers (Python or numpy, never a float or a bool)."""
+    The fields pass ``_check_int`` and are stored as ints."""
 
     x0: int
     y0: int
@@ -298,11 +314,10 @@ class Roi:
 
     def __post_init__(self):
         for name in ("x0", "y0", "w", "h"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise DimensionError(f"Roi.{name} must be an integer, got {v!r}")
-            if v < 0 or v % 2:
-                raise DimensionError(f"Roi.{name} must be even and >= 0, got {v}")
+            v = _check_int(f"Roi.{name}", getattr(self, name), minimum=0, error=DimensionError)
+            if v % 2:
+                raise DimensionError(f"Roi.{name} must be even, got {v}")
+            object.__setattr__(self, name, v)
         if self.w == 0 or self.h == 0:
             raise DimensionError("Roi extents must be non-zero")
 
@@ -368,6 +383,7 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     the scaling applies.  A RawFrame's CFA views are cast straight into the
     float64 planes, with the bytes of ``normalize(pack_rggb(frame))``.
     """
+    clip_hi = _check_clip_hi(clip_hi)
     black = img.black_level
     if isinstance(img, RawFrame):
         src, shape = _rggb_views(img.data), (4, img.height // 2, img.width // 2)
@@ -384,7 +400,7 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     span = img.white_level - img.black_level
     out /= span[:, None, None]
     np.clip(out, 0.0, clip_hi, out=out)
-    return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=float(clip_hi),
+    return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=clip_hi,
                        **_meta_kwargs(img))
 
 
@@ -473,16 +489,12 @@ def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:
     tag = header.get("dtype")
     if not isinstance(tag, str) or tag not in _RAWB_DTYPES:
         raise FormatError(f"{path}: unknown dtype {tag!r}")
-    try:
-        w, h, c = int(header["width"]), int(header["height"]), int(header["channels"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: incomplete header ({exc})") from exc
+    w, h, c = (_check_int(f"{path}: {key}", header.get(key), minimum=0, error=FormatError)
+               for key in ("width", "height", "channels"))
     layout = header.get("layout")
     if layout not in layouts or c != _RAWB_CHANNELS[layout]:
         wanted = " or ".join(f"{name} ({_RAWB_CHANNELS[name]} ch)" for name in layouts)
         raise FormatError(f"{path}: layout {layout!r} with {c} channels, expected {wanted}")
-    if w < 0 or h < 0:
-        raise FormatError(f"{path}: negative size {w}x{h}")
     expected = w * h * c * _RAWB_DTYPES[tag].itemsize
     if payload != expected:
         raise FormatError(
@@ -507,7 +519,7 @@ def _read_image(path, *layouts: str) -> RawFrame | PackedImage:
         if header["layout"] == "mosaic":
             return RawFrame(data=data, **meta)
         return PackedImage(channels=data, space=header.get("space", SPACE_DN),
-                           clip_hi=float(header.get("clip_hi", 1.0)), **meta)
+                           clip_hi=header.get("clip_hi", 1.0), **meta)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad image metadata ({exc})") from exc
     except (DimensionError, DomainError, ProfileError) as exc:

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import core
-from .core import _check_finite, _check_iso, _json_number, _json_string, _map, read_frame
+from .core import _check_finite, _check_int, _check_iso, _json_string, _map, read_frame
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -100,9 +100,9 @@ def load_manifest(path, strict: bool = False) -> Manifest:
                 image_id=_json_string("image_id", raw["image_id"]),
                 camera=_json_string("camera", raw.get("camera", "")),
                 scene_type=_json_string("scene_type", raw["scene_type"]),
-                iso=_check_iso("iso", _json_number("iso", raw["iso"])),
-                dgain=_check_finite("dgain", _json_number("dgain", raw.get("dgain", 1.0)),
-                                    positive=True, error=DomainError),
+                iso=_check_iso("iso", raw["iso"]),
+                dgain=_check_finite("dgain", raw.get("dgain", 1.0), positive=True,
+                                    error=DomainError),
                 noisy_path=_json_string("noisy_path", raw["noisy_path"]),
                 gt_path=None if gt_path is None else _json_string("gt_path", gt_path),
             )
@@ -197,14 +197,6 @@ def _mean(values: list[float]) -> float:
     return math.fsum(values) / len(values)
 
 
-def _check_threads(threads: int) -> None:
-    # a NaN count passes ``< 1`` and gives a pool that never starts a thread
-    if type(threads) is not int:
-        raise ValueError(f"threads must be an int, got {threads!r}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads!r}")
-
-
 def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     """Read and score (label, pred_path, gt_path) triples into (pred camera_id,
     pred iso, EvalResult), returned in input order.
@@ -217,9 +209,9 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     ``min(threads, groups)`` reaches the CPU count (``core._WORKERS``), and
     otherwise run one at a time with each image's SSIM on every CPU.
     A shape mismatch names the label, a GT too small for the crop names the
-    GT file.  ``threads`` that is not an int >= 1 raises ValueError.
+    GT file.  ``threads`` that is not an integer >= 1 raises ValueError.
     """
-    _check_threads(threads)
+    _check_int("threads", threads, minimum=1, error=ValueError)
     pairs = list(pairs)
     groups: dict[object, list[int]] = {}
     for i, (_, _, gt_path) in enumerate(pairs):
@@ -282,9 +274,9 @@ def run_benchmark(
     predictions are all reported at once before aborting.  Returns the
     paths of scores.csv and ranktable.csv.  ``threads`` bounds the number
     of ground truths scored at once (see ``score_pairs``); one that is not
-    an int >= 1 raises ValueError before any file is touched.
+    an integer >= 1 raises ValueError before any file is touched.
     """
-    _check_threads(threads)
+    _check_int("threads", threads, minimum=1, error=ValueError)
     pred_root = Path(pred_root)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -49,6 +49,7 @@ from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _check_space, _r
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
+_GAMMAS = ("srgb", "none")
 # P6, then width, height and maxval, each after whitespace or comments
 _PPM_SEPARATOR = rb"(?:\s|#[^\r\n]*[\r\n])+"
 _PPM_HEADER = re.compile(rb"P6" + (_PPM_SEPARATOR + rb"(\d+)") * 3 + rb"\s")
@@ -66,13 +67,14 @@ class IspConfig:
             if self.wb != "gray_world":
                 raise DomainError(f"unknown wb mode {self.wb!r}")
         else:
-            gains = tuple(_check_finite("wb gain", float(g), positive=True, error=DomainError)
+            gains = tuple(_check_finite("wb gain", g, positive=True, error=DomainError)
                           for g in self.wb)
             if len(gains) != 3:
                 raise DomainError(f"fixed wb gains must be 3 values, got {len(gains)}")
             object.__setattr__(self, "wb", gains)
-        if self.gamma not in ("srgb", "none"):
-            raise DomainError(f"gamma must be 'srgb' or 'none', got {self.gamma!r}")
+        if self.gamma not in _GAMMAS:
+            raise DomainError(f"gamma must be {' or '.join(map(repr, _GAMMAS))}, "
+                              f"got {self.gamma!r}")
 
 
 def srgb_gamma(v):

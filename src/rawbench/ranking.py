@@ -29,7 +29,7 @@ METRIC_DIRECTIONS = {
     "arniqa": "up",
     "topiq": "up",
 }
-ALL_METRICS = ("psnr", "ssim", "lpips", "arniqa", "topiq")
+ALL_METRICS = tuple(METRIC_DIRECTIONS)
 CATEGORY_METRICS = {
     "overall": ALL_METRICS,
     "fidelity": ("psnr", "ssim"),
@@ -63,8 +63,9 @@ class RankTable:
 
 
 def rank_metric(values: list[tuple[str, float]], direction: str) -> list[tuple[str, float]]:
-    """Rank (team, value) entries 1..n per direction; exact ties share the
-    fractional average of their positions.  Returned in input order."""
+    """Rank (team, value) entries 1..n per direction, in input order: a rank
+    is the number of values strictly better plus (the number equal, itself
+    included, + 1) / 2, so exact ties share the average of their positions."""
     if not values:
         raise DataError("cannot rank an empty list")
     if direction not in ("up", "down"):
@@ -72,19 +73,10 @@ def rank_metric(values: list[tuple[str, float]], direction: str) -> list[tuple[s
     for team, v in values:
         if isinstance(v, float) and math.isnan(v):
             raise DataError(f"NaN metric value for team {team!r}")
-    better = (lambda v: -v) if direction == "up" else (lambda v: v)
-    order = sorted(range(len(values)), key=lambda i: better(values[i][1]))
-    ranks = [0.0] * len(values)
-    pos = 0
-    while pos < len(order):
-        end = pos
-        while end + 1 < len(order) and values[order[end + 1]][1] == values[order[pos]][1]:
-            end += 1
-        avg = (pos + 1 + end + 1) / 2.0
-        for k in range(pos, end + 1):
-            ranks[order[k]] = avg
-        pos = end + 1
-    return [(team, ranks[i]) for i, (team, _) in enumerate(values)]
+    vals = [v for _, v in values]
+    beats = (lambda w, v: w > v) if direction == "up" else (lambda w, v: w < v)
+    return [(team, sum(1 for w in vals if beats(w, v)) + (vals.count(v) + 1) / 2)
+            for team, v in values]
 
 
 def majority_tiebreak(

@@ -37,6 +37,7 @@ from .core import (
     SPACE_NORMALIZED,
     _check_clip_hi,
     _check_finite,
+    _check_int,
     _check_iso,
     _check_space,
     normalize,
@@ -77,8 +78,8 @@ class SynthConfig(_NoiseKnobs):
         _check_iso("iso", self.iso)
         _check_finite("dgain", self.dgain, positive=True, error=DomainError)
         # SeedSequence takes integers only: 3.0 or NaN would fail there, later
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise DomainError(f"seed must be an integer >= 0, got {self.seed!r}")
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, minimum=0,
+                                                    error=DomainError))
         super().__post_init__()
 
 
@@ -267,18 +268,19 @@ def make_pair_batch(
     """Draw (noisy, clean) patch pairs from clean mosaic frames.
 
     ``patch`` is the packed-plane side length (a 512 patch is a 512x512x4
-    tensor).  Every frame is normalized and checked to fit the patch, in
-    input order, before any patch is drawn, so a bad frame fails the call
-    even when an earlier frame's patches would fail too.  Per-patch
+    tensor).  It, ``patches_per_image`` and ``master_seed`` pass
+    ``core._check_int``, and every frame is normalized and checked to fit the
+    patch, in input order, before any patch is drawn, so a bad frame fails
+    the call even when an earlier frame's patches would fail too.  Per-patch
     randomness is derived from
     SeedSequence(master_seed, spawn_key=(image_index, patch_index)), so the
     output is independent of execution order: each patch is a ``core._map``
     task, and the pairs come back in (image, patch) order.
     """
-    if patch <= 0 or patch % 2:
-        raise DimensionError(f"patch side must be even and > 0, got {patch}")
-    if patches_per_image < 1:
-        raise DomainError(f"patches_per_image must be >= 1, got {patches_per_image}")
+    if _check_int("patch", patch, minimum=1, error=DimensionError) % 2:
+        raise DimensionError(f"patch side must be even, got {patch}")
+    _check_int("patches_per_image", patches_per_image, minimum=1, error=DomainError)
+    _check_int("master_seed", master_seed, minimum=0, error=DomainError)
     for iso in sampler.iso_choices:
         profile.params_for(iso)
     knobs = {f.name: getattr(sampler, f.name) for f in fields(_NoiseKnobs)}

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -191,6 +192,12 @@ class TestModelSpecIO:
         assert report.total_macs == sum(e["macs"] for e in report.per_layer)
         assert report.total_params == sum(params_oracle(layer) for layer in model)
         assert report.total_macs == (4 * 16 * 25 + 16 * 16 * 9 + 16 * 4 * 9) * 512 * 512
+
+    def test_layer_takes_numpy_integers(self):
+        # LayerSpec(in_ch=np.int64(4)) used to be refused while Roi took it
+        layer = LayerSpec("conv2d", in_ch=np.int64(4), out_ch=np.int32(8), kernel=np.int64(3))
+        assert layer == LayerSpec("conv2d", in_ch=4, out_ch=8, kernel=3)
+        assert type(layer.in_ch) is int and type(layer.out_ch) is int
 
     def test_load_bare_list(self, tmp_path):
         doc = [{"kind": "conv2d", "in_ch": 4, "out_ch": 8, "kernel": 3}]

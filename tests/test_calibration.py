@@ -1,6 +1,6 @@
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -381,6 +381,21 @@ def test_noise_params_reject_non_finite_fields(field, value):
                        field: value})
 
 
+def test_noise_params_store_floats(tmp_path):
+    # as images store their levels, so a JSON int K loads and saves back as 1.0
+    params = NoiseParams(K=1, sigma_read=np.float32(2.5), sigma_row=np.int64(0))
+    assert [type(v) for v in asdict(params).values()] == [float] * 4
+    path = tmp_path / "prof.json"
+    save_profile(_fixed_profile(), path)
+    doc = json.loads(path.read_text())
+    doc["isos"]["800"]["K"] = 1
+    path.write_text(json.dumps(doc))
+    assert type(load_profile(path).iso_params[800].K) is float
+    save_profile(load_profile(path), path)
+    assert json.loads(path.read_text())["isos"]["800"]["K"] == 1.0
+    assert '"K": 1.0' in path.read_text()
+
+
 @pytest.mark.parametrize("field", ["sigma_read", "sigma_row", "quant_step"])
 def test_noise_params_reject_fields_with_an_infinite_square(field):
     # effective_pg_params squares them: sigma_read=1e200 raised a bare OverflowError there
@@ -418,9 +433,9 @@ class TestLoadProfileErrors:
         # a null camera_id loaded as None, and a float ROI as float fields
         (lambda doc: doc.update(camera_id=None), "camera_id must be a string, got None"),
         (lambda doc: doc.update(camera_id=7), "camera_id must be a string, got 7"),
-        (lambda doc: doc["effective_roi"].update(x0=0.0), "Roi.x0 must be an integer, got 0.0"),
-        (lambda doc: doc["effective_roi"].update(w=8.0), "Roi.w must be an integer, got 8.0"),
-        (lambda doc: doc["effective_roi"].update(h=True), "Roi.h must be an integer, got True"),
+        (lambda doc: doc["effective_roi"].update(x0=0.0), "Roi.x0 must be an integer >= 0, got 0.0"),
+        (lambda doc: doc["effective_roi"].update(w=8.0), "Roi.w must be an integer >= 0, got 8.0"),
+        (lambda doc: doc["effective_roi"].update(h=True), "Roi.h must be an integer >= 0, got True"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
             "number-dark-library", "bool-K", "string-quant-step", "string-white",

@@ -1,11 +1,15 @@
-"""Every public constructor rejects a non-finite number in any numeric field.
+"""Every public constructor rejects a non-finite number in any numeric field,
+and a bool or a string in any numeric setting.
 
 Numeric settings go through one rule (``core._check_finite``, and the ISO
 rule ``core._check_iso`` built on it), so NaN, inf or -inf in a scalar, in
 one element of a tuple of settings or in one element of an image's float
 data raises a ``RawBenchError`` instead of becoming a plausible wrong
-number later.
+number later.  That rule and the integer rule (``core._check_int``) take
+no bool or string, so True is not 1 and "2" is not 2.
 """
+
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +76,19 @@ def test_non_finite_numeric_field_raises(ctor, kwargs, name, bad, where):
         ctor(**{**kwargs, name: _with_bad(kwargs[name], bad, where)})
 
 
+SETTINGS = {key: case for key, case in CASES.items()
+            if not isinstance(case[1][case[2]], np.ndarray)}
+
+
+@pytest.mark.parametrize("bad", [True, "2"])
+@pytest.mark.parametrize("ctor, kwargs, name", SETTINGS.values(), ids=SETTINGS.keys())
+def test_bool_or_string_setting_raises(ctor, kwargs, name, bad):
+    # IspConfig(wb=("2", "1", "1.5")), SynthConfig(seed=True), RawFrame(iso=True)
+    # and PgParams(K=True) used to be accepted
+    with pytest.raises((TypeError, RawBenchError), match=re.escape(f"got {bad!r}")):
+        ctor(**{**kwargs, name: _with_bad(kwargs[name], bad, 1)})
+
+
 @pytest.mark.parametrize("iso", [800.5, -1, -0.5])
 def test_iso_must_be_a_whole_number_at_least_zero(iso):
     with pytest.raises(DomainError, match="iso"):
@@ -88,7 +105,7 @@ def test_iso_is_stored_as_an_int():
         assert type(frame.iso) is int and frame.iso == 800
 
 
-@pytest.mark.parametrize("seed", [-1, 3.0, "7", None])
+@pytest.mark.parametrize("seed", [-1, 3.0, "7", None, True])
 def test_synth_seed_must_be_an_integer_at_least_zero(seed):
     with pytest.raises(DomainError, match="seed"):
         SynthConfig(iso=800, dgain=1.0, seed=seed)

@@ -1,6 +1,7 @@
 import hashlib
 import json
-from dataclasses import fields, replace
+import re
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,12 +257,19 @@ class TestCrop:
     @pytest.mark.parametrize("field, value", [("x0", 0.0), ("w", 8.0), ("h", True), ("y0", "2")])
     def test_roi_fields_are_integers(self, field, value):
         # a float ROI used to be accepted and slice with float offsets
-        with pytest.raises(DimensionError, match=f"Roi.{field} must be an integer, got {value!r}"):
+        with pytest.raises(DimensionError,
+                           match=f"Roi.{field} must be an integer >= 0, got {value!r}"):
             Roi(**{"x0": 0, "y0": 0, "w": 4, "h": 4, field: value})
 
     def test_roi_takes_numpy_integers(self):
         # offsets worked out with numpy arithmetic stay usable
         assert Roi(np.int64(2), np.int32(0), np.int64(8), 6) == Roi(2, 0, 8, 6)
+
+    def test_roi_stores_ints(self):
+        # a profile's ROI is saved as JSON, which has no numpy int64
+        roi = Roi(np.int64(2), np.int32(0), np.int64(8), 6)
+        assert [type(v) for v in asdict(roi).values()] == [int] * 4
+        assert json.dumps(asdict(roi)) == '{"x0": 2, "y0": 0, "w": 8, "h": 6}'
 
 
 class TestRawbIO:
@@ -477,6 +485,36 @@ class TestImageRule:
         assert read_frame(tmp_path / "f.rawb").camera_id == "camZ"
         assert read_packed(tmp_path / "p.rawb").camera_id == "camZ"
 
+    @pytest.mark.parametrize("field, bad", [
+        ("white_level", "1023"), ("white_level", True), ("black_level", "64"),
+        ("black_level", [64.0, "64", 64.0, 64.0]), ("black_level", [64.0, True, 64.0, 64.0]),
+        ("iso", True), ("iso", "800"), ("exposure_s", True), ("exposure_s", "0.01"),
+        ("clip_hi", "2"), ("clip_hi", True),
+    ])
+    def test_numeric_metadata_is_a_number_when_built(self, tmp_path, field, bad):
+        # RawFrame(iso=True) used to store ISO 1, RawFrame(exposure_s=True) to
+        # be written as `true`, and a header's clip_hi "2" to load as 2.0; a
+        # value the readers refuse can no longer be built
+        frame = make_frame(np.full((4, 4), 1000, dtype=np.uint16), iso=800)
+        packed = replace(pack_rggb(frame), exposure_s=0.01)
+        message = f"{field} must be a number, got {(bad[1] if isinstance(bad, list) else bad)!r}"
+        builds = [lambda: replace(packed, **{field: bad})]
+        if field != "clip_hi":
+            builds.append(lambda: replace(frame, **{field: bad}))
+        for build in builds:
+            with pytest.raises(TypeError, match=re.escape(message)):
+                build()
+        write_packed(packed, tmp_path / "p.rawb")
+        line, payload = (tmp_path / "p.rawb").read_bytes().split(b"\n", 1)
+        (tmp_path / "bad.rawb").write_bytes(
+            json.dumps({**json.loads(line), field: bad}).encode() + b"\n" + payload)
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_packed(tmp_path / "bad.rawb")
+        back = read_packed(tmp_path / "p.rawb")
+        np.testing.assert_array_equal(back.black_level, packed.black_level)
+        assert (back.white_level, back.iso, back.exposure_s, back.clip_hi) == (
+            packed.white_level, 800, 0.01, 1.0)
+
     def test_read_frame_rejects_infinite_white_naming_the_file(self, tmp_path):
         # an infinite span would normalize every pixel to 0.0
         path = tmp_path / "gt.rawb"
@@ -632,6 +670,16 @@ class TestMalformedBlobs:
         {"black_level": "dark"},
         {"white_level": "bright"},
         {"iso": None},
+        # JSON numbers only, and integers for the sizes: each of these used
+        # to load (2.5 as width 2, "64" as black 64.0, true as ISO 1)
+        {"width": "2"},
+        {"width": 2.5},
+        {"channels": 1.0},
+        {"white_level": "1023"},
+        {"black_level": ["64", "64", "64", "64"]},
+        {"black_level": "64"},
+        {"iso": True},
+        {"exposure_s": True},
     ])
     def test_bad_header_field_raises_format_error(self, tmp_path, change):
         header = {"magic": "RAWB1", "width": 2, "height": 2, "channels": 1, "dtype": "u16",

@@ -499,21 +499,33 @@ class TestScorePairs:
 
     @pytest.mark.parametrize("threads", [0, -4])
     def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+        with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads}"):
             score_pairs([], "dev", threads=threads)
 
     @pytest.mark.parametrize("threads", [float("nan"), 2.5, True, "2"])
     def test_threads_that_are_no_int_rejected(self, threads):
         # a NaN count passed ``< 1`` and gave a pool that never started a
         # thread, so scoring hung
-        with pytest.raises(ValueError, match=re.escape(f"threads must be an int, got {threads!r}")):
+        message = f"threads must be an integer >= 1, got {threads!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             score_pairs([], "dev", threads=threads)
+
+
+def test_threads_may_be_a_numpy_integer(tmp_path):
+    # np.int64(2) used to be refused while Roi took numpy integers
+    assert score_pairs([], "dev", threads=np.int64(2)) == []
+    manifest_path, pred_root = _setup_benchmark(tmp_path)
+    paths = run_benchmark(load_manifest(manifest_path), pred_root, out_dir=tmp_path / "np",
+                          threads=np.int64(2))
+    want = run_benchmark(load_manifest(manifest_path), pred_root, out_dir=tmp_path / "int",
+                         threads=2)
+    assert [p.read_bytes() for p in paths] == [p.read_bytes() for p in want]
 
 
 @pytest.mark.parametrize("threads", [0, -4])
 def test_run_benchmark_threads_below_one_rejected(tmp_path, threads):
     manifest_path, pred_root = _setup_benchmark(tmp_path)
-    with pytest.raises(ValueError, match=f"threads must be at least 1, got {threads}"):
+    with pytest.raises(ValueError, match=f"threads must be an integer >= 1, got {threads}"):
         run_benchmark(load_manifest(manifest_path), pred_root, out_dir=tmp_path / "out",
                       threads=threads)
     assert not (tmp_path / "out").exists()

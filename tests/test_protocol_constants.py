@@ -157,20 +157,43 @@ def test_load_manifest_takes_no_profile(tmp_path):
     assert "calibration" not in imported
 
 
-def test_phase_list_is_written_once():
-    # the crop table's keys are the phases: every list of them derives from it
+def _literal_sites(words):
+    """The modules holding a literal tuple, list, set or dict (by its keys)
+    with every one of ``words``, once per literal."""
     hits = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             items = node.keys if isinstance(node, ast.Dict) else getattr(node, "elts", ())
-            if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set)) and {"dev", "final"} <= {
+            if isinstance(node, (ast.Dict, ast.Tuple, ast.List, ast.Set)) and set(words) <= {
                     item.value for item in items if isinstance(item, ast.Constant)}:
                 hits.append(path.name)
-    assert hits == ["metrics.py"]
-    assert harness._PHASES == tuple(metrics._CROP_SIDES) == ("dev", "final")
+    return hits
+
+
+def _cli_choices(command, dest):
     sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    phase = next(a for a in sub.choices["eval"]._actions if a.dest == "phase")
-    assert tuple(phase.choices) == harness._PHASES
+    return tuple(next(a for a in sub.choices[command]._actions if a.dest == dest).choices)
+
+
+def test_phase_list_is_written_once():
+    # the crop table's keys are the phases: every list of them derives from it
+    assert _literal_sites(("dev", "final")) == ["metrics.py"]
+    assert harness._PHASES == tuple(metrics._CROP_SIDES) == ("dev", "final")
+    assert _cli_choices("eval", "phase") == harness._PHASES
+
+
+def test_protocol_choices_are_written_once():
+    # each list of choices is one literal, and the CLI and the checks share it
+    assert _literal_sites(denoise._TRANSFORMS) == ["denoise.py"]
+    assert _cli_choices("denoise", "transform") == denoise._TRANSFORMS
+    assert _literal_sites(isp._GAMMAS) == ["isp.py"]
+    assert _cli_choices("isp", "gamma") == isp._GAMMAS
+    assert _literal_sites(calibration._BAND_AXES) == ["calibration.py"]
+    assert _cli_choices("calibrate", "band_axis") == calibration._BAND_AXES
+    assert _literal_sites(ranking.METRIC_DIRECTIONS) == ["ranking.py"]
+    assert ranking.ALL_METRICS == tuple(ranking.METRIC_DIRECTIONS)
+    # load_model_spec takes LayerSpec's own field names
+    assert _literal_sites(("kind", "bias")) == []
 
 
 def test_core_alone_sets_threads_and_checks_spaces():
@@ -193,6 +216,32 @@ def test_core_alone_sets_threads_and_checks_spaces():
     assert workers == {"core.py", "harness.py"}
     assert map_arities == {2}
     assert space_raises == {"core.py"}
+
+
+def _names_int(node) -> bool:
+    return any((isinstance(n, ast.Name) and n.id == "int")
+               or (isinstance(n, ast.Attribute) and n.attr == "integer") for n in ast.walk(node))
+
+
+def test_core_alone_tests_for_integers():
+    # the integer rule is core._check_int: outside core no isinstance or
+    # type(...) is test names int or np.integer (float tests for NaN and
+    # bool tests for flags are no integer rules)
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                tested = node.args[1:]
+            elif isinstance(node, ast.Compare) and isinstance(node.left, ast.Call) and getattr(
+                    node.left.func, "id", None) == "type":
+                tested = node.comparators
+            else:
+                continue
+            if any(map(_names_int, tested)):
+                hits.append(f"{path.name}:{node.lineno}")
+    assert hits == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -339,6 +339,17 @@ class TestPairBatch:
             make_pair_batch([None, None], make_profile(), self._sampler(),
                             patch=8, patches_per_image=per_image, master_seed=0)
 
+    @pytest.mark.parametrize("bad, error", [
+        ({"patch": 8.0}, DimensionError), ({"patch": True}, DimensionError),
+        ({"patches_per_image": 2.0}, DomainError), ({"master_seed": 1.5}, DomainError),
+    ], ids=["float-patch", "bool-patch", "float-per-image", "float-seed"])
+    def test_integer_arguments_checked_before_any_frame(self, bad, error):
+        # patch=8.0 died in a pool task ("slice indices must be integers") and
+        # patches_per_image=2.0 in range(); the frames are not images here
+        with pytest.raises(error, match=re.escape(f"{next(iter(bad))} must be an integer >= ")):
+            make_pair_batch([None, None], make_profile(), self._sampler(),
+                            **{"patch": 8, "patches_per_image": 1, "master_seed": 0, **bad})
+
     def test_iso_choices_checked_before_any_frame(self):
         sampler = self._sampler(iso_choices=(800, 9999))
         with pytest.raises(ProfileError, match="9999"):
