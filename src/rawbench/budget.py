@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import _check_int
+from .core import _check_choice, _check_int
 from .errors import SpecError
 
 MAX_PARAMS = 15_000_000          # inclusive bound
@@ -42,8 +42,7 @@ class LayerSpec:
     period_n: int = 2
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise SpecError(f"unknown layer kind {self.kind!r}")
+        _check_choice("kind", self.kind, _KINDS, error=SpecError)
         for name in ("in_ch", "out_ch", "kernel", "stride", "period_n"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name), minimum=1,
                                                       error=SpecError))

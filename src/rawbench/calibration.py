@@ -38,9 +38,11 @@ from .core import (
     Roi,
     SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
+    _check_choice,
     _check_finite,
+    _check_iso,
     _check_levels,
-    _json_string,
+    _check_string,
     _meta_kwargs,
     crop_frame,
     interleave_rggb,
@@ -51,6 +53,7 @@ from .core import (
 from .errors import (
     CalibrationWarning,
     DimensionError,
+    DomainError,
     InsufficientData,
     ProfileError,
 )
@@ -185,15 +188,9 @@ def estimate_read_noise(
     """
     if not residuals:
         raise InsufficientData("need at least one residual frame")
-    _check_band_axis(band_axis)
+    _check_choice("band_axis", band_axis, _BAND_AXES, error=ValueError)
     mosaics = (np.asarray(interleave_rggb(r.channels), dtype=np.float64) for r in residuals)
     return _read_noise_stats(mosaics, sum(r.channels.size for r in residuals), band_axis)
-
-
-def _check_band_axis(band_axis: str) -> None:
-    if band_axis not in _BAND_AXES:
-        raise ValueError(f"band_axis must be {' or '.join(map(repr, _BAND_AXES))}, "
-                         f"got {band_axis!r}")
 
 
 def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, float]:
@@ -269,7 +266,7 @@ def build_profile(
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
-    _check_band_axis(band_axis)
+    _check_choice("band_axis", band_axis, _BAND_AXES, error=ValueError)
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
     iso_params: dict[int, NoiseParams] = {}
@@ -369,16 +366,16 @@ def load_profile(json_path) -> SensorProfile:
     """Load a profile saved by :func:`save_profile`; a missing or malformed
     field raises ProfileError naming the file.  The levels and noise
     parameters must be JSON numbers, ``camera_id`` and the sidecar paths
-    strings, and the ROI fields integers."""
+    strings, the ROI fields integers and the ISO keys ISOs (``_check_iso``)."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
     try:
-        isos = {int(iso): entry for iso, entry in doc["isos"].items()}
+        isos = {_check_iso("isos key", int(iso)): entry for iso, entry in doc["isos"].items()}
         profile = SensorProfile(
-            camera_id=_json_string("camera_id", doc["camera_id"]),
+            camera_id=_check_string("camera_id", doc["camera_id"]),
             black_level=doc["black_level"],
             white_level=doc["white_level"],
             effective_roi=Roi(**doc["effective_roi"]),
@@ -392,7 +389,7 @@ def load_profile(json_path) -> SensorProfile:
         raise ProfileError(f"{json_path}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:
         raise ProfileError(f"{json_path}: malformed profile ({exc})") from exc
-    except (DimensionError, ProfileError) as exc:
+    except (DimensionError, DomainError, ProfileError) as exc:
         raise ProfileError(f"{json_path}: {exc}") from exc
     base = json_path.parent
     for iso, entry in isos.items():

@@ -11,12 +11,15 @@ planes, and a crop is taken on the mosaic with ``crop_frame``.
 
 Every number the package takes, from a caller or a file, passes one of two
 rules: ``_check_number`` (a Python or numpy int or float, never a bool or a
-string) or ``_check_int`` (such an int only, >= a minimum).  Both image types
-enforce one rule when built (including by ``dataclasses.replace``):
-0 <= black < white, white finite, ``camera_id`` a string, and float data
-finite (mosaics also >= 0).  Functions taking them therefore do not repeat
-the checks, and the RAWB readers only put the file's path in front of an
-error.
+string) or ``_check_int`` (such an int only, >= a minimum).  Text passes
+``_check_string`` (a string, never a number or None), and a named option (a
+value space, a dtype, a phase, a metric, a mode ...) ``_check_choice`` (a
+string from its one list); anything else raises the site's own error.  Both
+image types enforce one rule when built (including by
+``dataclasses.replace``): 0 <= black < white, white finite, ``camera_id`` a
+string, and float data finite (mosaics also >= 0).  Functions taking them
+therefore do not repeat the checks, and the RAWB readers only put the file's
+path in front of an error.
 
 All arithmetic is done in float64; storage is u16 (DN) or f32.  Every
 operation is pure and returns new arrays, so values are safe to share
@@ -164,11 +167,19 @@ def _check_finite(name, value, *, positive, error) -> float:
     return float(value)
 
 
-def _json_string(field, value) -> str:
-    """A text field as JSON gives it: a string, never a number or null to
-    coerce.  Returns it; otherwise raises TypeError naming the field."""
+def _check_string(name, value) -> str:
+    """The text rule: a string, never a number or None to coerce.  Returns
+    it; otherwise raises TypeError naming the setting."""
     if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, got {value!r}")
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def _check_choice(name, value, choices, *, error) -> str:
+    """The choice rule: a string equal to one of ``choices``.  Returns it;
+    otherwise raises ``error`` naming the setting and the choices."""
+    if not (isinstance(value, str) and value in choices):
+        raise error(f"{name} must be one of {tuple(choices)}, got {value!r}")
     return value
 
 
@@ -202,12 +213,14 @@ def _check_image(img, data: np.ndarray, nonnegative: bool) -> None:
     ``_check_levels``, ``camera_id`` is a string, the ISO passes
     ``_check_iso``, ``exposure_s`` is None or finite and >= 0, and float data
     are finite (and >= 0 when ``nonnegative``).  Stores the checked levels,
-    and the ISO as an int."""
+    the ISO as an int and a numpy ``exposure_s`` as its Python number."""
     black, white = _check_levels(img.black_level, img.white_level)
-    _json_string("camera_id", img.camera_id)
+    _check_string("camera_id", img.camera_id)
     iso = _check_iso("iso", img.iso)
     if img.exposure_s is not None:
         _check_finite("exposure_s", img.exposure_s, positive=False, error=DomainError)
+        if isinstance(img.exposure_s, np.generic):
+            object.__setattr__(img, "exposure_s", img.exposure_s.item())
     if data.dtype.kind == "f":
         if not np.isfinite(data).all():
             raise DomainError("data must be finite")
@@ -286,8 +299,8 @@ class PackedImage:
         ch = np.asarray(self.channels)
         if ch.ndim != 3 or ch.shape[0] != 4:
             raise DimensionError(f"channels must have shape (4, H, W), got {ch.shape}")
-        if self.space not in (SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED):
-            raise DomainError(f"unknown value space {self.space!r}")
+        _check_choice("space", self.space, (SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED),
+                      error=DomainError)
         object.__setattr__(self, "clip_hi", _check_clip_hi(self.clip_hi))
         _check_image(self, ch, nonnegative=False)
         object.__setattr__(self, "channels", ch)
@@ -462,11 +475,12 @@ def _write_rawb(path, layout: str, space: str, payload: np.ndarray, fields: dict
         "space": space,
         **fields,
     }
-    # converted before the file is opened, so a failed conversion leaves no
+    # encoded and converted before the file is opened, so a failure leaves no
     # file; the array's own buffer is written, not a bytes copy of it
+    line = json.dumps(header).encode("utf-8") + b"\n"
     data = np.ascontiguousarray(payload, dtype=_RAWB_DTYPES[tag])
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(line)
         fh.write(data)
 
 
@@ -486,9 +500,7 @@ def _read_rawb(path, *layouts: str) -> tuple[dict, np.ndarray]:
         raise FormatError(f"{path}: unreadable header ({exc})") from exc
     if not isinstance(header, dict) or header.get("magic") != _RAWB_MAGIC:
         raise FormatError(f"{path}: bad magic, not a RAWB file")
-    tag = header.get("dtype")
-    if not isinstance(tag, str) or tag not in _RAWB_DTYPES:
-        raise FormatError(f"{path}: unknown dtype {tag!r}")
+    tag = _check_choice(f"{path}: dtype", header.get("dtype"), _RAWB_DTYPES, error=FormatError)
     w, h, c = (_check_int(f"{path}: {key}", header.get(key), minimum=0, error=FormatError)
                for key in ("width", "height", "channels"))
     layout = header.get("layout")

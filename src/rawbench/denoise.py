@@ -41,7 +41,7 @@ import numpy as np
 
 from . import core
 from .calibration import NoiseParams
-from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _check_space
+from .core import PackedImage, SPACE_NORMALIZED, _check_choice, _check_finite, _check_space
 from .errors import DimensionError, DomainError, ProfileError
 from .transforms import PgParams, gat_forward, gat_inverse, ksigma_forward, ksigma_inverse
 
@@ -72,8 +72,7 @@ class DenoiseConfig:
     sigma_dn: float | None = None  # required for transform == "none"
 
     def __post_init__(self):
-        if self.transform not in _TRANSFORMS:
-            raise DomainError(f"transform must be one of {_TRANSFORMS}")
+        _check_choice("transform", self.transform, _TRANSFORMS, error=DomainError)
         _check_finite("threshold_mult", self.threshold_mult, positive=False, error=DomainError)
         if self.sigma_dn is not None:
             _check_finite("sigma_dn", self.sigma_dn, positive=False, error=DomainError)

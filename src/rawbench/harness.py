@@ -31,7 +31,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import core
-from .core import _check_finite, _check_int, _check_iso, _json_string, _map, read_frame
+from .core import (_check_choice, _check_finite, _check_int, _check_iso, _check_string, _map,
+                   read_frame)
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -85,8 +86,7 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     if not isinstance(raw_entries, list):
         raise ManifestError(f"{path}: 'entries' must be a list, got {type(raw_entries).__name__}")
     phase = doc.get("phase", "dev")
-    if phase not in _PHASES:
-        raise ManifestError(f"{path}: phase must be one of {_PHASES}, got {phase!r}")
+    _check_choice(f"{path}: phase", phase, _PHASES, error=ManifestError)
     manifest = Manifest(phase=phase, entries=(), base_dir=str(path.parent))
     entries = []
     seen_ids = set()
@@ -97,19 +97,18 @@ def load_manifest(path, strict: bool = False) -> Manifest:
         try:
             gt_path = raw.get("gt_path")
             entry = ManifestEntry(
-                image_id=_json_string("image_id", raw["image_id"]),
-                camera=_json_string("camera", raw.get("camera", "")),
-                scene_type=_json_string("scene_type", raw["scene_type"]),
+                image_id=_check_string("image_id", raw["image_id"]),
+                camera=_check_string("camera", raw.get("camera", "")),
+                scene_type=_check_choice("scene_type", raw["scene_type"], _SCENE_TYPES,
+                                         error=ValueError),
                 iso=_check_iso("iso", raw["iso"]),
                 dgain=_check_finite("dgain", raw.get("dgain", 1.0), positive=True,
                                     error=DomainError),
-                noisy_path=_json_string("noisy_path", raw["noisy_path"]),
-                gt_path=None if gt_path is None else _json_string("gt_path", gt_path),
+                noisy_path=_check_string("noisy_path", raw["noisy_path"]),
+                gt_path=None if gt_path is None else _check_string("gt_path", gt_path),
             )
         except (KeyError, TypeError, ValueError, DomainError) as exc:
             raise ManifestError(f"{where}: {exc}") from exc
-        if entry.scene_type not in _SCENE_TYPES:
-            raise ManifestError(f"{where}: scene_type must be one of {_SCENE_TYPES}")
         if entry.image_id in seen_ids:
             raise ManifestError(f"{where}: duplicate image_id {entry.image_id!r}")
         seen_ids.add(entry.image_id)
@@ -177,9 +176,9 @@ def ingest_external_scores(path) -> dict[tuple[str, str], float]:
     if Path(path).stat().st_size == 0:
         return scores
     for where, row in _read_csv(path, ("team", "metric", "value")):
-        team, metric = row["team"].strip(), row["metric"].strip().lower()
-        if metric not in ALL_METRICS:
-            raise DataError(f"{where}: unknown metric {metric!r}")
+        team = row["team"].strip()
+        metric = _check_choice(f"{where}: metric", row["metric"].strip().lower(), ALL_METRICS,
+                               error=DataError)
         value = _csv_value(where, row, "value", float)
         if (team, metric) in scores:
             warnings.warn(f"{where}: duplicate {team}/{metric}, overriding")

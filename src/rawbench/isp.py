@@ -45,7 +45,8 @@ from pathlib import Path
 import numpy as np
 
 from . import core
-from .core import PackedImage, SPACE_NORMALIZED, _check_finite, _check_space, _row_bands
+from .core import (PackedImage, SPACE_NORMALIZED, _check_choice, _check_finite, _check_space,
+                   _row_bands)
 from .errors import DimensionError, DomainError
 
 _SRGB_KNEE = 0.0031308
@@ -63,18 +64,15 @@ class IspConfig:
     gamma: str = "srgb"
 
     def __post_init__(self):
-        if isinstance(self.wb, str):
-            if self.wb != "gray_world":
-                raise DomainError(f"unknown wb mode {self.wb!r}")
+        if isinstance(self.wb, str) or not np.iterable(self.wb):
+            _check_choice("wb", self.wb, ("gray_world",), error=DomainError)
         else:
             gains = tuple(_check_finite("wb gain", g, positive=True, error=DomainError)
                           for g in self.wb)
             if len(gains) != 3:
                 raise DomainError(f"fixed wb gains must be 3 values, got {len(gains)}")
             object.__setattr__(self, "wb", gains)
-        if self.gamma not in _GAMMAS:
-            raise DomainError(f"gamma must be {' or '.join(map(repr, _GAMMAS))}, "
-                              f"got {self.gamma!r}")
+        _check_choice("gamma", self.gamma, _GAMMAS, error=DomainError)
 
 
 def srgb_gamma(v):

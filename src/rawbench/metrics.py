@@ -50,8 +50,8 @@ from itertools import product
 import numpy as np
 
 from . import core
-from .core import (PackedImage, RawFrame, Roi, SPACE_NORMALIZED, _check_space, _row_bands,
-                   crop_frame, normalize)
+from .core import (PackedImage, RawFrame, Roi, SPACE_NORMALIZED, _check_choice, _check_space,
+                   _row_bands, crop_frame, normalize)
 from .errors import DimensionError
 
 _CROP_SIDES = {"dev": 512, "final": 1024}
@@ -65,8 +65,6 @@ _C1, _C2 = 0.01**2, 0.03**2
 class EvalResult:
     psnr: float
     ssim: float
-    n_pixels: int
-    crop: tuple[int, int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,11 +156,6 @@ def _crop_protocol(frame: RawFrame, phase: str) -> PackedImage:
     return normalize(crop_frame(frame, roi))
 
 
-def _check_phase(phase: str) -> None:
-    if phase not in _CROP_SIDES:
-        raise ValueError(f"phase must be one of {sorted(_CROP_SIDES)}, got {phase!r}")
-
-
 def _ssim_stats(gt: PackedImage) -> np.ndarray:
     """SSIM's ground-truth-only terms: the (2, 4, h - 10, w - 10) float64
     block of ``mu_y`` and ``var_y`` per channel, one task per channel and
@@ -188,8 +181,7 @@ def _ssim_stats(gt: PackedImage) -> np.ndarray:
 def prepare_reference(gt: RawFrame, phase: str = "dev") -> Reference:
     """Prepare a ground truth for scoring under the crop protocol of
     ``phase``, as evaluate_pair would on every call."""
-    _check_phase(phase)
-    image = _crop_protocol(gt, phase)
+    image = _crop_protocol(gt, _check_choice("phase", phase, _CROP_SIDES, error=ValueError))
     return Reference(image, _ssim_stats(image), gt.data.shape, phase)
 
 
@@ -261,10 +253,4 @@ def evaluate_pair(
             f"vs gt {gt_camera}/ISO{gt_iso}"
         )
     pred = _crop_protocol(pred_frame, phase)
-    side = _CROP_SIDES[phase]
-    return EvalResult(
-        psnr=psnr(pred, ref.image),
-        ssim=ssim(pred, ref),
-        n_pixels=4 * side * side,
-        crop=(side, side),
-    )
+    return EvalResult(psnr=psnr(pred, ref.image), ssim=ssim(pred, ref))

@@ -20,7 +20,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .core import _check_choice
 from .errors import DataError
+
+_DIRECTIONS = ("up", "down")
 
 METRIC_DIRECTIONS = {
     "psnr": "up",
@@ -49,9 +52,7 @@ class MetricRecord:
     topiq: float | None = None
 
     def get(self, metric: str) -> float | None:
-        if metric not in METRIC_DIRECTIONS:
-            raise DataError(f"unknown metric {metric!r}")
-        return getattr(self, metric)
+        return getattr(self, _check_choice("metric", metric, ALL_METRICS, error=DataError))
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ def rank_metric(values: list[tuple[str, float]], direction: str) -> list[tuple[s
     included, + 1) / 2, so exact ties share the average of their positions."""
     if not values:
         raise DataError("cannot rank an empty list")
-    if direction not in ("up", "down"):
-        raise DataError(f"direction must be 'up' or 'down', got {direction!r}")
+    _check_choice("direction", direction, _DIRECTIONS, error=DataError)
     for team, v in values:
         if isinstance(v, float) and math.isnan(v):
             raise DataError(f"NaN metric value for team {team!r}")

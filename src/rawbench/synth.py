@@ -35,6 +35,7 @@ from .core import (
     PackedImage,
     RawFrame,
     SPACE_NORMALIZED,
+    _check_choice,
     _check_clip_hi,
     _check_finite,
     _check_int,
@@ -59,8 +60,7 @@ class _NoiseKnobs:
     clip_hi: float = 1.0
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        _check_choice("mode", self.mode, _MODES, error=DomainError)
         if _check_finite("hybrid_rho", self.hybrid_rho, positive=False, error=DomainError) > 1:
             raise DomainError(f"hybrid_rho must be in [0, 1], got {self.hybrid_rho}")
         _check_clip_hi(self.clip_hi)

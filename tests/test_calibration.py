@@ -245,7 +245,8 @@ class TestBuildProfile:
     def test_bad_band_axis_fails_before_any_frame_is_read(self):
         # no darks at all: a check made after the first frame would raise
         # "no dark frames supplied" instead
-        with pytest.raises(ValueError, match="band_axis must be 'row' or 'col', got 'diag'"):
+        with pytest.raises(ValueError,
+                           match=r"band_axis must be one of \('row', 'col'\), got 'diag'"):
             build_profile("camA", [800], {}, provided_gains={800: 1.0}, band_axis="diag")
 
     def test_darks_of_another_iso_name_both_isos(self):
@@ -436,11 +437,14 @@ class TestLoadProfileErrors:
         (lambda doc: doc["effective_roi"].update(x0=0.0), "Roi.x0 must be an integer >= 0, got 0.0"),
         (lambda doc: doc["effective_roi"].update(w=8.0), "Roi.w must be an integer >= 0, got 8.0"),
         (lambda doc: doc["effective_roi"].update(h=True), "Roi.h must be an integer >= 0, got True"),
+        # an ISO key edited to "-5" loaded as ISO -5
+        (lambda doc: doc["isos"].update({"-5": doc["isos"].pop("800")}),
+         "isos key must be finite and >= 0, got -5"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
             "number-dark-library", "bool-K", "string-quant-step", "string-white",
             "string-black", "number-shading-path", "null-camera", "number-camera", "float-roi-x0",
-            "float-roi-w", "bool-roi-h"])
+            "float-roi-w", "bool-roi-h", "negative-iso-key"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)

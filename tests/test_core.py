@@ -515,6 +515,25 @@ class TestImageRule:
         assert (back.white_level, back.iso, back.exposure_s, back.clip_hi) == (
             packed.white_level, 800, 0.01, 1.0)
 
+    @pytest.mark.parametrize("exposure, written", [
+        (np.float32(0.25), b'"exposure_s": 0.25'), (np.float64(0.01), b'"exposure_s": 0.01'),
+        (np.int64(1), b'"exposure_s": 1,'),
+    ], ids=["float32", "float64", "int64"])
+    def test_numpy_exposure_round_trips(self, tmp_path, exposure, written):
+        # a numpy exposure was built but not JSON serializable at write time;
+        # it is stored as its Python number, so an int still writes as an int
+        frame = replace(make_frame(np.full((4, 4), 1000, dtype=np.uint16)), exposure_s=exposure)
+        assert type(frame.exposure_s) is type(exposure.item())
+        write_frame(frame, tmp_path / "f.rawb")
+        assert written in (tmp_path / "f.rawb").read_bytes()
+        assert read_frame(tmp_path / "f.rawb").exposure_s == exposure
+
+    def test_header_that_fails_to_encode_leaves_no_file(self, tmp_path):
+        path = tmp_path / "rgb.rawb"
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            write_rgb(np.zeros((2, 2, 3)), path, extra={"x": object()})
+        assert not path.exists()
+
     def test_read_frame_rejects_infinite_white_naming_the_file(self, tmp_path):
         # an infinite span would normalize every pixel to 0.0
         path = tmp_path / "gt.rawb"

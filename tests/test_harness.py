@@ -97,10 +97,12 @@ class TestLoadManifest:
     ])
     def test_text_fields_must_be_json_strings(self, tmp_path, field, value):
         # a null image_id or noisy_path used to load as 'None', and a numeric
-        # gt_path failed later in Manifest.resolve with a bare TypeError
+        # gt_path failed later in Manifest.resolve with a bare TypeError;
+        # scene_type is a choice, so its rule names the choices
         bad = self._entry(image_id="img2")
         bad[field] = value
-        message = f"m.json: entry 1: {field} must be a string, got {value!r}"
+        rule = "be one of ('paired', 'wild')" if field == "scene_type" else "be a string"
+        message = f"m.json: entry 1: {field} must {rule}, got {value!r}"
         with pytest.raises(ManifestError, match=re.escape(message)):
             load_manifest(write_manifest(tmp_path / "m.json", [self._entry(), bad]))
 

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from rawbench import metrics
-from rawbench.core import (PackedImage, RawFrame, SPACE_DN, SPACE_DN_ABOVE_BLACK,
-                           SPACE_NORMALIZED, normalize, pack_rggb)
+from rawbench.core import (PackedImage, RawFrame, Roi, SPACE_DN, SPACE_DN_ABOVE_BLACK,
+                           SPACE_NORMALIZED, crop_frame, normalize, pack_rggb)
 from rawbench.errors import DimensionError, DomainError
 from rawbench.metrics import evaluate_pair, prepare_reference, psnr, ssim
 
@@ -229,20 +229,22 @@ class TestEvaluatePair:
         res = evaluate_pair(f, f, phase="dev")
         assert res.psnr == math.inf
         assert res.ssim == 1.0
-        assert res.crop == (512, 512)
 
     def test_dev_crop_structural(self):
         rng = np.random.default_rng(8)
         pred = make_frame(rng.integers(512, 16000, (2400, 2400)).astype(np.uint16))
         gt = make_frame(rng.integers(512, 16000, (2400, 2400)).astype(np.uint16))
         res = evaluate_pair(pred, gt, phase="dev")
-        assert res.n_pixels == 4 * 512 * 512
+        # the planes' centre 512x512: plane offset (1200 - 512) // 2 = 344
+        roi = Roi(x0=688, y0=688, w=1024, h=1024)
+        assert res.psnr == psnr(normalize(crop_frame(pred, roi)), normalize(crop_frame(gt, roi)))
 
     def test_final_crop(self):
         rng = np.random.default_rng(9)
         data = rng.integers(512, 16000, (2400, 2400)).astype(np.uint16)
         res = evaluate_pair(make_frame(data), make_frame(data), phase="final")
-        assert res.crop == (1024, 1024)
+        assert res.psnr == math.inf and res.ssim == 1.0
+        assert prepare_reference(make_frame(data), "final").image.channels.shape == (4, 1024, 1024)
 
     def test_too_small_for_crop(self):
         f = make_frame(np.zeros((64, 64), dtype=np.uint16))

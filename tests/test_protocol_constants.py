@@ -10,15 +10,17 @@ Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
 Each concept has one source: budget totals come from ``build_report``, the
 denoiser's core side from ``denoise._CORE`` and the scoring phases from
-``metrics._CROP_SIDES``, the thread count from ``core._map`` and the
-value-space precondition from ``core._check_space``, and the package's
-count of settable values is pinned, and no module imports a name it never
-uses.
+``metrics._CROP_SIDES``, the thread count from ``core._map``, the
+value-space precondition from ``core._check_space`` and the check of a named
+option from ``core._check_choice``.  The package's count of settable values
+is pinned, and no module imports a name it never uses.
 """
 
 import argparse
 import ast
+import csv
 import inspect
+import json
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +32,7 @@ import rawbench
 from rawbench import budget, calibration, cli, core, denoise, harness, isp, metrics, ranking, synth
 from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_DN, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED, pack_rggb
-from rawbench.errors import DomainError
+from rawbench.errors import DataError, DomainError, FormatError, ManifestError, SpecError
 from rawbench.transforms import PgParams
 
 from conftest import BLACK, WHITE, make_frame, make_profile
@@ -244,6 +246,26 @@ def test_core_alone_tests_for_integers():
     assert hits == []
 
 
+def test_core_alone_tests_for_choices():
+    # the choice rule is core._check_choice: outside core no if statement
+    # that raises tests a value with "not in" ("kind" not in entry, a
+    # string literal on the left, asks whether a key is present)
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.If) and any(
+                    isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))):
+                continue
+            hits += [f"{path.name}:{test.lineno}" for test in ast.walk(node.test)
+                     if isinstance(test, ast.Compare)
+                     and any(isinstance(op, ast.NotIn) for op in test.ops)
+                     and not (isinstance(test.left, ast.Constant)
+                              and isinstance(test.left.value, str))]
+    assert hits == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     # __init__.py is exempt: its imports are the package's public names
     unused = []
@@ -291,3 +313,67 @@ def test_value_space_sites_name_the_space_they_got(where):
         message = f"{where} expects {' or '.join(spaces)} images, got {arg} in space {space!r}"
         with pytest.raises(DomainError, match=re.escape(message)):
             call(replace(_NORMALIZED, space=space))
+
+
+# a file holds JSON, so a numpy array reaches one as a list
+def _rawb_with_dtype(dtype, tmp_path):
+    path = tmp_path / "img.rawb"
+    core.write_packed(replace(_img(), channels=np.ones((4, 2, 2), np.float32)), path)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    doc = {**json.loads(header), "dtype": dtype}
+    path.write_bytes(json.dumps(doc, default=np.ndarray.tolist).encode() + b"\n" + payload)
+    return core.read_packed(path)
+
+
+def _manifest(tmp_path, phase="dev", scene_type="paired"):
+    entry = {"image_id": "a", "scene_type": scene_type, "iso": 800, "noisy_path": "n.rawb",
+             "gt_path": "g.rawb"}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"phase": phase, "entries": [entry]}, default=np.ndarray.tolist))
+    return harness.load_manifest(path)
+
+
+def _external_metric(metric, tmp_path):
+    # a CSV cell is text: each value reaches it as the text csv writes for it
+    path = tmp_path / "ext.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([("team", "metric", "value"), ("t", metric, "1.0")])
+    return harness.ingest_external_scores(path)
+
+
+# each setting that takes one of a list of strings: (call with a value, the
+# setting's name, the error the site raises)
+CHOICE_SITES = {
+    "PackedImage.space": (lambda v, tmp: replace(_img(), space=v), "space", DomainError),
+    "RAWB dtype": (_rawb_with_dtype, "dtype", FormatError),
+    "IspConfig.wb": (lambda v, tmp: isp.IspConfig(wb=v), "wb", DomainError),
+    "IspConfig.gamma": (lambda v, tmp: isp.IspConfig(gamma=v), "gamma", DomainError),
+    "SynthConfig.mode": (lambda v, tmp: synth.SynthConfig(iso=800, dgain=1.0, mode=v), "mode",
+                         DomainError),
+    "DenoiseConfig.transform": (lambda v, tmp: denoise.DenoiseConfig(transform=v), "transform",
+                                DomainError),
+    "LayerSpec.kind": (lambda v, tmp: budget.LayerSpec(v), "kind", SpecError),
+    "MetricRecord.get": (lambda v, tmp: ranking.MetricRecord("a").get(v), "metric", DataError),
+    "rank_metric": (lambda v, tmp: ranking.rank_metric([("a", 1.0)], v), "direction", DataError),
+    "manifest phase": (lambda v, tmp: _manifest(tmp, phase=v), "phase", ManifestError),
+    "manifest scene_type": (lambda v, tmp: _manifest(tmp, scene_type=v), "scene_type",
+                            ManifestError),
+    "external metric": (_external_metric, "metric", DataError),
+    "prepare_reference": (lambda v, tmp: metrics.prepare_reference(
+        make_frame(np.zeros((32, 32))), v), "phase", ValueError),
+    "build_profile": (lambda v, tmp: calibration.build_profile(
+        "camA", [800], {}, provided_gains={800: 1.0}, band_axis=v), "band_axis", ValueError),
+}
+
+
+@pytest.mark.parametrize("value", ["bogus", None, ["bogus"], np.array(["bogus", "bogus"])],
+                         ids=["string", "none", "list", "array"])
+@pytest.mark.parametrize("where", CHOICE_SITES)
+def test_choice_sites_raise_their_own_error(tmp_path, where, value):
+    # a list used to fail as an unhashable dict key and an array as an
+    # ambiguous truth value, not with the site's error
+    call, name, error = CHOICE_SITES[where]
+    if where == "IspConfig.wb" and isinstance(value, (list, np.ndarray)):
+        name, error = "wb gain", TypeError  # a sequence is fixed gains: the number rule
+    with pytest.raises(error, match=rf"(^|: ){re.escape(name)} must be"):
+        call(value, tmp_path)
