@@ -5,6 +5,8 @@ empirical mean and variance match the analytic Poisson-Gaussian
 prediction, then shows the parametric / dark-sample / hybrid modes.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from rawbench import NoiseParams, PackedImage, SensorProfile, Roi
@@ -38,10 +40,13 @@ print(f"brightness alignment: mean {noisy.channels.mean():.5f} vs clean {clean_v
 print(f"variance law: empirical {noisy.channels.var():.3e} vs predicted {pred_var:.3e}")
 
 # Hybrid mode: per image, real dark patches replace the parametric draw with
-# probability rho.  Give the profile a one-frame library to sample from.
+# probability rho.  Give the profile a one-frame library to sample from: a
+# float32 residual of the profile's camera, over an ROI the size of the dark.
 dark = RawFrame(data=(512.0 + rng.normal(0, 4, (800, 800))).clip(0),
-                black_level=BLACK, white_level=WHITE, iso=800)
-profile.dark_library[800] = [correct_dark_frame(dark, np.full((800, 800), 512.0))]
+                black_level=BLACK, white_level=WHITE, camera_id="demo-cam", iso=800)
+residual = correct_dark_frame(dark, np.full((800, 800), 512.0))
+residual = replace(residual, channels=residual.channels.astype(np.float32))
+profile = replace(profile, effective_roi=Roi(0, 0, 800, 800), dark_library={800: [residual]})
 
 for mode, rho in (("parametric", 0.0), ("dark_sample", 0.0), ("hybrid", 0.5)):
     cfg = SynthConfig(iso=800, dgain=dgain, mode=mode, hybrid_rho=rho, seed=7)

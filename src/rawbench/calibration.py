@@ -4,30 +4,33 @@ A ``SensorProfile`` bundles everything the synthesis and denoising stages
 need about one camera: per-ISO noise parameters (system gain K, pixel read
 noise, row/banding noise), the dark-shading map (mean dark frame, black
 pedestal included), and a library of corrected dark residuals sampled as
-real signal-independent noise.
+real signal-independent noise.  Both are held as the float32 RGGB images
+that ``save_profile`` writes to RAWB sidecar files and ``load_profile``
+reads, so a save changes no profile; ``SensorProfile`` checks them.
 
 Estimators follow plain sample statistics with (n-1) denominators.  Row
 (banding) noise is measured from per-row means after removing each frame's
 own mean, so a constant per-frame offset contaminates neither the band nor
-the pixel estimate.
+the pixel estimate.  ``estimate_dark_shading`` and ``correct_dark_frame``
+return float64 arrays; only the images a profile stores are float32.
 
 ``build_profile`` calibrates each dark frame in one pass.  The shading map
 is a running float64 sum divided by n once: frame 0 cast, then each later
 frame added.  Those are the adds of ``np.stack(...).mean(axis=0)`` in its
 order, so the map has the stack's bits without the (n, H, W) stack.  Each
-dark's residual mosaic is then made once.  It is split to RGGB for the
-library, its band means are taken from it, and its band-mean-removed
-pixels are written into one preallocated buffer.  The mosaic is dropped
-before the next dark's is made.  The buffer holds the values, in order, of
-the raveled per-frame parts that ``estimate_read_noise`` once concatenated,
-so both sigmas keep their bits as well.
+dark's float64 residual mosaic is then made once.  Its float32 RGGB split
+goes to the library, its band means are taken from it, and its
+band-mean-removed pixels are written into one preallocated buffer.  The
+mosaic is dropped before the next dark's is made.  The buffer holds the
+values, in order, of the raveled per-frame parts that ``estimate_read_noise``
+once concatenated, so both sigmas keep their bits as well.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +45,7 @@ from .core import (
     _check_finite,
     _check_iso,
     _check_levels,
+    _check_space,
     _check_string,
     _meta_kwargs,
     crop_frame,
@@ -86,11 +90,20 @@ class NoiseParams:
 class SensorProfile:
     """Calibrated per-camera noise description across ISO settings.
 
-    ``dark_library`` holds corrected dark residuals (packed, DN above
-    black, zero mean); an ISO may carry an explicitly empty library when
-    only parametric synthesis is wanted.  The levels obey the image rule
-    0 <= black < white and are stored as in RawFrame: a float64 4-vector
-    and a float.
+    Its images are its sidecars, in memory as in the saved RAWB files.
+    ``dark_shading[iso]`` is the mean dark frame (black pedestal included)
+    as one ``dn`` image.  ``dark_library[iso]`` holds corrected dark
+    residuals (``dn_above_black``, zero mean); an ISO may carry an
+    explicitly empty library when only parametric synthesis is wanted.
+
+    The sidecar rule, checked however a profile is made (``build_profile``,
+    ``load_profile``, the constructor or ``dataclasses.replace``): each image
+    is a PackedImage in its entry's space, tagged with the profile's
+    ``camera_id`` and the entry's ISO, that ISO has NoiseParams, and the
+    planes are float32 and ``effective_roi`` halved.  A broken rule is a
+    ProfileError naming the ISO and the entry.  The levels obey the image
+    rule 0 <= black < white and are stored as in RawFrame: a float64
+    4-vector and a float.
     """
 
     camera_id: str
@@ -98,11 +111,31 @@ class SensorProfile:
     white_level: float
     effective_roi: Roi
     iso_params: dict[int, NoiseParams] = field(default_factory=dict)
-    dark_shading: dict[int, np.ndarray] = field(default_factory=dict)
+    dark_shading: dict[int, PackedImage] = field(default_factory=dict)
     dark_library: dict[int, list[PackedImage]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.black_level, self.white_level = _check_levels(self.black_level, self.white_level)
+        planes = (self.effective_roi.h // 2, self.effective_roi.w // 2)
+        sidecars = [(iso, "dark_shading", SPACE_DN, img) for iso, img in self.dark_shading.items()]
+        sidecars += [(iso, f"dark_library[{k}]", SPACE_DN_ABOVE_BLACK, img)
+                     for iso, images in self.dark_library.items() for k, img in enumerate(images)]
+        for iso, entry, space, img in sidecars:
+            try:
+                self.params_for(iso)
+                if not isinstance(img, PackedImage):
+                    raise ProfileError(f"expected a PackedImage, got {type(img).__name__}")
+                _check_space("the profile", space, sidecar=img)
+                if (img.camera_id, img.iso) != (self.camera_id, iso):
+                    raise ProfileError(f"tagged camera {img.camera_id!r} ISO {img.iso}, "
+                                       f"expected camera {self.camera_id!r} ISO {iso}")
+                if img.channels.shape[1:] != planes or img.channels.dtype != np.float32:
+                    raise ProfileError(
+                        f"{img.channels.dtype} planes of {img.plane_height}x{img.plane_width}, "
+                        f"expected float32 planes of {planes[0]}x{planes[1]} "
+                        "(effective_roi halved)")
+            except (DomainError, ProfileError) as exc:
+                raise ProfileError(f"ISO {iso}: {entry}: {exc}") from exc
 
     def params_for(self, iso: int) -> NoiseParams:
         try:
@@ -138,12 +171,13 @@ def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
 
 
 def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
-    """Subtract the shading map (black pedestal included) and pack to RGGB.
+    """Subtract the shading mosaic (black pedestal included) and pack to RGGB.
 
     The result is the frame's signal-independent noise residual, zero-mean
-    per pixel over the library.
+    per pixel over the library, in float64 (a profile stores it as float32).
     """
-    return _library_image(dark, _dark_residual(dark, shading))
+    return PackedImage(channels=split_rggb(_dark_residual(dark, shading)),
+                       space=SPACE_DN_ABOVE_BLACK, **_meta_kwargs(dark))
 
 
 def _dark_residual(dark: RawFrame, shading: np.ndarray) -> np.ndarray:
@@ -156,21 +190,16 @@ def _dark_residual(dark: RawFrame, shading: np.ndarray) -> np.ndarray:
     return np.subtract(dark.data, shading, dtype=np.float64, order="C")
 
 
-def _library_image(dark: RawFrame, residual: np.ndarray) -> PackedImage:
-    """A dark's residual mosaic packed to RGGB, tagged DN above black."""
-    return PackedImage(
-        channels=split_rggb(residual), space=SPACE_DN_ABOVE_BLACK, **_meta_kwargs(dark)
-    )
-
-
-def _residual_mosaics(darks: list[RawFrame], roi: Roi, shading: np.ndarray,
+def _residual_mosaics(darks: list[RawFrame], roi: Roi, shading: np.ndarray, camera_id: str,
                       library: list[PackedImage]):
-    """Yield each dark's residual mosaic over ``roi``, one at a time, and
-    append its RGGB split to ``library`` on the way."""
+    """Yield each dark's residual mosaic over ``roi``, one at a time, and append
+    its float32 RGGB split, tagged ``camera_id``, to ``library`` on the way."""
     for dark in darks:
         dark = crop_frame(dark, roi)
         mosaic = _dark_residual(dark, shading)
-        library.append(_library_image(dark, mosaic))
+        library.append(PackedImage(channels=split_rggb(mosaic.astype(np.float32)),
+                                   space=SPACE_DN_ABOVE_BLACK,
+                                   **{**_meta_kwargs(dark), "camera_id": camera_id}))
         yield mosaic
         del mosaic  # the next frame's mosaic is not made beside this one
 
@@ -270,7 +299,7 @@ def build_profile(
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
     iso_params: dict[int, NoiseParams] = {}
-    shading_maps: dict[int, np.ndarray] = {}
+    shading_maps: dict[int, PackedImage] = {}
     libraries: dict[int, list[PackedImage]] = {}
     ref: RawFrame | None = None
     whole_frames = roi is None
@@ -293,7 +322,7 @@ def build_profile(
         shading = estimate_dark_shading(darks, roi)
         residuals: list[PackedImage] = []
         sigma_read, sigma_row = _read_noise_stats(
-            _residual_mosaics(darks, roi, shading, residuals),
+            _residual_mosaics(darks, roi, shading, camera_id, residuals),
             len(darks) * roi.w * roi.h,
             band_axis,
         )
@@ -304,7 +333,9 @@ def build_profile(
         else:
             raise ProfileError(f"ISO {iso}: no gain provided and no PTC points to fit")
         iso_params[iso] = NoiseParams(K=gain, sigma_read=sigma_read, sigma_row=sigma_row)
-        shading_maps[iso] = shading
+        shading_maps[iso] = PackedImage(
+            channels=split_rggb(shading).astype(np.float32), space=SPACE_DN,
+            black_level=ref.black_level, white_level=ref.white_level, camera_id=camera_id, iso=iso)
         libraries[iso] = residuals
     assert ref is not None and roi is not None
     return SensorProfile(
@@ -319,11 +350,9 @@ def build_profile(
 
 
 def save_profile(profile: SensorProfile, json_path) -> None:
-    """Serialize a profile to JSON with RAWB sidecar files next to it.
-
-    Shading maps and dark residuals are stored as f32 RAWB containers;
-    scalar fields round-trip exactly through JSON.
-    """
+    """Serialize a profile to JSON with its images written, as they are, to
+    f32 RAWB sidecar files next to it; scalar fields round-trip exactly
+    through JSON."""
     json_path = Path(json_path)
     out_dir = json_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -333,19 +362,11 @@ def save_profile(profile: SensorProfile, json_path) -> None:
         shading_name = f"{stem}_iso{iso}_shading.rawb"
         shading = profile.dark_shading.get(iso)
         if shading is not None:
-            shading_img = PackedImage(
-                channels=split_rggb(shading).astype(np.float32),
-                space=SPACE_DN,
-                black_level=profile.black_level,
-                white_level=profile.white_level,
-                camera_id=profile.camera_id,
-                iso=iso,
-            )
-            write_packed(shading_img, out_dir / shading_name)
+            write_packed(shading, out_dir / shading_name)
         lib_names = []
         for k, res in enumerate(profile.dark_library.get(iso, [])):
             name = f"{stem}_iso{iso}_dark{k:03d}.rawb"
-            write_packed(replace(res, channels=res.channels.astype(np.float32)), out_dir / name)
+            write_packed(res, out_dir / name)
             lib_names.append(name)
         isos_doc[str(iso)] = {
             **asdict(params),
@@ -362,19 +383,34 @@ def save_profile(profile: SensorProfile, json_path) -> None:
     json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _sidecar_names(iso: int, entry: dict) -> tuple[str | None, list[str]]:
+    """An ``isos`` entry's shading file name (or None) and library file names."""
+    shading = entry.get("dark_shading_path")
+    if not (shading is None or isinstance(shading, str)):
+        raise ProfileError(f"ISO {iso}: dark_shading_path must be a file name or null, "
+                           f"got {shading!r}")
+    names = entry.get("dark_library", [])
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ProfileError(f"ISO {iso}: dark_library must be a list of file names, got {names!r}")
+    return shading, names
+
+
 def load_profile(json_path) -> SensorProfile:
     """Load a profile saved by :func:`save_profile`; a missing or malformed
     field raises ProfileError naming the file.  The levels and noise
     parameters must be JSON numbers, ``camera_id`` and the sidecar paths
-    strings, the ROI fields integers and the ISO keys ISOs (``_check_iso``)."""
+    strings, the ROI fields integers and the ISO keys ISOs (``_check_iso``).
+    A sidecar that breaks its image checks or SensorProfile's rule fails so too."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
+    base = json_path.parent
     try:
         isos = {_check_iso("isos key", int(iso)): entry for iso, entry in doc["isos"].items()}
-        profile = SensorProfile(
+        files = {iso: _sidecar_names(iso, entry) for iso, entry in isos.items()}
+        return SensorProfile(
             camera_id=_check_string("camera_id", doc["camera_id"]),
             black_level=doc["black_level"],
             white_level=doc["white_level"],
@@ -384,6 +420,10 @@ def load_profile(json_path) -> SensorProfile:
                                     for f in fields(NoiseParams) if f.name in entry})
                 for iso, entry in isos.items()
             },
+            dark_shading={iso: read_packed(base / shading)
+                          for iso, (shading, _) in files.items() if shading},
+            dark_library={iso: [read_packed(base / name) for name in names]
+                          for iso, (_, names) in files.items()},
         )
     except KeyError as exc:
         raise ProfileError(f"{json_path}: missing field {exc}") from exc
@@ -391,22 +431,3 @@ def load_profile(json_path) -> SensorProfile:
         raise ProfileError(f"{json_path}: malformed profile ({exc})") from exc
     except (DimensionError, DomainError, ProfileError) as exc:
         raise ProfileError(f"{json_path}: {exc}") from exc
-    base = json_path.parent
-    for iso, entry in isos.items():
-        shading = entry.get("dark_shading_path")
-        if not (shading is None or isinstance(shading, str)):
-            raise ProfileError(
-                f"{json_path}: ISO {iso}: dark_shading_path must be a file name or null, "
-                f"got {shading!r}"
-            )
-        if shading:
-            img = read_packed(base / shading)
-            profile.dark_shading[iso] = interleave_rggb(img.channels).astype(np.float64)
-        names = entry.get("dark_library", [])
-        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-            raise ProfileError(
-                f"{json_path}: ISO {iso}: dark_library must be a list of file names, "
-                f"got {names!r}"
-            )
-        profile.dark_library[iso] = [read_packed(base / name) for name in names]
-    return profile

@@ -1,5 +1,7 @@
 """Shared fixtures: benchmark leaderboard rows, tiny frame builders."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,16 @@ def make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0, isos=(800
         dark_shading={},
         dark_library={iso: [] for iso in isos},
     )
+
+
+def with_library(profile, library):
+    """``profile`` with the dark library ``library`` ({iso: residual images}):
+    each image cast to float32, as a profile holds it, and the ROI set to the
+    one its planes cover."""
+    first = next(img for images in library.values() for img in images)
+    return replace(profile, effective_roi=Roi(0, 0, 2 * first.plane_width, 2 * first.plane_height),
+                   dark_library={iso: [replace(img, channels=img.channels.astype(np.float32))
+                                       for img in images] for iso, images in library.items()})
 
 
 def patch_core(monkeypatch, core):

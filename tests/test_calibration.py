@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -21,10 +22,13 @@ from rawbench.core import (
     PackedImage,
     RawFrame,
     Roi,
+    SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
     crop_frame,
     interleave_rggb,
+    pack_rggb,
     split_rggb,
+    write_packed,
 )
 from rawbench.errors import (
     CalibrationWarning,
@@ -33,6 +37,7 @@ from rawbench.errors import (
     ProfileError,
     RawBenchError,
 )
+from rawbench.synth import BatchConfig, make_pair_batch
 
 from conftest import BLACK, WHITE, make_frame
 
@@ -192,7 +197,9 @@ class TestBuildProfile:
         prof = build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6})
         assert sorted(prof.iso_params) == [800, 1600]
         assert len(prof.dark_library[800]) == 4
-        assert prof.dark_shading[800].shape == (16, 16)
+        assert prof.dark_shading[800].channels.shape == (4, 8, 8)
+        assert {img.channels.dtype for img in [prof.dark_shading[800], *prof.dark_library[800]]} \
+            == {np.dtype(np.float32)}
 
     def test_provided_gains_stored_verbatim(self):
         rng = np.random.default_rng(7)
@@ -232,15 +239,11 @@ class TestBuildProfile:
             assert b.sigma_read == pytest.approx(a.sigma_read, rel=1e-12)
             assert b.sigma_row == pytest.approx(a.sigma_row, rel=1e-12)
             assert b.quant_step == a.quant_step
-            # arrays are stored as f32; the cast is the only loss
-            np.testing.assert_array_equal(
-                back.dark_shading[iso], prof.dark_shading[iso].astype(np.float32)
-            )
-            assert len(back.dark_library[iso]) == len(prof.dark_library[iso])
-            np.testing.assert_array_equal(
-                back.dark_library[iso][0].channels,
-                prof.dark_library[iso][0].channels.astype(np.float32),
-            )
+            # the images are the sidecars: they come back as they were built
+            assert back.dark_shading[iso].channels.tobytes() == \
+                prof.dark_shading[iso].channels.tobytes()
+            assert [r.channels.tobytes() for r in back.dark_library[iso]] == \
+                [r.channels.tobytes() for r in prof.dark_library[iso]]
 
     def test_bad_band_axis_fails_before_any_frame_is_read(self):
         # no darks at all: a check made after the first frame would raise
@@ -267,14 +270,16 @@ class TestBuildProfile:
         # an explicit roi that fits every frame calibrates the common region
         prof = build_profile("camA", [800, 1600], darks, provided_gains=gains,
                              roi=Roi(0, 0, 32, 32))
-        assert prof.dark_shading[1600].shape == (32, 32)
+        assert prof.dark_shading[1600].channels.shape == (4, 16, 16)
 
 
 def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
     """The estimators as written before they became one pass per frame: a
     float64 stack for the shading, each residual split to RGGB, and read
-    noise from interleaved, cast, raveled and concatenated residuals."""
-    iso_params, shading_maps, libraries = {}, {}, {}
+    noise from interleaved, cast, raveled and concatenated residuals.
+    Returns the profile, whose images are those float64 arrays cast to
+    float32, and per ISO the float64 shading mosaic and residual images."""
+    iso_params, shading_maps, libraries, float64 = {}, {}, {}, {}
     first = darks_by_iso[isos[0]][0]
     roi = roi or Roi(0, 0, first.width, first.height)
     for iso in isos:
@@ -299,12 +304,17 @@ def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
             sigma_read=float(np.std(np.concatenate(pixel_parts), ddof=1)),
             sigma_row=float(np.std(np.concatenate(band_means), ddof=1)),
         )
-        shading_maps[iso] = shading
-        libraries[iso] = residuals
-    return SensorProfile(camera_id="camA", black_level=first.black_level,
-                         white_level=first.white_level, effective_roi=roi,
-                         iso_params=iso_params, dark_shading=shading_maps,
-                         dark_library=libraries)
+        shading_maps[iso] = PackedImage(
+            channels=split_rggb(shading).astype(np.float32), space=SPACE_DN,
+            black_level=first.black_level, white_level=first.white_level, camera_id="camA",
+            iso=iso)
+        libraries[iso] = [replace(r, channels=r.channels.astype(np.float32)) for r in residuals]
+        float64[iso] = shading, residuals
+    profile = SensorProfile(camera_id="camA", black_level=first.black_level,
+                            white_level=first.white_level, effective_roi=roi,
+                            iso_params=iso_params, dark_shading=shading_maps,
+                            dark_library=libraries)
+    return profile, float64
 
 
 class TestOnePassCalibration:
@@ -337,20 +347,26 @@ class TestOnePassCalibration:
             x0, y0 = 2 * roi[0], 2 * roi[1]
             roi = Roi(x0, y0, shape[1] - x0 - 2, shape[0] - y0 - 2)
         gains = {800: 0.8, 3200: 3.2}
-        want = _oracle_profile(isos, darks_by_iso, gains, roi, band_axis)
+        want, float64 = _oracle_profile(isos, darks_by_iso, gains, roi, band_axis)
         got = build_profile("camA", isos, darks_by_iso, provided_gains=gains, roi=roi,
                             band_axis=band_axis)
         assert got.effective_roi == want.effective_roi
         for iso in isos:
+            shading, residuals = float64[iso]
             assert got.iso_params[iso] == want.iso_params[iso]
-            assert got.dark_shading[iso].tobytes() == want.dark_shading[iso].tobytes()
+            # the float64 estimators keep the oracle's bits ...
             assert estimate_dark_shading(darks_by_iso[iso], want.effective_roi).tobytes() == \
-                want.dark_shading[iso].tobytes()
-            lib_got, lib_want = got.dark_library[iso], want.dark_library[iso]
-            assert [r.channels.tobytes() for r in lib_got] == \
-                [r.channels.tobytes() for r in lib_want]
-            assert estimate_read_noise(lib_want, band_axis) == (
+                shading.tobytes()
+            assert [correct_dark_frame(crop_frame(d, want.effective_roi), shading)
+                    .channels.tobytes() for d in darks_by_iso[iso]] == \
+                [r.channels.tobytes() for r in residuals]
+            assert estimate_read_noise(residuals, band_axis) == (
                 want.iso_params[iso].sigma_read, want.iso_params[iso].sigma_row)
+            # ... and the profile holds them cast to float32
+            assert got.dark_shading[iso].channels.tobytes() == \
+                want.dark_shading[iso].channels.tobytes()
+            assert [r.channels.tobytes() for r in got.dark_library[iso]] == \
+                [r.channels.tobytes() for r in want.dark_library[iso]]
         out = tmp_path_factory.mktemp("profiles")
         save_profile(want, out / "want" / "prof.json")
         save_profile(got, out / "got" / "prof.json")
@@ -358,10 +374,43 @@ class TestOnePassCalibration:
             {p.name: p.read_bytes() for p in (out / "want").iterdir()}
 
 
+class TestRoundTrip:
+    """A built profile and its save_profile/load_profile copy are one profile."""
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16))
+    def test_loaded_copy_synthesizes_the_same_batches(self, tmp_path_factory, n, dtype, seed):
+        # with 3 or 5 darks, k/n is inexact in float32: a float64 library
+        # held by the built profile gave other dark_sample and hybrid batches
+        rng = np.random.default_rng(seed)
+        darks = {iso: [make_frame((512.0 + rng.normal(0, 3.0, (16, 16))).clip(0).astype(dtype),
+                                  iso=iso) for _ in range(n)]
+                 for iso in (800, 3200)}
+        built = build_profile("camA", [800, 3200], darks, provided_gains={800: 0.8, 3200: 3.2})
+        path = tmp_path_factory.mktemp("profile") / "prof.json"
+        save_profile(built, path)
+        loaded = load_profile(path)
+        frames = [make_frame(rng.integers(512, 16383, (20, 20)).astype(np.uint16))
+                  for _ in range(2)]
+        for mode in ("parametric", "dark_sample", "hybrid"):
+            sampler = BatchConfig(iso_choices=(800, 3200), dgain_range=(10.0, 200.0), mode=mode)
+            batches = [[(noisy.channels.tobytes(), clean.channels.tobytes(), noisy.iso)
+                        for noisy, clean in make_pair_batch(frames, profile, sampler, patch=4,
+                                                            patches_per_image=3,
+                                                            master_seed=seed)]
+                       for profile in (built, loaded)]
+            assert batches[0] == batches[1], mode
+
+
 def _fixed_profile():
     ramp = (np.arange(64).reshape(8, 8) * 37 % 101).astype(np.float64)
-    residual = PackedImage(channels=(ramp.reshape(4, 4, 4) - 50.0) / 8.0, space=SPACE_DN_ABOVE_BLACK,
-                           black_level=BLACK, white_level=WHITE, camera_id="camA", iso=800)
+    residual = PackedImage(channels=((ramp.reshape(4, 4, 4) - 50.0) / 8.0).astype(np.float32),
+                           space=SPACE_DN_ABOVE_BLACK, black_level=BLACK, white_level=WHITE,
+                           camera_id="camA", iso=800)
+    shading = PackedImage(channels=split_rggb(ramp + 512.0).astype(np.float32), space=SPACE_DN,
+                          black_level=BLACK, white_level=WHITE, camera_id="camA", iso=800)
     return SensorProfile(
         camera_id="camA",
         black_level=BLACK,
@@ -369,9 +418,120 @@ def _fixed_profile():
         effective_roi=Roi(2, 4, 8, 8),
         iso_params={800: NoiseParams(K=0.8123456789, sigma_read=3.25, sigma_row=0.5),
                     3200: NoiseParams(K=3.3, sigma_read=9.0, sigma_row=1.75, quant_step=0.5)},
-        dark_shading={800: ramp + 512.0},
+        dark_shading={800: shading},
         dark_library={800: [residual, replace(residual, channels=-residual.channels)], 3200: []},
     )
+
+
+def _two_iso_profile():
+    """build_profile's profile of ISOs 800 and 3200 from two 8x8 darks each."""
+    rng = np.random.default_rng(5)
+    darks = {iso: [make_frame(rng.normal(512.0, 3.0, (8, 8)).clip(0), iso=iso) for _ in range(2)]
+             for iso in (800, 3200)}
+    return build_profile("camA", [800, 3200], darks, provided_gains={800: 0.8, 3200: 3.2})
+
+
+# A clean frame of another camera, in DN, with the planes of _two_iso_profile
+_CLEAN = pack_rggb(make_frame(np.full((8, 8), 1000.0, dtype=np.float32), camera="camB"))
+
+
+class TestSidecarRule:
+    """Every image a profile holds passes one rule in SensorProfile, however
+    the profile is made; in a loaded profile the error also names the JSON."""
+
+    # (entry to change, its new images, error after "ISO 800: <entry>: ")
+    CONSTRUCTOR = {
+        "library-of-another-iso": (
+            "dark_library", lambda p: p.dark_library[3200],
+            "tagged camera 'camA' ISO 3200, expected camera 'camA' ISO 800"),
+        "clean-frame-of-another-camera": (
+            "dark_library", lambda p: [_CLEAN],
+            "the profile expects dn_above_black images, got sidecar in space 'dn'"),
+        "residual-of-another-camera": (
+            "dark_library", lambda p: [replace(p.dark_library[800][0], camera_id="camB")],
+            "tagged camera 'camB' ISO 800, expected camera 'camA' ISO 800"),
+        "library-shape": (
+            "dark_library", lambda p: [replace(p.dark_library[800][0],
+                                               channels=p.dark_library[800][0].channels[:, 1:])],
+            "float32 planes of 3x4, expected float32 planes of 4x4 (effective_roi halved)"),
+        "shading-shape": (
+            "dark_shading", lambda p: replace(p.dark_shading[800],
+                                              channels=np.zeros((4, 4, 2), np.float32)),
+            "float32 planes of 4x2, expected float32 planes of 4x4 (effective_roi halved)"),
+        "float64-library": (
+            "dark_library",
+            lambda p: [replace(p.dark_library[800][0], channels=np.zeros((4, 4, 4)))],
+            "float64 planes of 4x4, expected float32 planes of 4x4"),
+        "float64-shading": (
+            "dark_shading", lambda p: replace(p.dark_shading[800],
+                                              channels=p.dark_shading[800].channels.astype(float)),
+            "float64 planes of 4x4, expected float32 planes of 4x4"),
+        "shading-not-an-image": (
+            "dark_shading", lambda p: interleave_rggb(p.dark_shading[800].channels),
+            "expected a PackedImage, got ndarray"),
+    }
+
+    @pytest.mark.parametrize("case", CONSTRUCTOR)
+    def test_constructor(self, case):
+        entry, images, message = self.CONSTRUCTOR[case]
+        prof = _two_iso_profile()
+        images = images(prof)
+        name = entry if entry == "dark_shading" else f"{entry}[0]"
+        with pytest.raises(ProfileError, match=re.escape(f"ISO 800: {name}: {message}")):
+            replace(prof, **{entry: {**getattr(prof, entry), 800: images}})
+
+    @pytest.mark.parametrize("entry", ["dark_shading", "dark_library"])
+    def test_images_of_an_iso_without_noise_params(self, entry):
+        prof = _two_iso_profile()
+        images = {"dark_shading": replace(prof.dark_shading[800], iso=1600),
+                  "dark_library": [replace(prof.dark_library[800][0], iso=1600)]}[entry]
+        name = entry if entry == "dark_shading" else f"{entry}[0]"
+        with pytest.raises(ProfileError, match=re.escape(
+                f"ISO 1600: {name}: ISO 1600 not in profile (available: [800, 3200])")):
+            replace(prof, **{entry: {**getattr(prof, entry), 1600: images}})
+
+    # (image written as "other.rawb" or None, JSON edit, error after "ISO 800: ")
+    JSON = {
+        "library-of-another-iso": (
+            None, lambda iso: iso["800"].update(dark_library=iso["3200"]["dark_library"]),
+            "dark_library[0]: tagged camera 'camA' ISO 3200, expected camera 'camA' ISO 800"),
+        "clean-frame-of-another-camera": (
+            lambda p: _CLEAN, lambda iso: iso["800"]["dark_library"].insert(0, "other.rawb"),
+            "dark_library[0]: the profile expects dn_above_black images, "
+            "got sidecar in space 'dn'"),
+        "library-shape": (
+            lambda p: replace(p.dark_library[800][0],
+                              channels=p.dark_library[800][0].channels[:, :2]),
+            lambda iso: iso["800"].update(dark_library=["other.rawb"]),
+            "dark_library[0]: float32 planes of 2x4, expected float32 planes of 4x4"),
+        "shading-shape": (
+            lambda p: replace(p.dark_shading[800], channels=p.dark_shading[800].channels[:, :, 1:]),
+            lambda iso: iso["800"].update(dark_shading_path="other.rawb"),
+            "dark_shading: float32 planes of 4x3, expected float32 planes of 4x4"),
+        # RAWB holds no float64: a u16 image is the wrong dtype a file can hold
+        "u16-library": (
+            lambda p: replace(p.dark_library[800][0], channels=np.zeros((4, 4, 4), np.uint16)),
+            lambda iso: iso["800"].update(dark_library=["other.rawb"]),
+            "dark_library[0]: uint16 planes of 4x4, expected float32 planes of 4x4"),
+        "library-of-an-iso-without-noise-params": (
+            lambda p: replace(p.dark_library[800][0], iso=1600),
+            lambda iso: iso["800"].update(dark_library=["other.rawb"]),
+            "dark_library[0]: tagged camera 'camA' ISO 1600, expected camera 'camA' ISO 800"),
+    }
+
+    @pytest.mark.parametrize("case", JSON)
+    def test_edited_json(self, tmp_path, case):
+        image, edit, message = self.JSON[case]
+        prof = _two_iso_profile()
+        path = tmp_path / "prof.json"
+        save_profile(prof, path)
+        if image is not None:
+            write_packed(image(prof), tmp_path / "other.rawb")
+        doc = json.loads(path.read_text())
+        edit(doc["isos"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ProfileError, match=re.escape(f"{path}: ISO 800: {message}")):
+            load_profile(path)
 
 
 @pytest.mark.parametrize("field", ["K", "sigma_read", "sigma_row", "quant_step"])
@@ -440,11 +600,13 @@ class TestLoadProfileErrors:
         # an ISO key edited to "-5" loaded as ISO -5
         (lambda doc: doc["isos"].update({"-5": doc["isos"].pop("800")}),
          "isos key must be finite and >= 0, got -5"),
+        # an entry that is no JSON object, before its sidecar names are read
+        (lambda doc: doc["isos"].update({"800": 5}), "malformed profile"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
             "number-dark-library", "bool-K", "string-quant-step", "string-white",
             "string-black", "number-shading-path", "null-camera", "number-camera", "float-roi-x0",
-            "float-roi-w", "bool-roi-h", "negative-iso-key"])
+            "float-roi-w", "bool-roi-h", "negative-iso-key", "number-iso-entry"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)

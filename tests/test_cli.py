@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rawbench import core
+from rawbench.calibration import load_profile
 from rawbench.cli import build_parser, main
 from rawbench.core import (
     PackedImage,
@@ -338,6 +339,24 @@ def test_calibrate_from_ptc_csv(workspace):
     doc = json.loads(profile.read_text())
     assert doc["isos"]["800"]["K"] == pytest.approx(0.8)
     assert doc["isos"]["1600"]["K"] == pytest.approx(1.6)
+
+
+def test_calibrate_camera_id_tags_every_sidecar(tmp_path):
+    # darks tagged "" calibrated as camera X: every sidecar takes the
+    # profile's id, so the profile loads (the library once kept the darks' "")
+    rng = np.random.default_rng(3)
+    (tmp_path / "darks" / "800").mkdir(parents=True)
+    for k in range(3):
+        write_frame(make_frame(rng.normal(512.0, 3.0, (16, 16)).clip(0).astype(np.float32),
+                               camera=""), tmp_path / "darks" / "800" / f"dark{k}.rawb")
+    profile = tmp_path / "profile" / "prof.json"
+    assert main(["calibrate", "--darks", str(tmp_path / "darks"), "--camera-id", "X",
+                 "--gains", "800=0.8", "--out", str(profile)]) == 0
+    loaded = load_profile(profile)
+    assert loaded.camera_id == "X"
+    sidecars = sorted(profile.parent.glob("*.rawb"))
+    assert len(sidecars) == 4
+    assert {read_packed(p).camera_id for p in sidecars} == {"X"}
 
 
 def test_missing_data_exit_code(tmp_path):

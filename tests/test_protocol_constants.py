@@ -13,7 +13,8 @@ denoiser's core side from ``denoise._CORE`` and the scoring phases from
 ``metrics._CROP_SIDES``, the thread count from ``core._map``, the
 value-space precondition from ``core._check_space`` and the check of a named
 option from ``core._check_choice``.  The package's count of settable values
-is pinned, and no module imports a name it never uses.
+is pinned, no module imports a name it never uses, and a sensor profile's
+images are set only through its constructor, where the sidecar rule runs.
 """
 
 import argparse
@@ -145,6 +146,23 @@ def test_second_paths_are_gone():
                          (denoise, "_denoise_cores"), (isp, "_demosaic_bilinear"),
                          (isp, "interleave_rggb")):
         assert not hasattr(module, name), name
+
+
+def test_profile_images_are_set_only_through_the_constructor():
+    # the sidecar rule runs in SensorProfile's constructor: no code in the
+    # package, the tests or the demos writes into a profile's image dicts
+    root = PACKAGE.parents[1]
+    hits = []
+    for path in sorted([*PACKAGE.glob("*.py"), *(root / "tests").glob("*.py"),
+                        *(root / "demos").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                       else [])
+            hits += [f"{path.name}:{node.lineno}" for target in targets for n in ast.walk(target)
+                     if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
+                     and n.value.attr in ("dark_library", "dark_shading")]
+    assert hits == []
 
 
 def test_load_manifest_takes_no_profile(tmp_path):

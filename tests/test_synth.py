@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from rawbench.calibration import NoiseParams
-from rawbench.core import PackedImage, SPACE_NORMALIZED
+from rawbench.calibration import NoiseParams, correct_dark_frame
+from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED
 from rawbench.errors import DimensionError, DomainError, ProfileError
 from rawbench.synth import (
     BatchConfig,
@@ -17,7 +17,7 @@ from rawbench.synth import (
     synthesize_noisy,
 )
 
-from conftest import BLACK, WHITE, make_frame, make_profile
+from conftest import BLACK, WHITE, make_frame, make_profile, with_library
 
 SPAN = WHITE - BLACK[0]
 
@@ -34,6 +34,13 @@ def flat_clean(value, side=64):
 
 
 SPANS = np.full((4, 1, 1), SPAN)
+
+
+def const_residual(value, side):
+    """A dark residual of ``value`` DN everywhere, planes of ``side``."""
+    return PackedImage(channels=np.full((4, side, side), value, dtype=np.float32),
+                       space=SPACE_DN_ABOVE_BLACK, black_level=BLACK, white_level=WHITE,
+                       camera_id="camA", iso=800)
 
 
 class TestSampleShot:
@@ -103,14 +110,11 @@ class TestParametricRead:
 class TestDarkPatch:
     def _profile_with_library(self, n_frames=1, side=16, seed=0):
         rng = np.random.default_rng(seed)
-        prof = make_profile()
-        from rawbench.calibration import correct_dark_frame
         lib = []
         for _ in range(n_frames):
             dark = make_frame(rng.normal(512, 3, (2 * side, 2 * side)).clip(0))
             lib.append(correct_dark_frame(dark, np.full((2 * side, 2 * side), 512.0)))
-        prof.dark_library[800] = lib
-        return prof
+        return with_library(make_profile(), {800: lib})
 
     def test_full_frame_patch_is_exact(self):
         prof = self._profile_with_library(1, side=8)
@@ -124,10 +128,8 @@ class TestDarkPatch:
         np.testing.assert_array_equal(a, b)
 
     def test_uniform_selection(self):
-        prof = self._profile_with_library(2, side=4)
-        # tag each library frame with a distinct constant so picks are observable
-        prof.dark_library[800][0].channels[:] = 0.0
-        prof.dark_library[800][1].channels[:] = 1.0
+        # a distinct constant in each library frame makes the picks observable
+        prof = with_library(make_profile(), {800: [const_residual(0.0, 4), const_residual(1.0, 4)]})
         rng = np.random.default_rng(10)
         picks = [sample_dark_patch(prof, 800, (4, 2, 2), rng)[0, 0, 0] for _ in range(10_000)]
         frac = np.mean(picks)
@@ -148,11 +150,9 @@ class TestSynthesizeNoisy:
     def test_dark_sample_constant_residual_formula(self):
         # The shot draw has its own stream, so a zero-noise parametric run at
         # the same seed is the signal the dark residual is added to.
-        prof = make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0)
         const = 7.0
-        lib_img = PackedImage(channels=np.full((4, 64, 64), const), space="dn_above_black",
-                              black_level=BLACK, white_level=WHITE, iso=800)
-        prof.dark_library[800] = [lib_img]
+        prof = with_library(make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0),
+                            {800: [const_residual(const, 64)]})
         clean = flat_clean(0.2)
         signal = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3),
                                   clip=False)
@@ -181,11 +181,10 @@ class TestSynthesizeNoisy:
         assert out2.channels.max() <= 2.0
 
     def test_hybrid_endpoints_match_pure_modes(self):
-        prof = make_profile()
         rng = np.random.default_rng(11)
-        from rawbench.calibration import correct_dark_frame
         dark = make_frame(rng.normal(512, 3, (64, 64)).clip(0))
-        prof.dark_library[800] = [correct_dark_frame(dark, np.full((64, 64), 512.0))]
+        prof = with_library(make_profile(),
+                            {800: [correct_dark_frame(dark, np.full((64, 64), 512.0))]})
         clean = flat_clean(0.3, side=16)
         for seed in (0, 1, 2):
             par = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=10, seed=seed))
@@ -199,10 +198,8 @@ class TestSynthesizeNoisy:
             np.testing.assert_array_equal(dk.channels, hyb1.channels)
 
     def test_hybrid_mixes_both_sources(self):
-        prof = make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0)
-        lib_img = PackedImage(channels=np.full((4, 16, 16), 100.0), space="dn_above_black",
-                              black_level=BLACK, white_level=WHITE, iso=800)
-        prof.dark_library[800] = [lib_img]
+        prof = with_library(make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0),
+                            {800: [const_residual(100.0, 16)]})
         clean = flat_clean(0.2, side=16)
         dark_picks = 0
         n = 200
@@ -369,17 +366,15 @@ class TestPinnedBytes:
 
     @staticmethod
     def _profile():
-        from rawbench.calibration import correct_dark_frame
         rng = np.random.default_rng(21)
         prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0,
                             isos=(800, 3200))
-        for iso in (800, 3200):
-            prof.dark_library[iso] = [
-                correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
-                                   np.full((40, 40), 512.0))
-                for _ in range(2)
-            ]
-        return prof
+        return with_library(prof, {
+            iso: [correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
+                                     np.full((40, 40), 512.0))
+                  for _ in range(2)]
+            for iso in (800, 3200)
+        })
 
     @staticmethod
     def _digest(arrays):
@@ -394,13 +389,13 @@ class TestPinnedBytes:
         ("parametric", {"dgain_range": (10.0, 100.0)},
          "ab00c3cd7cebf7576059eee59a251106a0de5bdabae5889c191ff6fc75d0eee6"),
         ("dark_sample", {"dgain_choices": (100.0, 200.0)},
-         "bc7704885d604efc4334aa740610e9c6a1ec008e72b3ca2850dcb49304ba13d4"),
+         "7897c488a023944b2559b1fdf14465fdeb3288a6247b9024331aee54400e9bf0"),
         ("dark_sample", {"dgain_range": (10.0, 100.0)},
-         "36b1e8dfa470dafe04de87567d322c20ac9f3f8925ffefb4e919702c03aca43b"),
+         "7d6c60c99fb9df68e2237bdf68dd6707e01f20f63b7ab174d5b69da698b5b461"),
         ("hybrid", {"dgain_choices": (100.0, 200.0)},
-         "7a3f9979796d043fc9818327855765840aad0b29a62aab7da5acdc47c4d7c453"),
+         "0fce00b16dc976f9b2ff2e0c6ed5eac5d9435ccb915db946e5e97c5b2c7b3b97"),
         ("hybrid", {"dgain_range": (10.0, 100.0)},
-         "c008ec8b5a6e7f13631e766d10f5ba7ca8adf12d3e3a4885f09089f811b9163b"),
+         "7979cc5e2d1fdcdd4a222f8b169392bf453e7e87e842b99ec45f64f219041a71"),
     ], ids=["parametric-choices", "parametric-range", "dark_sample-choices",
             "dark_sample-range", "hybrid-choices", "hybrid-range"])
     def test_pair_batch_digest(self, mode, dgains, digest):

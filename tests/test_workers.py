@@ -31,7 +31,7 @@ from rawbench.isp import IspConfig, run_isp
 from rawbench.synth import BatchConfig, make_pair_batch
 from rawbench.transforms import PgParams
 
-from conftest import BLACK, WHITE, make_frame, make_profile
+from conftest import BLACK, WHITE, make_frame, make_profile, with_library
 
 WORKERS = (1, 2, 3, 7)
 PG = PgParams(K=80.0, sigma=400.0)
@@ -195,14 +195,12 @@ def test_ssim_temporaries_stay_small(monkeypatch):
 def synth_profile():
     """ISOs 800 and 3200, each with two 20x20-plane corrected darks."""
     rng = np.random.default_rng(21)
-    prof = make_profile(isos=(800, 3200))
-    for iso in (800, 3200):
-        prof.dark_library[iso] = [
-            correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
-                               np.full((40, 40), 512.0))
-            for _ in range(2)
-        ]
-    return prof
+    return with_library(make_profile(isos=(800, 3200)), {
+        iso: [correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
+                                 np.full((40, 40), 512.0))
+              for _ in range(2)]
+        for iso in (800, 3200)
+    })
 
 
 def clean_frames():
