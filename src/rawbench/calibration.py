@@ -14,16 +14,22 @@ own mean, so a constant per-frame offset contaminates neither the band nor
 the pixel estimate.  ``estimate_dark_shading`` and ``correct_dark_frame``
 return float64 arrays; only the images a profile stores are float32.
 
-``build_profile`` calibrates each dark frame in one pass.  The shading map
-is a running float64 sum divided by n once: frame 0 cast, then each later
-frame added.  Those are the adds of ``np.stack(...).mean(axis=0)`` in its
-order, so the map has the stack's bits without the (n, H, W) stack.  Each
-dark's float64 residual mosaic is then made once.  Its float32 RGGB split
-goes to the library, its band means are taken from it, and its
-band-mean-removed pixels are written into one preallocated buffer.  The
-mosaic is dropped before the next dark's is made.  The buffer holds the
-values, in order, of the raveled per-frame parts that ``estimate_read_noise``
-once concatenated, so both sigmas keep their bits as well.
+``build_profile`` runs each ISO's work as ``core._map`` tasks on every CPU
+the process may use, and its bytes and sigmas do not depend on how many
+there are.  The shading map is made in row bands, one task each: a band
+of frame 0 cast to float64, each later frame's rows added in order, then
+one divide by n.  Those are, per element, the adds of
+``np.stack(...).mean(axis=0)`` in its order, so the map has the stack's
+bits without the (n, H, W) stack.  Then each dark is one task: it makes
+the dark's float64 residual mosaic, its float32 RGGB library image and its
+band means, and writes its band-mean-removed pixels into its own slot of
+one preallocated buffer, which holds the values, in order, of the raveled
+per-frame parts that ``estimate_read_noise`` once concatenated.  The sums
+whose bits depend on their order (the pooled band means' std and the two
+reductions over the whole buffer) stay single serial calls, so both sigmas
+keep their bits as well.  The ISOs run one after another, so one ISO's
+buffer is held at a time.  ``save_profile`` and ``load_profile`` write and
+read each sidecar file as a task too.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +54,9 @@ from .core import (
     _check_levels,
     _check_space,
     _check_string,
+    _map,
     _meta_kwargs,
+    _row_bands,
     crop_frame,
     interleave_rggb,
     read_packed,
@@ -151,7 +160,8 @@ def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
 
     The result includes the black pedestal: subtracting it from a dark
     frame removes both the spatial dark-current pattern and the black
-    level in one step.
+    level in one step.  Each row band of ``core._row_bands`` is one
+    ``core._map`` task.
     """
     if len(darks) < 2:
         raise InsufficientData(f"need >= 2 dark frames, got {len(darks)}")
@@ -161,12 +171,21 @@ def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
             raise ProfileError("dark frames have mixed dimensions")
         if d.iso != first.iso or d.camera_id != first.camera_id:
             raise ProfileError("dark frames mix ISO or camera")
-    # mean(axis=0) of the float64 stack, without the stack: the same adds in
-    # the same order (frame 0, then each later frame), then one divide by n
-    total = crop_frame(first, roi).data.astype(np.float64, order="C")
-    for d in darks[1:]:
-        total += crop_frame(d, roi).data
-    total /= len(darks)
+    frames = [crop_frame(d, roi).data for d in darks]
+    total = np.empty(frames[0].shape)
+
+    def band(rows):
+        # mean(axis=0) of the float64 stack, without the stack: per element
+        # the same adds in the same order (frame 0, then each later frame),
+        # then one divide by n
+        r0, r1 = rows
+        part = total[r0:r1]
+        part[...] = frames[0][r0:r1]
+        for data in frames[1:]:
+            part += data[r0:r1]
+        part /= len(frames)
+
+    _map(band, _row_bands(len(total)))
     return total
 
 
@@ -190,18 +209,14 @@ def _dark_residual(dark: RawFrame, shading: np.ndarray) -> np.ndarray:
     return np.subtract(dark.data, shading, dtype=np.float64, order="C")
 
 
-def _residual_mosaics(darks: list[RawFrame], roi: Roi, shading: np.ndarray, camera_id: str,
-                      library: list[PackedImage]):
-    """Yield each dark's residual mosaic over ``roi``, one at a time, and append
-    its float32 RGGB split, tagged ``camera_id``, to ``library`` on the way."""
-    for dark in darks:
-        dark = crop_frame(dark, roi)
-        mosaic = _dark_residual(dark, shading)
-        library.append(PackedImage(channels=split_rggb(mosaic.astype(np.float32)),
-                                   space=SPACE_DN_ABOVE_BLACK,
-                                   **{**_meta_kwargs(dark), "camera_id": camera_id}))
-        yield mosaic
-        del mosaic  # the next frame's mosaic is not made beside this one
+def _library_residual(dark: RawFrame, roi: Roi, shading: np.ndarray, camera_id: str):
+    """``dark``'s float64 residual mosaic over ``roi`` and its library image:
+    the float32 RGGB split, tagged ``camera_id``."""
+    dark = crop_frame(dark, roi)
+    mosaic = _dark_residual(dark, shading)
+    return mosaic, PackedImage(channels=split_rggb(mosaic.astype(np.float32)),
+                               space=SPACE_DN_ABOVE_BLACK,
+                               **{**_meta_kwargs(dark), "camera_id": camera_id})
 
 
 def estimate_read_noise(
@@ -218,37 +233,53 @@ def estimate_read_noise(
     if not residuals:
         raise InsufficientData("need at least one residual frame")
     _check_choice("band_axis", band_axis, _BAND_AXES, error=ValueError)
-    mosaics = (np.asarray(interleave_rggb(r.channels), dtype=np.float64) for r in residuals)
-    return _read_noise_stats(mosaics, sum(r.channels.size for r in residuals), band_axis)
+    sigma_read, sigma_row, _ = _read_noise_stats(
+        residuals, lambda r: (np.asarray(interleave_rggb(r.channels), dtype=np.float64), None),
+        [r.channels.size for r in residuals], band_axis)
+    return sigma_read, sigma_row
 
 
-def _read_noise_stats(mosaics, n_pixels: int, band_axis: str) -> tuple[float, float]:
-    """(sigma_read, sigma_row) of C-ordered float64 residual mosaics holding
-    ``n_pixels`` values in all, taken one at a time from the iterable
-    ``mosaics``.  Each frame's band-mean-removed pixels go to their slot of
-    one buffer, which holds what concatenating the frames' raveled parts
-    would.  The buffer is private, so ``np.std(pixels, ddof=1)``'s own steps
-    (numpy's ``_var``: sum for the mean, subtract, square, sum, divide by
-    n - 1, square root) run on it in place: the same arithmetic in the same
-    order, without a second n-pixel temporary."""
-    band_means = []
+def _read_noise_stats(items: list, residual, sizes: list[int], band_axis: str):
+    """(sigma_read, sigma_row, kept) of the items' residual mosaics.
+
+    ``residual(item)`` returns the item's C-ordered float64 residual mosaic,
+    of ``sizes[k]`` values for item k, and a value to keep (``kept`` lists
+    them in input order).  Each item is one ``core._map`` task: it makes its
+    mosaic, takes its band means and writes its band-mean-removed pixels
+    into its own slot of one buffer, which holds what concatenating the
+    frames' raveled parts would; only the workers' mosaics are held at once.
+    The sums whose bits depend on their order stay single serial calls in
+    input order: ``np.std`` of the concatenated band means and the two
+    ``np.add.reduce`` calls over the whole buffer.  The buffer is private,
+    so ``np.std(pixels, ddof=1)``'s own steps (numpy's ``_var``: sum for
+    the mean, subtract, square, sum, divide by n - 1, square root) run on it
+    in place, the elementwise subtract and square as one task per slot: the
+    same arithmetic in the same order, without a second buffer."""
+    stops = np.cumsum(sizes).tolist()
+    starts = [0, *stops[:-1]]
+    n_pixels = stops[-1]
     pixels = np.empty(n_pixels)
-    start = 0
-    for mosaic in mosaics:
+
+    def remove_band_means(k):
+        mosaic, kept = residual(items[k])
         bands = mosaic.T if band_axis == "col" else mosaic
         means = bands.mean(axis=1)
-        band_means.append(means - means.mean())
-        stop = start + bands.size
-        np.subtract(bands, means[:, None], out=pixels[start:stop].reshape(bands.shape))
-        start = stop
-        del mosaic, bands  # free this frame's mosaic before the next one is made
-    sigma_row = float(np.std(np.concatenate(band_means), ddof=1))
+        np.subtract(bands, means[:, None], out=pixels[starts[k]:stops[k]].reshape(bands.shape))
+        return means - means.mean(), kept
+
+    done = _map(remove_band_means, range(len(items)))
+    sigma_row = float(np.std(np.concatenate([means for means, _ in done]), ddof=1))
     mean = np.add.reduce(pixels, keepdims=True)
     np.true_divide(mean, n_pixels, out=mean)
-    pixels -= mean
-    np.square(pixels, out=pixels)
+
+    def centre_and_square(k):
+        part = pixels[starts[k]:stops[k]]
+        part -= mean
+        np.square(part, out=part)
+
+    _map(centre_and_square, range(len(items)))
     sigma_read = float(np.sqrt(np.add.reduce(pixels) / (n_pixels - 1)))
-    return sigma_read, sigma_row
+    return sigma_read, sigma_row, [kept for _, kept in done]
 
 
 def estimate_system_gain(points: list[tuple[float, float]]) -> tuple[float, float]:
@@ -291,18 +322,18 @@ def build_profile(
     photon-transfer fit of ``ptc_points_by_iso``.  Every ISO keeps the
     default quantization step of NoiseParams (1 DN).  Without ``roi`` the
     whole frames are calibrated, so every ISO's darks must have the first
-    ISO's size.  Each ISO's darks must carry that ISO.
+    ISO's size.  Each ISO's darks must carry that ISO, and every dark the
+    first dark's camera and levels: ``camera_id`` names the profile, it
+    does not let one profile mix cameras.  All of this, and each ISO's gain,
+    is checked before any frame is calibrated.
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
     _check_choice("band_axis", band_axis, _BAND_AXES, error=ValueError)
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
-    iso_params: dict[int, NoiseParams] = {}
-    shading_maps: dict[int, PackedImage] = {}
-    libraries: dict[int, list[PackedImage]] = {}
+    gains: dict[int, float] = {}
     ref: RawFrame | None = None
-    whole_frames = roi is None
     for iso in isos:
         darks = darks_by_iso.get(iso)
         if not darks:
@@ -312,32 +343,40 @@ def build_profile(
             raise ProfileError(f"ISO {iso} darks include frames of ISO {other[0]}")
         if ref is None:
             ref = darks[0]
-            if whole_frames:
-                roi = Roi(0, 0, ref.width, ref.height)
-        elif whole_frames and darks[0].data.shape != ref.data.shape:
+        elif roi is None and darks[0].data.shape != ref.data.shape:
             raise ProfileError(
                 f"ISO {iso} darks are {darks[0].width}x{darks[0].height} but ISO {isos[0]} "
                 f"darks are {ref.width}x{ref.height}; pass an roi to calibrate a common region"
             )
-        shading = estimate_dark_shading(darks, roi)
-        residuals: list[PackedImage] = []
-        sigma_read, sigma_row = _read_noise_stats(
-            _residual_mosaics(darks, roi, shading, camera_id, residuals),
-            len(darks) * roi.w * roi.h,
-            band_axis,
-        )
+        for k, dark in enumerate(darks):
+            for name in ("camera_id", "black_level", "white_level"):
+                got, want = np.asarray(getattr(dark, name)), np.asarray(getattr(ref, name))
+                if not np.array_equal(got, want):
+                    raise ProfileError(
+                        f"ISO {iso} dark {k} has {name} {got.tolist()!r} but ISO {isos[0]} "
+                        f"dark 0 has {want.tolist()!r}; calibrate one camera's darks at a time")
         if iso in provided_gains:
-            gain = provided_gains[iso]
+            gains[iso] = provided_gains[iso]
         elif iso in ptc_points_by_iso:
-            gain, _ = estimate_system_gain(ptc_points_by_iso[iso])
+            gains[iso], _ = estimate_system_gain(ptc_points_by_iso[iso])
         else:
             raise ProfileError(f"ISO {iso}: no gain provided and no PTC points to fit")
-        iso_params[iso] = NoiseParams(K=gain, sigma_read=sigma_read, sigma_row=sigma_row)
+    assert ref is not None
+    if roi is None:
+        roi = Roi(0, 0, ref.width, ref.height)
+    iso_params: dict[int, NoiseParams] = {}
+    shading_maps: dict[int, PackedImage] = {}
+    libraries: dict[int, list[PackedImage]] = {}
+    for iso in isos:
+        darks = darks_by_iso[iso]
+        shading = estimate_dark_shading(darks, roi)
+        sigma_read, sigma_row, libraries[iso] = _read_noise_stats(
+            darks, partial(_library_residual, roi=roi, shading=shading, camera_id=camera_id),
+            [roi.w * roi.h] * len(darks), band_axis)
+        iso_params[iso] = NoiseParams(K=gains[iso], sigma_read=sigma_read, sigma_row=sigma_row)
         shading_maps[iso] = PackedImage(
             channels=split_rggb(shading).astype(np.float32), space=SPACE_DN,
             black_level=ref.black_level, white_level=ref.white_level, camera_id=camera_id, iso=iso)
-        libraries[iso] = residuals
-    assert ref is not None and roi is not None
     return SensorProfile(
         camera_id=camera_id,
         black_level=ref.black_level,
@@ -351,28 +390,29 @@ def build_profile(
 
 def save_profile(profile: SensorProfile, json_path) -> None:
     """Serialize a profile to JSON with its images written, as they are, to
-    f32 RAWB sidecar files next to it; scalar fields round-trip exactly
-    through JSON."""
+    f32 RAWB sidecar files next to it, each file as one ``core._map`` task;
+    scalar fields round-trip exactly through JSON."""
     json_path = Path(json_path)
     out_dir = json_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = json_path.stem
-    isos_doc = {}
+    isos_doc, sidecars = {}, []
     for iso, params in sorted(profile.iso_params.items()):
         shading_name = f"{stem}_iso{iso}_shading.rawb"
         shading = profile.dark_shading.get(iso)
         if shading is not None:
-            write_packed(shading, out_dir / shading_name)
+            sidecars.append((shading, out_dir / shading_name))
         lib_names = []
         for k, res in enumerate(profile.dark_library.get(iso, [])):
             name = f"{stem}_iso{iso}_dark{k:03d}.rawb"
-            write_packed(res, out_dir / name)
+            sidecars.append((res, out_dir / name))
             lib_names.append(name)
         isos_doc[str(iso)] = {
             **asdict(params),
             "dark_shading_path": shading_name if shading is not None else None,
             "dark_library": lib_names,
         }
+    _map(lambda sidecar: write_packed(*sidecar), sidecars)
     doc = {
         "camera_id": profile.camera_id,
         "black_level": [float(b) for b in profile.black_level],
@@ -410,20 +450,28 @@ def load_profile(json_path) -> SensorProfile:
     try:
         isos = {_check_iso("isos key", int(iso)): entry for iso, entry in doc["isos"].items()}
         files = {iso: _sidecar_names(iso, entry) for iso, entry in isos.items()}
-        return SensorProfile(
-            camera_id=_check_string("camera_id", doc["camera_id"]),
-            black_level=doc["black_level"],
-            white_level=doc["white_level"],
-            effective_roi=Roi(**doc["effective_roi"]),
-            iso_params={
+        scalars = {
+            "camera_id": _check_string("camera_id", doc["camera_id"]),
+            "black_level": doc["black_level"],
+            "white_level": doc["white_level"],
+            "effective_roi": Roi(**doc["effective_roi"]),
+            "iso_params": {
                 iso: NoiseParams(**{f.name: entry[f.name]
                                     for f in fields(NoiseParams) if f.name in entry})
                 for iso, entry in isos.items()
             },
-            dark_shading={iso: read_packed(base / shading)
-                          for iso, (shading, _) in files.items() if shading},
-            dark_library={iso: [read_packed(base / name) for name in names]
-                          for iso, (_, names) in files.items()},
+        }
+        # the fields fail before any file is read; then every sidecar is one
+        # task, the shadings and then each ISO's library, so the first
+        # failure in that order is the one raised
+        shadings = {iso: shading for iso, (shading, _) in files.items() if shading}
+        names = [*shadings.values(), *(name for _, library in files.values() for name in library)]
+        images = iter(_map(read_packed, [base / name for name in names]))
+        return SensorProfile(
+            **scalars,
+            dark_shading={iso: next(images) for iso in shadings},
+            dark_library={iso: [next(images) for _ in library]
+                          for iso, (_, library) in files.items()},
         )
     except KeyError as exc:
         raise ProfileError(f"{json_path}: missing field {exc}") from exc

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rawbench import calibration
 from rawbench.calibration import (
     NoiseParams,
     SensorProfile,
@@ -258,6 +259,37 @@ class TestBuildProfile:
         darks = {800: self._darks(800, rng)[:3] + self._darks(1600, rng, n=1)}
         with pytest.raises(ProfileError, match="ISO 800 darks include frames of ISO 1600"):
             build_profile("camA", [800], darks, provided_gains={800: 0.8})
+
+    # one dark of another camera or with other levels, in the first ISO or
+    # a later one: the profile would keep the first dark's levels
+    @pytest.mark.parametrize("iso, k, change, message", [
+        (800, 2, {"camera": "camB"}, "ISO 800 dark 2 has camera_id 'camB' but ISO 800 dark 0 "
+                                     "has 'camA'"),
+        (1600, 0, {"camera": "camB"}, "ISO 1600 dark 0 has camera_id 'camB' but ISO 800 dark 0 "
+                                      "has 'camA'"),
+        (1600, 3, {"black": np.array([512.0, 512.0, 512.0, 500.0])},
+         "ISO 1600 dark 3 has black_level [512.0, 512.0, 512.0, 500.0] but ISO 800 dark 0 has "
+         "[512.0, 512.0, 512.0, 512.0]"),
+        (1600, 1, {"white": 4095.0}, "ISO 1600 dark 1 has white_level 4095.0 but ISO 800 "
+                                     "dark 0 has 16383.0"),
+    ], ids=["camera-same-iso", "camera-later-iso", "black", "white"])
+    @pytest.mark.parametrize("camera_id", ["camA", "X"])
+    def test_mixed_darks_fail_before_any_frame_is_calibrated(self, monkeypatch, iso, k, change,
+                                                             message, camera_id):
+        # camera_id retags the profile; it does not let darks mix cameras
+        rng = np.random.default_rng(12)
+        darks = {800: self._darks(800, rng), 1600: self._darks(1600, rng)}
+        darks[iso][k] = make_frame(darks[iso][k].data, iso=iso, **change)
+        monkeypatch.setattr(calibration, "_map", None)  # no task may start
+        with pytest.raises(ProfileError, match=re.escape(message)):
+            build_profile(camera_id, [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6})
+
+    def test_missing_gain_fails_before_any_frame_is_calibrated(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        darks = {800: self._darks(800, rng), 1600: self._darks(1600, rng)}
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(ProfileError, match="ISO 1600: no gain provided and no PTC points"):
+            build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8})
 
     @pytest.mark.parametrize("side", [32, 128])
     def test_later_iso_of_another_size_names_both_isos(self, side):

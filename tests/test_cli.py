@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -315,6 +316,18 @@ def test_calibrate_darks_of_another_iso_exit_2(workspace, capsys):
                "--out", str(workspace / "profile.json")])
     assert rc == 2
     assert "ISO 800 darks include frames of ISO 1600" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
+def test_calibrate_darks_of_another_camera_exit_2(workspace, capsys):
+    # --camera-id names the profile; it does not let one profile mix cameras
+    dark = workspace / "darks" / "1600" / "dark2.rawb"
+    write_frame(replace(read_frame(dark), camera_id="camB"), dark)
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--camera-id", "camA",
+               "--gains", "800=0.8,1600=1.6", "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert "ISO 1600 dark 2 has camera_id 'camB' but ISO 800 dark 0 has 'camA'" in \
+        capsys.readouterr().err
     assert not (workspace / "profile.json").exists()
 
 

@@ -1,7 +1,9 @@
-"""One image, or one training batch, on several threads.
+"""One image, one training batch or one sensor profile on several threads.
 
-``denoise_raw``'s cores, ``run_isp``'s row bands, SSIM's row bands and
-``make_pair_batch``'s patches are tasks that ``core._map`` runs on at most
+``denoise_raw``'s cores, ``run_isp``'s row bands, SSIM's row bands,
+``make_pair_batch``'s patches, ``build_profile``'s shading bands and darks
+and the profile sidecar files that ``save_profile`` and ``load_profile``
+write and read are tasks that ``core._map`` runs on at most
 ``core._WORKERS`` threads, as are ``score_pairs``' ground-truth groups
 when they fill those CPUs; a ``_map`` inside a task runs inline.  The
 bytes and scores must not depend on the worker count or on OpenBLAS's
@@ -21,12 +23,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import core, denoise, harness, isp, metrics, synth
-from rawbench.calibration import correct_dark_frame, save_profile
+from rawbench import calibration, core, denoise, harness, isp, metrics, synth
+from rawbench.calibration import build_profile, correct_dark_frame, load_profile, save_profile
 from rawbench.cli import main
-from rawbench.core import PackedImage, SPACE_NORMALIZED, write_frame
+from rawbench.core import PackedImage, Roi, SPACE_NORMALIZED, write_frame
 from rawbench.denoise import DenoiseConfig, denoise_raw
-from rawbench.errors import DomainError
+from rawbench.errors import DomainError, ProfileError
 from rawbench.isp import IspConfig, run_isp
 from rawbench.synth import BatchConfig, make_pair_batch
 from rawbench.transforms import PgParams
@@ -255,6 +257,43 @@ def test_overflowing_dgain_fails_on_a_helper_thread(monkeypatch):
     assert any(helper and overflow in msg for helper, msg in seen)
 
 
+def calib_darks(n=3, dtype=np.uint16, shape=(150, 38)):
+    """ISOs 800 and 3200, each with ``n`` darks of ``shape`` carrying row
+    noise: 150 rows are three shading bands of 64, 64 and 22."""
+    rng = np.random.default_rng(n)
+    return {iso: [make_frame((512.0 + rng.normal(0, 3.0 * iso / 800, shape)
+                              + rng.normal(0, 2.0, (shape[0], 1))).clip(0).astype(dtype), iso=iso)
+                  for _ in range(n)]
+            for iso in (800, 3200)}
+
+
+GAINS = {800: 0.8, 3200: 3.2}
+
+
+def profile_bytes(profile, path):
+    """The bytes of ``profile`` saved to ``path`` (JSON and sidecars, in name
+    order), then its sigmas' bits."""
+    save_profile(profile, path)
+    sigmas = [(p.sigma_read, p.sigma_row) for _, p in sorted(profile.iso_params.items())]
+    return np.frombuffer(b"".join(f.read_bytes() for f in sorted(path.parent.iterdir()))
+                         + np.array(sigmas).tobytes(), dtype=np.uint8)
+
+
+# 2-5 darks per ISO: fewer and more tasks than the worker counts.  The ROI
+# keeps 140 rows (bands of 64, 64 and 12) from x0 = 2, y0 = 4.
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+@pytest.mark.parametrize("roi", [None, Roi(2, 4, 32, 140)], ids=["whole", "roi"])
+@pytest.mark.parametrize("band_axis", ["row", "col"])
+def test_profile_bytes_do_not_depend_on_worker_count(monkeypatch, tmp_path, n, dtype, roi,
+                                                     band_axis):
+    darks = calib_darks(n, dtype)
+    outputs = per_worker_count(monkeypatch, lambda: profile_bytes(
+        build_profile("camA", [800, 3200], darks, provided_gains=GAINS, roi=roi,
+                      band_axis=band_axis), tmp_path / "profile" / "prof.json"))
+    assert outputs.count(outputs[0]) == len(WORKERS)
+
+
 def outputs_across_blas_and_workers(monkeypatch, commands):
     """The bytes of the files that ``commands(tag)`` names after running its
     rawbench argvs: in subprocesses with OpenBLAS at one thread and at its
@@ -322,6 +361,27 @@ def test_cli_synth_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monk
     assert outputs.count(outputs[0]) == 3
 
 
+def test_cli_calibrate_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
+    # rawbench calibrate on two ISOs of four float32 darks, column bands, an ROI
+    for iso, darks in calib_darks(4, np.float32).items():
+        (tmp_path / "darks" / str(iso)).mkdir(parents=True)
+        for k, dark in enumerate(darks):
+            write_frame(dark, tmp_path / "darks" / str(iso) / f"dark{k}.rawb")
+    names = ["prof.json"] + [f"prof_iso{iso}_{kind}.rawb" for iso in (800, 3200)
+                             for kind in ("shading", *(f"dark{k:03d}" for k in range(4)))]
+
+    def commands(tag):
+        out = tmp_path / f"profile_{tag}"
+        return [out / name for name in names], [
+            ["calibrate", "--darks", str(tmp_path / "darks"), "--camera-id", "camA",
+             "--gains", "800=0.8,3200=3.2", "--roi", "2,4,32,140", "--band-axis", "col",
+             "--out", str(out / "prof.json")],
+        ]
+
+    outputs = outputs_across_blas_and_workers(monkeypatch, commands)
+    assert outputs.count(outputs[0]) == 3
+
+
 def test_bench_csvs_do_not_depend_on_blas_threads_or_workers(tmp_path, monkeypatch):
     # rawbench bench at the final phase: two teams, two ground truths
     rng = np.random.default_rng(12)
@@ -362,6 +422,13 @@ def score_pairs_input(tmp_path, groups=2):
     return pairs
 
 
+def saved_profile(tmp_path):
+    """``synth_profile()`` saved under ``tmp_path``: its JSON's path.  Its
+    sidecars are two library images per ISO and no shading."""
+    save_profile(synth_profile(), tmp_path / "profile" / "prof.json")
+    return tmp_path / "profile" / "prof.json"
+
+
 CALLS = {
     "denoise_raw": lambda tmp_path: denoise_raw(image(250, 246, 1), PG),
     "run_isp": lambda tmp_path: run_isp(image(300, 41, 1)),
@@ -373,6 +440,10 @@ CALLS = {
         clean_frames(), synth_profile(), BatchConfig(iso_choices=(800, 3200),
                                                      dgain_choices=(100.0,), mode="hybrid"),
         patch=8, patches_per_image=4, master_seed=0),
+    "build_profile": lambda tmp_path: build_profile("camA", [800, 3200], calib_darks(),
+                                                    provided_gains=GAINS),
+    "save_profile": lambda tmp_path: save_profile(synth_profile(), tmp_path / "prof.json"),
+    "load_profile": lambda tmp_path: load_profile(saved_profile(tmp_path)),
 }
 # a step each call's tasks run, and which of its calls fails: score_pairs'
 # two groups make two calls, and ssim's own band tasks start after the 24
@@ -384,6 +455,9 @@ TASK_STEPS = {
     "prepare_reference": (metrics, "_filter_valid", 3),
     "score_pairs": (harness, "evaluate_pair", 2),
     "make_pair_batch": (synth, "sample_shot", 3),
+    "build_profile": (calibration, "_dark_residual", 3),
+    "save_profile": (calibration, "write_packed", 3),
+    "load_profile": (calibration, "read_packed", 3),
 }
 
 
@@ -418,6 +492,22 @@ def test_task_error_reaches_the_caller(monkeypatch, tmp_path, name):
     with pytest.raises(Boom):
         CALLS[name](tmp_path)
     assert threading.active_count() == before
+
+
+def test_damaged_sidecar_read_in_parallel_names_the_json_and_the_file(monkeypatch, tmp_path):
+    # the second and fourth sidecars hold a NaN: the tasks read them on two
+    # threads, and the error names the second, first in file order
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    path = saved_profile(tmp_path)
+    sidecars = [path.parent / f"prof_iso{iso}_dark{k:03d}.rawb" for iso in (800, 3200)
+                for k in range(2)]
+    for sidecar in sidecars[1::2]:
+        payload = bytearray(sidecar.read_bytes())
+        payload[-4:] = np.float32(np.nan).tobytes()
+        sidecar.write_bytes(bytes(payload))
+    with pytest.raises(ProfileError) as err:
+        load_profile(path)
+    assert str(err.value).startswith(f"{path}: {sidecars[1]}: ")
 
 
 def test_score_pairs_pools_do_not_nest(monkeypatch, tmp_path):
