@@ -21,7 +21,7 @@ profile = SensorProfile(
     camera_id="demo-cam", black_level=BLACK, white_level=WHITE,
     effective_roi=Roi(0, 0, 256, 256),
     iso_params={800: NoiseParams(K=0.8, sigma_read=4.0, sigma_row=0.0, quant_step=0.0)},
-    dark_shading={}, dark_library={800: []},
+    dark_library={800: []},
 )
 
 side = 256

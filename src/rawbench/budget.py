@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .core import _check_choice, _check_int
+from .core import _check_choice, _check_int, _check_keys
 from .errors import SpecError
 
 MAX_PARAMS = 15_000_000          # inclusive bound
@@ -152,7 +152,7 @@ def check_constraints(report: BudgetReport) -> ConstraintResult:
 
 def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, int]]:
     """Read a model JSON: either a bare layer list or
-    {"layers": [...], "ensemble": bool, "input": [1, C, H, W]}."""
+    {"layers": [...], "ensemble": bool, "input": [1, C, H, W]}, no other keys."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
@@ -160,6 +160,7 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
     if isinstance(doc, list):
         layers_doc, ensemble, input_shape = doc, False, REFERENCE_INPUT
     elif isinstance(doc, dict) and isinstance(doc.get("layers"), list):
+        _check_keys(path, doc, ("layers", "ensemble", "input"), error=SpecError)
         layers_doc = doc["layers"]
         ensemble = doc.get("ensemble", False)
         if type(ensemble) is not bool:
@@ -176,9 +177,7 @@ def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, i
     for i, entry in enumerate(layers_doc):
         if not isinstance(entry, dict) or "kind" not in entry:
             raise SpecError(f"{path}: layer {i} must be an object with a 'kind'")
-        unknown = set(entry) - allowed
-        if unknown:
-            raise SpecError(f"{path}: layer {i} has unknown fields {sorted(unknown)}")
+        _check_keys(f"{path}: layer {i}", entry, allowed, error=SpecError)
         try:
             layers.append(LayerSpec(**entry))
         except SpecError as exc:

@@ -2,17 +2,18 @@
 
 A ``SensorProfile`` bundles everything the synthesis and denoising stages
 need about one camera: per-ISO noise parameters (system gain K, pixel read
-noise, row/banding noise), the dark-shading map (mean dark frame, black
-pedestal included), and a library of corrected dark residuals sampled as
-real signal-independent noise.  Both are held as the float32 RGGB images
-that ``save_profile`` writes to RAWB sidecar files and ``load_profile``
-reads, so a save changes no profile; ``SensorProfile`` checks them.
+noise, row/banding noise) and a library of corrected dark residuals sampled
+as real signal-independent noise.  The residuals are held as the float32
+RGGB images that ``save_profile`` writes to RAWB sidecar files and
+``load_profile`` reads, so a save changes no profile; ``SensorProfile``
+checks them.  The dark-shading map (mean dark frame) that makes them is
+not stored.
 
 Estimators follow plain sample statistics with (n-1) denominators.  Row
 (banding) noise is measured from per-row means after removing each frame's
 own mean, so a constant per-frame offset contaminates neither the band nor
 the pixel estimate.  ``estimate_dark_shading`` and ``correct_dark_frame``
-return float64 arrays; only the images a profile stores are float32.
+return float64 arrays; only the residuals a profile stores are float32.
 
 ``build_profile`` runs each ISO's work as ``core._map`` tasks on every CPU
 the process may use, and its bytes and sigmas do not depend on how many
@@ -46,11 +47,11 @@ from .core import (
     PackedImage,
     RawFrame,
     Roi,
-    SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
     _check_choice,
     _check_finite,
     _check_iso,
+    _check_keys,
     _check_levels,
     _check_space,
     _check_string,
@@ -99,15 +100,14 @@ class NoiseParams:
 class SensorProfile:
     """Calibrated per-camera noise description across ISO settings.
 
-    Its images are its sidecars, in memory as in the saved RAWB files.
-    ``dark_shading[iso]`` is the mean dark frame (black pedestal included)
-    as one ``dn`` image.  ``dark_library[iso]`` holds corrected dark
-    residuals (``dn_above_black``, zero mean); an ISO may carry an
-    explicitly empty library when only parametric synthesis is wanted.
+    Its images are its sidecars, in memory as in the saved RAWB files:
+    ``dark_library[iso]`` holds corrected dark residuals
+    (``dn_above_black``, zero mean); an ISO may carry an explicitly empty
+    library when only parametric synthesis is wanted.
 
     The sidecar rule, checked however a profile is made (``build_profile``,
     ``load_profile``, the constructor or ``dataclasses.replace``): each image
-    is a PackedImage in its entry's space, tagged with the profile's
+    is a ``dn_above_black`` PackedImage, tagged with the profile's
     ``camera_id`` and the entry's ISO, that ISO has NoiseParams, and the
     planes are float32 and ``effective_roi`` halved.  A broken rule is a
     ProfileError naming the ISO and the entry.  The levels obey the image
@@ -120,21 +120,19 @@ class SensorProfile:
     white_level: float
     effective_roi: Roi
     iso_params: dict[int, NoiseParams] = field(default_factory=dict)
-    dark_shading: dict[int, PackedImage] = field(default_factory=dict)
     dark_library: dict[int, list[PackedImage]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.black_level, self.white_level = _check_levels(self.black_level, self.white_level)
         planes = (self.effective_roi.h // 2, self.effective_roi.w // 2)
-        sidecars = [(iso, "dark_shading", SPACE_DN, img) for iso, img in self.dark_shading.items()]
-        sidecars += [(iso, f"dark_library[{k}]", SPACE_DN_ABOVE_BLACK, img)
-                     for iso, images in self.dark_library.items() for k, img in enumerate(images)]
-        for iso, entry, space, img in sidecars:
+        sidecars = [(iso, k, img) for iso, images in self.dark_library.items()
+                    for k, img in enumerate(images)]
+        for iso, k, img in sidecars:
             try:
                 self.params_for(iso)
                 if not isinstance(img, PackedImage):
                     raise ProfileError(f"expected a PackedImage, got {type(img).__name__}")
-                _check_space("the profile", space, sidecar=img)
+                _check_space("the profile", SPACE_DN_ABOVE_BLACK, sidecar=img)
                 if (img.camera_id, img.iso) != (self.camera_id, iso):
                     raise ProfileError(f"tagged camera {img.camera_id!r} ISO {img.iso}, "
                                        f"expected camera {self.camera_id!r} ISO {iso}")
@@ -144,7 +142,7 @@ class SensorProfile:
                         f"expected float32 planes of {planes[0]}x{planes[1]} "
                         "(effective_roi halved)")
             except (DomainError, ProfileError) as exc:
-                raise ProfileError(f"ISO {iso}: {entry}: {exc}") from exc
+                raise ProfileError(f"ISO {iso}: dark_library[{k}]: {exc}") from exc
 
     def params_for(self, iso: int) -> NoiseParams:
         try:
@@ -324,8 +322,8 @@ def build_profile(
     whole frames are calibrated, so every ISO's darks must have the first
     ISO's size.  Each ISO's darks must carry that ISO, and every dark the
     first dark's camera and levels: ``camera_id`` names the profile, it
-    does not let one profile mix cameras.  All of this, and each ISO's gain,
-    is checked before any frame is calibrated.
+    does not let one profile mix cameras.  All of this, and each ISO's gain
+    (finite and > 0), is checked before any frame is calibrated.
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
@@ -356,16 +354,17 @@ def build_profile(
                         f"ISO {iso} dark {k} has {name} {got.tolist()!r} but ISO {isos[0]} "
                         f"dark 0 has {want.tolist()!r}; calibrate one camera's darks at a time")
         if iso in provided_gains:
-            gains[iso] = provided_gains[iso]
+            gain = provided_gains[iso]
         elif iso in ptc_points_by_iso:
-            gains[iso], _ = estimate_system_gain(ptc_points_by_iso[iso])
+            gain, _ = estimate_system_gain(ptc_points_by_iso[iso])
         else:
             raise ProfileError(f"ISO {iso}: no gain provided and no PTC points to fit")
+        gains[iso] = _check_finite(f"ISO {iso}: system gain K", gain, positive=True,
+                                   error=ProfileError)
     assert ref is not None
     if roi is None:
         roi = Roi(0, 0, ref.width, ref.height)
     iso_params: dict[int, NoiseParams] = {}
-    shading_maps: dict[int, PackedImage] = {}
     libraries: dict[int, list[PackedImage]] = {}
     for iso in isos:
         darks = darks_by_iso[iso]
@@ -374,16 +373,12 @@ def build_profile(
             darks, partial(_library_residual, roi=roi, shading=shading, camera_id=camera_id),
             [roi.w * roi.h] * len(darks), band_axis)
         iso_params[iso] = NoiseParams(K=gains[iso], sigma_read=sigma_read, sigma_row=sigma_row)
-        shading_maps[iso] = PackedImage(
-            channels=split_rggb(shading).astype(np.float32), space=SPACE_DN,
-            black_level=ref.black_level, white_level=ref.white_level, camera_id=camera_id, iso=iso)
     return SensorProfile(
         camera_id=camera_id,
         black_level=ref.black_level,
         white_level=ref.white_level,
         effective_roi=roi,
         iso_params=iso_params,
-        dark_shading=shading_maps,
         dark_library=libraries,
     )
 
@@ -398,20 +393,12 @@ def save_profile(profile: SensorProfile, json_path) -> None:
     stem = json_path.stem
     isos_doc, sidecars = {}, []
     for iso, params in sorted(profile.iso_params.items()):
-        shading_name = f"{stem}_iso{iso}_shading.rawb"
-        shading = profile.dark_shading.get(iso)
-        if shading is not None:
-            sidecars.append((shading, out_dir / shading_name))
         lib_names = []
         for k, res in enumerate(profile.dark_library.get(iso, [])):
             name = f"{stem}_iso{iso}_dark{k:03d}.rawb"
             sidecars.append((res, out_dir / name))
             lib_names.append(name)
-        isos_doc[str(iso)] = {
-            **asdict(params),
-            "dark_shading_path": shading_name if shading is not None else None,
-            "dark_library": lib_names,
-        }
+        isos_doc[str(iso)] = {**asdict(params), "dark_library": lib_names}
     _map(lambda sidecar: write_packed(*sidecar), sidecars)
     doc = {
         "camera_id": profile.camera_id,
@@ -423,33 +410,37 @@ def save_profile(profile: SensorProfile, json_path) -> None:
     json_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _sidecar_names(iso: int, entry: dict) -> tuple[str | None, list[str]]:
-    """An ``isos`` entry's shading file name (or None) and library file names."""
-    shading = entry.get("dark_shading_path")
-    if not (shading is None or isinstance(shading, str)):
-        raise ProfileError(f"ISO {iso}: dark_shading_path must be a file name or null, "
-                           f"got {shading!r}")
+# the keys save_profile writes, the only ones load_profile takes
+_PROFILE_KEYS = ("camera_id", "black_level", "white_level", "effective_roi", "isos")
+_ENTRY_KEYS = (*(f.name for f in fields(NoiseParams)), "dark_library")
+
+
+def _library_names(iso: int, entry) -> list[str]:
+    """An ``isos`` entry's library file names, once its keys are checked."""
+    _check_keys(f"ISO {iso}", entry, _ENTRY_KEYS, error=TypeError)  # "malformed profile"
     names = entry.get("dark_library", [])
     if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
         raise ProfileError(f"ISO {iso}: dark_library must be a list of file names, got {names!r}")
-    return shading, names
+    return names
 
 
 def load_profile(json_path) -> SensorProfile:
-    """Load a profile saved by :func:`save_profile`; a missing or malformed
-    field raises ProfileError naming the file.  The levels and noise
-    parameters must be JSON numbers, ``camera_id`` and the sidecar paths
-    strings, the ROI fields integers and the ISO keys ISOs (``_check_iso``).
-    A sidecar that breaks its image checks or SensorProfile's rule fails so too."""
+    """Load a profile saved by :func:`save_profile`; a missing, unknown
+    (``core._check_keys``) or malformed field raises ProfileError naming the
+    file.  The levels and noise parameters must be JSON numbers,
+    ``camera_id`` and the sidecar paths strings, the ROI fields integers and
+    the ISO keys ISOs (``_check_iso``).  A sidecar that breaks its image
+    checks or SensorProfile's rule fails so too."""
     json_path = Path(json_path)
     try:
         doc = json.loads(json_path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
+    _check_keys(json_path, doc, _PROFILE_KEYS, error=ProfileError)
     base = json_path.parent
     try:
         isos = {_check_iso("isos key", int(iso)): entry for iso, entry in doc["isos"].items()}
-        files = {iso: _sidecar_names(iso, entry) for iso, entry in isos.items()}
+        libraries = {iso: _library_names(iso, entry) for iso, entry in isos.items()}
         scalars = {
             "camera_id": _check_string("camera_id", doc["camera_id"]),
             "black_level": doc["black_level"],
@@ -462,17 +453,12 @@ def load_profile(json_path) -> SensorProfile:
             },
         }
         # the fields fail before any file is read; then every sidecar is one
-        # task, the shadings and then each ISO's library, so the first
-        # failure in that order is the one raised
-        shadings = {iso: shading for iso, (shading, _) in files.items() if shading}
-        names = [*shadings.values(), *(name for _, library in files.values() for name in library)]
+        # task, each ISO's library in turn, so the first failure in that
+        # order is the one raised
+        names = [name for library in libraries.values() for name in library]
         images = iter(_map(read_packed, [base / name for name in names]))
-        return SensorProfile(
-            **scalars,
-            dark_shading={iso: next(images) for iso in shadings},
-            dark_library={iso: [next(images) for _ in library]
-                          for iso, (_, library) in files.items()},
-        )
+        return SensorProfile(**scalars, dark_library={iso: [next(images) for _ in library]
+                                                      for iso, library in libraries.items()})
     except KeyError as exc:
         raise ProfileError(f"{json_path}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

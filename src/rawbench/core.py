@@ -14,7 +14,8 @@ rules: ``_check_number`` (a Python or numpy int or float, never a bool or a
 string) or ``_check_int`` (such an int only, >= a minimum).  Text passes
 ``_check_string`` (a string, never a number or None), and a named option (a
 value space, a dtype, a phase, a metric, a mode ...) ``_check_choice`` (a
-string from its one list); anything else raises the site's own error.  Both
+string from its one list); anything else raises the site's own error, as
+does a JSON object read with a key outside its list (``_check_keys``).  Both
 image types enforce one rule when built (including by
 ``dataclasses.replace``): 0 <= black < white, white finite, ``camera_id`` a
 string, and float data finite (mosaics also >= 0).  Functions taking them
@@ -181,6 +182,17 @@ def _check_choice(name, value, choices, *, error) -> str:
     if not (isinstance(value, str) and value in choices):
         raise error(f"{name} must be one of {tuple(choices)}, got {value!r}")
     return value
+
+
+def _check_keys(where, doc, keys, *, error) -> None:
+    """The rule of the JSON objects the package reads: ``doc`` is an object
+    with no key outside ``keys``, so a misspelt key is no field left at its
+    default.  Otherwise raises ``error`` naming ``where``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
+    if unknown:
+        raise error(f"{where}: unknown keys {unknown}")
 
 
 def _check_iso(name, value) -> int:

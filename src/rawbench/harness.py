@@ -27,12 +27,12 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import core
-from .core import (_check_choice, _check_finite, _check_int, _check_iso, _check_string, _map,
-                   read_frame)
+from .core import (_check_choice, _check_finite, _check_int, _check_iso, _check_keys,
+                   _check_string, _map, read_frame)
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -72,16 +72,15 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     The phase must be one of the crop protocol's (``metrics._CROP_SIDES``).
     Entry fields must have their JSON types: numbers for ``iso`` and
     ``dgain``, strings for the rest (``camera`` may be absent, ``gt_path``
-    absent or null).  With ``strict=True`` every referenced file must
-    already exist.
+    absent or null), and no key may lie outside them (``core._check_keys``).
+    With ``strict=True`` every referenced file must already exist.
     """
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ManifestError(f"{path}: unreadable JSON ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise ManifestError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    _check_keys(path, doc, ("phase", "entries"), error=ManifestError)
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):
         raise ManifestError(f"{path}: 'entries' must be a list, got {type(raw_entries).__name__}")
@@ -92,8 +91,7 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     seen_ids = set()
     for i, raw in enumerate(raw_entries):
         where = f"{path}: entry {i}"
-        if not isinstance(raw, dict):
-            raise ManifestError(f"{where}: expected a JSON object, got {type(raw).__name__}")
+        _check_keys(where, raw, [f.name for f in fields(ManifestEntry)], error=ManifestError)
         try:
             gt_path = raw.get("gt_path")
             entry = ManifestEntry(

@@ -63,7 +63,6 @@ def make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0, isos=(800
             iso: NoiseParams(K=K, sigma_read=sigma_read, sigma_row=sigma_row, quant_step=quant_step)
             for iso in isos
         },
-        dark_shading={},
         dark_library={iso: [] for iso in isos},
     )
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +237,13 @@ class TestModelSpecIO:
         p = tmp_path / "flagged.json"
         p.write_text(json.dumps({"layers": [{"kind": "elementwise"}], "ensemble": flag}))
         with pytest.raises(SpecError, match="flagged.json.*ensemble"):
+            load_model_spec(p)
+
+    def test_unknown_top_level_key_rejected(self, tmp_path):
+        # a misspelt "ensembel": true passed an ensemble as a single model
+        p = tmp_path / "m.json"
+        p.write_text(json.dumps({"layers": [{"kind": "elementwise"}], "ensembel": True}))
+        with pytest.raises(SpecError, match=re.escape("m.json: unknown keys ['ensembel']")):
             load_model_spec(p)
 
     def test_bad_layer_rejected(self, tmp_path):

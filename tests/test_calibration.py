@@ -23,7 +23,6 @@ from rawbench.core import (
     PackedImage,
     RawFrame,
     Roi,
-    SPACE_DN,
     SPACE_DN_ABOVE_BLACK,
     crop_frame,
     interleave_rggb,
@@ -198,9 +197,8 @@ class TestBuildProfile:
         prof = build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6})
         assert sorted(prof.iso_params) == [800, 1600]
         assert len(prof.dark_library[800]) == 4
-        assert prof.dark_shading[800].channels.shape == (4, 8, 8)
-        assert {img.channels.dtype for img in [prof.dark_shading[800], *prof.dark_library[800]]} \
-            == {np.dtype(np.float32)}
+        assert {(img.channels.shape, img.channels.dtype) for img in prof.dark_library[800]} \
+            == {((4, 8, 8), np.dtype(np.float32))}
 
     def test_provided_gains_stored_verbatim(self):
         rng = np.random.default_rng(7)
@@ -241,8 +239,6 @@ class TestBuildProfile:
             assert b.sigma_row == pytest.approx(a.sigma_row, rel=1e-12)
             assert b.quant_step == a.quant_step
             # the images are the sidecars: they come back as they were built
-            assert back.dark_shading[iso].channels.tobytes() == \
-                prof.dark_shading[iso].channels.tobytes()
             assert [r.channels.tobytes() for r in back.dark_library[iso]] == \
                 [r.channels.tobytes() for r in prof.dark_library[iso]]
 
@@ -291,6 +287,27 @@ class TestBuildProfile:
         with pytest.raises(ProfileError, match="ISO 1600: no gain provided and no PTC points"):
             build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8})
 
+    @pytest.mark.parametrize("gain", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_gain_fails_before_any_frame_is_calibrated(self, monkeypatch, gain):
+        # a gain of -1 used to fail only after every ISO's shading was made,
+        # and its message named no ISO
+        rng = np.random.default_rng(14)
+        darks = {800: self._darks(800, rng), 1600: self._darks(1600, rng)}
+        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(ProfileError, match=re.escape(
+                f"ISO 1600: system gain K must be finite and > 0, got {gain}")):
+            build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: gain})
+
+    def test_non_positive_ptc_gain_fails_before_any_frame_is_calibrated(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.warns(CalibrationWarning), pytest.raises(
+                ProfileError, match="ISO 800: system gain K must be finite and > 0, got -1"):
+            build_profile("camA", [800], {800: self._darks(800, rng)},
+                          ptc_points_by_iso={800: [(10.0, 20.0), (20.0, 10.0)]})
+
     @pytest.mark.parametrize("side", [32, 128])
     def test_later_iso_of_another_size_names_both_isos(self, side):
         rng = np.random.default_rng(10)
@@ -302,16 +319,17 @@ class TestBuildProfile:
         # an explicit roi that fits every frame calibrates the common region
         prof = build_profile("camA", [800, 1600], darks, provided_gains=gains,
                              roi=Roi(0, 0, 32, 32))
-        assert prof.dark_shading[1600].channels.shape == (4, 16, 16)
+        assert prof.dark_library[1600][0].channels.shape == (4, 16, 16)
 
 
 def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
     """The estimators as written before they became one pass per frame: a
     float64 stack for the shading, each residual split to RGGB, and read
     noise from interleaved, cast, raveled and concatenated residuals.
-    Returns the profile, whose images are those float64 arrays cast to
-    float32, and per ISO the float64 shading mosaic and residual images."""
-    iso_params, shading_maps, libraries, float64 = {}, {}, {}, {}
+    Returns the profile, whose library images are those float64 residuals
+    cast to float32, and per ISO the float64 shading mosaic and residual
+    images."""
+    iso_params, libraries, float64 = {}, {}, {}
     first = darks_by_iso[isos[0]][0]
     roi = roi or Roi(0, 0, first.width, first.height)
     for iso in isos:
@@ -336,16 +354,11 @@ def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
             sigma_read=float(np.std(np.concatenate(pixel_parts), ddof=1)),
             sigma_row=float(np.std(np.concatenate(band_means), ddof=1)),
         )
-        shading_maps[iso] = PackedImage(
-            channels=split_rggb(shading).astype(np.float32), space=SPACE_DN,
-            black_level=first.black_level, white_level=first.white_level, camera_id="camA",
-            iso=iso)
         libraries[iso] = [replace(r, channels=r.channels.astype(np.float32)) for r in residuals]
         float64[iso] = shading, residuals
     profile = SensorProfile(camera_id="camA", black_level=first.black_level,
                             white_level=first.white_level, effective_roi=roi,
-                            iso_params=iso_params, dark_shading=shading_maps,
-                            dark_library=libraries)
+                            iso_params=iso_params, dark_library=libraries)
     return profile, float64
 
 
@@ -394,9 +407,7 @@ class TestOnePassCalibration:
                 [r.channels.tobytes() for r in residuals]
             assert estimate_read_noise(residuals, band_axis) == (
                 want.iso_params[iso].sigma_read, want.iso_params[iso].sigma_row)
-            # ... and the profile holds them cast to float32
-            assert got.dark_shading[iso].channels.tobytes() == \
-                want.dark_shading[iso].channels.tobytes()
+            # ... and the profile holds the residuals cast to float32
             assert [r.channels.tobytes() for r in got.dark_library[iso]] == \
                 [r.channels.tobytes() for r in want.dark_library[iso]]
         out = tmp_path_factory.mktemp("profiles")
@@ -441,8 +452,6 @@ def _fixed_profile():
     residual = PackedImage(channels=((ramp.reshape(4, 4, 4) - 50.0) / 8.0).astype(np.float32),
                            space=SPACE_DN_ABOVE_BLACK, black_level=BLACK, white_level=WHITE,
                            camera_id="camA", iso=800)
-    shading = PackedImage(channels=split_rggb(ramp + 512.0).astype(np.float32), space=SPACE_DN,
-                          black_level=BLACK, white_level=WHITE, camera_id="camA", iso=800)
     return SensorProfile(
         camera_id="camA",
         black_level=BLACK,
@@ -450,7 +459,6 @@ def _fixed_profile():
         effective_roi=Roi(2, 4, 8, 8),
         iso_params={800: NoiseParams(K=0.8123456789, sigma_read=3.25, sigma_row=0.5),
                     3200: NoiseParams(K=3.3, sigma_read=9.0, sigma_row=1.75, quant_step=0.5)},
-        dark_shading={800: shading},
         dark_library={800: [residual, replace(residual, channels=-residual.channels)], 3200: []},
     )
 
@@ -471,56 +479,42 @@ class TestSidecarRule:
     """Every image a profile holds passes one rule in SensorProfile, however
     the profile is made; in a loaded profile the error also names the JSON."""
 
-    # (entry to change, its new images, error after "ISO 800: <entry>: ")
+    # (ISO 800's new library, error after "ISO 800: dark_library[0]: ")
     CONSTRUCTOR = {
         "library-of-another-iso": (
-            "dark_library", lambda p: p.dark_library[3200],
+            lambda p: p.dark_library[3200],
             "tagged camera 'camA' ISO 3200, expected camera 'camA' ISO 800"),
         "clean-frame-of-another-camera": (
-            "dark_library", lambda p: [_CLEAN],
+            lambda p: [_CLEAN],
             "the profile expects dn_above_black images, got sidecar in space 'dn'"),
         "residual-of-another-camera": (
-            "dark_library", lambda p: [replace(p.dark_library[800][0], camera_id="camB")],
+            lambda p: [replace(p.dark_library[800][0], camera_id="camB")],
             "tagged camera 'camB' ISO 800, expected camera 'camA' ISO 800"),
         "library-shape": (
-            "dark_library", lambda p: [replace(p.dark_library[800][0],
-                                               channels=p.dark_library[800][0].channels[:, 1:])],
+            lambda p: [replace(p.dark_library[800][0],
+                               channels=p.dark_library[800][0].channels[:, 1:])],
             "float32 planes of 3x4, expected float32 planes of 4x4 (effective_roi halved)"),
-        "shading-shape": (
-            "dark_shading", lambda p: replace(p.dark_shading[800],
-                                              channels=np.zeros((4, 4, 2), np.float32)),
-            "float32 planes of 4x2, expected float32 planes of 4x4 (effective_roi halved)"),
         "float64-library": (
-            "dark_library",
             lambda p: [replace(p.dark_library[800][0], channels=np.zeros((4, 4, 4)))],
             "float64 planes of 4x4, expected float32 planes of 4x4"),
-        "float64-shading": (
-            "dark_shading", lambda p: replace(p.dark_shading[800],
-                                              channels=p.dark_shading[800].channels.astype(float)),
-            "float64 planes of 4x4, expected float32 planes of 4x4"),
-        "shading-not-an-image": (
-            "dark_shading", lambda p: interleave_rggb(p.dark_shading[800].channels),
+        "library-not-an-image": (
+            lambda p: [interleave_rggb(p.dark_library[800][0].channels)],
             "expected a PackedImage, got ndarray"),
     }
 
     @pytest.mark.parametrize("case", CONSTRUCTOR)
     def test_constructor(self, case):
-        entry, images, message = self.CONSTRUCTOR[case]
+        images, message = self.CONSTRUCTOR[case]
         prof = _two_iso_profile()
-        images = images(prof)
-        name = entry if entry == "dark_shading" else f"{entry}[0]"
-        with pytest.raises(ProfileError, match=re.escape(f"ISO 800: {name}: {message}")):
-            replace(prof, **{entry: {**getattr(prof, entry), 800: images}})
+        with pytest.raises(ProfileError, match=re.escape(f"ISO 800: dark_library[0]: {message}")):
+            replace(prof, dark_library={**prof.dark_library, 800: images(prof)})
 
-    @pytest.mark.parametrize("entry", ["dark_shading", "dark_library"])
-    def test_images_of_an_iso_without_noise_params(self, entry):
+    def test_images_of_an_iso_without_noise_params(self):
         prof = _two_iso_profile()
-        images = {"dark_shading": replace(prof.dark_shading[800], iso=1600),
-                  "dark_library": [replace(prof.dark_library[800][0], iso=1600)]}[entry]
-        name = entry if entry == "dark_shading" else f"{entry}[0]"
+        images = [replace(prof.dark_library[800][0], iso=1600)]
         with pytest.raises(ProfileError, match=re.escape(
-                f"ISO 1600: {name}: ISO 1600 not in profile (available: [800, 3200])")):
-            replace(prof, **{entry: {**getattr(prof, entry), 1600: images}})
+                "ISO 1600: dark_library[0]: ISO 1600 not in profile (available: [800, 3200])")):
+            replace(prof, dark_library={**prof.dark_library, 1600: images})
 
     # (image written as "other.rawb" or None, JSON edit, error after "ISO 800: ")
     JSON = {
@@ -536,10 +530,6 @@ class TestSidecarRule:
                               channels=p.dark_library[800][0].channels[:, :2]),
             lambda iso: iso["800"].update(dark_library=["other.rawb"]),
             "dark_library[0]: float32 planes of 2x4, expected float32 planes of 4x4"),
-        "shading-shape": (
-            lambda p: replace(p.dark_shading[800], channels=p.dark_shading[800].channels[:, :, 1:]),
-            lambda iso: iso["800"].update(dark_shading_path="other.rawb"),
-            "dark_shading: float32 planes of 4x3, expected float32 planes of 4x4"),
         # RAWB holds no float64: a u16 image is the wrong dtype a file can hold
         "u16-library": (
             lambda p: replace(p.dark_library[800][0], channels=np.zeros((4, 4, 4), np.uint16)),
@@ -613,16 +603,20 @@ class TestLoadProfileErrors:
         (lambda doc: doc.update(black_level=[1.0, 2.0, 3.0]), "4 values"),
         (lambda doc: doc["isos"]["800"].update(dark_library="abc.rawb"), "ISO 800: dark_library"),
         (lambda doc: doc["isos"]["3200"].update(dark_library=[1, 2]), "ISO 3200: dark_library"),
-        # JSON numbers only: true and "1023" used to load as 1.0 and 1023.0,
-        # and a numeric shading path failed as PosixPath / int
+        # JSON numbers only: true and "1023" used to load as 1.0 and 1023.0
         (lambda doc: doc["isos"]["800"].update(K=True), "K must be a number, got True"),
         (lambda doc: doc["isos"]["3200"].update(quant_step="0.5"),
          "quant_step must be a number, got '0.5'"),
         (lambda doc: doc.update(white_level="1023"), "white_level must be a number, got '1023'"),
         (lambda doc: doc["black_level"].__setitem__(2, "512"),
          "black_level must be a number, got '512'"),
-        (lambda doc: doc["isos"]["800"].update(dark_shading_path=5),
-         "ISO 800: dark_shading_path must be a file name or null, got 5"),
+        # an unknown key: a misspelt quant_step loaded as the default 1.0,
+        # and an old profile's shading file was read and never used
+        (lambda doc: doc["isos"]["800"].update(quant_stp=0.25),
+         re.escape("malformed profile (ISO 800: unknown keys ['quant_stp'])")),
+        (lambda doc: doc["isos"]["3200"].update(dark_shading_path="prof_iso3200_shading.rawb"),
+         re.escape("malformed profile (ISO 3200: unknown keys ['dark_shading_path'])")),
+        (lambda doc: doc.update(camera="camB", roi=None), re.escape("unknown keys ['camera', 'roi']")),
         # a null camera_id loaded as None, and a float ROI as float fields
         (lambda doc: doc.update(camera_id=None), "camera_id must be a string, got None"),
         (lambda doc: doc.update(camera_id=7), "camera_id must be a string, got 7"),
@@ -637,7 +631,8 @@ class TestLoadProfileErrors:
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
             "white-below-black", "white-infinite", "black-3-values", "string-dark-library",
             "number-dark-library", "bool-K", "string-quant-step", "string-white",
-            "string-black", "number-shading-path", "null-camera", "number-camera", "float-roi-x0",
+            "string-black", "misspelt-quant-step", "old-shading-path", "top-level-keys",
+            "null-camera", "number-camera", "float-roi-x0",
             "float-roi-w", "bool-roi-h", "negative-iso-key", "number-iso-entry"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
@@ -663,12 +658,26 @@ def test_profile_levels_stored_as_in_rawframe():
     assert prof.black_level.dtype == np.float64 and type(prof.white_level) is float
 
 
+def test_saved_profile_holds_only_what_is_read(tmp_path):
+    # one sidecar kind: the library residuals, and no shading map
+    save_profile(_two_iso_profile(), tmp_path / "prof.json")
+    assert {p.name for p in tmp_path.iterdir()} == {"prof.json"} | {
+        f"prof_iso{iso}_dark{k:03d}.rawb" for iso in (800, 3200) for k in range(2)}
+
+
+def test_saved_keys_are_the_keys_load_profile_takes(tmp_path):
+    # the writer and the key rule of the reader share one list of keys
+    save_profile(_fixed_profile(), tmp_path / "prof.json")
+    doc = json.loads((tmp_path / "prof.json").read_text())
+    assert tuple(doc) == calibration._PROFILE_KEYS
+    assert [tuple(entry) for entry in doc["isos"].values()] == [calibration._ENTRY_KEYS] * 2
+
+
 class TestStoredProfile:
     """Exact bytes of a saved profile and its sidecars (the profile format is frozen)."""
 
     PINNED = {
-        "prof.json": "a12ebe0a8e3f88f897f78e574976a5af0fdb4a9f323414799fadcceaa78bd197",
-        "prof_iso800_shading.rawb": "e680cf8df000868a99351d409af34b6a70276c70942ad47e4efe1182b0cc6cc3",
+        "prof.json": "8ab586c576c8426b894e0405163cd93426ff00e4b76658e93289a12f74cf9383",
         "prof_iso800_dark000.rawb": "4d689a9e26f4c26e0c3e3e14e77e5832e1186bbe79252b7be89384331e6f8006",
         "prof_iso800_dark001.rawb": "acf69f485dea846c5669ca7626aeaf11d5172480f15b834f3032771e54cd1e78",
     }

@@ -331,6 +331,16 @@ def test_calibrate_darks_of_another_camera_exit_2(workspace, capsys):
     assert not (workspace / "profile.json").exists()
 
 
+@pytest.mark.parametrize("gain, shown", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan")])
+def test_calibrate_names_the_iso_of_a_bad_gain(workspace, capsys, gain, shown):
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--gains", f"800=0.8,1600={gain}",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert f"ISO 1600: system gain K must be finite and > 0, got {shown}" in \
+        capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
 def test_calibrate_names_a_negative_iso_subdirectory(workspace, capsys):
     negative = workspace / "darks" / "-5"
     (workspace / "darks" / "800").rename(negative)
@@ -368,7 +378,7 @@ def test_calibrate_camera_id_tags_every_sidecar(tmp_path):
     loaded = load_profile(profile)
     assert loaded.camera_id == "X"
     sidecars = sorted(profile.parent.glob("*.rawb"))
-    assert len(sidecars) == 4
+    assert len(sidecars) == 3
     assert {read_packed(p).camera_id for p in sidecars} == {"X"}
 
 

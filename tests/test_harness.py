@@ -130,11 +130,17 @@ class TestLoadManifest:
         # an entry of 5 used to end in an AttributeError from raw.get
         ({"phase": "dev", "entries": [5]}, "entry 0: expected a JSON object, got int"),
         ({"phase": "dev", "entries": [[]]}, "entry 0: expected a JSON object, got list"),
-    ], ids=["list", "entries-int", "entries-dict", "entry-int", "entry-list"])
+        # "phsae" loaded as phase dev, so a final-phase run was scored at the dev crop
+        ({"phsae": "final", "entries": []}, "unknown keys ['phsae']"),
+        # "dgian" loaded as dgain 1.0, which per_image.csv then recorded
+        ({"entries": [{"image_id": "img1", "scene_type": "wild", "iso": 800, "dgian": 200,
+                       "noisy_path": "n.rawb"}]}, "entry 0: unknown keys ['dgian']"),
+    ], ids=["list", "entries-int", "entries-dict", "entry-int", "entry-list", "unknown-key",
+            "unknown-entry-key"])
     def test_malformed_top_level_names_the_file(self, tmp_path, doc, match):
         p = tmp_path / "m.json"
         p.write_text(json.dumps(doc))
-        with pytest.raises(ManifestError, match=f"m.json: {match}"):
+        with pytest.raises(ManifestError, match=re.escape(f"m.json: {match}")):
             load_manifest(p)
 
 

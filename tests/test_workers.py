@@ -367,8 +367,8 @@ def test_cli_calibrate_bytes_do_not_depend_on_blas_threads_or_workers(tmp_path, 
         (tmp_path / "darks" / str(iso)).mkdir(parents=True)
         for k, dark in enumerate(darks):
             write_frame(dark, tmp_path / "darks" / str(iso) / f"dark{k}.rawb")
-    names = ["prof.json"] + [f"prof_iso{iso}_{kind}.rawb" for iso in (800, 3200)
-                             for kind in ("shading", *(f"dark{k:03d}" for k in range(4)))]
+    names = ["prof.json"] + [f"prof_iso{iso}_dark{k:03d}.rawb" for iso in (800, 3200)
+                             for k in range(4)]
 
     def commands(tag):
         out = tmp_path / f"profile_{tag}"
@@ -424,7 +424,7 @@ def score_pairs_input(tmp_path, groups=2):
 
 def saved_profile(tmp_path):
     """``synth_profile()`` saved under ``tmp_path``: its JSON's path.  Its
-    sidecars are two library images per ISO and no shading."""
+    sidecars are two library images per ISO."""
     save_profile(synth_profile(), tmp_path / "profile" / "prof.json")
     return tmp_path / "profile" / "prof.json"
 
