@@ -29,8 +29,7 @@ profile = SensorProfile(
 clean_v, dgain = 0.25, 100.0
 clean = PackedImage(channels=np.full((4, 400, 400), clean_v), space=SPACE_NORMALIZED,
                     black_level=BLACK, white_level=WHITE)
-noisy = synthesize_noisy(clean, profile, SynthConfig(iso=800, dgain=dgain, seed=1),
-                         clip=False)
+noisy = synthesize_noisy(clean, profile, SynthConfig(iso=800, dgain=dgain, seed=1))
 
 mu_dn = clean_v * SPAN / dgain
 p = profile.iso_params[800]

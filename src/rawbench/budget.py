@@ -17,11 +17,9 @@ MAC count is exactly equal at stride 1: each of the N^2 sub-tensors has
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
-from pathlib import Path
 
-from .core import _check_choice, _check_int, _check_keys
+from .core import _check_choice, _check_int, _check_keys, _read_json
 from .errors import SpecError
 
 MAX_PARAMS = 15_000_000          # inclusive bound
@@ -153,10 +151,7 @@ def check_constraints(report: BudgetReport) -> ConstraintResult:
 def load_model_spec(path) -> tuple[list[LayerSpec], bool, tuple[int, int, int, int]]:
     """Read a model JSON: either a bare layer list or
     {"layers": [...], "ensemble": bool, "input": [1, C, H, W]}, no other keys."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise SpecError(f"{path}: unreadable model JSON ({exc})") from exc
+    doc = _read_json(path, error=SpecError)
     if isinstance(doc, list):
         layers_doc, ensemble, input_shape = doc, False, REFERENCE_INPUT
     elif isinstance(doc, dict) and isinstance(doc.get("layers"), list):

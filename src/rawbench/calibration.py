@@ -15,29 +15,25 @@ own mean, so a constant per-frame offset contaminates neither the band nor
 the pixel estimate.  ``estimate_dark_shading`` and ``correct_dark_frame``
 return float64 arrays; only the residuals a profile stores are float32.
 
+Each input is checked once, before any work: ``build_profile`` checks
+every ISO's darks (``_check_darks``, the dark-set rule that
+``estimate_dark_shading`` runs too) and gain before it calibrates a frame,
+and ``SensorProfile`` holds the one profile rule, however a profile is made.
+
 ``build_profile`` runs each ISO's work as ``core._map`` tasks on every CPU
-the process may use, and its bytes and sigmas do not depend on how many
-there are.  The shading map is made in row bands, one task each: a band
-of frame 0 cast to float64, each later frame's rows added in order, then
-one divide by n.  Those are, per element, the adds of
-``np.stack(...).mean(axis=0)`` in its order, so the map has the stack's
-bits without the (n, H, W) stack.  Then each dark is one task: it makes
-the dark's float64 residual mosaic, its float32 RGGB library image and its
-band means, and writes its band-mean-removed pixels into its own slot of
-one preallocated buffer, which holds the values, in order, of the raveled
-per-frame parts that ``estimate_read_noise`` once concatenated.  The sums
-whose bits depend on their order (the pooled band means' std and the two
-reductions over the whole buffer) stay single serial calls, so both sigmas
-keep their bits as well.  The ISOs run one after another, so one ISO's
-buffer is held at a time.  ``save_profile`` and ``load_profile`` write and
-read each sidecar file as a task too.
+the process may use: the shading map's row bands, then each dark's
+residual (``_read_noise_stats``).  The sums whose bits depend on their
+order stay serial, so its bytes and sigmas do not depend on the CPU count.
+The ISOs run one after another, so one ISO's buffer is held at a time.
+``save_profile`` and ``load_profile`` write and read each sidecar file as
+a task too.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -57,6 +53,7 @@ from .core import (
     _check_string,
     _map,
     _meta_kwargs,
+    _read_json,
     _row_bands,
     crop_frame,
     interleave_rggb,
@@ -105,14 +102,15 @@ class SensorProfile:
     (``dn_above_black``, zero mean); an ISO may carry an explicitly empty
     library when only parametric synthesis is wanted.
 
-    The sidecar rule, checked however a profile is made (``build_profile``,
-    ``load_profile``, the constructor or ``dataclasses.replace``): each image
-    is a ``dn_above_black`` PackedImage, tagged with the profile's
-    ``camera_id`` and the entry's ISO, that ISO has NoiseParams, and the
-    planes are float32 and ``effective_roi`` halved.  A broken rule is a
-    ProfileError naming the ISO and the entry.  The levels obey the image
-    rule 0 <= black < white and are stored as in RawFrame: a float64
-    4-vector and a float.
+    The profile rule, checked however a profile is made (``build_profile``,
+    ``load_profile``, the constructor or ``dataclasses.replace``), so that
+    ``load_profile`` takes what ``save_profile`` writes: ``camera_id`` is a
+    string, ``effective_roi`` a Roi, each ``iso_params`` key an ISO
+    (``core._check_iso``, stored as an int) with NoiseParams, the levels
+    pass the image rule (stored as in RawFrame), and each sidecar image is
+    a ``dn_above_black`` PackedImage tagged with the profile's camera and
+    its entry's ISO, with float32 planes of ``effective_roi`` halved.  A
+    broken rule is a ProfileError naming the ISO and any sidecar entry.
     """
 
     camera_id: str
@@ -124,11 +122,21 @@ class SensorProfile:
 
     def __post_init__(self):
         self.black_level, self.white_level = _check_levels(self.black_level, self.white_level)
-        planes = (self.effective_roi.h // 2, self.effective_roi.w // 2)
-        sidecars = [(iso, k, img) for iso, images in self.dark_library.items()
-                    for k, img in enumerate(images)]
-        for iso, k, img in sidecars:
-            try:
+        where, iso_params = "", {}
+        try:
+            _check_string("camera_id", self.camera_id)
+            if not isinstance(self.effective_roi, Roi):
+                raise TypeError(f"effective_roi must be a Roi, got {self.effective_roi!r}")
+            for iso, params in self.iso_params.items():
+                where = f"ISO {iso!r}: "
+                if not isinstance(params, NoiseParams):
+                    raise TypeError(f"expected NoiseParams, got {type(params).__name__}")
+                iso_params[_check_iso("isos key", iso)] = params
+            self.iso_params = iso_params
+            planes = (self.effective_roi.h // 2, self.effective_roi.w // 2)
+            for iso, k, img in [(iso, k, img) for iso, images in self.dark_library.items()
+                                for k, img in enumerate(images)]:
+                where = f"ISO {iso}: dark_library[{k}]: "
                 self.params_for(iso)
                 if not isinstance(img, PackedImage):
                     raise ProfileError(f"expected a PackedImage, got {type(img).__name__}")
@@ -141,8 +149,8 @@ class SensorProfile:
                         f"{img.channels.dtype} planes of {img.plane_height}x{img.plane_width}, "
                         f"expected float32 planes of {planes[0]}x{planes[1]} "
                         "(effective_roi halved)")
-            except (DomainError, ProfileError) as exc:
-                raise ProfileError(f"ISO {iso}: dark_library[{k}]: {exc}") from exc
+        except (DomainError, ProfileError, TypeError) as exc:
+            raise ProfileError(f"{where}{exc}") from exc
 
     def params_for(self, iso: int) -> NoiseParams:
         try:
@@ -153,22 +161,45 @@ class SensorProfile:
             ) from None
 
 
+def _check_darks(iso, darks: list[RawFrame], ref: RawFrame | None, roi: Roi | None) -> None:
+    """The dark-set rule, on metadata only: >= 2 darks, each of ISO ``iso``
+    with ``ref``'s camera and levels, of one size (``ref``'s when there is
+    no ``roi``) that ``roi`` fits.  Each error names ``iso``."""
+    if len(darks) < 2:
+        raise InsufficientData(f"ISO {iso}: need >= 2 dark frames, got {len(darks)}")
+    other = sorted({d.iso for d in darks} - {iso})
+    if other:
+        raise ProfileError(f"ISO {iso} darks include frames of ISO {other[0]}")
+    first = darks[0]
+    for k, dark in enumerate(darks):
+        for name in ("camera_id", "black_level", "white_level"):
+            if not np.array_equal(getattr(dark, name), getattr(ref, name)):
+                got, want = (np.asarray(getattr(f, name)).tolist() for f in (dark, ref))
+                raise ProfileError(
+                    f"ISO {iso} dark {k} has {name} {got!r} but ISO {ref.iso} dark 0 has "
+                    f"{want!r}; calibrate one camera's darks at a time")
+        if dark.data.shape != first.data.shape:
+            raise ProfileError(f"ISO {iso} darks have mixed dimensions: dark {k} is "
+                               f"{dark.width}x{dark.height}, dark 0 {first.width}x{first.height}")
+    if roi is None and first.data.shape != ref.data.shape:
+        raise ProfileError(
+            f"ISO {iso} darks are {first.width}x{first.height} but ISO {ref.iso} darks are "
+            f"{ref.width}x{ref.height}; pass an roi to calibrate a common region")
+    if roi is not None and (roi.x0 + roi.w > first.width or roi.y0 + roi.h > first.height):
+        raise DimensionError(
+            f"ISO {iso}: roi {roi} does not fit darks of {first.width}x{first.height}")
+
+
 def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
     """Per-pixel mean of >= 2 dark frames over the ROI, at mosaic resolution.
 
+    First the darks pass ``build_profile``'s dark-set rule against dark 0.
     The result includes the black pedestal: subtracting it from a dark
     frame removes both the spatial dark-current pattern and the black
-    level in one step.  Each row band of ``core._row_bands`` is one
-    ``core._map`` task.
+    level in one step.  Each row band is one ``core._map`` task.
     """
-    if len(darks) < 2:
-        raise InsufficientData(f"need >= 2 dark frames, got {len(darks)}")
-    first = darks[0]
-    for d in darks[1:]:
-        if d.data.shape != first.data.shape:
-            raise ProfileError("dark frames have mixed dimensions")
-        if d.iso != first.iso or d.camera_id != first.camera_id:
-            raise ProfileError("dark frames mix ISO or camera")
+    ref = darks[0] if darks else None
+    _check_darks(getattr(ref, "iso", None), darks, ref, roi)
     frames = [crop_frame(d, roi).data for d in darks]
     total = np.empty(frames[0].shape)
 
@@ -193,25 +224,19 @@ def correct_dark_frame(dark: RawFrame, shading: np.ndarray) -> PackedImage:
     The result is the frame's signal-independent noise residual, zero-mean
     per pixel over the library, in float64 (a profile stores it as float32).
     """
-    return PackedImage(channels=split_rggb(_dark_residual(dark, shading)),
+    shading = np.asarray(shading, dtype=np.float64)
+    if dark.data.shape != shading.shape:
+        raise DimensionError(f"dark {dark.data.shape} does not match shading {shading.shape}")
+    return PackedImage(channels=split_rggb(dark.data - shading),
                        space=SPACE_DN_ABOVE_BLACK, **_meta_kwargs(dark))
 
 
-def _dark_residual(dark: RawFrame, shading: np.ndarray) -> np.ndarray:
-    """The float64 mosaic ``dark - shading`` (a new C-ordered array)."""
-    shading = np.asarray(shading, dtype=np.float64)
-    if dark.data.shape != shading.shape:
-        raise DimensionError(
-            f"dark {dark.data.shape} does not match shading {shading.shape}"
-        )
-    return np.subtract(dark.data, shading, dtype=np.float64, order="C")
-
-
 def _library_residual(dark: RawFrame, roi: Roi, shading: np.ndarray, camera_id: str):
-    """``dark``'s float64 residual mosaic over ``roi`` and its library image:
-    the float32 RGGB split, tagged ``camera_id``."""
+    """``dark``'s float64 residual mosaic over ``roi`` (a new C-ordered array,
+    ``dark - shading``; ``_check_darks`` has matched their shapes) and its
+    library image: the float32 RGGB split, tagged ``camera_id``."""
     dark = crop_frame(dark, roi)
-    mosaic = _dark_residual(dark, shading)
+    mosaic = np.subtract(dark.data, shading, dtype=np.float64, order="C")
     return mosaic, PackedImage(channels=split_rggb(mosaic.astype(np.float32)),
                                space=SPACE_DN_ABOVE_BLACK,
                                **{**_meta_kwargs(dark), "camera_id": camera_id})
@@ -318,41 +343,27 @@ def build_profile(
     Gains come from ``provided_gains`` verbatim when present (the normal
     case: the dataset ships calibrated values), otherwise from a
     photon-transfer fit of ``ptc_points_by_iso``.  Every ISO keeps the
-    default quantization step of NoiseParams (1 DN).  Without ``roi`` the
-    whole frames are calibrated, so every ISO's darks must have the first
-    ISO's size.  Each ISO's darks must carry that ISO, and every dark the
-    first dark's camera and levels: ``camera_id`` names the profile, it
-    does not let one profile mix cameras.  All of this, and each ISO's gain
-    (finite and > 0), is checked before any frame is calibrated.
+    default quantization step of NoiseParams (1 DN).  Before any frame is
+    calibrated, ``camera_id`` must be a string, and each ISO's darks pass
+    ``_check_darks`` against the first ISO's dark 0 (without ``roi``, the
+    whole frames of that size are calibrated) and its gain is finite and
+    > 0, each failure naming the ISO: ``camera_id`` names the profile, it
+    does not let one profile mix cameras.
     """
     if not isos:
         raise InsufficientData("need at least one ISO setting to calibrate")
     _check_choice("band_axis", band_axis, _BAND_AXES, error=ValueError)
+    _check_string("camera_id", camera_id)
     provided_gains = provided_gains or {}
     ptc_points_by_iso = ptc_points_by_iso or {}
     gains: dict[int, float] = {}
-    ref: RawFrame | None = None
+    ref = None
     for iso in isos:
         darks = darks_by_iso.get(iso)
         if not darks:
             raise ProfileError(f"no dark frames supplied for ISO {iso}")
-        other = sorted({d.iso for d in darks} - {iso})
-        if other:
-            raise ProfileError(f"ISO {iso} darks include frames of ISO {other[0]}")
-        if ref is None:
-            ref = darks[0]
-        elif roi is None and darks[0].data.shape != ref.data.shape:
-            raise ProfileError(
-                f"ISO {iso} darks are {darks[0].width}x{darks[0].height} but ISO {isos[0]} "
-                f"darks are {ref.width}x{ref.height}; pass an roi to calibrate a common region"
-            )
-        for k, dark in enumerate(darks):
-            for name in ("camera_id", "black_level", "white_level"):
-                got, want = np.asarray(getattr(dark, name)), np.asarray(getattr(ref, name))
-                if not np.array_equal(got, want):
-                    raise ProfileError(
-                        f"ISO {iso} dark {k} has {name} {got.tolist()!r} but ISO {isos[0]} "
-                        f"dark 0 has {want.tolist()!r}; calibrate one camera's darks at a time")
+        ref = ref or darks[0]
+        _check_darks(iso, darks, ref, roi)
         if iso in provided_gains:
             gain = provided_gains[iso]
         elif iso in ptc_points_by_iso:
@@ -361,7 +372,6 @@ def build_profile(
             raise ProfileError(f"ISO {iso}: no gain provided and no PTC points to fit")
         gains[iso] = _check_finite(f"ISO {iso}: system gain K", gain, positive=True,
                                    error=ProfileError)
-    assert ref is not None
     if roi is None:
         roi = Roi(0, 0, ref.width, ref.height)
     iso_params: dict[int, NoiseParams] = {}
@@ -373,14 +383,9 @@ def build_profile(
             darks, partial(_library_residual, roi=roi, shading=shading, camera_id=camera_id),
             [roi.w * roi.h] * len(darks), band_axis)
         iso_params[iso] = NoiseParams(K=gains[iso], sigma_read=sigma_read, sigma_row=sigma_row)
-    return SensorProfile(
-        camera_id=camera_id,
-        black_level=ref.black_level,
-        white_level=ref.white_level,
-        effective_roi=roi,
-        iso_params=iso_params,
-        dark_library=libraries,
-    )
+    return SensorProfile(camera_id=camera_id, black_level=ref.black_level,
+                         white_level=ref.white_level, effective_roi=roi,
+                         iso_params=iso_params, dark_library=libraries)
 
 
 def save_profile(profile: SensorProfile, json_path) -> None:
@@ -427,38 +432,28 @@ def _library_names(iso: int, entry) -> list[str]:
 def load_profile(json_path) -> SensorProfile:
     """Load a profile saved by :func:`save_profile`; a missing, unknown
     (``core._check_keys``) or malformed field raises ProfileError naming the
-    file.  The levels and noise parameters must be JSON numbers,
-    ``camera_id`` and the sidecar paths strings, the ROI fields integers and
-    the ISO keys ISOs (``_check_iso``).  A sidecar that breaks its image
-    checks or SensorProfile's rule fails so too."""
+    file.  The fields build the profile first, so they pass NoiseParams',
+    Roi's and SensorProfile's rules before any file is read; then each
+    sidecar must pass its image checks and the sidecar rule."""
     json_path = Path(json_path)
-    try:
-        doc = json.loads(json_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ProfileError(f"{json_path}: unreadable profile JSON ({exc})") from exc
+    doc = _read_json(json_path, error=ProfileError)
     _check_keys(json_path, doc, _PROFILE_KEYS, error=ProfileError)
-    base = json_path.parent
     try:
-        isos = {_check_iso("isos key", int(iso)): entry for iso, entry in doc["isos"].items()}
+        isos = {int(iso): entry for iso, entry in doc["isos"].items()}
+        if list(map(str, isos)) != list(doc["isos"]):  # "0800" would replace ISO 800, not fail
+            raise ProfileError(f"isos keys must be plain whole numbers, got {list(doc['isos'])}")
         libraries = {iso: _library_names(iso, entry) for iso, entry in isos.items()}
-        scalars = {
-            "camera_id": _check_string("camera_id", doc["camera_id"]),
-            "black_level": doc["black_level"],
-            "white_level": doc["white_level"],
-            "effective_roi": Roi(**doc["effective_roi"]),
-            "iso_params": {
-                iso: NoiseParams(**{f.name: entry[f.name]
-                                    for f in fields(NoiseParams) if f.name in entry})
-                for iso, entry in isos.items()
-            },
-        }
-        # the fields fail before any file is read; then every sidecar is one
-        # task, each ISO's library in turn, so the first failure in that
-        # order is the one raised
+        profile = SensorProfile(
+            camera_id=doc["camera_id"], black_level=doc["black_level"],
+            white_level=doc["white_level"], effective_roi=Roi(**doc["effective_roi"]),
+            iso_params={iso: NoiseParams(**{k: v for k, v in entry.items() if k != "dark_library"})
+                        for iso, entry in isos.items()})
+        # every sidecar is one task, each ISO's library in turn, so the
+        # first failure in that order is the one raised
         names = [name for library in libraries.values() for name in library]
-        images = iter(_map(read_packed, [base / name for name in names]))
-        return SensorProfile(**scalars, dark_library={iso: [next(images) for _ in library]
-                                                      for iso, library in libraries.items()})
+        images = iter(_map(read_packed, [json_path.parent / name for name in names]))
+        return replace(profile, dark_library={iso: [next(images) for _ in library]
+                                              for iso, library in libraries.items()})
     except KeyError as exc:
         raise ProfileError(f"{json_path}: missing field {exc}") from exc
     except (AttributeError, TypeError, ValueError) as exc:

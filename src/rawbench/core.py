@@ -195,6 +195,15 @@ def _check_keys(where, doc, keys, *, error) -> None:
         raise error(f"{where}: unknown keys {unknown}")
 
 
+def _read_json(path, *, error):
+    """The one JSON file reader: a file that is not UTF-8 JSON raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # UnicodeDecodeError is a ValueError
+        raise error(f"{path}: unreadable JSON ({exc})") from exc
+
+
 def _check_iso(name, value) -> int:
     """The ISO rule of images and synthesis: a finite whole number >= 0.
     Returns it as an int; otherwise raises DomainError naming the setting."""

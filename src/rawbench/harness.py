@@ -24,7 +24,6 @@ reproduces ``ranktable.csv`` byte for byte.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -32,7 +31,7 @@ from pathlib import Path
 
 from . import core
 from .core import (_check_choice, _check_finite, _check_int, _check_iso, _check_keys,
-                   _check_string, _map, read_frame)
+                   _check_string, _map, _read_json, read_frame)
 from .errors import DataError, DimensionError, DomainError, ManifestError, MissingDataError
 from .metrics import _CROP_SIDES, evaluate_pair, prepare_reference
 from .ranking import ALL_METRICS, MetricRecord, RankTable, final_table
@@ -76,10 +75,7 @@ def load_manifest(path, strict: bool = False) -> Manifest:
     With ``strict=True`` every referenced file must already exist.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ManifestError(f"{path}: unreadable JSON ({exc})") from exc
+    doc = _read_json(path, error=ManifestError)
     _check_keys(path, doc, ("phase", "entries"), error=ManifestError)
     raw_entries = doc.get("entries", [])
     if not isinstance(raw_entries, list):

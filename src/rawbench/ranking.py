@@ -20,7 +20,7 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .core import _check_choice
+from .core import _check_choice, _check_number, _check_string
 from .errors import DataError
 
 _DIRECTIONS = ("up", "down")
@@ -42,7 +42,8 @@ CATEGORY_METRICS = {
 
 @dataclass(frozen=True)
 class MetricRecord:
-    """One team's metric values; a metric absent from a category blocks that category."""
+    """One team's metric values, each None or a number; a metric absent from a
+    category blocks that category."""
 
     team: str
     psnr: float | None = None
@@ -50,6 +51,14 @@ class MetricRecord:
     lpips: float | None = None
     arniqa: float | None = None
     topiq: float | None = None
+
+    def __post_init__(self):
+        try:
+            _check_string("team", self.team)
+            for metric in (m for m in ALL_METRICS if getattr(self, m) is not None):
+                _check_number(f"team {self.team!r}: {metric}", getattr(self, metric))
+        except TypeError as exc:
+            raise DataError(str(exc)) from None
 
     def get(self, metric: str) -> float | None:
         return getattr(self, _check_choice("metric", metric, ALL_METRICS, error=DataError))

@@ -180,14 +180,11 @@ def synthesize_noisy(
     clean_norm: PackedImage,
     profile: SensorProfile,
     cfg: SynthConfig,
-    clip: bool = True,
 ) -> PackedImage:
     """Full noisy-image synthesis for one clean patch.
 
     noisy = clamp(signal_norm + dgain * residual_DN / (white - black), 0, clip_hi)
     where signal_norm is the shot-noise draw mapped back to normalized units.
-    ``clip=False`` skips the final clamp, exposing the pre-clip field for
-    moment checks.
     """
     _check_space("synthesize_noisy", SPACE_NORMALIZED, clean_norm=clean_norm)
     params = profile.params_for(cfg.iso)
@@ -213,11 +210,9 @@ def synthesize_noisy(
         raise DomainError(
             f"dgain {cfg.dgain} at ISO {cfg.iso} overflows the synthesized image ({exc})"
         ) from exc
-    if clip:
-        noisy = np.clip(noisy, 0.0, cfg.clip_hi)
     return replace(
         clean_norm,
-        channels=noisy,
+        channels=np.clip(noisy, 0.0, cfg.clip_hi),
         black_level=profile.black_level,
         white_level=profile.white_level,
         camera_id=profile.camera_id,

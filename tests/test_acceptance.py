@@ -167,8 +167,7 @@ def test_criterion_5_synthesis_moment_law(clock):
         clean = PackedImage(channels=np.full((4, 500, 500), clean_v),
                             space=SPACE_NORMALIZED, black_level=BLACK, white_level=WHITE)
         noisy = synthesize_noisy(clean, prof,
-                                 SynthConfig(iso=iso, dgain=dgain, mode="parametric", seed=11),
-                                 clip=False)
+                                 SynthConfig(iso=iso, dgain=dgain, mode="parametric", seed=11))
         mu_dn = clean_v * SPAN / dgain
         pred_var = dgain**2 * (K * mu_dn + sr**2 + srow**2 + q**2 / 12.0) / SPAN**2
         mean_err = abs(noisy.channels.mean() - clean_v) / clean_v

@@ -80,6 +80,16 @@ class TestDarkShading:
         with pytest.raises(ProfileError):
             estimate_dark_shading(darks, Roi(0, 0, 4, 4))
 
+    def test_mixed_levels_rejected(self, monkeypatch):
+        # blacks of 512 and 256 gave a map of mean 384, a pedestal neither has
+        darks = [make_frame(np.full((4, 4), 600.0)),
+                 make_frame(np.full((4, 4), 300.0), black=np.full(4, 256.0))]
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(ProfileError, match=re.escape(
+                "ISO 800 dark 1 has black_level [256.0, 256.0, 256.0, 256.0] but ISO 800 dark 0 "
+                "has [512.0, 512.0, 512.0, 512.0]")):
+            estimate_dark_shading(darks, Roi(0, 0, 4, 4))
+
 
 class TestCorrectDarkFrame:
     def test_exact_match_gives_zero(self):
@@ -307,6 +317,48 @@ class TestBuildProfile:
                 ProfileError, match="ISO 800: system gain K must be finite and > 0, got -1"):
             build_profile("camA", [800], {800: self._darks(800, rng)},
                           ptc_points_by_iso={800: [(10.0, 20.0), (20.0, 10.0)]})
+
+    # (ISO 1600's darks from the 16x16 ones, roi, error, message): each used
+    # to fail only after ISO 800 was calibrated, and most named no ISO
+    BAD_LATER_ISO = {
+        "one-dark": (lambda darks, big: darks[:1], None, InsufficientData,
+                     "ISO 1600: need >= 2 dark frames, got 1"),
+        "mixed-sizes": (lambda darks, big: darks[:3] + big[:1], Roi(0, 0, 8, 8), ProfileError,
+                        "ISO 1600 darks have mixed dimensions: dark 3 is 24x24, dark 0 16x16"),
+        "roi-too-large": (lambda darks, big: darks, Roi(0, 0, 20, 20), DimensionError,
+                          "ISO 1600: roi Roi(x0=0, y0=0, w=20, h=20) does not fit darks of 16x16"),
+    }
+
+    @pytest.mark.parametrize("case", BAD_LATER_ISO)
+    def test_bad_later_iso_fails_before_any_frame_is_calibrated(self, monkeypatch, case):
+        darks_of, roi, error, message = self.BAD_LATER_ISO[case]
+        rng = np.random.default_rng(16)
+        darks = {800: self._darks(800, rng, side=24),
+                 1600: darks_of(self._darks(1600, rng), self._darks(1600, rng, side=24))}
+        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(error, match=re.escape(message)):
+            build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6},
+                          roi=roi)
+
+    def test_first_iso_of_mixed_sizes_fails_before_any_frame_is_calibrated(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        darks = {800: self._darks(800, rng)[:2] + self._darks(800, rng, n=1, side=8)}
+        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(ProfileError, match=re.escape(
+                "ISO 800 darks have mixed dimensions: dark 2 is 8x8, dark 0 16x16")):
+            build_profile("camA", [800], darks, provided_gains={800: 0.8})
+
+    @pytest.mark.parametrize("camera_id", [None, 5])
+    def test_camera_id_fails_before_any_frame_is_calibrated(self, monkeypatch, camera_id):
+        # it used to fail as a TypeError inside a library-image task
+        rng = np.random.default_rng(18)
+        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_map", None)
+        with pytest.raises(TypeError, match=f"camera_id must be a string, got {camera_id}"):
+            build_profile(camera_id, [800], {800: self._darks(800, rng)},
+                          provided_gains={800: 0.8})
 
     @pytest.mark.parametrize("side", [32, 128])
     def test_later_iso_of_another_size_names_both_isos(self, side):
@@ -626,6 +678,9 @@ class TestLoadProfileErrors:
         # an ISO key edited to "-5" loaded as ISO -5
         (lambda doc: doc["isos"].update({"-5": doc["isos"].pop("800")}),
          "isos key must be finite and >= 0, got -5"),
+        # "0800" loaded as a second ISO 800 that silently replaced the first
+        (lambda doc: doc["isos"].update({"0800": {**doc["isos"]["800"], "K": 9.0}}),
+         re.escape("isos keys must be plain whole numbers, got ['800', '3200', '0800']")),
         # an entry that is no JSON object, before its sidecar names are read
         (lambda doc: doc["isos"].update({"800": 5}), "malformed profile"),
     ], ids=["no-isos", "no-K", "string-K", "negative-K", "nan-sigma-read", "isos-list", "roi-no-h", "roi-odd-x0",
@@ -633,7 +688,8 @@ class TestLoadProfileErrors:
             "number-dark-library", "bool-K", "string-quant-step", "string-white",
             "string-black", "misspelt-quant-step", "old-shading-path", "top-level-keys",
             "null-camera", "number-camera", "float-roi-x0",
-            "float-roi-w", "bool-roi-h", "negative-iso-key", "number-iso-entry"])
+            "float-roi-w", "bool-roi-h", "negative-iso-key", "iso-key-spelt-twice",
+            "number-iso-entry"])
     def test_damaged_profile_names_the_file(self, tmp_path, damage, match):
         path = tmp_path / "prof.json"
         save_profile(_fixed_profile(), path)
@@ -644,6 +700,52 @@ class TestLoadProfileErrors:
             load_profile(path)
         assert str(err.value).startswith(f"{path}: ")
         assert isinstance(err.value, ProfileError)
+
+
+_PARAMS = NoiseParams(K=0.8, sigma_read=4.0, sigma_row=2.0)
+
+
+class TestProfileRule:
+    """SensorProfile's constructor refuses what load_profile would refuse:
+    each case used to save a profile that did not load back, or fail inside
+    save_profile."""
+
+    CASES = {
+        "null-camera": ({"camera_id": None}, "camera_id must be a string, got None"),
+        "number-camera": ({"camera_id": 5}, "camera_id must be a string, got 5"),
+        "bool-iso-key": ({"iso_params": {True: _PARAMS}},
+                         "ISO True: isos key must be a number, got True"),
+        "string-iso-key": ({"iso_params": {"800": _PARAMS}},
+                           "ISO '800': isos key must be a number, got '800'"),
+        "fractional-iso-key": ({"iso_params": {800.5: _PARAMS}},
+                               "ISO 800.5: isos key must be a whole number, got 800.5"),
+        "negative-iso-key": ({"iso_params": {-800: _PARAMS}},
+                             "ISO -800: isos key must be finite and >= 0, got -800"),
+        "tuple-params": ({"iso_params": {800: (0.8, 4.0, 2.0, 1.0)}},
+                         "ISO 800: expected NoiseParams, got tuple"),
+        "tuple-roi": ({"effective_roi": (0, 0, 8, 8)},
+                      "effective_roi must be a Roi, got (0, 0, 8, 8)"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_constructor(self, case):
+        change, message = self.CASES[case]
+        fields = {"camera_id": "camA", "black_level": BLACK, "white_level": WHITE,
+                  "effective_roi": Roi(0, 0, 8, 8), **change}
+        with pytest.raises(ProfileError, match=f"^{re.escape(message)}$"):
+            SensorProfile(**fields)
+
+    def test_whole_number_iso_keys_are_stored_as_ints_and_round_trip(self, tmp_path):
+        # an ISO key of 800.0 used to be saved as "800.0", which did not load
+        prof = _fixed_profile()
+        prof = replace(prof, iso_params={800.0: prof.iso_params[800],
+                                         np.int64(3200): prof.iso_params[3200]})
+        assert [type(iso) for iso in prof.iso_params] == [int, int]
+        save_profile(prof, tmp_path / "prof.json")
+        back = load_profile(tmp_path / "prof.json")
+        assert back.iso_params == prof.iso_params == _fixed_profile().iso_params
+        assert [r.channels.tobytes() for r in back.dark_library[800]] == \
+            [r.channels.tobytes() for r in prof.dark_library[800]]
 
 
 @pytest.mark.parametrize("black, white", [(512.0, 100.0), (512.0, 512.0), (-1.0, 100.0)])

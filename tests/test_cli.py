@@ -341,6 +341,18 @@ def test_calibrate_names_the_iso_of_a_bad_gain(workspace, capsys, gain, shown):
     assert not (workspace / "profile.json").exists()
 
 
+def test_calibrate_names_the_iso_with_one_dark(workspace, capsys):
+    # the last ISO's count used to fail only after the first ISO was
+    # calibrated, with a message naming no ISO
+    for k in (1, 2, 3):
+        (workspace / "darks" / "1600" / f"dark{k}.rawb").unlink()
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--gains", "800=0.8,1600=1.6",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert "ISO 1600: need >= 2 dark frames, got 1" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
 def test_calibrate_names_a_negative_iso_subdirectory(workspace, capsys):
     negative = workspace / "darks" / "-5"
     (workspace / "darks" / "800").rename(negative)

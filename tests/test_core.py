@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rawbench.budget import load_model_spec
+from rawbench.calibration import load_profile
 from rawbench.core import (
     PackedImage,
     RawFrame,
@@ -30,7 +32,9 @@ from rawbench.core import (
     write_rgb,
     _read_image,
 )
-from rawbench.errors import DimensionError, DomainError, FormatError, ProfileError
+from rawbench.errors import (DimensionError, DomainError, FormatError, ManifestError, ProfileError,
+                             SpecError)
+from rawbench.harness import load_manifest
 
 from conftest import BLACK, WHITE, make_frame
 
@@ -741,3 +745,17 @@ class TestMalformedBlobs:
         for reader in (read_frame, read_packed, read_mosaic_or_rggb, read_rgb):
             with pytest.raises(FormatError):
                 reader(path)
+
+
+# one JSON reader: every loader names the file whose bytes are not UTF-8 JSON
+@pytest.mark.parametrize("load, error", [(load_profile, ProfileError),
+                                         (load_manifest, ManifestError),
+                                         (load_model_spec, SpecError)],
+                         ids=["profile", "manifest", "model-spec"])
+@pytest.mark.parametrize("content", [b'{"camera_id": "camA", "isos": {"800"',
+                                     b'{"camera_id": "cam\xe9"}'], ids=["truncated", "not-utf8"])
+def test_json_loaders_name_an_unreadable_file(tmp_path, load, error, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    with pytest.raises(error, match=f"^{re.escape(str(path))}: unreadable JSON "):
+        load(path)

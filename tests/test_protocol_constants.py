@@ -87,6 +87,9 @@ REMOVED = {
         "dark_shading", {}),
     "replace-SensorProfile-dark_shading": (lambda kw: replace(make_profile(), **kw),
                                            "dark_shading", {}),
+    # synthesis always clamps to [0, clip_hi]: only moment-law tests skipped it
+    "synthesize_noisy-clip": (lambda kw: synth.synthesize_noisy(
+        _img(), make_profile(), synth.SynthConfig(iso=800, dgain=1.0), **kw), "clip", False),
 }
 
 
@@ -141,7 +144,7 @@ def test_settable_value_count():
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                              for s in node.body)
-    assert count == 60
+    assert count == 59
 
 
 def test_second_paths_are_gone():
@@ -169,6 +172,42 @@ def test_profile_images_are_set_only_through_the_constructor():
                      if isinstance(n, ast.Subscript) and isinstance(n.value, ast.Attribute)
                      and n.value.attr == "dark_library"]
     assert hits == []
+
+
+# a frame's fields that the dark-set rule compares between darks
+_DARK_FIELDS = {"camera_id", "black_level", "white_level"}
+
+
+def _reads_a_frame_field(node) -> bool:
+    """``node`` reads a frame's camera, levels or ``.data.shape`` (a
+    ``getattr`` reads a field by name), other than the profile's own."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr":
+            return True
+        if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) != "self" and (
+                n.attr in _DARK_FIELDS or (n.attr == "shape" and isinstance(n.value, ast.Attribute)
+                                           and n.value.attr == "data")):
+            return True
+    return False
+
+
+def test_only_check_darks_compares_darks():
+    # one dark-set rule: in calibration no other function compares one
+    # frame's camera, levels or size with another frame's
+    hits = set()
+    for func in ast.walk(ast.parse(inspect.getsource(calibration))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "array_equal":
+                sides = node.args
+            else:
+                continue
+            if sum(map(_reads_a_frame_field, sides)) >= 2:
+                hits.add(func.name)
+    assert hits == {"_check_darks"}
 
 
 def test_load_manifest_takes_no_profile(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,24 @@ from rawbench.ranking import (
 )
 
 from conftest import FIDELITY_POSITIONS, PERCEPTUAL_POSITIONS, TABLE1
+
+
+class TestMetricRecordRule:
+    # psnr=True ranked as 1.0, and "40.0" failed inside the ranking
+    @pytest.mark.parametrize("field, value, message", [
+        ("psnr", True, "team 'a': psnr must be a number, got True"),
+        ("psnr", "40.0", "team 'a': psnr must be a number, got '40.0'"),
+        ("topiq", [0.25], "team 'a': topiq must be a number, got [0.25]"),
+        ("team", 7, "team must be a string, got 7"),
+        ("team", None, "team must be a string, got None"),
+    ], ids=["bool-psnr", "string-psnr", "list-topiq", "number-team", "no-team"])
+    def test_bad_field_is_a_data_error(self, field, value, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            MetricRecord(**{"team": "a", "ssim": 0.5, field: value})
+
+    def test_numbers_and_none_are_kept(self):
+        rec = MetricRecord("a", psnr=np.float64(40.5), ssim=1, lpips=None, arniqa=np.float32(0.5))
+        assert (rec.psnr, rec.ssim, rec.lpips, rec.arniqa, rec.topiq) == (40.5, 1, None, 0.5, None)
 
 
 class TestRankMetric:

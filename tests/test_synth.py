@@ -154,18 +154,16 @@ class TestSynthesizeNoisy:
         prof = with_library(make_profile(sigma_read=0.0, sigma_row=0.0, quant_step=0.0),
                             {800: [const_residual(const, 64)]})
         clean = flat_clean(0.2)
-        signal = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3),
-                                  clip=False)
+        signal = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3))
         out = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=50.0, seed=3,
-                                                        mode="dark_sample"), clip=False)
+                                                        mode="dark_sample"))
         np.testing.assert_array_equal(out.channels, signal.channels + 50.0 * const / SPAN)
 
     def test_moment_law_parametric(self):
         prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0)
         clean_v, dgain = 0.25, 100.0
         clean = flat_clean(clean_v, side=500)
-        out = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=dgain, seed=11),
-                               clip=False)
+        out = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=dgain, seed=11))
         mu_dn = clean_v * SPAN / dgain
         pred_var = dgain**2 * (0.8 * mu_dn + 16.0 + 4.0 + 1.0 / 12.0) / SPAN**2
         assert abs(out.channels.mean() - clean_v) / clean_v <= 0.005
@@ -410,14 +408,13 @@ class TestPinnedBytes:
                 arrays += [noisy.channels, clean.channels, np.array([noisy.iso])]
         assert self._digest(arrays) == digest
 
-    @pytest.mark.parametrize("clip, digest", [
-        (True, "67d55ee54e3edc20ce474139acb4e9c40d8dbd574f15c2e8489eab33f52cafdf"),
-        (False, "adaa831c811acde6dd37d0539aaa80cc28bb2bf102cc30b3adc395c388b35658"),
-    ], ids=["clip", "no-clip"])
-    def test_synthesize_noisy_digest(self, clip, digest):
+    @pytest.mark.parametrize("digest", [
+        "67d55ee54e3edc20ce474139acb4e9c40d8dbd574f15c2e8489eab33f52cafdf",
+    ], ids=["clip"])
+    def test_synthesize_noisy_digest(self, digest):
         ramp = np.linspace(0.0, 1.0, 4 * 24 * 24).reshape(4, 24, 24)
         clean = PackedImage(channels=ramp, space=SPACE_NORMALIZED, black_level=BLACK,
                             white_level=WHITE, camera_id="camA", iso=800)
         cfg = SynthConfig(iso=800, dgain=20.0, seed=7)
-        out = synthesize_noisy(clean, self._profile(), cfg, clip=clip)
+        out = synthesize_noisy(clean, self._profile(), cfg)
         assert self._digest([out.channels]) == digest

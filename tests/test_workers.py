@@ -455,7 +455,7 @@ TASK_STEPS = {
     "prepare_reference": (metrics, "_filter_valid", 3),
     "score_pairs": (harness, "evaluate_pair", 2),
     "make_pair_batch": (synth, "sample_shot", 3),
-    "build_profile": (calibration, "_dark_residual", 3),
+    "build_profile": (calibration, "_library_residual", 3),
     "save_profile": (calibration, "write_packed", 3),
     "load_profile": (calibration, "read_packed", 3),
 }
