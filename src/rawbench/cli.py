@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -65,10 +66,15 @@ def _cmd_calibrate(args) -> int:
         raise MissingDataError(f"{darks_root}: expected one subdirectory per ISO")
     darks_by_iso = {}
     for iso_dir in iso_dirs:
+        # a plain whole number only: int() also reads "0800" and "+800" as
+        # 800, and two such directories would silently replace each other
         try:
             iso = int(iso_dir.name)
         except ValueError:
-            raise ValueError(f"{iso_dir}: subdirectory name is not an integer ISO") from None
+            iso = None
+        if iso is None or str(iso) != iso_dir.name:
+            raise ValueError(f"{iso_dir}: subdirectory name is not an integer ISO "
+                             f"in plain digits, such as 800")
         core._check_iso(f"{iso_dir}: ISO", iso)
         frames = [core.read_frame(p) for p in sorted(iso_dir.glob("*.rawb"))]
         if frames:
@@ -135,8 +141,15 @@ def _cmd_denoise(args) -> int:
         sigma_dn=args.sigma_dn,
     )
     profile = calibration.load_profile(args.profile)
-    noisy = core.normalize(core.read_frame(args.infile), clip_hi=args.clip_hi)
-    params = effective_pg_params(profile.params_for(args.iso), args.dgain)
+    frame = core.read_frame(args.infile)
+    iso = frame.iso if args.iso is None else args.iso
+    # the metadata-mismatch rule of evaluate_pair: a warning, not an error,
+    # since a camera-agnostic denoiser may use another camera's profile
+    if profile.camera_id != frame.camera_id or iso != frame.iso:
+        warnings.warn(f"metadata mismatch: frame {frame.camera_id}/ISO{frame.iso} "
+                      f"vs profile {profile.camera_id}/ISO{iso}")
+    noisy = core.normalize(frame, clip_hi=args.clip_hi)
+    params = effective_pg_params(profile.params_for(iso), args.dgain)
     den = denoise_raw(noisy, params, cfg)
     core.write_frame(core.unpack_rggb(_as_f32(core.denormalize(den))), args.out)
     print(f"denoised {args.infile} -> {args.out} (transform={args.transform})")
@@ -262,7 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="classical VST + sliding-DCT denoiser")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--profile", required=True)
-    p.add_argument("--iso", type=int, required=True)
+    p.add_argument("--iso", type=int, default=None,
+                   help="profile ISO to denoise with (default: the frame's)")
     p.add_argument("--dgain", type=float, default=1.0)
     p.add_argument("--transform", choices=_TRANSFORMS, default="gat")
     p.add_argument("--sigma-dn", type=float, default=None, help="DN sigma for transform=none")

@@ -29,12 +29,13 @@ between threads.
 Whole-image passes that would push megabytes of float64 temporaries through
 memory (SSIM, the ISP, the PPM encoder) walk their output in bands of
 ``_BAND_ROWS`` rows with ``_row_bands``, so the temporaries of one band stay
-cache-sized.  The denoiser, the ISP and SSIM also split one image into
-independent tasks (denoiser cores, ISP row bands, SSIM row bands), each
-writing its own part of the output, and synthesis draws each training
-patch as a task with its own random stream.  ``_map`` alone decides how
-many threads such tasks run on (see its docstring), so the bytes do not
-depend on the CPU count and no caller names it.
+cache-sized.  The denoiser, the ISP, SSIM and PSNR also split one image
+into independent tasks (denoiser cores, ISP row bands, SSIM row bands,
+leaves of PSNR's pairwise sum), each writing its own part of the output,
+and synthesis draws each training patch as a task with its own random
+stream.  ``_map`` alone decides how many threads such tasks run on (see its
+docstring), so the bytes do not depend on the CPU count and no caller
+names it.
 """
 
 from __future__ import annotations
@@ -409,6 +410,18 @@ def unpack_rggb(img: PackedImage) -> RawFrame:
     return RawFrame(data=interleave_rggb(img.channels), **_meta_kwargs(img))
 
 
+def _normalize_rows(rows: np.ndarray, black, span, clip_hi: float, out) -> np.ndarray:
+    """Rows of one CFA plane normalized with ``normalize``'s steps, its one copy
+    of them: cast to float64 removing ``black`` into ``out`` (a new array if
+    None), divide by ``span``, clip to [0, clip_hi].  The steps are
+    pointwise, so rows taken from a mosaic's CFA view equal, bit for bit, the
+    same rows of the normalized planes."""
+    out = np.subtract(rows, black, out=out, dtype=np.float64)
+    out /= span
+    np.clip(out, 0.0, clip_hi, out=out)
+    return out
+
+
 def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
     """Map DN planes to [0, clip_hi] using per-channel black and white levels.
 
@@ -426,14 +439,10 @@ def normalize(img: RawFrame | PackedImage, clip_hi: float = 1.0) -> PackedImage:
         src, shape = img.channels, img.channels.shape
         if img.space == SPACE_DN_ABOVE_BLACK:
             black = np.zeros(4)  # x - 0.0 is x bit for bit, -0.0 included
-    # one pass per plane casts to float64 and removes black into a new
-    # array, so the steps below work in place
     out = np.empty(shape)
-    for plane, view, b in zip(out, src, black):
-        np.subtract(view, b, out=plane, dtype=np.float64)
     span = img.white_level - img.black_level
-    out /= span[:, None, None]
-    np.clip(out, 0.0, clip_hi, out=out)
+    for plane, view, b, s in zip(out, src, black, span):
+        _normalize_rows(view, b, s, clip_hi, out=plane)
     return PackedImage(channels=out, space=SPACE_NORMALIZED, clip_hi=clip_hi,
                        **_meta_kwargs(img))
 

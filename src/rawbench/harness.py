@@ -229,9 +229,11 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
         del gt  # only the reference is needed from here
         return [score_one(ref, i) for i in members]
 
-    # Groups in parallel beat one group's SSIM bands on every CPU (traced
-    # score_final on 2 CPUs: threads=2 over threads=1, 1.17-1.40x in four
-    # runs), but fewer groups than CPUs would leave idle CPUs the bands use.
+    # Groups in parallel against one group's SSIM bands and PSNR leaves on
+    # every CPU: on the final-phase bench round (2 GTs x 4 teams, 2-vCPU
+    # host) threads=2 was 0.92-1.10x as fast as threads=1 in two sets of
+    # five in-process alternating pairs, medians 1.02 and 1.05.  Fewer
+    # groups than CPUs would leave idle CPUs the bands use.
     if min(threads, len(groups)) >= core._WORKERS:
         done = _map(score_group, groups.items())
     else:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from rawbench import core
-from rawbench.calibration import load_profile
+from rawbench.calibration import NoiseParams, load_profile, save_profile
 from rawbench.cli import build_parser, main
 from rawbench.core import (
     PackedImage,
@@ -23,7 +23,7 @@ from rawbench.core import (
 )
 from rawbench.isp import read_ppm16
 
-from conftest import make_frame
+from conftest import make_frame, make_profile
 
 
 @pytest.fixture
@@ -363,6 +363,20 @@ def test_calibrate_names_a_negative_iso_subdirectory(workspace, capsys):
     assert not (workspace / "profile.json").exists()
 
 
+@pytest.mark.parametrize("name", ["0800", "+800", "8_00"])
+def test_calibrate_refuses_an_iso_name_that_is_not_plain(workspace, capsys, name):
+    # int() reads each name as 800: next to 800/ one of the two directories
+    # used to replace the other without a word
+    darks = workspace / "darks"
+    (darks / "1600").rename(darks / name)
+    rc = main(["calibrate", "--darks", str(darks), "--gains", "800=0.8",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 2
+    assert f"{darks / name}: subdirectory name is not an integer ISO in plain digits" in \
+        capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
 def test_calibrate_from_ptc_csv(workspace):
     ptc = workspace / "ptc.csv"
     ptc.write_text("iso,mean,variance\n"
@@ -470,6 +484,46 @@ def test_budget_string_ensemble_exits_2(tmp_path, capsys):
     }))
     assert main(["budget", "--model", str(model)]) == 2
     assert "tiny.json" in capsys.readouterr().err
+
+
+def denoise_run(tmp_path, frame, *flags):
+    """``rawbench denoise`` of ``frame`` with a camA profile of ISOs 800 and
+    1600, whose noise differs; returns the output's bytes."""
+    write_frame(frame, tmp_path / "in.rawb")
+    profile = make_profile(isos=(800, 1600))
+    profile = replace(profile, iso_params={**profile.iso_params,
+                                           1600: NoiseParams(K=1.6, sigma_read=8.0,
+                                                             sigma_row=2.0, quant_step=1.0)})
+    save_profile(profile, tmp_path / "profile.json")
+    out = tmp_path / "out.rawb"
+    assert main(["denoise", "--in", str(tmp_path / "in.rawb"), "--profile",
+                 str(tmp_path / "profile.json"), "--dgain", "4", *flags, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def noisy_mosaic():
+    rng = np.random.default_rng(23)
+    return np.clip(rng.normal(3000, 200, (40, 48)), 0, 16383).astype(np.uint16)
+
+
+def test_denoise_takes_the_frame_iso(tmp_path, recwarn):
+    frame = make_frame(noisy_mosaic(), iso=1600)
+    got = denoise_run(tmp_path, frame)
+    assert not [w for w in recwarn if "mismatch" in str(w.message)]
+    assert got == denoise_run(tmp_path, frame, "--iso", "1600")
+    with pytest.warns(UserWarning):
+        assert got != denoise_run(tmp_path, frame, "--iso", "800")
+
+
+@pytest.mark.parametrize("camera, flags, shown", [
+    ("camA", ["--iso", "1600"], "frame camA/ISO800 vs profile camA/ISO1600"),
+    ("camB", [], "frame camB/ISO800 vs profile camA/ISO800"),
+    ("camB", ["--iso", "1600"], "frame camB/ISO800 vs profile camA/ISO1600"),
+])
+def test_denoise_warns_when_the_profile_is_not_the_frame_s(tmp_path, camera, flags, shown):
+    # a warning, not an error: a camera-agnostic denoiser may borrow a profile
+    with pytest.warns(UserWarning, match=f"metadata mismatch: {shown}"):
+        denoise_run(tmp_path, make_frame(noisy_mosaic(), camera=camera), *flags)
 
 
 @pytest.mark.parametrize("damage", ["drop-isos", "drop-K"])

@@ -12,7 +12,7 @@ from scipy import ndimage
 
 from rawbench import metrics
 from rawbench.core import (PackedImage, RawFrame, Roi, SPACE_DN, SPACE_DN_ABOVE_BLACK,
-                           SPACE_NORMALIZED, crop_frame, normalize, pack_rggb)
+                           SPACE_NORMALIZED, _row_bands, crop_frame, normalize, pack_rggb)
 from rawbench.errors import DimensionError, DomainError
 from rawbench.metrics import evaluate_pair, prepare_reference, psnr, ssim
 
@@ -91,6 +91,84 @@ class TestPsnr:
     def test_dim_mismatch(self):
         with pytest.raises(DimensionError):
             psnr(packed(np.zeros((4, 4, 4))), packed(np.zeros((4, 6, 6))))
+
+    def test_empty_planes_rejected(self):
+        # no mean of no values: not a NaN score, nor a division by zero
+        with pytest.raises(DimensionError, match="psnr of empty 0x5 planes"):
+            psnr(packed(np.zeros((4, 0, 5))), packed(np.zeros((4, 0, 5))))
+
+
+def psnr_of_mean(a, b):
+    """PSNR from ``np.mean`` of the full-size float64 squared error."""
+    d = np.subtract(a, b, dtype=np.float64)
+    return 10.0 * np.log10(1.0 / np.mean(d * d))
+
+
+class TestPsnrOrder:
+    """psnr sums its squared errors leaf by leaf in numpy's pairwise order, so
+    it equals the full-size ``np.mean`` bit for bit."""
+
+    # 181**2 and 257x263 planes put leaf edges inside rows and across planes;
+    # 512**2 and 1024**2 planes are the crop sides
+    @pytest.mark.parametrize("shape", [(4, 181, 181), (4, 257, 263), (4, 512, 512),
+                                       (4, 1024, 1024)])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_equals_numpy_mean_bit_for_bit(self, shape, dtype):
+        rng = np.random.default_rng(shape[1])
+        gt = rng.uniform(0, 1, shape).astype(dtype)
+        # errors over many orders of magnitude, so that sums in another
+        # order round differently
+        err = rng.normal(0, 0.01, shape) * np.exp(rng.normal(0, 2, shape))
+        pred = np.clip(gt + err, 0, 1).astype(dtype)
+        want = psnr_of_mean(pred, gt)
+        assert psnr(packed_as(pred), packed_as(gt)) == want
+
+    @pytest.mark.parametrize("shape", [(4, 13, 17), (4, 40, 33)])
+    def test_small_leaves_cross_rows_and_planes(self, monkeypatch, shape):
+        # leaves of at most 128 values: many per plane, most starting mid-row
+        monkeypatch.setattr(metrics, "_PSNR_LEAF", 128)
+        rng = np.random.default_rng(3)
+        gt, pred = rng.uniform(0, 1, shape), rng.uniform(0, 1, shape) ** 8
+        assert psnr(packed(pred), packed(gt)) == psnr_of_mean(pred, gt)
+
+    @pytest.mark.parametrize("n", [127, 128, 129, 2**16 + 1, 3 * 2**20 + 5])
+    @pytest.mark.parametrize("leaf", [128, 2**16])
+    def test_split_rule_reproduces_add_reduce(self, n, leaf):
+        # A numpy whose pairwise summation changes fails here by name
+        # instead of moving every PSNR silently.
+        x = np.exp(np.random.default_rng(n).normal(0, 4, n))
+        got = metrics._pairwise_sum(lambda a, b: np.add.reduce(x[a:b]), n, leaf)
+        assert got == np.add.reduce(x) == np.sum(x)
+        if n > 2**16:  # the values do tell summation orders apart
+            assert np.cumsum(x)[-1] != got
+
+
+def packed_as(channels):
+    """A normalized PackedImage keeping the dtype of ``channels``."""
+    return PackedImage(channels=channels, space=SPACE_NORMALIZED, black_level=BLACK,
+                       white_level=WHITE)
+
+
+class TestMosaicSources:
+    """A mosaic RawFrame scores as its normalized planes, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+    def test_mosaics_score_as_their_normalized_planes(self, dtype):
+        rng = np.random.default_rng(17)
+        gt = rng.integers(300, 16383, (150, 142)).astype(dtype)
+        pred = np.clip(gt + rng.normal(0, 300, gt.shape), 0, 16383).astype(dtype)
+        gt, pred = make_frame(gt), make_frame(pred)
+        for metric in (psnr, ssim):
+            want = metric(normalize(pred), normalize(gt))
+            assert metric(pred, gt) == want
+            assert metric(pred, normalize(gt)) == metric(normalize(pred), gt) == want
+
+    def test_mosaic_shape_mismatch(self):
+        a = make_frame(np.full((40, 40), 3000, np.uint16))
+        with pytest.raises(DimensionError, match=r"shape mismatch \(4, 20, 20\) vs \(4, 20, 18\)"):
+            psnr(a, make_frame(np.full((40, 36), 3000, np.uint16)))
+        with pytest.raises(DimensionError, match="shape mismatch"):
+            ssim(normalize(a), make_frame(np.full((36, 40), 3000, np.uint16)))
 
 
 class TestSsim:
@@ -176,9 +254,17 @@ def ramp_frame(ph, pw):
     return make_frame(data.astype(np.uint16).reshape(2 * ph, 2 * pw))
 
 
+def band_planes(img):
+    """The (4, h, w) planes psnr and ssim read from a scoring source, taken
+    band by band as SSIM takes them."""
+    _, h, _ = metrics._plane_shape(img)
+    return np.stack([np.concatenate([metrics._rows(img, c, r0, r1)
+                                     for r0, r1 in _row_bands(h)]) for c in range(4)])
+
+
 class TestCropProtocol:
-    """The crop is taken on the mosaic; the planes are those of the packed
-    image's centre crop."""
+    """The crop is taken on the mosaic; the rows the metrics read from it are
+    those of the packed image's normalized centre crop."""
 
     @settings(max_examples=10, deadline=None)
     @given(phase=st.sampled_from(["dev", "final"]), dtype=st.sampled_from([np.uint16, np.float32]),
@@ -194,26 +280,30 @@ class TestCropProtocol:
                          white_level=float(rng.uniform(2000, 16383)), camera_id="camB", iso=1600)
         got = metrics._crop_protocol(frame, phase)
         want = pack_crop_normalize(frame, side)
-        assert got.channels.tobytes() == want.channels.tobytes()
-        for name in (f.name for f in fields(PackedImage) if f.name != "channels"):
+        assert band_planes(got).tobytes() == want.channels.tobytes()
+        # rows that start and end inside SSIM's bands read the same bits
+        for c, r0, r1 in [(0, 3, 77), (3, side - 9, side)]:
+            assert metrics._rows(got, c, r0, r1).tobytes() == want.channels[c, r0:r1].tobytes()
+        for name in (f.name for f in fields(RawFrame) if f.name != "data"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_centred_crop_offset(self):
         frame = ramp_frame(514, 516)  # planes 2 and 4 wider than the dev side
         planes = normalize(pack_rggb(frame)).channels
-        got = metrics._crop_protocol(frame, "dev").channels
+        got = band_planes(metrics._crop_protocol(frame, "dev"))
         np.testing.assert_array_equal(got, planes[:, 1:513, 2:514])
 
     def test_odd_remainder_floor_offset(self):
         frame = ramp_frame(513, 515)  # odd remainders 1 and 3: offsets 0 and 1
         planes = normalize(pack_rggb(frame)).channels
-        got = metrics._crop_protocol(frame, "dev").channels
+        got = band_planes(metrics._crop_protocol(frame, "dev"))
         np.testing.assert_array_equal(got, planes[:, 0:512, 1:513])
 
     def test_full_crop_is_identity(self):
         frame = ramp_frame(512, 512)
-        got = metrics._crop_protocol(frame, "dev").channels
-        assert got.tobytes() == normalize(frame).channels.tobytes()
+        got = metrics._crop_protocol(frame, "dev")
+        assert got.data.tobytes() == frame.data.tobytes()
+        assert band_planes(got).tobytes() == normalize(frame).channels.tobytes()
 
     def test_too_large_rejected(self):
         for ph, pw in [(511, 600), (600, 511)]:
@@ -244,7 +334,13 @@ class TestEvaluatePair:
         data = rng.integers(512, 16000, (2400, 2400)).astype(np.uint16)
         res = evaluate_pair(make_frame(data), make_frame(data), phase="final")
         assert res.psnr == math.inf and res.ssim == 1.0
-        assert prepare_reference(make_frame(data), "final").image.channels.shape == (4, 1024, 1024)
+        # the reference holds the cropped mosaic alone, as a contiguous copy
+        image = prepare_reference(make_frame(data), "final").image
+        assert image.data.shape == (2048, 2048) and image.data.flags.c_contiguous
+        assert image.data.base is None
+        roi = Roi(x0=176, y0=176, w=2048, h=2048)  # plane offset (1200 - 1024) // 2 = 88
+        want = normalize(pack_rggb(crop_frame(make_frame(data), roi))).channels
+        assert band_planes(image).tobytes() == want.tobytes()
 
     def test_too_small_for_crop(self):
         f = make_frame(np.zeros((64, 64), dtype=np.uint16))

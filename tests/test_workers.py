@@ -177,14 +177,34 @@ def test_ssim_bytes_do_not_depend_on_worker_count(monkeypatch, name):
     assert outputs.count(outputs[0]) == len(WORKERS)
 
 
+SSIM_GT_MOSAIC = make_frame(
+    np.random.default_rng(9).integers(600, 16000, (1024, 1024)).astype(np.uint16))
+
+
+@pytest.mark.parametrize("name, run", [
+    ("psnr-image", lambda: np.float64(metrics.psnr(SSIM_PRED, SSIM_GT))),
+    ("psnr-dev-crop", lambda: np.float64(metrics.psnr(
+        metrics._crop_protocol(dev_frame(), "dev"), SSIM_GT_MOSAIC))),
+])
+def test_psnr_does_not_depend_on_worker_count(monkeypatch, name, run):
+    # 150x141 planes are two leaves; the 512 dev crop is 16
+    outputs = per_worker_count(monkeypatch, run)
+    assert outputs.count(outputs[0]) == len(WORKERS)
+
+
+def final_frame(seed, dtype=np.uint16):
+    """A 2080x2096 mosaic: the final-phase crop leaves a border on each side."""
+    rng = np.random.default_rng(seed)
+    return make_frame(rng.integers(2000, 14000, (2080, 2096)).astype(dtype))
+
+
 def test_ssim_temporaries_stay_small(monkeypatch):
-    # one channel's ratio array (8.2 MB) and each worker's band temporaries;
-    # the four channels' ratios at once would be 33 MB
+    # one channel's ratio array (8.2 MB) and each worker's band temporaries,
+    # both images read as mosaics; the four channels' ratios at once would
+    # be 33 MB
     monkeypatch.setattr(core, "_WORKERS", 2)
-    rng = np.random.default_rng(6)
-    ref = metrics.prepare_reference(
-        make_frame(rng.integers(2000, 14000, (2048, 2048)).astype(np.uint16)), "final")
-    pred = image(1024, 1024, 7)
+    ref = metrics.prepare_reference(final_frame(6), "final")
+    pred = metrics._crop_protocol(final_frame(7), "final")
     tracemalloc.start()
     try:
         metrics.ssim(pred, ref)
@@ -192,6 +212,41 @@ def test_ssim_temporaries_stay_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+@pytest.mark.parametrize("dtype", [np.uint16, np.float32])
+def test_final_phase_pair_stays_small(monkeypatch, dtype):
+    # SSIM's 17 MB and PSNR's leaves; a normalized copy of the crop and a
+    # full-size squared error would be 33.5 MB each
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    ref = metrics.prepare_reference(final_frame(6), "final")
+    pred = final_frame(7, dtype)
+    tracemalloc.start()
+    try:
+        metrics.evaluate_pair(pred, ref, "final")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24e6
+
+
+def test_reference_holds_no_normalized_copy(monkeypatch):
+    # What a ground-truth group keeps once score_pairs has dropped the frame
+    # (``del gt``), net of the frame it frees: SSIM's 65.8 MB of mu_y and
+    # var_y and the 8.4 MB crop, less the 8.7 MB frame.  A normalized copy
+    # of the crop would add 33.5 MB.
+    monkeypatch.setattr(core, "_WORKERS", 2)
+    tracemalloc.start()
+    try:
+        gt = final_frame(6)
+        before = tracemalloc.get_traced_memory()[0]
+        ref = metrics.prepare_reference(gt, "final")
+        del gt
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert ref.image.data.nbytes == 2048 * 2048 * 2
+    assert retained < 72e6
 
 
 def synth_profile():
