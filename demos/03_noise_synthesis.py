@@ -9,8 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from rawbench import NoiseParams, PackedImage, SensorProfile, Roi
-from rawbench.calibration import correct_dark_frame
+from rawbench import NoiseParams, PackedImage, SensorProfile, Roi, build_profile
 from rawbench.core import RawFrame, SPACE_NORMALIZED
 from rawbench.synth import BatchConfig, SynthConfig, make_pair_batch, synthesize_noisy
 
@@ -39,13 +38,14 @@ print(f"brightness alignment: mean {noisy.channels.mean():.5f} vs clean {clean_v
 print(f"variance law: empirical {noisy.channels.var():.3e} vs predicted {pred_var:.3e}")
 
 # Hybrid mode: per image, real dark patches replace the parametric draw with
-# probability rho.  Give the profile a one-frame library to sample from: a
-# float32 residual of the profile's camera, over an ROI the size of the dark.
-dark = RawFrame(data=(512.0 + rng.normal(0, 4, (800, 800))).clip(0),
-                black_level=BLACK, white_level=WHITE, camera_id="demo-cam", iso=800)
-residual = correct_dark_frame(dark, np.full((800, 800), 512.0))
-residual = replace(residual, channels=residual.channels.astype(np.float32))
-profile = replace(profile, effective_roi=Roi(0, 0, 800, 800), dark_library={800: [residual]})
+# probability rho.  Give the profile a library to sample from: the float32
+# residuals that build_profile makes from two darks of the profile's camera,
+# over an ROI the size of the darks.
+darks = [RawFrame(data=(512.0 + rng.normal(0, 4, (800, 800))).clip(0),
+                  black_level=BLACK, white_level=WHITE, camera_id="demo-cam", iso=800)
+         for _ in range(2)]
+built = build_profile("demo-cam", [800], {800: darks}, provided_gains={800: 0.8})
+profile = replace(profile, effective_roi=built.effective_roi, dark_library=built.dark_library)
 
 for mode, rho in (("parametric", 0.0), ("dark_sample", 0.0), ("hybrid", 0.5)):
     cfg = SynthConfig(iso=800, dgain=dgain, mode=mode, hybrid_rho=rho, seed=7)

@@ -18,9 +18,7 @@ from .calibration import (
     NoiseParams,
     SensorProfile,
     build_profile,
-    correct_dark_frame,
     estimate_dark_shading,
-    estimate_read_noise,
     estimate_system_gain,
     load_profile,
     save_profile,

@@ -76,11 +76,11 @@ def _cmd_calibrate(args) -> int:
             raise ValueError(f"{iso_dir}: subdirectory name is not an integer ISO "
                              f"in plain digits, such as 800")
         core._check_iso(f"{iso_dir}: ISO", iso)
-        frames = [core.read_frame(p) for p in sorted(iso_dir.glob("*.rawb"))]
-        if frames:
-            darks_by_iso[iso] = frames
-    if not darks_by_iso:
-        raise MissingDataError(f"{darks_root}: no .rawb dark frames in any ISO subdirectory")
+        # an empty ISO directory would drop its ISO, and its --gains entry, silently
+        paths = sorted(iso_dir.glob("*.rawb"))
+        if not paths:
+            raise MissingDataError(f"{iso_dir}: no .rawb dark frames in this ISO subdirectory")
+        darks_by_iso[iso] = [core.read_frame(p) for p in paths]
     ptc = None
     if args.ptc_csv:
         ptc = {}

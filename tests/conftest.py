@@ -7,7 +7,7 @@ import pytest
 
 from rawbench import denoise
 from rawbench.calibration import NoiseParams, SensorProfile
-from rawbench.core import RawFrame, Roi
+from rawbench.core import PackedImage, RawFrame, Roi, SPACE_DN_ABOVE_BLACK, split_rggb
 from rawbench.ranking import MetricRecord
 
 # Published benchmark rows: team -> (psnr, ssim, lpips, arniqa, topiq),
@@ -51,6 +51,15 @@ def make_frame(data, iso=800, camera="camA", black=None, white=WHITE):
         camera_id=camera,
         iso=iso,
     )
+
+
+def dark_residual(data, iso=800):
+    """The library image of a dark of mosaic ``data`` (DN) under a flat
+    shading of 512, tagged as ``make_frame`` tags a frame: the float64 RGGB
+    split of ``data - 512``, which ``with_library`` casts to float32."""
+    return PackedImage(channels=split_rggb(np.asarray(data, dtype=np.float64) - 512.0),
+                       space=SPACE_DN_ABOVE_BLACK, black_level=BLACK, white_level=WHITE,
+                       camera_id="camA", iso=iso)
 
 
 def make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0, isos=(800,)):

@@ -10,12 +10,7 @@ import numpy as np
 import pytest
 
 from rawbench.budget import BudgetReport, LayerSpec, build_report, check_constraints
-from rawbench.calibration import (
-    NoiseParams,
-    correct_dark_frame,
-    estimate_read_noise,
-    estimate_system_gain,
-)
+from rawbench.calibration import NoiseParams, build_profile, estimate_system_gain
 from rawbench.core import (
     PackedImage,
     SPACE_NORMALIZED,
@@ -182,12 +177,14 @@ def test_criterion_6_closed_loop_calibration(clock):
     sigma_read, sigma_row = 5.0, 2.0
     shading = 512.0 + 5.0 * np.sin(np.linspace(0, 3, 256))[:, None] * np.cos(
         np.linspace(0, 2, 256))[None, :]
-    residuals = []
-    for _ in range(16):
+    # 16 darks in antithetic pairs, shading +/- noise: their mean is the
+    # shading, so each residual is exactly its frame's noise
+    darks = []
+    for _ in range(8):
         noise = rng.normal(0, sigma_row, 256)[:, None] + rng.normal(0, sigma_read, (256, 256))
-        dark = make_frame((shading + noise).clip(0).astype(np.float64))
-        residuals.append(correct_dark_frame(dark, shading))
-    sr_est, srow_est = estimate_read_noise(residuals)
+        darks += [make_frame(shading + noise), make_frame(shading - noise)]
+    params = build_profile("camA", [800], {800: darks}, provided_gains={800: 0.8}).iso_params[800]
+    sr_est, srow_est = params.sigma_read, params.sigma_row
     assert abs(sr_est - sigma_read) / sigma_read <= 0.03
     assert abs(srow_est - sigma_row) / sigma_row <= 0.05
 

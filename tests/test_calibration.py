@@ -12,9 +12,7 @@ from rawbench.calibration import (
     NoiseParams,
     SensorProfile,
     build_profile,
-    correct_dark_frame,
     estimate_dark_shading,
-    estimate_read_noise,
     estimate_system_gain,
     load_profile,
     save_profile,
@@ -91,21 +89,42 @@ class TestDarkShading:
             estimate_dark_shading(darks, Roi(0, 0, 4, 4))
 
 
+def _sigmas(darks, band_axis="row"):
+    """build_profile's (sigma_read, sigma_row) of one ISO's darks."""
+    params = build_profile("camA", [800], {800: darks}, provided_gains={800: 0.8},
+                           band_axis=band_axis).iso_params[800]
+    return params.sigma_read, params.sigma_row
+
+
+def _antithetic(shading, noises):
+    """Darks ``shading + n`` and ``shading - n`` for each n: their mean is
+    the shading, so each residual is exactly +n or -n."""
+    return [make_frame(shading + sign * n) for n in noises for sign in (1.0, -1.0)]
+
+
 class TestCorrectDarkFrame:
+    """Dark-frame correction in build_profile: each library image is its
+    dark minus the shading of its ISO's darks, split to RGGB."""
+
     def test_exact_match_gives_zero(self):
         shading = np.full((4, 4), 120.0)
-        res = correct_dark_frame(make_frame(shading.copy()), shading)
-        np.testing.assert_array_equal(res.channels, 0.0)
-        assert res.space == "dn_above_black"
+        prof = build_profile("camA", [800], {800: [make_frame(shading.copy())] * 2},
+                             provided_gains={800: 0.8})
+        for res in prof.dark_library[800]:
+            np.testing.assert_array_equal(res.channels, 0.0)
+            assert res.space == "dn_above_black"
 
     def test_constant_offset(self):
-        shading = np.full((4, 4), 120.0)
-        res = correct_dark_frame(make_frame(shading + 5.0), shading)
-        np.testing.assert_allclose(res.channels, 5.0)
+        prof = build_profile("camA", [800], {800: _antithetic(np.full((4, 4), 120.0), [5.0])},
+                             provided_gains={800: 0.8})
+        np.testing.assert_array_equal(prof.dark_library[800][0].channels, 5.0)
+        np.testing.assert_array_equal(prof.dark_library[800][1].channels, -5.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionError):
-            correct_dark_frame(make_frame(np.zeros((4, 4), dtype=np.uint16)), np.zeros((6, 6)))
+        with pytest.raises(DimensionError, match=re.escape(
+                "ISO 800: roi Roi(x0=0, y0=0, w=6, h=6) does not fit darks of 4x4")):
+            build_profile("camA", [800], {800: [make_frame(np.zeros((4, 4), np.uint16))] * 2},
+                          provided_gains={800: 0.8}, roi=Roi(0, 0, 6, 6))
 
     def test_library_residuals_are_zero_mean(self):
         # Same-set correction: residual mean over the library is exactly zero
@@ -115,9 +134,9 @@ class TestCorrectDarkFrame:
         true_shading = np.full((32, 32), 512.0)
         darks = [make_frame(true_shading + rng.normal(0, sigma, (32, 32))) for _ in range(m)]
         est_shading = estimate_dark_shading(darks, Roi(0, 0, 32, 32))
-        res_same = np.mean([correct_dark_frame(d, est_shading).channels for d in darks], axis=0)
+        res_same = np.mean([d.data - est_shading for d in darks], axis=0)
         np.testing.assert_allclose(res_same, 0.0, atol=1e-10)
-        res_true = np.mean([correct_dark_frame(d, true_shading).channels for d in darks], axis=0)
+        res_true = np.mean([d.data - true_shading for d in darks], axis=0)
         assert abs(res_true.mean()) < 3 * sigma / np.sqrt(m * res_true.size)
 
 
@@ -125,41 +144,48 @@ class TestReadNoise:
     def test_monte_carlo_recovery(self):
         rng = np.random.default_rng(42)
         sigma_row, sigma_read = 2.0, 5.0
-        resids = []
-        for _ in range(16):
-            rows = rng.normal(0, sigma_row, 256)[:, None]
-            noise = rows + rng.normal(0, sigma_read, (256, 256))
-            resids.append(correct_dark_frame(make_frame(noise + 512.0), np.full((256, 256), 512.0)))
-        sr, srow = estimate_read_noise(resids)
+        noises = [rng.normal(0, sigma_row, 256)[:, None] + rng.normal(0, sigma_read, (256, 256))
+                  for _ in range(8)]
+        sr, srow = _sigmas(_antithetic(np.full((256, 256), 512.0), noises))
         assert abs(sr - sigma_read) / sigma_read <= 0.02
         assert abs(srow - sigma_row) / sigma_row <= 0.05
 
     def test_all_zero(self):
-        res = correct_dark_frame(make_frame(np.full((8, 8), 512.0)), np.full((8, 8), 512.0))
-        assert estimate_read_noise([res]) == (0.0, 0.0)
+        assert _sigmas([make_frame(np.full((8, 8), 512.0))] * 2) == (0.0, 0.0)
 
     def test_constant_per_frame_offset_absorbed(self):
-        resids = [
-            correct_dark_frame(make_frame(np.full((8, 8), 512.0 + c)), np.full((8, 8), 512.0))
-            for c in (-3.0, 0.0, 4.0)
-        ]
-        sr, srow = estimate_read_noise(resids)
-        assert sr == pytest.approx(0.0, abs=1e-12)
-        assert srow == pytest.approx(0.0, abs=1e-12)
+        darks = [make_frame(np.full((8, 8), 512.0 + c)) for c in (-3.0, 0.0, 4.0)]
+        assert _sigmas(darks) == (0.0, 0.0)
 
     def test_column_banding_axis(self):
         rng = np.random.default_rng(7)
         cols = rng.normal(0, 3.0, 128)[None, :]
         noise = cols + rng.normal(0, 1.0, (128, 128))
-        res = correct_dark_frame(make_frame(noise + 512.0), np.full((128, 128), 512.0))
-        _, srow_wrong = estimate_read_noise([res], band_axis="row")
-        _, srow_right = estimate_read_noise([res], band_axis="col")
+        darks = _antithetic(np.full((128, 128), 512.0), [noise])
+        _, srow_wrong = _sigmas(darks, band_axis="row")
+        _, srow_right = _sigmas(darks, band_axis="col")
         assert abs(srow_right - 3.0) / 3.0 < 0.15
         assert srow_wrong < 1.0
 
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_independent_darks_read_shrunk_by_n_minus_1_over_n(self, n):
+        # residuals from the mean of the same n darks have variance
+        # (n - 1) / n of the sensor's; both sigmas are stored as measured.
+        # 2048 rows hold the band estimate's own spread near 1 % at n = 2
+        rng = np.random.default_rng(n)
+        sigma_row, sigma_read = 2.0, 5.0
+        darks = [make_frame(512.0 + rng.normal(0, sigma_row, 2048)[:, None]
+                            + rng.normal(0, sigma_read, (2048, 256))) for _ in range(n)]
+        shrink = np.sqrt((n - 1) / n)
+        sr, srow = _sigmas(darks)
+        assert abs(sr - shrink * sigma_read) / (shrink * sigma_read) <= 0.02
+        assert abs(srow - shrink * sigma_row) / (shrink * sigma_row) <= 0.05
+
     def test_empty_rejected(self):
-        with pytest.raises(InsufficientData):
-            estimate_read_noise([])
+        with pytest.raises(ProfileError, match="no dark frames supplied for ISO 800"):
+            _sigmas([])
+        with pytest.raises(InsufficientData, match="ISO 800: need >= 2 dark frames, got 1"):
+            _sigmas([make_frame(np.full((8, 8), 512.0))])
 
 
 class TestSystemGain:
@@ -379,9 +405,8 @@ def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
     float64 stack for the shading, each residual split to RGGB, and read
     noise from interleaved, cast, raveled and concatenated residuals.
     Returns the profile, whose library images are those float64 residuals
-    cast to float32, and per ISO the float64 shading mosaic and residual
-    images."""
-    iso_params, libraries, float64 = {}, {}, {}
+    cast to float32, and per ISO the float64 shading mosaic."""
+    iso_params, libraries, shadings = {}, {}, {}
     first = darks_by_iso[isos[0]][0]
     roi = roi or Roi(0, 0, first.width, first.height)
     for iso in isos:
@@ -407,15 +432,15 @@ def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
             sigma_row=float(np.std(np.concatenate(band_means), ddof=1)),
         )
         libraries[iso] = [replace(r, channels=r.channels.astype(np.float32)) for r in residuals]
-        float64[iso] = shading, residuals
+        shadings[iso] = shading
     profile = SensorProfile(camera_id="camA", black_level=first.black_level,
                             white_level=first.white_level, effective_roi=roi,
                             iso_params=iso_params, dark_library=libraries)
-    return profile, float64
+    return profile, shadings
 
 
 class TestOnePassCalibration:
-    """build_profile and its estimators give the bits of the oracle above."""
+    """build_profile and estimate_dark_shading give the bits of the oracle above."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 6), n_isos=st.integers(1, 2),
@@ -444,22 +469,16 @@ class TestOnePassCalibration:
             x0, y0 = 2 * roi[0], 2 * roi[1]
             roi = Roi(x0, y0, shape[1] - x0 - 2, shape[0] - y0 - 2)
         gains = {800: 0.8, 3200: 3.2}
-        want, float64 = _oracle_profile(isos, darks_by_iso, gains, roi, band_axis)
+        want, shadings = _oracle_profile(isos, darks_by_iso, gains, roi, band_axis)
         got = build_profile("camA", isos, darks_by_iso, provided_gains=gains, roi=roi,
                             band_axis=band_axis)
         assert got.effective_roi == want.effective_roi
         for iso in isos:
-            shading, residuals = float64[iso]
             assert got.iso_params[iso] == want.iso_params[iso]
-            # the float64 estimators keep the oracle's bits ...
+            # the float64 shading keeps the oracle's bits, and the profile
+            # holds the residuals cast to float32
             assert estimate_dark_shading(darks_by_iso[iso], want.effective_roi).tobytes() == \
-                shading.tobytes()
-            assert [correct_dark_frame(crop_frame(d, want.effective_roi), shading)
-                    .channels.tobytes() for d in darks_by_iso[iso]] == \
-                [r.channels.tobytes() for r in residuals]
-            assert estimate_read_noise(residuals, band_axis) == (
-                want.iso_params[iso].sigma_read, want.iso_params[iso].sigma_row)
-            # ... and the profile holds the residuals cast to float32
+                shadings[iso].tobytes()
             assert [r.channels.tobytes() for r in got.dark_library[iso]] == \
                 [r.channels.tobytes() for r in want.dark_library[iso]]
         out = tmp_path_factory.mktemp("profiles")

@@ -297,6 +297,37 @@ def test_calibrate_without_dark_frames_exits_3(tmp_path, capsys, camera_id):
     assert "no .rawb dark frames" in capsys.readouterr().err
 
 
+def test_calibrate_names_an_empty_iso_subdirectory(workspace, capsys):
+    # an empty ISO directory used to drop that ISO and its --gains entry,
+    # writing a one-ISO profile with exit code 0
+    for dark in (workspace / "darks" / "1600").iterdir():
+        dark.unlink()
+    rc = main(["calibrate", "--darks", str(workspace / "darks"), "--gains", "800=0.8,1600=1.6",
+               "--out", str(workspace / "profile.json")])
+    assert rc == 3
+    assert f"{workspace / 'darks' / '1600'}: no .rawb dark frames" in capsys.readouterr().err
+    assert not (workspace / "profile.json").exists()
+
+
+def test_calibrate_band_axis_col_reads_column_banding(tmp_path):
+    # two antithetic darks, 512 +/- noise with column banding of sigma 3:
+    # their mean is 512, so each residual is exactly the noise
+    rng = np.random.default_rng(7)
+    noise = rng.normal(0, 3.0, 128)[None, :] + rng.normal(0, 1.0, (128, 128))
+    (tmp_path / "darks" / "800").mkdir(parents=True)
+    for k, sign in enumerate((1.0, -1.0)):
+        write_frame(make_frame((512.0 + sign * noise).astype(np.float32)),
+                    tmp_path / "darks" / "800" / f"dark{k}.rawb")
+    sigma_row = {}
+    for axis in ("row", "col"):
+        out = tmp_path / axis / "prof.json"
+        assert main(["calibrate", "--darks", str(tmp_path / "darks"), "--gains", "800=0.8",
+                     "--band-axis", axis, "--out", str(out)]) == 0
+        sigma_row[axis] = json.loads(out.read_text())["isos"]["800"]["sigma_row"]
+    assert abs(sigma_row["col"] - 3.0) / 3.0 < 0.15
+    assert sigma_row["row"] < 1.0
+
+
 def test_calibrate_names_a_subdirectory_that_is_no_iso(workspace, capsys):
     notes = workspace / "darks" / "notes"
     notes.mkdir()

@@ -8,7 +8,8 @@ DN, the rank table always ranks exactly its complete categories, and the
 RGGB phase order is sliced in one place.
 Passing one of the keywords that used to change them is a TypeError, so a
 caller cannot score, render, budget or synthesize off-protocol by accident.
-Each concept has one source: budget totals come from ``build_report``, the
+Each concept has one source: budget totals come from ``build_report``, read
+noise and library residuals from ``calibration.build_profile``, the
 denoiser's core side from ``denoise._CORE`` and the scoring phases from
 ``metrics._CROP_SIDES``, the thread count from ``core._map``, the
 value-space precondition from ``core._check_space`` and the check of a named
@@ -144,16 +145,19 @@ def test_settable_value_count():
             elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
                              for s in node.body)
-    assert count == 59
+    assert count == 58
 
 
 def test_second_paths_are_gone():
     # budget totals come only from build_report; the core side only from
-    # _CORE; the ISP demosaics the planes, never a rebuilt mosaic
+    # _CORE; the ISP demosaics the planes, never a rebuilt mosaic; read
+    # noise and library residuals come only from build_profile
     for module, name in ((budget, "count_params"), (budget, "count_macs"),
                          (rawbench, "count_params"), (rawbench, "count_macs"),
                          (denoise, "_denoise_cores"), (isp, "_demosaic_bilinear"),
-                         (isp, "interleave_rggb")):
+                         (isp, "interleave_rggb"),
+                         (calibration, "correct_dark_frame"), (rawbench, "correct_dark_frame"),
+                         (calibration, "estimate_read_noise"), (rawbench, "estimate_read_noise")):
         assert not hasattr(module, name), name
 
 

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from rawbench.calibration import NoiseParams, correct_dark_frame
+from rawbench.calibration import NoiseParams
 from rawbench.core import PackedImage, SPACE_DN_ABOVE_BLACK, SPACE_NORMALIZED
 from rawbench.errors import DimensionError, DomainError, ProfileError
 from rawbench.synth import (
@@ -17,7 +17,7 @@ from rawbench.synth import (
     synthesize_noisy,
 )
 
-from conftest import BLACK, WHITE, make_frame, make_profile, with_library
+from conftest import BLACK, WHITE, dark_residual, make_frame, make_profile, with_library
 
 SPAN = WHITE - BLACK[0]
 
@@ -112,8 +112,7 @@ class TestDarkPatch:
         rng = np.random.default_rng(seed)
         lib = []
         for _ in range(n_frames):
-            dark = make_frame(rng.normal(512, 3, (2 * side, 2 * side)).clip(0))
-            lib.append(correct_dark_frame(dark, np.full((2 * side, 2 * side), 512.0)))
+            lib.append(dark_residual(rng.normal(512, 3, (2 * side, 2 * side)).clip(0)))
         return with_library(make_profile(), {800: lib})
 
     def test_full_frame_patch_is_exact(self):
@@ -180,9 +179,8 @@ class TestSynthesizeNoisy:
 
     def test_hybrid_endpoints_match_pure_modes(self):
         rng = np.random.default_rng(11)
-        dark = make_frame(rng.normal(512, 3, (64, 64)).clip(0))
         prof = with_library(make_profile(),
-                            {800: [correct_dark_frame(dark, np.full((64, 64), 512.0))]})
+                            {800: [dark_residual(rng.normal(512, 3, (64, 64)).clip(0))]})
         clean = flat_clean(0.3, side=16)
         for seed in (0, 1, 2):
             par = synthesize_noisy(clean, prof, SynthConfig(iso=800, dgain=10, seed=seed))
@@ -368,8 +366,7 @@ class TestPinnedBytes:
         prof = make_profile(K=0.8, sigma_read=4.0, sigma_row=2.0, quant_step=1.0,
                             isos=(800, 3200))
         return with_library(prof, {
-            iso: [correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
-                                     np.full((40, 40), 512.0))
+            iso: [dark_residual(rng.normal(512, 3, (40, 40)).clip(0), iso=iso)
                   for _ in range(2)]
             for iso in (800, 3200)
         })

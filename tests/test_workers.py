@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from rawbench import calibration, core, denoise, harness, isp, metrics, synth
-from rawbench.calibration import build_profile, correct_dark_frame, load_profile, save_profile
+from rawbench.calibration import build_profile, load_profile, save_profile
 from rawbench.cli import main
 from rawbench.core import PackedImage, Roi, SPACE_NORMALIZED, write_frame
 from rawbench.denoise import DenoiseConfig, denoise_raw
@@ -33,7 +33,7 @@ from rawbench.isp import IspConfig, run_isp
 from rawbench.synth import BatchConfig, make_pair_batch
 from rawbench.transforms import PgParams
 
-from conftest import BLACK, WHITE, make_frame, make_profile, with_library
+from conftest import BLACK, WHITE, dark_residual, make_frame, make_profile, with_library
 
 WORKERS = (1, 2, 3, 7)
 PG = PgParams(K=80.0, sigma=400.0)
@@ -253,9 +253,7 @@ def synth_profile():
     """ISOs 800 and 3200, each with two 20x20-plane corrected darks."""
     rng = np.random.default_rng(21)
     return with_library(make_profile(isos=(800, 3200)), {
-        iso: [correct_dark_frame(make_frame(rng.normal(512, 3, (40, 40)).clip(0), iso=iso),
-                                 np.full((40, 40), 512.0))
-              for _ in range(2)]
+        iso: [dark_residual(rng.normal(512, 3, (40, 40)).clip(0), iso=iso) for _ in range(2)]
         for iso in (800, 3200)
     })
 
