@@ -18,7 +18,6 @@ from .calibration import (
     NoiseParams,
     SensorProfile,
     build_profile,
-    estimate_dark_shading,
     estimate_system_gain,
     load_profile,
     save_profile,

@@ -14,13 +14,13 @@ the dark minus the shading map of its own ISO's darks.  Estimators follow
 plain sample statistics with (n-1) denominators.  Row (banding) noise is
 measured from per-row means after removing each frame's own mean, so a
 constant per-frame offset contaminates neither the band nor the pixel
-estimate.  The shading map (``estimate_dark_shading``) and the residuals
-are float64; only the residuals a profile stores are float32.
+estimate.  The shading map (``_dark_shading``) and the residuals are
+float64; only the residuals a profile stores are float32.
 
 Each input is checked once, before any work: ``build_profile`` checks
-every ISO's darks (``_check_darks``, the dark-set rule that
-``estimate_dark_shading`` runs too) and gain before it calibrates a frame,
-and ``SensorProfile`` holds the one profile rule, however a profile is made.
+every ISO's darks (``_check_darks``, the one dark-set rule) and gain
+before it calibrates a frame, and ``SensorProfile`` holds the one profile
+rule, however a profile is made.
 
 ``build_profile`` runs each ISO's work as ``core._map`` tasks on every CPU
 the process may use: the shading map's row bands, then each dark's
@@ -191,16 +191,14 @@ def _check_darks(iso, darks: list[RawFrame], ref: RawFrame | None, roi: Roi | No
             f"ISO {iso}: roi {roi} does not fit darks of {first.width}x{first.height}")
 
 
-def estimate_dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
-    """Per-pixel mean of >= 2 dark frames over the ROI, at mosaic resolution.
+def _dark_shading(darks: list[RawFrame], roi: Roi) -> np.ndarray:
+    """Per-pixel mean of dark frames over the ROI, at mosaic resolution.
 
-    First the darks pass ``build_profile``'s dark-set rule against dark 0.
-    The result includes the black pedestal: subtracting it from a dark
-    frame removes both the spatial dark-current pattern and the black
-    level in one step.  Each row band is one ``core._map`` task.
+    The darks have passed ``_check_darks`` in ``build_profile``.  The
+    result includes the black pedestal: subtracting it from a dark frame
+    removes both the spatial dark-current pattern and the black level in
+    one step.  Each row band is one ``core._map`` task.
     """
-    ref = darks[0] if darks else None
-    _check_darks(getattr(ref, "iso", None), darks, ref, roi)
     frames = [crop_frame(d, roi).data for d in darks]
     total = np.empty(frames[0].shape)
 
@@ -354,7 +352,7 @@ def build_profile(
     libraries: dict[int, list[PackedImage]] = {}
     for iso in isos:
         darks = darks_by_iso[iso]
-        shading = estimate_dark_shading(darks, roi)
+        shading = _dark_shading(darks, roi)
         sigma_read, sigma_row, libraries[iso] = _read_noise_stats(darks, roi, shading, camera_id,
                                                                   band_axis)
         iso_params[iso] = NoiseParams(K=gains[iso], sigma_read=sigma_read, sigma_row=sigma_row)

@@ -179,9 +179,6 @@ def _cmd_eval(args) -> int:
     pred_paths = sorted(pred_dir.glob("*.rawb"))
     if not pred_paths:
         raise MissingDataError(f"{pred_dir}: no predictions found")
-    missing = [p.name for p in pred_paths if not (gt_dir / p.name).exists()]
-    if missing:
-        raise MissingDataError(f"missing ground truth for: {', '.join(missing)}")
     results = harness.score_pairs([(p.name, p, gt_dir / p.name) for p in pred_paths], args.phase)
     # dgain is a manifest-level attribute; directory mode leaves it blank
     rows = [(p.stem, camera, iso, "", res) for p, (camera, iso, res) in zip(pred_paths, results)]
@@ -227,7 +224,7 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    manifest = harness.load_manifest(args.manifest, strict=args.strict)
+    manifest = harness.load_manifest(args.manifest)
     scores_path, rank_path = harness.run_benchmark(
         manifest,
         args.pred_root,
@@ -316,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", default=None, help="team,metric,value CSV")
     p.add_argument("--out-dir", default=".")
     p.add_argument("--threads", type=_threads, default=1, help="most ground truths scored at once")
-    p.add_argument("--strict", action="store_true", help="eagerly validate referenced files")
     p.set_defaults(func=_cmd_bench)
     return parser
 

@@ -69,15 +69,16 @@ _DCT_T.flags.writeable = False
 class DenoiseConfig:
     transform: str = "gat"
     threshold_mult: float = 3.0
-    sigma_dn: float | None = None  # required for transform == "none"
+    sigma_dn: float | None = None  # required for transform == "none", refused otherwise
 
     def __post_init__(self):
         _check_choice("transform", self.transform, _TRANSFORMS, error=DomainError)
         _check_finite("threshold_mult", self.threshold_mult, positive=False, error=DomainError)
         if self.sigma_dn is not None:
             _check_finite("sigma_dn", self.sigma_dn, positive=False, error=DomainError)
-        elif self.transform == "none":
-            raise ProfileError('transform="none" requires sigma_dn')
+        if (self.sigma_dn is None) == (self.transform == "none"):
+            raise ProfileError('transform="none" requires sigma_dn, and no other transform '
+                               f'reads it; got transform={self.transform!r}')
 
 
 def _block_groups(extent: int) -> tuple[list[tuple[int, int]], np.ndarray]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import core
@@ -65,14 +65,14 @@ class Manifest:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
 
-def load_manifest(path, strict: bool = False) -> Manifest:
+def load_manifest(path) -> Manifest:
     """Parse and validate a manifest JSON file.
 
     The phase must be one of the crop protocol's (``metrics._CROP_SIDES``).
     Entry fields must have their JSON types: numbers for ``iso`` and
     ``dgain``, strings for the rest (``camera`` may be absent, ``gt_path``
     absent or null), and no key may lie outside them (``core._check_keys``).
-    With ``strict=True`` every referenced file must already exist.
+    No referenced file is opened (``score_pairs`` checks the ground truths).
     """
     path = Path(path)
     doc = _read_json(path, error=ManifestError)
@@ -82,7 +82,6 @@ def load_manifest(path, strict: bool = False) -> Manifest:
         raise ManifestError(f"{path}: 'entries' must be a list, got {type(raw_entries).__name__}")
     phase = doc.get("phase", "dev")
     _check_choice(f"{path}: phase", phase, _PHASES, error=ManifestError)
-    manifest = Manifest(phase=phase, entries=(), base_dir=str(path.parent))
     entries = []
     seen_ids = set()
     for i, raw in enumerate(raw_entries):
@@ -110,12 +109,8 @@ def load_manifest(path, strict: bool = False) -> Manifest:
             raise ManifestError(f"{where}: paired entry needs gt_path")
         if entry.scene_type == "wild" and entry.gt_path:
             warnings.warn(f"{where}: gt_path on a wild entry is ignored")
-        if strict:
-            for p in (entry.noisy_path, entry.gt_path):
-                if p and not manifest.resolve(p).exists():
-                    raise ManifestError(f"{where}: referenced file {p} does not exist")
         entries.append(entry)
-    return replace(manifest, entries=tuple(entries))
+    return Manifest(phase=phase, entries=tuple(entries), base_dir=str(path.parent))
 
 
 def _read_csv(path, required: tuple[str, ...]):
@@ -203,12 +198,17 @@ def score_pairs(pairs, phase: str, threads: int = 1) -> list[tuple]:
     otherwise run one at a time with each image's SSIM on every CPU.
     A shape mismatch names the label, a GT too small for the crop names the
     GT file.  ``threads`` that is not an integer >= 1 raises ValueError.
+    Before any file is read, every distinct ground truth must exist: one
+    MissingDataError names each missing one, in first-appearance order.
     """
     _check_int("threads", threads, minimum=1, error=ValueError)
     pairs = list(pairs)
     groups: dict[object, list[int]] = {}
     for i, (_, _, gt_path) in enumerate(pairs):
         groups.setdefault(gt_path, []).append(i)
+    missing = [str(gt_path) for gt_path in groups if not Path(gt_path).exists()]
+    if missing:
+        raise MissingDataError(f"missing ground truth: {', '.join(missing)}")
 
     def score_one(ref, i):
         label, pred_path, _ = pairs[i]
@@ -266,10 +266,11 @@ def run_benchmark(
     ``pred_root`` contains one subdirectory per team holding
     ``<image_id>.rawb`` predictions.  Paired entries are scored with the
     crop protocol; perceptual metrics come from the external CSV.  Missing
-    predictions are all reported at once before aborting.  Returns the
-    paths of scores.csv and ranktable.csv.  ``threads`` bounds the number
-    of ground truths scored at once (see ``score_pairs``); one that is not
-    an integer >= 1 raises ValueError before any file is touched.
+    predictions, then missing ground truths, are named all at once before
+    any pair is scored.  Returns the paths of scores.csv and ranktable.csv.
+    ``threads`` bounds the number of ground truths scored at once (see
+    ``score_pairs``); one that is not an integer >= 1 raises ValueError
+    before any file is touched.
     """
     _check_int("threads", threads, minimum=1, error=ValueError)
     pred_root = Path(pred_root)

@@ -144,7 +144,8 @@ def final_table(records: list[MetricRecord]) -> RankTable:
     of the categories in which every record has every metric.
 
     Positions are by ascending average score; equal scores are resolved by
-    the majority rule over the category's own metric set.
+    the majority rule over the category's own metric set, applied to the
+    teams in name order, so the positions do not depend on record order.
     """
     if not records:
         raise DataError("no records to rank")
@@ -169,6 +170,6 @@ def final_table(records: list[MetricRecord]) -> RankTable:
         }
 
         cmp = functools.partial(_by_score_then_majority, scores[cat], records, metric_set)
-        ordered = sorted(teams, key=functools.cmp_to_key(cmp))
+        ordered = sorted(sorted(teams), key=functools.cmp_to_key(cmp))
         positions[cat] = {team: i for i, team in enumerate(ordered, start=1)}
     return RankTable(teams=teams, metric_ranks=metric_ranks, scores=scores, positions=positions)

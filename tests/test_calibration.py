@@ -12,7 +12,6 @@ from rawbench.calibration import (
     NoiseParams,
     SensorProfile,
     build_profile,
-    estimate_dark_shading,
     estimate_system_gain,
     load_profile,
     save_profile,
@@ -43,50 +42,41 @@ from conftest import BLACK, WHITE, make_frame
 class TestDarkShading:
     def test_mean_of_constants(self):
         darks = [make_frame(np.full((4, 4), v, dtype=np.float32)) for v in (100, 102, 104)]
-        shading = estimate_dark_shading(darks, Roi(0, 0, 4, 4))
+        shading = calibration._dark_shading(darks, Roi(0, 0, 4, 4))
         np.testing.assert_allclose(shading, 102.0)
 
     def test_gradient_plus_offsets(self):
         grad = np.linspace(100, 200, 16).reshape(4, 4)
         darks = [make_frame((grad + off).astype(np.float64)) for off in (-1.0, 0.0, 1.0)]
-        shading = estimate_dark_shading(darks, Roi(0, 0, 4, 4))
+        shading = calibration._dark_shading(darks, Roi(0, 0, 4, 4))
         np.testing.assert_allclose(shading, grad, rtol=1e-14)
 
     def test_roi_cropping(self):
         rng = np.random.default_rng(0)
         data = rng.uniform(100, 200, (8, 8))
         darks = [make_frame(data), make_frame(data)]
-        shading = estimate_dark_shading(darks, Roi(2, 2, 4, 4))
+        shading = calibration._dark_shading(darks, Roi(2, 2, 4, 4))
         np.testing.assert_allclose(shading, data[2:6, 2:6])
 
     def test_matches_bruteforce_mean(self):
         rng = np.random.default_rng(12)
         darks = [make_frame(rng.uniform(400, 700, (6, 6))) for _ in range(5)]
-        shading = estimate_dark_shading(darks, Roi(0, 0, 6, 6))
+        shading = calibration._dark_shading(darks, Roi(0, 0, 6, 6))
         for y in range(6):
             for x in range(6):
                 expect = sum(float(d.data[y, x]) for d in darks) / 5
                 assert shading[y, x] == pytest.approx(expect, rel=1e-14)
 
-    def test_single_frame_rejected(self):
-        with pytest.raises(InsufficientData):
-            estimate_dark_shading([make_frame(np.zeros((4, 4), dtype=np.uint16))], Roi(0, 0, 4, 4))
-
-    def test_mixed_iso_rejected(self):
-        darks = [make_frame(np.zeros((4, 4), dtype=np.uint16), iso=800),
-                 make_frame(np.zeros((4, 4), dtype=np.uint16), iso=1600)]
-        with pytest.raises(ProfileError):
-            estimate_dark_shading(darks, Roi(0, 0, 4, 4))
-
     def test_mixed_levels_rejected(self, monkeypatch):
-        # blacks of 512 and 256 gave a map of mean 384, a pedestal neither has
+        # blacks of 512 and 256 gave a map of mean 384, a pedestal neither has;
+        # build_profile refuses them before any shading is made
         darks = [make_frame(np.full((4, 4), 600.0)),
                  make_frame(np.full((4, 4), 300.0), black=np.full(4, 256.0))]
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.raises(ProfileError, match=re.escape(
                 "ISO 800 dark 1 has black_level [256.0, 256.0, 256.0, 256.0] but ISO 800 dark 0 "
                 "has [512.0, 512.0, 512.0, 512.0]")):
-            estimate_dark_shading(darks, Roi(0, 0, 4, 4))
+            build_profile("camA", [800], {800: darks}, provided_gains={800: 0.8})
 
 
 def _sigmas(darks, band_axis="row"):
@@ -133,7 +123,7 @@ class TestCorrectDarkFrame:
         sigma, m = 5.0, 16
         true_shading = np.full((32, 32), 512.0)
         darks = [make_frame(true_shading + rng.normal(0, sigma, (32, 32))) for _ in range(m)]
-        est_shading = estimate_dark_shading(darks, Roi(0, 0, 32, 32))
+        est_shading = calibration._dark_shading(darks, Roi(0, 0, 32, 32))
         res_same = np.mean([d.data - est_shading for d in darks], axis=0)
         np.testing.assert_allclose(res_same, 0.0, atol=1e-10)
         res_true = np.mean([d.data - true_shading for d in darks], axis=0)
@@ -285,6 +275,20 @@ class TestBuildProfile:
                            match=r"band_axis must be one of \('row', 'col'\), got 'diag'"):
             build_profile("camA", [800], {}, provided_gains={800: 1.0}, band_axis="diag")
 
+    def test_each_dark_set_is_checked_once(self, monkeypatch):
+        # the shading map used to run the dark-set rule again: 800, 1600, 800, 1600
+        rng = np.random.default_rng(19)
+        darks = {800: self._darks(800, rng), 1600: self._darks(1600, rng)}
+        checked, check = [], calibration._check_darks
+
+        def check_darks(iso, *args):
+            checked.append(iso)
+            return check(iso, *args)
+
+        monkeypatch.setattr(calibration, "_check_darks", check_darks)
+        build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6})
+        assert checked == [800, 1600]
+
     def test_darks_of_another_iso_name_both_isos(self):
         # ISO-1600 darks filed under ISO 800 would give ISO 800 their noise
         rng = np.random.default_rng(11)
@@ -329,7 +333,7 @@ class TestBuildProfile:
         # and its message named no ISO
         rng = np.random.default_rng(14)
         darks = {800: self._darks(800, rng), 1600: self._darks(1600, rng)}
-        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_dark_shading", None)
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.raises(ProfileError, match=re.escape(
                 f"ISO 1600: system gain K must be finite and > 0, got {gain}")):
@@ -337,7 +341,7 @@ class TestBuildProfile:
 
     def test_non_positive_ptc_gain_fails_before_any_frame_is_calibrated(self, monkeypatch):
         rng = np.random.default_rng(15)
-        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_dark_shading", None)
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.warns(CalibrationWarning), pytest.raises(
                 ProfileError, match="ISO 800: system gain K must be finite and > 0, got -1"):
@@ -361,7 +365,7 @@ class TestBuildProfile:
         rng = np.random.default_rng(16)
         darks = {800: self._darks(800, rng, side=24),
                  1600: darks_of(self._darks(1600, rng), self._darks(1600, rng, side=24))}
-        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_dark_shading", None)
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.raises(error, match=re.escape(message)):
             build_profile("camA", [800, 1600], darks, provided_gains={800: 0.8, 1600: 1.6},
@@ -370,7 +374,7 @@ class TestBuildProfile:
     def test_first_iso_of_mixed_sizes_fails_before_any_frame_is_calibrated(self, monkeypatch):
         rng = np.random.default_rng(17)
         darks = {800: self._darks(800, rng)[:2] + self._darks(800, rng, n=1, side=8)}
-        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_dark_shading", None)
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.raises(ProfileError, match=re.escape(
                 "ISO 800 darks have mixed dimensions: dark 2 is 8x8, dark 0 16x16")):
@@ -380,7 +384,7 @@ class TestBuildProfile:
     def test_camera_id_fails_before_any_frame_is_calibrated(self, monkeypatch, camera_id):
         # it used to fail as a TypeError inside a library-image task
         rng = np.random.default_rng(18)
-        monkeypatch.setattr(calibration, "estimate_dark_shading", None)
+        monkeypatch.setattr(calibration, "_dark_shading", None)
         monkeypatch.setattr(calibration, "_map", None)
         with pytest.raises(TypeError, match=f"camera_id must be a string, got {camera_id}"):
             build_profile(camera_id, [800], {800: self._darks(800, rng)},
@@ -440,7 +444,7 @@ def _oracle_profile(isos, darks_by_iso, gains, roi, band_axis):
 
 
 class TestOnePassCalibration:
-    """build_profile and estimate_dark_shading give the bits of the oracle above."""
+    """build_profile and its shading map give the bits of the oracle above."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 6), n_isos=st.integers(1, 2),
@@ -477,7 +481,7 @@ class TestOnePassCalibration:
             assert got.iso_params[iso] == want.iso_params[iso]
             # the float64 shading keeps the oracle's bits, and the profile
             # holds the residuals cast to float32
-            assert estimate_dark_shading(darks_by_iso[iso], want.effective_roi).tobytes() == \
+            assert calibration._dark_shading(darks_by_iso[iso], want.effective_roi).tobytes() == \
                 shadings[iso].tobytes()
             assert [r.channels.tobytes() for r in got.dark_library[iso]] == \
                 [r.channels.tobytes() for r in want.dark_library[iso]]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rawbench import core
+from rawbench import core, harness
 from rawbench.calibration import NoiseParams, load_profile, save_profile
 from rawbench.cli import build_parser, main
 from rawbench.core import (
@@ -125,6 +125,9 @@ def test_synth_rejects_bad_sampler_before_reading_anything(tmp_path, capsys, fla
     ("isp", ["--wb", "nan,1,1"], "wb gain must be finite"),
     ("isp", ["--wb", "1,inf,1"], "wb gain must be finite"),
     ("denoise", ["--transform", "none"], 'transform="none" requires sigma_dn'),
+    # only "none" reads --sigma-dn: gat used to denoise at sigma 1 without a word
+    ("denoise", ["--transform", "gat", "--sigma-dn", "5"], "no other transform reads it"),
+    ("denoise", ["--transform", "ksigma", "--sigma-dn", "5"], "transform='ksigma'"),
 ])
 def test_non_finite_setting_exits_2_before_reading_anything(tmp_path, capsys, command, flags,
                                                             what):
@@ -217,6 +220,55 @@ def test_bench_subcommand(workspace, tmp_path):
     assert (out_dir / "scores.csv").exists()
     assert (out_dir / "ranktable.csv").exists()
     assert (out_dir / "per_image.csv").exists()
+
+
+def _never_scored(*args):
+    raise AssertionError("a pair was scored")
+
+
+def test_bench_missing_ground_truth_exits_3_before_scoring(tmp_path, capsys, monkeypatch):
+    # with b's ground truth gone, bench used to score both pairs of a first
+    # and then exit 2 with a bare [Errno 2]
+    frame = make_frame(np.full((8, 8), 3000, dtype=np.uint16))
+    (tmp_path / "gt").mkdir()
+    entries = []
+    for image_id in ("a", "b"):
+        write_frame(frame, tmp_path / "gt" / f"{image_id}.rawb")
+        entries.append({"image_id": image_id, "camera": "camA", "scene_type": "paired",
+                        "iso": 800, "noisy_path": f"noisy/{image_id}.rawb",
+                        "gt_path": f"gt/{image_id}.rawb"})
+        for team in ("one", "two"):
+            (tmp_path / "preds" / team).mkdir(parents=True, exist_ok=True)
+            write_frame(frame, tmp_path / "preds" / team / f"{image_id}.rawb")
+    (tmp_path / "gt" / "b.rawb").unlink()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"phase": "dev", "entries": entries}))
+    monkeypatch.setattr(harness, "evaluate_pair", _never_scored)
+    out_dir = tmp_path / "out"
+    rc = main(["bench", "--manifest", str(manifest), "--pred-root", str(tmp_path / "preds"),
+               "--out-dir", str(out_dir)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert str(tmp_path / "gt" / "b.rawb") in err
+    assert "a.rawb" not in err
+    assert list(out_dir.glob("*.csv")) == []
+
+
+def test_eval_missing_ground_truth_exits_3_naming_it(tmp_path, capsys, monkeypatch):
+    frame = make_frame(np.full((8, 8), 3000, dtype=np.uint16))
+    gt_dir, pred_dir = tmp_path / "gt", tmp_path / "pred"
+    gt_dir.mkdir()
+    pred_dir.mkdir()
+    for name in ("a.rawb", "b.rawb", "c.rawb"):
+        write_frame(frame, pred_dir / name)
+    write_frame(frame, gt_dir / "b.rawb")
+    monkeypatch.setattr(harness, "evaluate_pair", _never_scored)
+    out_csv = tmp_path / "metrics.csv"
+    rc = main(["eval", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out_csv)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"missing ground truth: {gt_dir / 'a.rawb'}, {gt_dir / 'c.rawb'}" in err
+    assert not out_csv.exists()
 
 
 def test_validation_error_exit_code(tmp_path):
@@ -703,7 +755,7 @@ REQUIRED_ARGS = {
     "budget": ["--model", "m"],
     "bench": ["--manifest", "m", "--pred-root", "r"],
 }
-OWNED_FLAGS = {("synth", "--seed"), ("bench", "--threads"), ("bench", "--strict")}
+OWNED_FLAGS = {("synth", "--seed"), ("bench", "--threads")}
 
 
 @pytest.mark.parametrize("command", sorted(REQUIRED_ARGS))

@@ -377,6 +377,10 @@ class TestDenoiseRaw:
             DenoiseConfig(transform="wavelet")
         with pytest.raises(DomainError):
             DenoiseConfig(threshold_mult=-1.0)
+        # only "none" reads sigma_dn: the VSTs would shrink at sigma 1 regardless
+        for transform in ("gat", "ksigma"):
+            with pytest.raises(ProfileError, match=f"no other transform reads it; got transform='{transform}'"):
+                DenoiseConfig(transform=transform, sigma_dn=5.0)
 
     @pytest.mark.parametrize("field, value", [
         ("threshold_mult", np.nan), ("threshold_mult", np.inf),

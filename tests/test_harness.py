@@ -57,22 +57,11 @@ class TestLoadManifest:
         with pytest.raises(ManifestError):
             load_manifest(write_manifest(tmp_path / "m.json", [entry]))
 
-    def test_strict_missing_files(self, tmp_path):
-        p = write_manifest(tmp_path / "m.json", [self._entry()])
-        with pytest.raises(ManifestError, match="does not exist"):
-            load_manifest(p, strict=True)
-
-    def test_strict_resolves_relative_and_absolute_paths(self, tmp_path):
-        (tmp_path / "data").mkdir()
-        (tmp_path / "data" / "n.rawb").write_bytes(b"")
-        (tmp_path / "g.rawb").write_bytes(b"")
+    def test_resolves_relative_and_absolute_paths(self, tmp_path):
         entry = self._entry(noisy_path="data/n.rawb", gt_path=str(tmp_path / "g.rawb"))
-        m = load_manifest(write_manifest(tmp_path / "m.json", [entry]), strict=True)
+        m = load_manifest(write_manifest(tmp_path / "m.json", [entry]))
         assert m.resolve(m.entries[0].noisy_path) == tmp_path / "data" / "n.rawb"
         assert m.resolve(m.entries[0].gt_path) == tmp_path / "g.rawb"
-        (tmp_path / "g.rawb").unlink()
-        with pytest.raises(ManifestError, match="g.rawb does not exist"):
-            load_manifest(tmp_path / "m.json", strict=True)
 
     @pytest.mark.parametrize("field, value, match", [
         ("iso", float("inf"), "iso must be finite and >= 0, got inf"),
